@@ -22,7 +22,7 @@ infinite wall, three orders of magnitude above R.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -36,6 +36,7 @@ __all__ = [
     "rydberg_scales",
     "solve",
     "stark_rate",
+    "transition_K",
 ]
 
 
@@ -76,7 +77,6 @@ class HydrogenicBasisSpec:
     lam: float
     size: int = 32
     grid: np.ndarray | None = field(default=None)
-    quad_rule: str = "gauss-laguerre"
     quad_order: int = 96
 
     def __post_init__(self):
@@ -84,8 +84,6 @@ class HydrogenicBasisSpec:
             raise ValueError(f"basis size must be at least 3, got {self.size}")
         if self.lam <= 0:
             raise ValueError(f"image strength must be positive, got {self.lam}")
-        if self.quad_rule != "gauss-laguerre":
-            raise ValueError(f"unknown quadrature rule {self.quad_rule!r}")
         if self.grid is None:
             _, r_b = rydberg_scales(self.lam)
             z_max = 40.0 * self.size * r_b
@@ -153,13 +151,13 @@ class HydrogenicSolution:
     Energies are in kelvin, sorted ascending; `z_elements[i, j]` is
     <i+1|z|j+1> (cm) between the perturbed states; `psi[i]` samples the
     i-th perturbed wavefunction on `grid` in cm^(-1/2).  `coefficients`
-    maps perturbed states to the zero-field basis (columns).
+    maps perturbed states to the zero-field basis (columns).  `psi` is
+    computed from `coefficients` on first access and then kept.
     """
 
     e_perp: float               # V/cm, >0 presses toward the surface
     energies: np.ndarray        # K, shape (size,)
     z_elements: np.ndarray      # cm, shape (size, size)
-    psi: np.ndarray             # cm^-1/2, shape (size, len(grid))
     grid: np.ndarray            # cm
     lam: float
     rydberg_K: float
@@ -169,6 +167,13 @@ class HydrogenicSolution:
     @property
     def size(self) -> int:
         return self.energies.size
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """Perturbed wavefunctions on `grid`, cm^-1/2, shape (size, len(grid))."""
+        x = self.grid / self.bohr_cm
+        basis_samples = np.vstack([basis_function(m, x) for m in range(1, self.size + 1)])
+        return (self.coefficients.T @ basis_samples) / np.sqrt(self.bohr_cm)
 
     def transition_K(self, m: int, n: int = 1) -> float:
         """E_m - E_n in kelvin (1-based state labels)."""
@@ -205,14 +210,9 @@ def _eigensystem(spec: HydrogenicBasisSpec, e_perp: float, size: int):
     return energies, vecs, z_cm
 
 
-def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
-    """Diagonalize the pressed image-potential problem in the truncated basis.
-
-    Raises ConvergenceError if enlarging the basis by 5 shifts E_1 or E_2
-    by more than 1e-4 relative (the field is then too strong for the
-    retained basis, or the state is effectively unbound).
-    """
-    rydberg_K, r_b = spec.scales
+def _checked_eigensystem(spec: HydrogenicBasisSpec, e_perp: float):
+    """`_eigensystem` at `spec.size`, after the convergence checks of `solve`."""
+    rydberg_K, _ = spec.scales
     energies, vecs, z_cm = _eigensystem(spec, e_perp, spec.size)
     check_e, _, _ = _eigensystem(spec, e_perp, spec.size + 5)
     # shifts are measured against the qubit splitting: E_2 itself crosses
@@ -241,6 +241,25 @@ def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
         raise ConvergenceError(
             f"degenerate or disordered levels at E_perp={e_perp} V/cm", float("nan")
         )
+    return energies, vecs, z_cm
+
+
+def transition_K(spec: HydrogenicBasisSpec, e_perp: float, m: int = 2, n: int = 1) -> float:
+    """`solve(spec, e_perp).transition_K(m, n)`, bit for bit, from the eigenvalues alone."""
+    energies, _, _ = _checked_eigensystem(spec, e_perp)
+    return float(energies[m - 1] - energies[n - 1])
+
+
+def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
+    """Diagonalize the pressed image-potential problem in the truncated basis.
+
+    Raises ConvergenceError if enlarging the basis by 5 shifts E_1 or E_2
+    by more than 1e-4 relative (the field is then too strong for the
+    retained basis, or the state is effectively unbound), or if the low
+    levels are not strictly ordered.
+    """
+    rydberg_K, r_b = spec.scales
+    energies, vecs, z_cm = _checked_eigensystem(spec, e_perp)
 
     # fix the sign of each perturbed state so its dominant component is positive
     dom = np.argmax(np.abs(vecs), axis=0)
@@ -250,15 +269,10 @@ def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
     z_pert = vecs.T @ z_cm @ vecs
     z_pert = 0.5 * (z_pert + z_pert.T)
 
-    x = spec.grid / r_b
-    basis_samples = np.vstack([basis_function(m, x) for m in range(1, spec.size + 1)])
-    psi = (vecs.T @ basis_samples) / np.sqrt(r_b)
-
     return HydrogenicSolution(
         e_perp=float(e_perp),
         energies=energies,
         z_elements=z_pert,
-        psi=psi,
         grid=spec.grid,
         lam=spec.lam,
         rydberg_K=rydberg_K,

@@ -343,6 +343,10 @@ def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall, v_peak):
         return (p - target) ** 2
 
     hi = 1.5 * dwell0 + 2.0 * (rise + fall)
+    # above alpha = 0.4 pi the window also holds the mirror root 2 hbar (pi - alpha) / B
+    mirror = dwell0 * (math.pi - alpha) / alpha
+    if dwell0 < mirror < hi:
+        hi = 0.5 * (dwell0 + mirror) + 2.0 * (rise + fall)
     out = minimize_scalar(
         mismatch, bounds=(0.25 * dwell0, hi), method="bounded",
         options={"xatol": dwell0 * 1e-9},

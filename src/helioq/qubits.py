@@ -22,11 +22,12 @@ takes pi hbar / B_nm.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hydrogenic import HydrogenicBasisSpec, HydrogenicSolution, solve
+from .hydrogenic import HydrogenicBasisSpec, HydrogenicSolution, solve, transition_K
 from .units import (
     E_SQ,
     E_SQ_K_CM,
@@ -223,44 +224,39 @@ class QubitArrayHamiltonian:
         return d
 
 
-class _StarkMap:
-    """Transition energy (K) versus pressing field, backed by the solver.
+# fields remembered per Stark map; a ramped gate looks up a few hundred
+_STARK_CACHE_SIZE = 1024
 
-    Evaluations are cached; dense use over an interval goes through a
-    cubic-spline fit refreshed whenever the requested range grows.
+
+class _StarkMap:
+    """Transition energy (K) versus pressing field, from the checked eigensolve.
+
+    Exact evaluations are kept in an LRU cache of `_STARK_CACHE_SIZE`
+    fields; array arguments are evaluated element by element.
     """
 
     def __init__(self, basis: HydrogenicBasisSpec):
         self.basis = basis
-        self._cache: dict[float, float] = {}
-        self._spline = None
-        self._span: tuple[float, float] | None = None
+        self._cache: OrderedDict[float, float] = OrderedDict()
+
+    def _remember(self, key: float, value: float) -> None:
+        self._cache[key] = value
+        if len(self._cache) > _STARK_CACHE_SIZE:
+            self._cache.popitem(last=False)
 
     def exact(self, e_field: float) -> float:
         key = float(e_field)
-        if key not in self._cache:
-            sol = solve(self.basis, key)
-            self._cache[key] = sol.transition_K(2)
+        if key in self._cache:
+            self._cache.move_to_end(key)
+        else:
+            self._remember(key, transition_K(self.basis, key))
         return self._cache[key]
-
-    def spline(self, lo: float, hi: float):
-        from scipy.interpolate import CubicSpline
-
-        if self._spline is None or lo < self._span[0] or hi > self._span[1]:
-            pad = 0.05 * (hi - lo) + 1e-9
-            lo_p, hi_p = lo - pad, hi + pad
-            grid = np.linspace(lo_p, hi_p, 65)
-            vals = [self.exact(g) for g in grid]
-            self._spline = CubicSpline(grid, vals)
-            self._span = (lo_p, hi_p)
-        return self._spline
 
     def __call__(self, e_field):
         e = np.asarray(e_field, dtype=float)
         if e.ndim == 0:
             return self.exact(float(e))
-        sp = self.spline(float(e.min()), float(e.max()))
-        return sp(e)
+        return np.array([self.exact(f) for f in e.ravel()]).reshape(e.shape)
 
 
 def build(
@@ -292,7 +288,7 @@ def build(
         z11[i] = sol.z_elements[0, 0]
         z22[i] = sol.z_elements[1, 1]
         z12[i] = sol.z_elements[0, 1]
-        stark._cache[float(f)] = eps[i]
+        stark._remember(float(f), eps[i])
 
     a, b = _pair_couplings(geometry, z11 - z22, z12)
     drive_coeff = EV_ERG * float(np.abs(z12).mean()) / HBAR

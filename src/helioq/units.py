@@ -12,8 +12,6 @@ He-4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # --- fundamental constants (CGS-Gaussian) ---
 K_B = 1.380649e-16          # erg/K (exact)
 H_PLANCK = 6.62607015e-27   # erg s (exact)
@@ -43,20 +41,6 @@ EPSILON_HE = 1.057          # dielectric constant
 class UnitError(ValueError):
     """Raised when a conversion is requested between incommensurable units."""
 
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """The canonical unit system used throughout the package."""
-
-    energy_unit: str = "K"
-    length_unit: str = "cm"
-    time_unit: str = "s"
-    efield_unit: str = "V/cm"
-    bfield_unit: str = "T"
-    e_sq_K_cm: float = E_SQ_K_CM
-
-
-CANONICAL = UnitSystem()
 
 # unit name -> (dimension, factor to the canonical unit of that dimension).
 # Energies and frequencies share a dimension: 1 GHz = h * 1e9 / k_B kelvin.

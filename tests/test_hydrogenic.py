@@ -15,6 +15,7 @@ from helioq.hydrogenic import (
     rydberg_scales,
     solve,
     stark_rate,
+    transition_K,
 )
 
 LAM = units.image_strength(1.057)
@@ -174,6 +175,22 @@ def test_sum_rule_quantifies_truncation():
 def test_solve_rejects_overwhelming_field(basis):
     with pytest.raises(ConvergenceError):
         solve(basis, 1e5)
+
+
+@pytest.mark.parametrize("e_perp", [0.0, 1.0, 37.0, 100.0, -1e-3])
+def test_transition_K_matches_solve_exactly(basis, e_perp):
+    assert transition_K(basis, e_perp) == solve(basis, e_perp).transition_K(2)
+    assert transition_K(basis, e_perp, 3, 2) == solve(basis, e_perp).transition_K(3, 2)
+
+
+def test_transition_K_and_solve_fail_alike(basis):
+    # 200 V/cm lies past the range the default 32-state basis converges over
+    with pytest.raises(ConvergenceError) as direct:
+        transition_K(basis, 200.0)
+    with pytest.raises(ConvergenceError) as full:
+        solve(basis, 200.0)
+    assert direct.value.shift == full.value.shift
+    assert direct.value.shift > 1e-4
 
 
 def test_small_basis_rejected():

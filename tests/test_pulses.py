@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helioq import dynamics, pulses, qubits, units
+from helioq import dynamics, hydrogenic, pulses, qubits, units
 from helioq.cli import dump_json
 
 B_PAIR = 4.869674443045692e-3  # K, exchange coupling at 0.5 um, zero field
@@ -173,6 +173,40 @@ def test_refine_matches_analytic_for_instant_ramps(register):
     plain = pulses.calibrate_swap(register, (0, 1), alpha)
     refined = pulses.calibrate_swap(register, (0, 1), alpha, refine=True)
     assert refined == pytest.approx(plain, rel=1e-5)
+
+
+@pytest.mark.parametrize("alpha_over_pi", [0.42, 0.45, 0.455, 0.475, 0.49, 0.497])
+def test_refine_avoids_mirror_root(register, alpha_over_pi):
+    # past 0.4 pi the search window also holds 2 hbar (pi - alpha) / B, which
+    # reaches the same populations; the refine must still return 2 hbar alpha / B
+    alpha = alpha_over_pi * math.pi
+    plain = pulses.calibrate_swap(register, (0, 1), alpha)
+    refined = pulses.calibrate_swap(register, (0, 1), alpha, refine=True)
+    assert refined == pytest.approx(plain, rel=1e-5)
+
+
+def test_stark_hot_path_never_samples_wavefunctions(monkeypatch):
+    # a ramped swap retunes site 0 through the Stark map on every
+    # right-hand-side evaluation; none of it may touch the wavefunctions
+    def forbidden(*args, **kwargs):
+        raise AssertionError("wavefunction sampled on the Stark hot path")
+
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
+    ham = qubits.build(geom, voltages=np.array([0.0, 5e-5]))
+    monkeypatch.setattr(hydrogenic, "basis_function", forbidden)
+    v_peak = pulses.resonance_voltage(ham, 0, 1)
+    dwell = pulses.calibrate_swap(ham, (0, 1), math.pi / 2)
+    sched = pulses.swap_schedule(ham, (0, 1), dwell, rise=dwell / 8, fall=dwell / 8)
+    res = dynamics.evolve(
+        ham,
+        sched,
+        dynamics.RegisterState.state_vector("ud"),
+        dynamics.EvolutionSpec(sample_times=np.array([sched.duration])),
+    )
+    assert v_peak != 0.0
+    assert res.population("du")[-1] > 0.5
+    with pytest.raises(AssertionError, match="hot path"):
+        hydrogenic.solve(ham.stark_map.basis, 0.0).psi
 
 
 def test_ramped_swap_infidelity_grows_with_ramp_time():

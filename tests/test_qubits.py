@@ -158,6 +158,20 @@ def test_stark_map_spline_matches_exact(pair_register):
         assert s == pytest.approx(stark.exact(float(f)), rel=tol)
 
 
+def test_stark_cache_is_bounded(pair_geometry):
+    stark = qubits.build(pair_geometry).stark_map
+    limit = qubits._STARK_CACHE_SIZE
+    fields = np.linspace(0.0, 50.0, limit + 20)
+    first = stark.exact(fields[0])
+    for f in fields[1:]:
+        stark.exact(f)
+        assert len(stark._cache) <= limit
+    assert len(stark._cache) == limit
+    assert float(fields[0]) not in stark._cache  # evicted, least recently used
+    assert stark.exact(fields[0]) == first
+    assert stark.exact(fields[0]) == hydrogenic.solve(stark.basis, fields[0]).transition_K(2)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError, match="distinct"):
         qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (0, 0)))
