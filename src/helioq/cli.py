@@ -23,6 +23,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -130,14 +131,25 @@ def load_config(path: str, overrides: list[str]) -> tuple[dict, list[str]]:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     for assignment in overrides:
         apply_override(config, assignment)
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(config, load_schema())
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = best_match(_validator().iter_errors(config))
+    if exc is not None:
         path_str = "/".join(str(p) for p in exc.absolute_path) or "(root)"
         raise ConfigError(f"config invalid at {path_str}: {exc.message}") from exc
     return config, list(overrides)
+
+
+@functools.lru_cache(maxsize=1)
+def _validator():
+    """Validator for the shipped schema, which is checked once per process."""
+    import jsonschema
+
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def require_block(config: dict, name: str) -> dict:
@@ -167,6 +179,23 @@ def basis_spec(block: dict) -> hydrogenic.HydrogenicBasisSpec:
     if "basis_size" in block:
         return hydrogenic.HydrogenicBasisSpec(lam=lam, size=block["basis_size"])
     return hydrogenic.HydrogenicBasisSpec(lam=lam)
+
+
+def device_budget(config: dict) -> decoherence.DecoherenceBudget:
+    """The decoherence budget of the config's device and noise blocks."""
+    dev = require_block(config, "device")
+    noise = config.get("noise", {})
+    geom = device_geometry(dev)
+    return decoherence.budget(
+        temperature=geom.temperature,
+        b_field=geom.b_field,
+        pitch=geom.pitch,
+        lam=basis_spec(dev).lam,
+        noise_density=noise.get("s_v", 0.0),
+        tuning=noise.get("tuning_ghz_per_mv", 1.0),
+        coupling_const=noise.get("coupling_const", 1e-2),
+        mobility_field=noise.get("mobility_field", 0.0),
+    )
 
 
 def device_voltages(block: dict, n_sites: int) -> np.ndarray:
@@ -288,19 +317,9 @@ def run_medium(config: dict, overrides: list[str]) -> int:
 
 def run_decoherence(config: dict, overrides: list[str]) -> int:
     dev = require_block(config, "device")
-    noise = config.get("noise", {})
     geom = device_geometry(dev)
     basis = basis_spec(dev)
-    bud = decoherence.budget(
-        temperature=geom.temperature,
-        b_field=geom.b_field,
-        pitch=geom.pitch,
-        lam=basis.lam,
-        noise_density=noise.get("s_v", 0.0),
-        tuning=noise.get("tuning_ghz_per_mv", 1.0),
-        coupling_const=noise.get("coupling_const", 1e-2),
-        mobility_field=noise.get("mobility_field", 0.0),
-    )
+    bud = device_budget(config)
     surface = medium.HeliumSurface(temperature=geom.temperature)
     scales = medium.magnetic_quantities(geom.b_field, geom.pitch)
     intermediates = {
@@ -366,17 +385,7 @@ def _evolution_spec(config: dict, duration: float) -> dynamics.EvolutionSpec:
         samples = np.linspace(0.0, t_end, ev.get("sample_count", 101))
     budget_obj = None
     if ev.get("use_budget", False):
-        dev = require_block(config, "device")
-        noise = config.get("noise", {})
-        geom = device_geometry(dev)
-        budget_obj = decoherence.budget(
-            temperature=geom.temperature,
-            b_field=geom.b_field,
-            pitch=geom.pitch,
-            lam=basis_spec(dev).lam,
-            noise_density=noise.get("s_v", 0.0),
-            tuning=noise.get("tuning_ghz_per_mv", 1.0),
-        )
+        budget_obj = device_budget(config)
     tun = None
     if "tunneling" in ev:
         tun = dynamics.TunnelingSpec(ev["tunneling"]["t_f_s"], ev["tunneling"]["t_up_s"])
@@ -426,18 +435,12 @@ def run_readout(config: dict, overrides: list[str]) -> int:
         raise ConfigError(
             f"initial_bits has {len(bits)} characters for {geom.n_sites} sites"
         )
-    # per-site survival from the trace record of the tunneling evolution
-    survival = []
-    single = qubits.QubitArrayHamiltonian.from_parameters([0.0])
-    hold = pulses.PulseSchedule(duration=ro["wait_s"])
-    for ch in bits:
-        initial = dynamics.RegisterState.density_matrix(ch)
-        spec = dynamics.EvolutionSpec(
-            sample_times=np.array([ro["wait_s"]]),
-            tunneling=dynamics.TunnelingSpec(t_f=0.0, t_up=rplan.t_2),
-        )
-        res = dynamics.evolve(single, hold, initial, spec)
-        survival.append(float(res.trace[-1]))
+    # per-site survival: an excited electron escapes at 1/t_2 through the
+    # wait, the closed form of the one-qubit tunneling evolution's trace
+    survival = [
+        math.exp(-ro["wait_s"] / rplan.t_2) if dynamics.basis_index(ch) else 1.0
+        for ch in bits
+    ]
     seed = config.get("seed", 0)
     records, image = readout.sample_shots(survival, rplan, ro["shots"], seed)
     w = _Writer(config, overrides, "readout")

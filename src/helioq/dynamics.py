@@ -22,10 +22,12 @@ Optional loss channels:
 
 Integration is segmented at every schedule breakpoint, sample time, and
 t_f, so discontinuities are never stepped over.  Segments on which all
-coefficients are constant propagate by exact eigendecomposition (or
-Liouvillian) exponentials, unitary/trace-exact to machine rounding;
-time-varying segments use the adaptive embedded DOP853 stepper with the
-step size capped at a tenth of the segment.
+coefficients are constant propagate exactly: by eigendecomposition when
+closed, unitary to machine rounding, and by the action of the sparse
+Liouvillian's exponential (expm_multiply) when dissipative.  Time-varying
+segments use the adaptive embedded DOP853 stepper with the step size capped
+at a tenth of the segment; a density matrix's right-hand side is the same
+sparse Liouvillian, built once per evolve call.
 """
 from __future__ import annotations
 
@@ -33,8 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from .decoherence import DecoherenceBudget
 from .pulses import PulseSchedule
@@ -370,36 +373,90 @@ class _System:
         return h
 
 
-def _collapse_ops(n: int, budget: DecoherenceBudget) -> list[np.ndarray]:
-    """Per-qubit Lindblad operators from the budget's scalar rates.
+class _Liouvillian:
+    """Sparse density-matrix generator, built once per evolve call.
 
-    Relaxation: sqrt(1/T1) s-.  Pure dephasing: sqrt(2/T2_eff) sz/2, which
-    makes coherences decay as exp(-t/T2_eff) from this channel alone.
+    On row-major vec(rho), op (x) I acts as op @ rho and I (x) op^T as
+    rho @ op.  L(t) = L_static + D(t) + f_x(t) L_x + f_y(t) L_y, less
+    {G, .} once tunneling is on.  L_static holds -i[H_static, .] (exchange
+    and sz-sz shifts), relaxation sqrt(1/T1) s- as index shifts, and
+    dephasing sqrt(2/T2_eff) sz/2, which alone decays coherences as
+    exp(-t/T2_eff).  D(t) = -i(z_a - z_b) acts elementwise on rho_ab for
+    z = sum_n eps_n(t) sz_n/2; L_x, L_y are the drive commutators;
+    G = sum_n P_up_n/(2 t_up) is the readout tunneling drain.
     """
-    dim = 2**n
-    idx = np.arange(dim)
-    ops = []
-    g1 = 1.0 / budget.t1_s
-    gphi = 1.0 / budget.t2_eff_s
-    for q in range(n):
-        up = ((idx >> q) & 1) == 1
-        if g1 > 0:
-            lower = np.zeros((dim, dim), dtype=complex)
-            lower[idx[up] ^ (1 << q), idx[up]] = 1.0
-            ops.append(math.sqrt(g1) * lower)
-        if gphi > 0:
-            zpat = 2.0 * ((idx >> q) & 1) - 1.0
-            ops.append(math.sqrt(2.0 * gphi) * np.diag(0.5 * zpat).astype(complex))
-    return ops
 
+    def __init__(self, sys: _System, budget: DecoherenceBudget | None,
+                 tunneling: TunnelingSpec | None):
+        dim = sys.dim
+        idx = np.arange(dim)
+        eye = sp.identity(dim, format="csr")
 
-def _tunneling_diag(n: int, t_up: float) -> np.ndarray:
-    """Diagonal G with {G, rho} draining trace: G = sum_n P_up_n / (2 t_up)."""
-    idx = np.arange(2**n)
-    occ = np.zeros(2**n)
-    for q in range(n):
-        occ += (idx >> q) & 1
-    return occ / (2.0 * t_up)
+        def op(entries):
+            rows, cols, vals = (np.concatenate(x) for x in zip(*entries))
+            return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+        def commutator(h):
+            return -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+
+        self.sys = sys
+        self.xy = ()
+        if sys.schedule.microwave:
+            self.xy = (
+                commutator(op([(f, idx, np.ones(dim)) for f in sys.flip])),
+                commutator(op([(f, idx, -1j * z[f]) for f, z in zip(sys.flip, sys.zpat)])),
+            )
+        static = commutator(op(
+            [(idx, idx, sys.diag_a)]
+            + [(d, s, np.full(s.size, b2)) for s, d, b2 in sys.pairs]
+            + [(s, d, np.full(s.size, b2)) for s, d, b2 in sys.pairs]
+        ))
+        if budget is not None:
+            g1, gphi = 1.0 / budget.t1_s, 1.0 / budget.t2_eff_s
+            decay = np.zeros((dim, dim))
+            for q in range(sys.n):
+                occ = (idx >> q) & 1
+                up = idx[occ == 1]
+                lower = op([(up ^ (1 << q), up, np.ones(up.size))])
+                static = static + g1 * sp.kron(lower, lower)
+                decay -= 0.5 * g1 * (occ[:, None] + occ[None, :])
+                decay -= gphi * (occ[:, None] != occ[None, :])
+            static = static + sp.diags(decay.ravel())
+        self.static = static.tocsr()
+        if tunneling is not None:
+            g = sum((idx >> q) & 1 for q in range(sys.n)) / (2.0 * tunneling.t_up)
+            self.drain = -(g[:, None] + g[None, :]).ravel()
+
+    def _diagonal(self, t, tunneling: bool, w: float = 0.0) -> np.ndarray:
+        z = 0.5 * ((self.sys.eps_rad(t) - w) @ self.sys.zpat)
+        d = -1j * (z[:, None] - z[None, :]).ravel()
+        return d + self.drain if tunneling else d
+
+    def _drive(self, t) -> list:
+        return [(c, m) for c, m in zip(self.sys.drive_xy(t), self.xy) if c != 0.0]
+
+    def constant(self, t, tunneling: bool):
+        """(L', r) with L(t) = L' + diag(r), the two commuting.
+
+        With the drive off, r = -i w (N_a - N_b) splits off the mean qubit
+        frequency w on the total excitation N = sum_n sz_n/2, which commutes
+        with the rest of L.  expm_multiply's step count grows with the norm,
+        so an idle lab-frame register then costs what a detuned one does.
+        """
+        drive = self._drive(t)
+        w = 0.0 if drive else float(np.mean(self.sys.eps_rad(t)))
+        out = self.static + sp.diags(self._diagonal(t, tunneling, w))
+        for c, m in drive:
+            out = out + c * m
+        e = 0.5 * self.sys.zpat.sum(axis=0)
+        return out, -1j * w * (e[:, None] - e[None, :]).ravel()
+
+    def apply(self, t, y, tunneling: bool) -> np.ndarray:
+        """L(t) @ y, the Lindblad right-hand side."""
+        out = self.static @ y + self._diagonal(t, tunneling) * y
+        for c, m in self._drive(t):
+            out += c * (m @ y)
+        return out
 
 
 def evolve(
@@ -434,8 +491,7 @@ def evolve(
 
     sys = _System(hamiltonian, schedule, spec)
     dm = initial.mode == "density-matrix"
-    collapse = _collapse_ops(n, spec.budget) if spec.budget is not None else []
-    tun_diag = _tunneling_diag(n, spec.tunneling.t_up) if spec.tunneling else None
+    liou = _Liouvillian(sys, spec.budget, spec.tunneling) if dm else None
 
     # segment boundaries: schedule breakpoints, sample times, tunneling onset
     cuts = set(np.round(schedule.breakpoints(), 30)) | {0.0, t_end}
@@ -465,17 +521,18 @@ def evolve(
     for ta, tb in zip(bounds[:-1], bounds[1:]):
         if tb <= ta:
             continue
-        tun = tun_diag if (
-            spec.tunneling is not None and ta >= spec.tunneling.t_f - 1e-30
-        ) else None
-
-        advanced = None
-        if sys.constant_on(ta, tb) and sys.dim <= _EXACT_DIM_MAX:
-            h = sys.dense_h(0.5 * (ta + tb))
-            advanced = _propagate_constant(state, h, tb - ta, dm, collapse, tun)
-        if advanced is None:
-            advanced = _propagate_ivp(sys, state, ta, tb, dm, collapse, tun, ir)
-        state = advanced
+        tun = spec.tunneling is not None and ta >= spec.tunneling.t_f - 1e-30
+        dissipative = dm and (spec.budget is not None or tun)
+        constant = sys.constant_on(ta, tb)
+        tm = 0.5 * (ta + tb)
+        if constant and not dissipative and sys.dim <= _EXACT_DIM_MAX:
+            state = _propagate_unitary(state, sys.dense_h(tm), tb - ta)
+        elif constant and dissipative and sys.dim <= _EXACT_LIOUVILLE_DIM_MAX:
+            state = _propagate_liouville(state, liou, tm, tb - ta, tun)
+        elif dm:
+            state = _propagate_ivp(lambda t, y: liou.apply(t, y, tun), state, ta, tb, ir)
+        else:
+            state = _propagate_ivp(lambda t, y: -1j * sys.apply_h(t, y), state, ta, tb, ir)
 
         while sample_ptr < samples.size and abs(samples[sample_ptr] - tb) <= 1e-30 + 1e-12 * tb:
             record(samples[sample_ptr])
@@ -484,80 +541,40 @@ def evolve(
     if sample_ptr != samples.size:
         raise RuntimeError("internal error: not every sample time was visited")
 
-    states = np.array(out_states)
-    if dm:
-        trace = np.array([float(np.trace(s).real) for s in out_states])
-        pops = np.array([np.diag(s).real for s in out_states])
-    else:
-        trace = np.array([float(np.vdot(s, s).real) for s in out_states])
-        pops = np.abs(states) ** 2
+    snapshots = [RegisterState(initial.mode, n, s) for s in out_states]
     return EvolutionResult(
         mode=initial.mode,
         labels=basis_labels(n),
         times=np.array(out_times),
-        states=states,
-        trace=trace,
-        populations=pops,
+        states=np.array(out_states),
+        trace=np.array([s.trace for s in snapshots]),
+        populations=np.array([s.populations() for s in snapshots]),
         frame=spec.frame,
     )
 
 
-def _propagate_constant(state, h, dt, dm, collapse, tun_diag):
-    """Exact propagation over a constant segment; None if it must be integrated."""
-    dim = h.shape[0]
-    if not dm:
-        w, v = np.linalg.eigh(h)
-        phases = np.exp(-1j * w * dt)
+def _propagate_unitary(state, h, dt):
+    """Exact propagation under a constant Hermitian h, by eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * w * dt)
+    if state.ndim == 1:
         return v @ (phases * (v.conj().T @ state))
-    if not collapse and tun_diag is None:
-        w, v = np.linalg.eigh(h)
-        phases = np.exp(-1j * w * dt)
-        u = v @ np.diag(phases) @ v.conj().T
-        return u @ state @ u.conj().T
-    if dim <= _EXACT_LIOUVILLE_DIM_MAX:
-        eye = np.eye(dim)
-        liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for op in collapse:
-            ld = op.conj().T @ op
-            liou += np.kron(op, op.conj())
-            liou -= 0.5 * (np.kron(ld, eye) + np.kron(eye, ld.T))
-        if tun_diag is not None:
-            g = np.diag(tun_diag).astype(complex)
-            liou -= np.kron(g, eye) + np.kron(eye, g)
-        prop = expm(liou * dt)
-        return (prop @ state.reshape(-1)).reshape(dim, dim)
-    # dissipative and too large for a dense Liouvillian: integrate instead
-    return None
+    u = v @ np.diag(phases) @ v.conj().T
+    return u @ state @ u.conj().T
 
 
-def _propagate_ivp(sys, state, ta, tb, dm, collapse, tun_diag, rtol):
-    dim = sys.dim
-    if dm:
-        csum = None
-        if collapse:
-            csum = sum(op.conj().T @ op for op in collapse)
+def _propagate_liouville(state, liou, t, dt, tunneling):
+    """exp(dt L(t)) rho on a constant segment, by expm_multiply (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 2011); no dense Liouvillian is formed."""
+    op, rate = liou.constant(t, tunneling)
+    rho = expm_multiply(dt * op, state.reshape(-1)) * np.exp(dt * rate)
+    return rho.reshape(state.shape)
 
-        def rhs(t, y):
-            rho = y.reshape(dim, dim)
-            h = sys.dense_h(t)
-            drho = -1j * (h @ rho - rho @ h)
-            if collapse:
-                acc = sum(op @ rho @ op.conj().T for op in collapse)
-                drho += acc - 0.5 * (csum @ rho + rho @ csum)
-            if tun_diag is not None:
-                drho -= tun_diag[:, None] * rho + rho * tun_diag[None, :]
-            return drho.reshape(-1)
 
-        y0 = state.reshape(-1)
-    else:
-
-        def rhs(t, y):
-            return -1j * sys.apply_h(t, y)
-
-        y0 = state
-
+def _propagate_ivp(rhs, state, ta, tb, rtol):
+    """DOP853 over [ta, tb]; a density matrix integrates as its row-major vector."""
     sol = solve_ivp(
-        rhs, (ta, tb), y0, method="DOP853",
+        rhs, (ta, tb), state.reshape(-1), method="DOP853",
         rtol=rtol, atol=rtol * 1e-2,
         max_step=(tb - ta) / 10.0,
         dense_output=False,
@@ -566,5 +583,4 @@ def _propagate_ivp(sys, state, ta, tb, dm, collapse, tun_diag, rtol):
         raise RuntimeError(
             f"integrator failed on [{ta}, {tb}] at rtol={rtol}: {sol.message}"
         )
-    y = sol.y[:, -1]
-    return y.reshape(dim, dim) if dm else y
+    return sol.y[:, -1].reshape(state.shape)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,14 +80,21 @@ def wkb_exponent(
     # z = zc + zr sin(theta) maps the sqrt endpoint behavior to a smooth
     # cos^2-weighted integrand
     zc, zr = 0.5 * (z1 + z2), 0.5 * (z2 - z1)
-    theta, w = np.polynomial.legendre.leggauss(order)
-    theta = 0.5 * math.pi * theta
-    w = 0.5 * math.pi * w
+    theta, w = _angle_rule(order)
     z = zc + zr * np.sin(theta)
     v_minus_e = force * (z - z1) * (z2 - z) / z
     v_minus_e = np.clip(v_minus_e, 0.0, None)
     integrand = np.sqrt(2.0 * M_E * v_minus_e) * zr * np.cos(theta)
     return float(2.0 * np.dot(w, integrand) / HBAR)
+
+
+@lru_cache(maxsize=8)
+def _angle_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-pi/2, pi/2], shared read-only."""
+    theta, w = np.polynomial.legendre.leggauss(order)
+    theta, w = 0.5 * math.pi * theta, 0.5 * math.pi * w
+    theta.flags.writeable = w.flags.writeable = False
+    return theta, w
 
 
 def tunnel_rate(

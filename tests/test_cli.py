@@ -142,6 +142,20 @@ def test_readout_pipeline(tmp_path):
     assert t_1 is None or t_1 > 1e20
     assert log["rng"].startswith("philox")
     assert len(log["shots"]) == 400
+    # survival against the trace of the one-qubit tunneling evolution
+    from helioq import dynamics, pulses, qubits
+
+    res = dynamics.evolve(
+        qubits.QubitArrayHamiltonian.from_parameters([0.0]),
+        pulses.PulseSchedule(duration=1e-6),
+        dynamics.RegisterState.density_matrix("u"),
+        dynamics.EvolutionSpec(
+            sample_times=np.array([1e-6]),
+            tunneling=dynamics.TunnelingSpec(0.0, log["plan"]["t_2_s"]),
+        ),
+    )
+    assert log["survival"][0] == pytest.approx(res.trace[-1], rel=1e-13)
+    assert log["survival"][1] == 1.0
     # both sites land in the same micron pixel
     assert img.splitlines()[1] == "pixel_x,pixel_y,counts"
     assert img.splitlines()[2].startswith("0,0,")
@@ -267,3 +281,42 @@ def test_floats_serialized_at_full_precision(tmp_path):
 
     lam = units.image_strength(1.057)
     assert doc["budget"]["t2_s"] == dec.t2_confined(0.01, 1.5, 0.5e-4, lam)
+
+
+def test_evolve_budget_matches_decoherence_budget(tmp_path):
+    from helioq import cli, decoherence
+
+    config = {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE),
+        "noise": {"s_v": 1e-10, "tuning_ghz_per_mv": 1.0,
+                  "coupling_const": 0.03, "mobility_field": 2.0},
+        "evolution": {"use_budget": True},
+    }
+    cfg = write_config(tmp_path, config)
+    assert main(["decoherence", "--config", cfg]) == 0
+    doc = json.loads(next((tmp_path / "out").glob("decoherence_*.json")).read_text())
+    reported = decoherence.DecoherenceBudget.from_dict(doc["budget"])
+    assert reported.coupling_const == 0.03 and reported.tau_inv_s > 0
+    assert cli._evolution_spec(config, 1e-8).budget == reported
+
+
+def test_config_errors_in_one_process(tmp_path, capsys):
+    import jsonschema
+
+    from helioq.cli import load_schema
+
+    bad = [
+        {"output_dir": str(tmp_path / "out"), "device": dict(BASE_DEVICE, typo_key=1)},
+        {"output_dir": str(tmp_path / "out"), "device": dict(BASE_DEVICE, d_um="wide")},
+    ]
+    for i, config in enumerate(bad):
+        cfg = write_config(tmp_path, config, name=f"bad{i}.json")
+        assert main(["spectrum", "--config", cfg]) == 2
+        # the message is the error jsonschema.validate raises
+        with pytest.raises(jsonschema.ValidationError) as info:
+            jsonschema.validate(config, load_schema())
+        where = "/".join(str(p) for p in info.value.absolute_path) or "(root)"
+        assert capsys.readouterr().err == (
+            f"config error: config invalid at {where}: {info.value.message}\n"
+        )

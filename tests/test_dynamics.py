@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helioq import decoherence, dynamics, pulses, qubits, units
 from helioq.dynamics import EvolutionSpec, RegisterState, TunnelingSpec, evolve
@@ -384,3 +386,175 @@ def test_result_serialization_roundtrip(tmp_path):
     assert amp[0] ** 2 + amp[1] ** 2 == pytest.approx(
         res.population("u")[-1], rel=1e-12
     )
+
+
+# --- cross-path checks of the density-matrix propagators ---------------------
+
+T_SEG = 2e-8  # one constant segment, s
+
+
+def loss_budget(t1, t2_eff):
+    return decoherence.DecoherenceBudget(
+        temperature=0.01, b_field=1.5, pitch=0.5e-4, lam=0.007,
+        t1_s=t1, t2_s=t2_eff, sideband_g=0.0, coupling_const=0.01,
+        tau_inv_s=0.0, noise_density=0.0, tuning_ghz_per_mv=1.0,
+        s_nu=0.0, t_phi_v_s=math.inf, inplane_ratio=0.0, t2_eff_s=t2_eff,
+    )
+
+
+def coupled_register(n, seed, eps_K=1.0):
+    """n coupled qubits near eps_K with detunings, exchange and sz-sz shifts of ~1/T_SEG."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / (T_SEG * K_RAD)
+    eps = eps_K + rng.uniform(-1.0, 1.0, n) * scale
+    a = np.triu(rng.uniform(0.0, 1.0, (n, n)) * scale, 1)
+    b = np.triu(rng.uniform(0.0, 2.0, (n, n)) * scale, 1)
+    return qubits.QubitArrayHamiltonian.from_parameters(
+        eps_K=eps, a_K=a + a.T, b_K=b + b.T, drive_coeff=1e9
+    )
+
+
+def random_density_matrix(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def dense_lindblad_terms(n, budget, t_up):
+    """Collapse operators and tunneling drain G as dense matrices.
+
+    Relaxation sqrt(1/T1) s-, dephasing sqrt(2/T2_eff) sz/2 per qubit, and
+    G = sum_n P_up_n / (2 t_up).
+    """
+    dim = 2**n
+    idx = np.arange(dim)
+    ops = []
+    drain = np.zeros((dim, dim))
+    for q in range(n):
+        occ = (idx >> q) & 1
+        lower = np.zeros((dim, dim))
+        lower[idx[occ == 1] ^ (1 << q), idx[occ == 1]] = 1.0
+        ops.append(math.sqrt(1.0 / budget.t1_s) * lower)
+        ops.append(math.sqrt(2.0 / budget.t2_eff_s) * np.diag(occ - 0.5))
+        if t_up is not None:
+            drain += np.diag(occ / (2.0 * t_up))
+    return ops, drain
+
+
+def segment_setup(n, tunneling, drive, seed=0):
+    ham = coupled_register(n, seed, eps_K=1.0 if drive else 0.05)
+    microwave = ()
+    if drive:
+        carrier = ham.eps_K[0] * units.K_TO_GHZ
+        microwave = (pulses.MicrowaveChannel(carrier, 0.15, 0.7),)
+    sched = pulses.PulseSchedule(duration=T_SEG, microwave=microwave)
+    spec = EvolutionSpec(
+        sample_times=np.array([T_SEG]),
+        budget=loss_budget(3 * T_SEG, 2 * T_SEG),
+        tunneling=TunnelingSpec(0.0, 4 * T_SEG) if tunneling else None,
+    )
+    return ham, sched, spec
+
+
+@pytest.mark.parametrize(
+    "n,tunneling,drive",
+    [(n, tun, True) for n in range(1, 6) for tun in (False, True)]
+    + [(1, True, False), (3, True, False)],
+)
+def test_liouville_exponential_matches_dense_oracle(n, tunneling, drive):
+    from scipy.linalg import expm
+
+    ham, sched, spec = segment_setup(n, tunneling, drive)
+    dim = 2**n
+    rho0 = random_density_matrix(dim, seed=n)
+    res = evolve(ham, sched, RegisterState("density-matrix", n, rho0), spec)
+
+    h = dynamics._System(ham, sched, spec).dense_h(0.5 * T_SEG)
+    ops, drain = dense_lindblad_terms(n, spec.budget, 4 * T_SEG if tunneling else None)
+    eye = np.eye(dim)
+    liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in ops:
+        ld = op.conj().T @ op
+        liou += np.kron(op, op.conj()) - 0.5 * (np.kron(ld, eye) + np.kron(eye, ld.T))
+    liou -= np.kron(drain, eye) + np.kron(eye, drain)
+    expect = (expm(liou * T_SEG) @ rho0.reshape(-1)).reshape(dim, dim)
+    assert np.abs(res.final_state - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("drive", [True, False])
+def test_lindblad_ivp_matches_exponential(drive):
+    n = 3
+    ham, sched, spec = segment_setup(n, True, drive)
+    sys = dynamics._System(ham, sched, spec)
+    liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
+    rho0 = random_density_matrix(2**n, seed=7)
+    rtol = 1e-10
+    exact = dynamics._propagate_liouville(rho0, liou, 0.5 * T_SEG, T_SEG, True)
+    stepped = dynamics._propagate_ivp(
+        lambda t, y: liou.apply(t, y, True), rho0, 0.0, T_SEG, rtol
+    )
+    # rtol bounds each step's error; the global error is a small multiple of it
+    assert np.abs(stepped - exact).max() <= 10 * rtol
+
+
+@pytest.mark.parametrize("drive", [True, False])
+def test_sparse_generator_matches_explicit_lindblad(drive):
+    n = 4
+    ham, sched, spec = segment_setup(n, True, drive, seed=3)
+    sys = dynamics._System(ham, sched, spec)
+    liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = g + g.conj().T
+    t = 0.3 * T_SEG
+
+    h = sys.dense_h(t)
+    ops, drain = dense_lindblad_terms(n, spec.budget, 4 * T_SEG)
+    expect = -1j * (h @ rho - rho @ h) - (drain @ rho + rho @ drain)
+    for op in ops:
+        ld = op.conj().T @ op
+        expect += op @ rho @ op.conj().T - 0.5 * (ld @ rho + rho @ ld)
+    scale = np.abs(expect).max()
+
+    applied = liou.apply(t, rho.reshape(-1), True).reshape(16, 16)
+    assert np.abs(applied - expect).max() <= 1e-13 * scale
+    op, rate = liou.constant(t, True)
+    split = (op @ rho.reshape(-1) + rate * rho.reshape(-1)).reshape(16, 16)
+    assert np.abs(split - expect).max() <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    ramped=st.booleans(),
+    t1=st.floats(0.3, 30.0),
+    t2=st.floats(0.3, 30.0),
+    t_up=st.one_of(st.none(), st.floats(0.3, 10.0)),
+    t_f=st.floats(0.0, 1.0),
+)
+def test_density_matrix_properties_with_budget(n, seed, ramped, t1, t2, t_up, t_f):
+    # constant pulses take the Liouvillian exponential, ramped ones DOP853
+    # on the same generator; times are in units of T_SEG
+    ham = coupled_register(n, seed)
+    carrier = ham.eps_K[0] * units.K_TO_GHZ
+    env = ((0.0, 0.0), (0.5 * T_SEG, 1.0), (T_SEG, 0.0)) if ramped else ()
+    sched = pulses.PulseSchedule(
+        duration=T_SEG,
+        microwave=(pulses.MicrowaveChannel(carrier, 0.2, seed % 7, env),),
+    )
+    spec = EvolutionSpec(
+        sample_times=np.linspace(0.0, T_SEG, 6),
+        budget=loss_budget(t1 * T_SEG, t2 * T_SEG),
+        tunneling=None if t_up is None else TunnelingSpec(t_f * T_SEG, t_up * T_SEG),
+    )
+    rho0 = random_density_matrix(2**n, seed)
+    res = evolve(ham, sched, RegisterState("density-matrix", n, rho0), spec)
+    for rho in res.states:
+        assert np.abs(rho - rho.conj().T).max() <= 1e-10
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
+    if t_up is None:
+        assert np.abs(res.trace - 1.0).max() <= 1e-10
+    else:
+        assert np.diff(res.trace).max() <= 1e-12

@@ -192,3 +192,12 @@ def test_survival_validation(solution):
         readout.sample_shots([1.2], plan, 10, seed=0)
     with pytest.raises(ValueError):
         readout.sample_shots([-0.1], plan, 10, seed=0)
+
+
+def test_plan_repeats_exactly(solution):
+    # the memoized quadrature rule is shared, not consumed, by every call
+    first = readout.plan(solution, 1e-6, 1e6)
+    for _ in range(2):
+        again = readout.plan(solution, 1e-6, 1e6)
+        assert (again.e_plus, again.t_1, again.t_2) == (first.e_plus, first.t_1, first.t_2)
+    assert not any(a.flags.writeable for a in readout._angle_rule(200))
