@@ -18,7 +18,9 @@ effective config, embed that hash and the package version, contain no
 timestamps, and serialize every float with 17 significant digits, so a
 rerun with the same config and seed is byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error, 3 numerical or domain failure
+(ValueError, RuntimeError and their subclasses), 4 internal error (any
+other exception, reported with its type).
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ from .units import EPSILON_HE, HBAR, K_B, image_strength
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
@@ -165,7 +168,6 @@ def device_geometry(block: dict) -> qubits.DeviceGeometry:
     pitch = block["d_um"] * 1e-4
     return qubits.DeviceGeometry(
         pitch=pitch,
-        depth=block.get("h_um", block["d_um"]) * 1e-4,
         sites=tuple((x, y) for x, y in block["sites"]),
         e_perp=block.get("E_perp", 0.0),
         b_field=block.get("B_T", 1.5),
@@ -576,9 +578,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # numerical or domain failure, reported with context
+    except (ValueError, RuntimeError) as exc:  # numerical or domain failure
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:  # a defect, not a failed computation
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,6 +12,12 @@ rotating frame at the carrier ("rwa"), w_n becomes the detuning and the
 drive becomes (Omega/2)(cos(phi) sx + sin(phi) sy), so a resonant pulse of
 area Omega T = pi inverts the qubit.
 
+Each evolve call writes H(t) = diag(z(t)) + H_static + f_x(t) X + f_y(t) Y
+once, as a list of terms that each hold one entry per row (row i couples
+to column cols[i] with value vals[i]): the sz-sz diagonal, one term per
+exchange pair, and one per X_n and Y_n flip.  The state-vector product,
+the dense matrix and the Liouvillian's commutators are all read from it.
+
 Optional loss channels:
 - per-qubit relaxation at rate 1/T1 (lowering operator) and pure dephasing
   at rate 1/T2_eff (sz operator, normalized so coherences decay as
@@ -225,7 +231,11 @@ class EvolutionResult:
 
 
 class _System:
-    """Precomputed operators and coefficient callables for one evolve call."""
+    """H(t) = diag(z(t)) + sum_k c_k(t) H_k of one evolve call, (c_k) = (1, f_x, f_y).
+
+    `terms[k]` lists H_k's (cols, vals) terms: H_0 the sz-sz diagonal and
+    each exchange pair, H_1 each X_n flip and H_2 each Y_n flip.
+    """
 
     def __init__(self, ham: QubitArrayHamiltonian, schedule: PulseSchedule, spec: EvolutionSpec):
         self.n = ham.n_qubits
@@ -233,43 +243,35 @@ class _System:
         idx = np.arange(self.dim)
         # +1 where qubit n is excited, -1 otherwise
         self.zpat = np.array([2.0 * ((idx >> n) & 1) - 1.0 for n in range(self.n)])
-        self.flip = [idx ^ (1 << n) for n in range(self.n)]
 
-        # static couplings
         a_rad = ham.a_K * K_TO_RAD_PER_S
         b_rad = ham.b_K * K_TO_RAD_PER_S
-        self.diag_a = np.zeros(self.dim)
-        self.pairs = []
+        szsz = np.zeros(self.dim)
+        static = [(idx, szsz)]
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if a_rad[i, j] != 0.0:
-                    self.diag_a += 0.25 * a_rad[i, j] * self.zpat[i] * self.zpat[j]
+                    szsz += 0.25 * a_rad[i, j] * self.zpat[i] * self.zpat[j]
                 if b_rad[i, j] != 0.0:
-                    i_up = ((idx >> i) & 1) == 1
-                    j_down = ((idx >> j) & 1) == 0
-                    src = np.where(i_up & j_down)[0]
-                    dst = src - (1 << i) + (1 << j)
-                    self.pairs.append((src, dst, 0.5 * b_rad[i, j]))
+                    # s+_i s-_j + s-_i s+_j couples rows whose bits i, j differ
+                    hop = np.where(self.zpat[i] != self.zpat[j], 0.5 * b_rad[i, j], 0.0)
+                    static.append((idx ^ (1 << i | 1 << j), hop))
+        # the drive terms exist only when a microwave channel can fill them
+        flips = [idx ^ (1 << n) for n in range(self.n)] if schedule.microwave else []
+        ones = np.ones(self.dim)
+        self.terms = (
+            static,
+            [(f, ones) for f in flips],
+            [(f, -1j * z) for f, z in zip(flips, self.zpat)],
+        )
 
         # transition frequencies vs time (rad/s); channels that never leave
         # zero are inert and do not require a Stark map
         self.eps0_rad = ham.eps_K * K_TO_RAD_PER_S
-        self.volt_sites = sorted({
-            c.site for c in schedule.voltage_channels
+        self.tuning = {
+            c.site: ham.stark_tuning(c.site) for c in schedule.voltage_channels
             if any(v != 0.0 for _, v in c.points)
-        })
-        if self.volt_sites:
-            if ham.stark_map is None or ham.geometry is None:
-                raise ValueError(
-                    "schedule retunes electrodes but the hamiltonian carries no "
-                    "device Stark map; build it from a DeviceGeometry"
-                )
-            geom = ham.geometry
-            self.lever = geom.c_geom / geom.pitch
-            self.base_fields = np.asarray(
-                geom.e_perp + geom.c_geom * ham.voltages / geom.pitch, dtype=float
-            )
-            self.stark = ham.stark_map
+        }
         self.schedule = schedule
         self.spec = spec
         self.drive_coeff = ham.drive_coeff
@@ -291,11 +293,10 @@ class _System:
     def eps_rad(self, t) -> np.ndarray:
         """Per-qubit sz coefficient (rad/s): absolute in lab, detuning in rwa."""
         eps = np.array(self.eps0_rad, dtype=float)
-        for site in self.volt_sites:
+        for site, tuning in self.tuning.items():
             dv = self.schedule.voltage_at(site, t)
             if dv != 0.0:
-                f = self.base_fields[site] + self.lever * dv
-                eps[site] = float(self.stark(f)) * K_TO_RAD_PER_S
+                eps[site] = tuning(dv) * K_TO_RAD_PER_S
         if self.spec.frame == "rwa":
             eps -= self.carrier_rad
         return eps
@@ -323,7 +324,7 @@ class _System:
         only when its amplitude vanishes there.
         """
         p, q = ta + 0.25 * (tb - ta), ta + 0.75 * (tb - ta)
-        for site in self.volt_sites:
+        for site in self.tuning:
             if self.schedule.voltage_at(site, p) != self.schedule.voltage_at(site, q):
                 return False
         for ch in self.schedule.microwave:
@@ -336,40 +337,28 @@ class _System:
 
     # -- operator application -------------------------------------------------
 
-    def diag(self, t) -> np.ndarray:
-        d = np.array(self.diag_a)
-        eps = self.eps_rad(t)
-        for n in range(self.n):
-            d += 0.5 * eps[n] * self.zpat[n]
-        return d
+    def z(self, t, w: float = 0.0) -> np.ndarray:
+        """The time-dependent diagonal sum_n (eps_n(t) - w) sz_n/2."""
+        return 0.5 * ((self.eps_rad(t) - w) @ self.zpat)
+
+    def _weighted(self, t):
+        """(c_k(t), terms of H_k) for the H_k whose coefficient is nonzero."""
+        coeffs = (1.0, *self.drive_xy(t))
+        return [(c, terms) for c, terms in zip(coeffs, self.terms) if c != 0.0]
 
     def apply_h(self, t, psi) -> np.ndarray:
-        out = self.diag(t) * psi
-        for src, dst, b2 in self.pairs:
-            out[dst] += b2 * psi[src]
-            out[src] += b2 * psi[dst]
-        fx, fy = self.drive_xy(t)
-        if fx != 0.0 or fy != 0.0:
-            for n in range(self.n):
-                flipped = psi[self.flip[n]]
-                if fx != 0.0:
-                    out += fx * flipped
-                if fy != 0.0:
-                    out += 1j * fy * (-self.zpat[n]) * flipped
+        out = self.z(t) * psi
+        for c, terms in self._weighted(t):
+            for cols, vals in terms:
+                out += c * vals * psi[cols]
         return out
 
     def dense_h(self, t) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        np.fill_diagonal(h, self.diag(t))
-        for src, dst, b2 in self.pairs:
-            h[dst, src] += b2
-            h[src, dst] += b2
-        fx, fy = self.drive_xy(t)
-        if fx != 0.0 or fy != 0.0:
-            idx = np.arange(self.dim)
-            for n in range(self.n):
-                flipped = self.flip[n]
-                h[flipped, idx] += fx + 1j * fy * (-self.zpat[n][flipped])
+        h = np.diag(self.z(t).astype(complex))
+        rows = np.arange(self.dim)
+        for c, terms in self._weighted(t):
+            for cols, vals in terms:
+                h[rows, cols] += c * vals
         return h
 
 
@@ -392,32 +381,27 @@ class _Liouvillian:
         idx = np.arange(dim)
         eye = sp.identity(dim, format="csr")
 
-        def op(entries):
-            rows, cols, vals = (np.concatenate(x) for x in zip(*entries))
-            return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        def op(terms):
+            """CSR sum of one-entry-per-row terms, stored zeros dropped."""
+            cols, vals = (np.concatenate(x) for x in zip(*terms))
+            m = sp.csr_matrix((vals, (np.tile(idx, len(terms)), cols)), shape=(dim, dim))
+            m.eliminate_zeros()
+            return m
 
         def commutator(h):
             return -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
 
         self.sys = sys
-        self.xy = ()
-        if sys.schedule.microwave:
-            self.xy = (
-                commutator(op([(f, idx, np.ones(dim)) for f in sys.flip])),
-                commutator(op([(f, idx, -1j * z[f]) for f, z in zip(sys.flip, sys.zpat)])),
-            )
-        static = commutator(op(
-            [(idx, idx, sys.diag_a)]
-            + [(d, s, np.full(s.size, b2)) for s, d, b2 in sys.pairs]
-            + [(s, d, np.full(s.size, b2)) for s, d, b2 in sys.pairs]
-        ))
+        static_terms, *xy_terms = sys.terms
+        self.xy = tuple(commutator(op(terms)) for terms in xy_terms if terms)
+        static = commutator(op(static_terms))
         if budget is not None:
             g1, gphi = 1.0 / budget.t1_s, 1.0 / budget.t2_eff_s
             decay = np.zeros((dim, dim))
             for q in range(sys.n):
                 occ = (idx >> q) & 1
-                up = idx[occ == 1]
-                lower = op([(up ^ (1 << q), up, np.ones(up.size))])
+                # s-_q: row i couples to i | 2^q when bit q of i is clear
+                lower = op([(idx ^ (1 << q), 1.0 - occ)])
                 static = static + g1 * sp.kron(lower, lower)
                 decay -= 0.5 * g1 * (occ[:, None] + occ[None, :])
                 decay -= gphi * (occ[:, None] != occ[None, :])
@@ -428,7 +412,7 @@ class _Liouvillian:
             self.drain = -(g[:, None] + g[None, :]).ravel()
 
     def _diagonal(self, t, tunneling: bool, w: float = 0.0) -> np.ndarray:
-        z = 0.5 * ((self.sys.eps_rad(t) - w) @ self.sys.zpat)
+        z = self.sys.z(t, w)
         d = -1j * (z[:, None] - z[None, :]).ravel()
         return d + self.drain if tunneling else d
 

@@ -299,18 +299,10 @@ def resonance_voltage(
     eps_target = hamiltonian.eps_K[m]
     if hamiltonian.eps_K[n] == eps_target:
         return 0.0
-    if hamiltonian.stark_map is None or hamiltonian.geometry is None:
-        raise ValueError(
-            "hamiltonian carries no device Stark map; supply v_peak explicitly"
-        )
-    geom = hamiltonian.geometry
-    base_field = float(
-        geom.e_perp + geom.c_geom * hamiltonian.voltages[n] / geom.pitch
-    )
-    lever = geom.c_geom / geom.pitch  # (V/cm) per volt
+    tuning = hamiltonian.stark_tuning(n)
 
     def gap(dv):
-        return hamiltonian.stark_map.exact(base_field + lever * dv) - eps_target
+        return tuning(dv) - eps_target
 
     # bracket around zero increment; the transition is monotone in field
     dv = 1e-6

@@ -55,14 +55,11 @@ class DeviceGeometry:
     """Electrode layout and global operating conditions.
 
     `sites` are 2D lattice coordinates in units of the pitch; distinct
-    sites must be at least one pitch apart.  `depth` is the electrode
-    depth below the surface (defaults to the pitch, the natural
-    aspect ratio for this electrode design).
+    sites must be at least one pitch apart.
     """
 
     pitch: float                     # cm
     sites: tuple[tuple[float, float], ...]
-    depth: float | None = None       # cm
     e_perp: float = 0.0              # V/cm global pressing field
     b_field: float = 1.5             # T
     temperature: float = 0.01        # K
@@ -71,10 +68,6 @@ class DeviceGeometry:
     def __post_init__(self):
         if self.pitch <= 0:
             raise ValueError(f"pitch must be positive, got {self.pitch}")
-        if self.depth is None:
-            object.__setattr__(self, "depth", self.pitch)
-        elif self.depth <= 0:
-            raise ValueError(f"depth must be positive, got {self.depth}")
         sites = tuple((float(x), float(y)) for x, y in self.sites)
         if len(sites) == 0:
             raise ValueError("at least one site is required")
@@ -172,7 +165,6 @@ class QubitArrayHamiltonian:
     z12_cm: np.ndarray | None = None
     geometry: DeviceGeometry | None = None
     voltages: np.ndarray | None = None
-    drive: dict | None = None          # optional microwave spec for schedules
     stark_map: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -196,6 +188,21 @@ class QubitArrayHamiltonian:
     @property
     def eps_GHz(self) -> np.ndarray:
         return self.eps_K * K_TO_GHZ
+
+    def stark_tuning(self, site: int):
+        """Site's transition energy (K) as a function of its electrode's
+        voltage increment dv (V), through the device Stark map.
+
+        The pressing field is the site's static field plus c_geom dv / d.
+        """
+        if self.stark_map is None or self.geometry is None:
+            raise ValueError(
+                "hamiltonian carries no device Stark map to retune site "
+                f"{site}; build it from a DeviceGeometry or give the voltage explicitly"
+            )
+        base = site_field(self.geometry, self.voltages[site])
+        lever = self.geometry.c_geom / self.geometry.pitch  # (V/cm) per volt
+        return lambda dv: self.stark_map.exact(base + lever * dv)
 
     @classmethod
     def from_parameters(cls, eps_K, a_K=None, b_K=None, drive_coeff=0.0):
@@ -262,7 +269,6 @@ class _StarkMap:
 def build(
     geometry: DeviceGeometry,
     voltages=0.0,
-    drive: dict | None = None,
     basis: HydrogenicBasisSpec | None = None,
 ) -> QubitArrayHamiltonian:
     """Assemble the register parameters at the given static voltages.
@@ -302,6 +308,5 @@ def build(
         z12_cm=z12,
         geometry=geometry,
         voltages=v,
-        drive=drive,
         stark_map=stark,
     )

@@ -268,6 +268,28 @@ def test_numerical_failure_exit_code(tmp_path):
     assert main(["spectrum", "--config", cfg]) == 3
 
 
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    # a defect such as a TypeError is not reported as a numerical failure
+    from helioq import cli
+
+    def broken(config, overrides):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", broken)
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out")})
+    assert main(["spectrum", "--config", cfg]) == 4
+    assert capsys.readouterr().err == "internal error: TypeError: unsupported operand\n"
+
+
+def test_electrode_depth_key_rejected(tmp_path):
+    # device.h_um was never read by the physics and is no longer in the schema
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE, h_um=0.5),
+    })
+    assert main(["build", "--config", cfg]) == 2
+
+
 def test_floats_serialized_at_full_precision(tmp_path):
     cfg = write_config(tmp_path, {
         "output_dir": str(tmp_path / "out"),

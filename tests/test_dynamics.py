@@ -558,3 +558,129 @@ def test_density_matrix_properties_with_budget(n, seed, ramped, t1, t2, t_up, t_
         assert np.abs(res.trace - 1.0).max() <= 1e-10
     else:
         assert np.diff(res.trace).max() <= 1e-12
+
+
+# --- one Hamiltonian, several read-outs ---------------------------------------
+
+# single-qubit operators on (down, up) = (index bit 0, index bit 1), with
+# s_z = +1 on the excited state and the standard Pauli algebra XY = iZ
+PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0.0, 1j], [-1j, 0.0]]),
+    "Z": np.diag([-1.0, 1.0]),
+}
+
+
+def pauli_op(n, factors):
+    """Kronecker product with PAULI[factors[q]] on qubit q (default I).
+
+    Basis index bit q is qubit q, so qubit 0 is the rightmost factor.
+    """
+    out = np.eye(1)
+    for q in reversed(range(n)):
+        out = np.kron(out, PAULI[factors.get(q, "I")])
+    return out
+
+
+def kron_hamiltonian(ham, channel, frame, t):
+    """H/hbar (rad/s) from the documented register Hamiltonian, term by term."""
+    n = ham.n_qubits
+    eps = ham.eps_K * K_RAD
+    omega = ham.drive_coeff * channel.amp_V_per_cm * channel.envelope_at(t)
+    carrier = 2 * math.pi * 1e9 * channel.freq_GHz
+    if frame == "rwa":
+        eps = eps - carrier
+        fx, fy = 0.5 * omega * math.cos(channel.phase), 0.5 * omega * math.sin(channel.phase)
+    else:
+        fx, fy = omega * math.cos(carrier * t + channel.phase), 0.0
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for q in range(n):
+        h += 0.5 * eps[q] * pauli_op(n, {q: "Z"})
+        h += fx * pauli_op(n, {q: "X"}) + fy * pauli_op(n, {q: "Y"})
+        for r in range(q + 1, n):
+            a, b = ham.a_K[q, r] * K_RAD, ham.b_K[q, r] * K_RAD
+            h += 0.25 * a * pauli_op(n, {q: "Z", r: "Z"})
+            # b (s+ s- + s- s+)/2 = b (XX + YY)/4
+            h += 0.25 * b * (pauli_op(n, {q: "X", r: "X"}) + pauli_op(n, {q: "Y", r: "Y"}))
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("frame", ["rwa", "lab"])
+@pytest.mark.parametrize("exchange", [True, False])
+@pytest.mark.parametrize("phase", [0.0, 0.5 * math.pi])
+def test_hamiltonian_matches_pauli_kron_oracle(n, frame, exchange, phase):
+    # every scale ~1e9 rad/s, so no term hides under another's rounding
+    rng = np.random.default_rng(n)
+    scale = 1e9 / K_RAD
+    a = np.triu(rng.uniform(0.5, 1.5, (n, n)) * scale, 1)
+    b = np.triu(rng.uniform(0.5, 1.5, (n, n)) * scale, 1) if exchange else np.zeros((n, n))
+    ham = qubits.QubitArrayHamiltonian.from_parameters(
+        eps_K=rng.uniform(0.5, 1.5, n) * scale, a_K=a + a.T, b_K=b + b.T, drive_coeff=1e9
+    )
+    channel = pulses.MicrowaveChannel(0.2, 0.8, phase, ((0.0, 0.3), (T_SEG, 1.0)))
+    sched = pulses.PulseSchedule(duration=T_SEG, microwave=(channel,))
+    sys = dynamics._System(ham, sched, EvolutionSpec(sample_times=[T_SEG], frame=frame))
+    t = 0.37 * T_SEG
+    expect = kron_hamiltonian(ham, channel, frame, t)
+    scale_h = np.abs(expect).max()
+    assert np.abs(sys.dense_h(t) - expect).max() <= 1e-13 * scale_h
+
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    applied = sys.apply_h(t, psi)
+    assert np.abs(applied - expect @ psi).max() <= 1e-13 * np.abs(expect @ psi).max()
+
+
+def test_unitary_eigh_matches_ivp_on_constant_segment():
+    n = 3
+    ham, sched, spec = segment_setup(n, False, True, seed=5)
+    sys = dynamics._System(ham, sched, spec)
+    rng = np.random.default_rng(2)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi /= np.linalg.norm(psi)
+    rtol = 1e-10
+    exact = dynamics._propagate_unitary(psi, sys.dense_h(0.5 * T_SEG), T_SEG)
+    stepped = dynamics._propagate_ivp(
+        lambda t, y: -1j * sys.apply_h(t, y), psi, 0.0, T_SEG, rtol
+    )
+    # rtol bounds each step's error; the global error is a small multiple of it
+    assert np.abs(stepped - exact).max() <= 10 * rtol
+
+
+def test_density_matrix_matches_state_vector_without_loss():
+    # a ramped then a constant drive segment: the density matrix takes the
+    # Liouvillian under DOP853 and the eigh conjugation, the state vector
+    # apply_h under DOP853 and the eigh product
+    n = 3
+    ham = coupled_register(n, seed=4)
+    carrier = ham.eps_K[0] * units.K_TO_GHZ
+    env = ((0.0, 0.0), (0.5 * T_SEG, 1.0), (T_SEG, 1.0))
+    sched = pulses.PulseSchedule(
+        duration=T_SEG, microwave=(pulses.MicrowaveChannel(carrier, 0.15, 0.7, env),),
+    )
+    rtol = 1e-10
+    spec = EvolutionSpec(sample_times=np.array([0.5 * T_SEG, T_SEG]), rtol=rtol)
+    rng = np.random.default_rng(9)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi /= np.linalg.norm(psi)
+    vec = evolve(ham, sched, RegisterState("state-vector", n, psi), spec)
+    dm = evolve(ham, sched, RegisterState("density-matrix", n, np.outer(psi, psi.conj())), spec)
+    for psi_t, rho_t in zip(vec.states, dm.states):
+        assert np.abs(rho_t - np.outer(psi_t, psi_t.conj())).max() <= 10 * rtol
+
+
+def test_retuning_without_device_map_raises_before_integrating(monkeypatch):
+    def integrate(*args):
+        raise AssertionError("a segment was integrated")
+
+    monkeypatch.setattr(dynamics, "_propagate_unitary", integrate)
+    monkeypatch.setattr(dynamics, "_propagate_ivp", integrate)
+    ham = exchange_pair()
+    # the electrode moves only in the second half
+    sched = pulses.PulseSchedule(
+        duration=T_SEG,
+        voltage_channels=(pulses.VoltageChannel(0, ((0.5 * T_SEG, 0.0), (T_SEG, 1e-3))),),
+    )
+    with pytest.raises(ValueError, match="Stark map"):
+        evolve(ham, sched, RegisterState.state_vector("ud"), EvolutionSpec(sample_times=[T_SEG]))
