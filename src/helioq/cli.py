@@ -217,6 +217,10 @@ class _Writer:
             "artifact_version": __version__,
             "overrides": overrides,
         }
+        # the comment line that opens every CSV artifact
+        self.csv_meta = f"config_hash={self.hash} artifact_version={__version__}" + (
+            f" overrides={';'.join(overrides)}" if overrides else ""
+        )
         self.outdir = Path(config["output_dir"])
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.sub = subcommand
@@ -226,12 +230,8 @@ class _Writer:
 
     def csv(self, header: list[str], rows, suffix: str = "csv") -> Path:
         p = self.path(suffix)
-        meta = (
-            f"config_hash={self.hash} artifact_version={__version__}"
-            + (f" overrides={';'.join(self.meta['overrides'])}" if self.meta["overrides"] else "")
-        )
         with open(p, "w") as fh:
-            fh.write(f"# {meta}\n")
+            fh.write(f"# {self.csv_meta}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(
@@ -412,9 +412,8 @@ def run_evolve(config: dict, overrides: list[str]) -> int:
     spec = _evolution_spec(config, sched.duration)
     result = dynamics.evolve(ham, sched, initial, spec)
     w = _Writer(config, overrides, "evolve")
-    meta = f"config_hash={w.hash} artifact_version={__version__}"
     p_csv = w.path("csv")
-    result.to_csv(p_csv, metadata=meta)
+    result.to_csv(p_csv, metadata=w.csv_meta)
     p_json = w.json({"result": result.to_json_dict()})
     print(f"wrote {p_csv}")
     print(f"wrote {p_json}")

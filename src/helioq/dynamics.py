@@ -26,14 +26,14 @@ Optional loss channels:
   an anti-commutator alone, which drains trace as excited population
   escapes the surface.
 
-Integration is segmented at every schedule breakpoint, sample time, and
-t_f, so discontinuities are never stepped over.  Segments on which all
-coefficients are constant propagate exactly: by eigendecomposition when
-closed, unitary to machine rounding, and by the action of the sparse
-Liouvillian's exponential (expm_multiply) when dissipative.  Time-varying
-segments use the adaptive embedded DOP853 stepper with the step size capped
-at a tenth of the segment; a density matrix's right-hand side is the same
-sparse Liouvillian, built once per evolve call.
+The timeline is cut into pieces at the schedule breakpoints and t_f, so
+each piece has one slope per channel and one tunneling state; one
+propagator per piece steps from sample to sample inside it.  A piece with
+constant coefficients builds its operator once: the eigendecomposition of
+H when closed, or the sparse Liouvillian, whose exponential acts by
+expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), when
+dissipative.  Other pieces use DOP853 with the step size capped at a
+tenth of each step, on the same Liouvillian for a density matrix.
 """
 from __future__ import annotations
 
@@ -60,10 +60,8 @@ __all__ = [
 
 _STATE_VECTOR_MAX = 16
 _DENSITY_MATRIX_MAX = 8
-# largest Hilbert dimension for dense eigendecomposition of constant segments
+# largest Hilbert dimension for dense eigendecomposition of constant pieces
 _EXACT_DIM_MAX = 1024
-# largest density-matrix dimension for Liouvillian exponentials
-_EXACT_LIOUVILLE_DIM_MAX = 64
 
 
 def basis_index(bits: str) -> int:
@@ -476,60 +474,35 @@ def evolve(
     sys = _System(hamiltonian, schedule, spec)
     dm = initial.mode == "density-matrix"
     liou = _Liouvillian(sys, spec.budget, spec.tunneling) if dm else None
-
-    # segment boundaries: schedule breakpoints, sample times, tunneling onset
-    cuts = set(np.round(schedule.breakpoints(), 30)) | {0.0, t_end}
-    cuts |= set(np.round(spec.sample_times, 30))
-    if spec.tunneling is not None and spec.tunneling.t_f < t_end:
-        cuts.add(spec.tunneling.t_f)
-    bounds = np.array(sorted(t for t in cuts if 0.0 <= t <= t_end))
-
-    sample_ptr = 0
-    samples = spec.sample_times
-    out_states = []
-    out_times = []
-
-    state = np.array(initial.data, dtype=complex)
-
-    def record(t):
-        out_times.append(t)
-        out_states.append(state.copy())
-
-    if samples[sample_ptr] == 0.0:
-        while sample_ptr < samples.size and samples[sample_ptr] == 0.0:
-            record(0.0)
-            sample_ptr += 1
-
+    t_f = math.inf if spec.tunneling is None else spec.tunneling.t_f
+    # pieces end at breakpoints, t_f and t_end: one slope and tunneling state each
+    bounds = sorted(
+        {0.0, t_end} | {float(t) for t in (*schedule.breakpoints(), t_f) if 0.0 < t < t_end}
+    )
     ir = max(spec.rtol * 1e-3, 3e-14)
 
+    samples = spec.sample_times
+    state = np.array(initial.data, dtype=complex)
+    # samples at 0 hold the initial state, also when t_end = 0 leaves no piece
+    k = int(np.searchsorted(samples, 0.0, side="right"))
+    out_states = [state] * k
+    t = 0.0
     for ta, tb in zip(bounds[:-1], bounds[1:]):
-        if tb <= ta:
-            continue
-        tun = spec.tunneling is not None and ta >= spec.tunneling.t_f - 1e-30
-        dissipative = dm and (spec.budget is not None or tun)
-        constant = sys.constant_on(ta, tb)
-        tm = 0.5 * (ta + tb)
-        if constant and not dissipative and sys.dim <= _EXACT_DIM_MAX:
-            state = _propagate_unitary(state, sys.dense_h(tm), tb - ta)
-        elif constant and dissipative and sys.dim <= _EXACT_LIOUVILLE_DIM_MAX:
-            state = _propagate_liouville(state, liou, tm, tb - ta, tun)
-        elif dm:
-            state = _propagate_ivp(lambda t, y: liou.apply(t, y, tun), state, ta, tb, ir)
-        else:
-            state = _propagate_ivp(lambda t, y: -1j * sys.apply_h(t, y), state, ta, tb, ir)
-
-        while sample_ptr < samples.size and abs(samples[sample_ptr] - tb) <= 1e-30 + 1e-12 * tb:
-            record(samples[sample_ptr])
-            sample_ptr += 1
-
-    if sample_ptr != samples.size:
-        raise RuntimeError("internal error: not every sample time was visited")
+        step = _propagator(sys, liou, ta, tb, ta >= t_f, ir)
+        j = int(np.searchsorted(samples, tb, side="right"))
+        for stop in samples[k:j]:
+            if stop > t:
+                state, t = step(state, t, stop), stop
+            out_states.append(state)
+        if tb > t:
+            state, t = step(state, t, tb), tb
+        k = j
 
     snapshots = [RegisterState(initial.mode, n, s) for s in out_states]
     return EvolutionResult(
         mode=initial.mode,
         labels=basis_labels(n),
-        times=np.array(out_times),
+        times=samples.copy(),
         states=np.array(out_states),
         trace=np.array([s.trace for s in snapshots]),
         populations=np.array([s.populations() for s in snapshots]),
@@ -537,25 +510,40 @@ def evolve(
     )
 
 
-def _propagate_unitary(state, h, dt):
-    """Exact propagation under a constant Hermitian h, by eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * dt)
-    if state.ndim == 1:
-        return v @ (phases * (v.conj().T @ state))
-    u = v @ np.diag(phases) @ v.conj().T
-    return u @ state @ u.conj().T
+def _propagator(sys, liou, ta, tb, tunneling, rtol):
+    """Step function (state, t0, t1) -> state for ta <= t0 <= t1 <= tb."""
+    tm = 0.5 * (ta + tb)
+    dissipative = liou is not None and (sys.spec.budget is not None or tunneling)
+    if sys.constant_on(ta, tb):
+        if not dissipative and sys.dim <= _EXACT_DIM_MAX:
+            w, v = np.linalg.eigh(sys.dense_h(tm))
+            vh = v.conj().T
+
+            def unitary(state, t0, t1):
+                phases = np.exp(-1j * w * (t1 - t0))
+                if state.ndim == 1:
+                    return v @ (phases * (vh @ state))
+                u = v @ np.diag(phases) @ vh
+                return u @ state @ u.conj().T
+
+            return unitary
+        if dissipative:
+            op, rate = liou.constant(tm, tunneling)
+
+            def exponential(state, t0, t1):
+                dt = t1 - t0
+                rho = expm_multiply(dt * op, state.reshape(-1)) * np.exp(dt * rate)
+                return rho.reshape(state.shape)
+
+            return exponential
+
+    def rhs(t, y):
+        return -1j * sys.apply_h(t, y) if liou is None else liou.apply(t, y, tunneling)
+
+    return lambda state, t0, t1: _propagate_ivp(rhs, state, t0, t1, rtol, tunneling)
 
 
-def _propagate_liouville(state, liou, t, dt, tunneling):
-    """exp(dt L(t)) rho on a constant segment, by expm_multiply (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 2011); no dense Liouvillian is formed."""
-    op, rate = liou.constant(t, tunneling)
-    rho = expm_multiply(dt * op, state.reshape(-1)) * np.exp(dt * rate)
-    return rho.reshape(state.shape)
-
-
-def _propagate_ivp(rhs, state, ta, tb, rtol):
+def _propagate_ivp(rhs, state, ta, tb, rtol, tunneling):
     """DOP853 over [ta, tb]; a density matrix integrates as its row-major vector."""
     sol = solve_ivp(
         rhs, (ta, tb), state.reshape(-1), method="DOP853",
@@ -564,7 +552,9 @@ def _propagate_ivp(rhs, state, ta, tb, rtol):
         dense_output=False,
     )
     if not sol.success:
+        mode = "state-vector" if state.ndim == 1 else "density-matrix"
         raise RuntimeError(
-            f"integrator failed on [{ta}, {tb}] at rtol={rtol}: {sol.message}"
+            f"integrator failed on [{ta}, {tb}] in {mode} mode with tunneling "
+            f"{'on' if tunneling else 'off'} at rtol={rtol}: {sol.message}"
         )
     return sol.y[:, -1].reshape(state.shape)

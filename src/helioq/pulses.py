@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,13 +49,16 @@ def _check_points(points, lo, hi, name, unit_interval=False):
     return tuple(pts)
 
 
-def _interp(points, t):
+def _breakpoint_arrays(points, default):
+    """Read-only (times, values) rows; without points `default` holds everywhere."""
+    xy = np.array(points or ((0.0, default),), dtype=float).T.copy()
+    xy.flags.writeable = False
+    return xy
+
+
+def _interp(xy, t):
     """Piecewise-linear evaluation; boundary values held outside the span."""
-    if not points:
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    out = np.interp(t, xs, ys)
+    out = np.interp(t, xy[0], xy[1])
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -65,8 +69,12 @@ class VoltageChannel:
     site: int
     points: tuple[tuple[float, float], ...]
 
+    @cached_property
+    def _xy(self):
+        return _breakpoint_arrays(self.points, 0.0)
+
     def value_at(self, t):
-        return _interp(self.points, t)
+        return _interp(self._xy, t)
 
 
 @dataclass(frozen=True)
@@ -82,10 +90,12 @@ class MicrowaveChannel:
     phase: float = 0.0
     envelope: tuple[tuple[float, float], ...] = ()
 
+    @cached_property
+    def _xy(self):
+        return _breakpoint_arrays(self.envelope, 1.0)
+
     def envelope_at(self, t):
-        if not self.envelope:
-            return np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0
-        return _interp(self.envelope, t)
+        return _interp(self._xy, t)
 
 
 @dataclass(frozen=True)

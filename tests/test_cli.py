@@ -1,6 +1,7 @@
 """Tests for the batch front door: exit codes, outputs, determinism."""
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,6 +239,47 @@ def test_overrides_change_hash_and_echo(tmp_path):
     overridden = next(d for d in docs if d["overrides"])
     assert overridden["overrides"] == ["device.B_T=3.0"]
     assert overridden["budget"]["b_field"] == 3.0
+
+
+def test_evolve_csv_echoes_overrides(tmp_path):
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": {"d_um": 0.5, "sites": [[0, 0]], "B_T": 1.5, "T_K": 0.01},
+        "schedule": {"duration_s": 1e-9},
+        "initial": {"bits": "u"},
+        "evolution": {"sample_count": 3},
+    })
+    assert main(["evolve", "--config", cfg, "--set", "evolution.rtol=1e-9"]) == 0
+    header = next((tmp_path / "out").glob("evolve_*.csv")).read_text().splitlines()[0]
+    doc = json.loads(next((tmp_path / "out").glob("evolve_*.json")).read_text())
+    assert header == (
+        f"# config_hash={doc['config_hash']} artifact_version={doc['artifact_version']}"
+        " overrides=evolution.rtol=1e-9"
+    )
+
+
+def test_evolve_integrator_failure_exit_code(tmp_path, monkeypatch, capsys):
+    from helioq import dynamics
+
+    def failing(*args, **kwargs):
+        return SimpleNamespace(success=False, message="Required step size is less than spacing")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", failing)
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": {"d_um": 0.5, "sites": [[0, 0]], "B_T": 1.5, "T_K": 0.01},
+        "schedule": {
+            "duration_s": 1e-9,
+            "microwave": [{"freq_GHz": 100.0, "amp_V_per_cm": 0.1,
+                           "envelope": [[0.0, 0.0], [1e-9, 1.0]]}],
+        },
+        "initial": {"bits": "u", "mode": "density-matrix"},
+        "evolution": {"sample_times_s": [1e-9], "tunneling": {"t_f_s": 0.0, "t_up_s": 2e-7}},
+    })
+    assert main(["evolve", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("RuntimeError: integrator failed on [0.0, 1e-09] in density-matrix")
+    assert "tunneling on" in err
 
 
 def test_unknown_key_rejected(tmp_path):

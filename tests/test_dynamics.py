@@ -5,6 +5,7 @@ two-level exchange (flip-flop) solution, scalar decay for the tunneling
 anti-commutator, and exact coherence decay for the dephasing channel.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -482,17 +483,19 @@ def test_liouville_exponential_matches_dense_oracle(n, tunneling, drive):
     assert np.abs(res.final_state - expect).max() <= 1e-12
 
 
-@pytest.mark.parametrize("drive", [True, False])
-def test_lindblad_ivp_matches_exponential(drive):
-    n = 3
+@pytest.mark.parametrize(
+    "drive,n", [(True, 3), (False, 3), (True, 7)], ids=["True", "False", "True-n7"]
+)
+def test_lindblad_ivp_matches_exponential(drive, n):
+    # n = 7 (Liouvillian dimension 16384) checks expm_multiply above 6 qubits
     ham, sched, spec = segment_setup(n, True, drive)
     sys = dynamics._System(ham, sched, spec)
     liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
     rho0 = random_density_matrix(2**n, seed=7)
     rtol = 1e-10
-    exact = dynamics._propagate_liouville(rho0, liou, 0.5 * T_SEG, T_SEG, True)
+    exact = dynamics._propagator(sys, liou, 0.0, T_SEG, True, rtol)(rho0, 0.0, T_SEG)
     stepped = dynamics._propagate_ivp(
-        lambda t, y: liou.apply(t, y, True), rho0, 0.0, T_SEG, rtol
+        lambda t, y: liou.apply(t, y, True), rho0, 0.0, T_SEG, rtol, True
     )
     # rtol bounds each step's error; the global error is a small multiple of it
     assert np.abs(stepped - exact).max() <= 10 * rtol
@@ -640,9 +643,9 @@ def test_unitary_eigh_matches_ivp_on_constant_segment():
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     psi /= np.linalg.norm(psi)
     rtol = 1e-10
-    exact = dynamics._propagate_unitary(psi, sys.dense_h(0.5 * T_SEG), T_SEG)
+    exact = dynamics._propagator(sys, None, 0.0, T_SEG, False, rtol)(psi, 0.0, T_SEG)
     stepped = dynamics._propagate_ivp(
-        lambda t, y: -1j * sys.apply_h(t, y), psi, 0.0, T_SEG, rtol
+        lambda t, y: -1j * sys.apply_h(t, y), psi, 0.0, T_SEG, rtol, False
     )
     # rtol bounds each step's error; the global error is a small multiple of it
     assert np.abs(stepped - exact).max() <= 10 * rtol
@@ -674,7 +677,7 @@ def test_retuning_without_device_map_raises_before_integrating(monkeypatch):
     def integrate(*args):
         raise AssertionError("a segment was integrated")
 
-    monkeypatch.setattr(dynamics, "_propagate_unitary", integrate)
+    monkeypatch.setattr(dynamics, "_propagator", integrate)
     monkeypatch.setattr(dynamics, "_propagate_ivp", integrate)
     ham = exchange_pair()
     # the electrode moves only in the second half
@@ -684,3 +687,105 @@ def test_retuning_without_device_map_raises_before_integrating(monkeypatch):
     )
     with pytest.raises(ValueError, match="Stark map"):
         evolve(ham, sched, RegisterState.state_vector("ud"), EvolutionSpec(sample_times=[T_SEG]))
+
+
+# --- the timeline: pieces, sample stops, one operator per piece -------------
+
+
+@pytest.fixture(scope="module")
+def device_pair():
+    """Two device sites whose transitions differ until site 0 is retuned."""
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
+    return qubits.build(geom, voltages=np.array([0.0, 5e-5]))
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_sudden_swap_integrates_no_segment(device_pair, monkeypatch):
+    # a dwell whose 30-decimal rounding falls one ulp short of it: a cut at
+    # the rounded time would leave a sliver that straddles the closing jump
+    dwell = pulses.calibrate_swap(device_pair, (0, 1), math.pi / 2)
+    dwell = next(d for d in dwell * (1 + 1e-6 * np.arange(1, 200)) if np.round(d, 30) < d)
+    sched = pulses.swap_schedule(device_pair, (0, 1), dwell)
+    ivp = count_calls(monkeypatch, dynamics, "_propagate_ivp")
+    res = evolve(device_pair, sched, RegisterState.state_vector("ud"),
+                 EvolutionSpec(sample_times=[dwell]))
+    assert ivp == []
+    assert res.population("du")[-1] > 0.99
+
+
+@pytest.mark.parametrize("mode", ["state-vector", "density-matrix"])
+def test_samples_at_a_jump_match_a_clean_cut(device_pair, mode):
+    from scipy.linalg import expm
+
+    # idle for t_jump, then site 0 jumps onto resonance until t_end
+    t_jump = 1.3e-9
+    dwell = pulses.calibrate_swap(device_pair, (0, 1), math.pi / 2)
+    swap = pulses.swap_schedule(device_pair, (0, 1), dwell)
+    sched = pulses.concat(pulses.PulseSchedule(duration=t_jump), swap)
+    t_end = sched.duration
+    before, after = np.nextafter(t_jump, 0.0), np.nextafter(t_jump, 1.0)
+    times = [0.0, 0.0, before, after, after, t_end]
+    spec = EvolutionSpec(sample_times=times)
+    initial = getattr(RegisterState, mode.replace("-", "_"))("ud")
+    res = evolve(device_pair, sched, initial, spec)
+
+    # reference: one exponential per constant piece, cut exactly at the jump
+    sys = dynamics._System(device_pair, sched, spec)
+    psi0 = RegisterState.state_vector("ud").data
+    psi_jump = expm(-1j * sys.dense_h(0.5 * t_jump) * t_jump) @ psi0
+    psi_end = expm(-1j * sys.dense_h(0.5 * (t_jump + t_end)) * (t_end - t_jump)) @ psi_jump
+    expect = [psi0, psi0, psi_jump, psi_jump, psi_jump, psi_end]
+    if mode == "density-matrix":
+        expect = [np.outer(psi, psi.conj()) for psi in expect]
+    assert res.times.tolist() == times
+    for got, ref in zip(res.states, expect):
+        assert np.abs(got - ref).max() <= 1e-12
+    assert res.population("du")[-1] > 0.99
+
+
+def test_constant_piece_decomposes_once(monkeypatch):
+    ham = exchange_pair()
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    res = evolve(ham, pulses.PulseSchedule(duration=T_SEG), RegisterState.state_vector("ud"),
+                 EvolutionSpec(sample_times=np.linspace(0.0, T_SEG, 7)))
+    assert len(eigh) == 1
+    assert len(res.times) == 7
+
+
+def test_dissipative_constant_piece_builds_one_generator(monkeypatch):
+    ham, sched, spec = segment_setup(2, True, True)
+    spec = EvolutionSpec(sample_times=np.linspace(0.0, T_SEG, 6), budget=spec.budget,
+                         tunneling=spec.tunneling)
+    constant = count_calls(monkeypatch, dynamics._Liouvillian, "constant")
+    evolve(ham, sched, RegisterState.density_matrix("ud"), spec)
+    assert len(constant) == 1
+
+
+def test_integrator_failure_names_segment_mode_and_rtol(monkeypatch):
+    def failing(*args, **kwargs):
+        return SimpleNamespace(success=False, message="Required step size is less than spacing")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", failing)
+    ham = single_qubit()
+    sched = drive_schedule(T_SEG, 10.0, 1e9, ham.drive_coeff, envelope=((0.0, 0.0), (T_SEG, 1.0)))
+    spec = EvolutionSpec(sample_times=[0.5 * T_SEG, T_SEG], rtol=1e-12,
+                         tunneling=TunnelingSpec(0.0, T_SEG))
+    with pytest.raises(RuntimeError) as err:
+        evolve(ham, sched, RegisterState.density_matrix("u"), spec)
+    assert str(err.value) == (
+        f"integrator failed on [0.0, {0.5 * T_SEG}] in density-matrix mode with "
+        "tunneling on at rtol=3e-14: Required step size is less than spacing"
+    )
+    with pytest.raises(RuntimeError, match=r"in state-vector mode with tunneling off"):
+        evolve(ham, sched, RegisterState.state_vector("u"), EvolutionSpec(sample_times=[T_SEG]))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helioq import dynamics, hydrogenic, pulses, qubits, units
 from helioq.cli import dump_json
@@ -109,6 +111,78 @@ def test_concat_associative_and_consistent():
     )
     assert left.annotations == right.annotations
 
+
+
+@st.composite
+def schedules(draw, names=("dwell",)):
+    """Schedules of up to two voltage and two microwave channels on [0, duration]."""
+    duration = draw(st.floats(1e-10, 1e-7))
+
+    def points(values):
+        fracs = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=4)))
+        return tuple((f * duration, draw(values)) for f in fracs)
+
+    voltages = tuple(
+        pulses.VoltageChannel(draw(st.integers(0, 2)), points(st.floats(-1e-2, 1e-2)))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    microwave = tuple(
+        pulses.MicrowaveChannel(
+            draw(st.floats(1.0, 200.0)), draw(st.floats(0.0, 2.0)),
+            draw(st.floats(-math.pi, math.pi)), points(st.floats(0.0, 1.0)),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    annotations = {}
+    for name in draw(st.lists(st.sampled_from(names), unique=True)):
+        a, b = sorted(draw(st.floats(0.0, 1.0)) * duration for _ in range(2))
+        annotations[name] = (a, b)
+    return pulses.PulseSchedule(duration, voltages, microwave, annotations)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(sched=schedules())
+def test_schedule_dict_roundtrip_property(sched):
+    assert pulses.PulseSchedule.from_dict(sched.to_dict()) == sched
+
+
+def assert_close_schedules(left, right):
+    """Equal up to the rounding of the time shifts; values are never shifted."""
+    def close(x, y):
+        return x == pytest.approx(y, rel=1e-14, abs=1e-30)
+
+    assert close(left.duration, right.duration)
+    for cl, cr in zip(left.voltage_channels, right.voltage_channels, strict=True):
+        assert cl.site == cr.site
+        assert [v for _, v in cl.points] == [v for _, v in cr.points]
+        assert all(close(tl, tr) for (tl, _), (tr, _) in zip(cl.points, cr.points, strict=True))
+    for cl, cr in zip(left.microwave, right.microwave, strict=True):
+        assert (cl.freq_GHz, cl.amp_V_per_cm, cl.phase) == (cr.freq_GHz, cr.amp_V_per_cm, cr.phase)
+        assert [x for _, x in cl.envelope] == [x for _, x in cr.envelope]
+        assert all(close(tl, tr) for (tl, _), (tr, _) in zip(cl.envelope, cr.envelope, strict=True))
+    assert left.annotations.keys() == right.annotations.keys()
+    for k, (a, b) in left.annotations.items():
+        assert close(a, right.annotations[k][0]) and close(b, right.annotations[k][1])
+
+
+# distinct interval names per schedule: suffixing of colliding names
+# follows the order of concatenation
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(a=schedules(("a",)), b=schedules(("b",)), c=schedules(("c",)))
+def test_concat_associative_property(a, b, c):
+    left = pulses.concat(pulses.concat(a, b), c)
+    right = pulses.concat(a, pulses.concat(b, c))
+    assert_close_schedules(left, right)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(a=schedules(), b=schedules())
+def test_concat_breakpoints_are_the_shifted_union(a, b):
+    # the junction ends a and starts b, but the concatenation changes slope
+    # there only when a channel has a point at it
+    expect = np.union1d(a.breakpoints(), b.breakpoints() + a.duration)
+    joined = pulses.concat(a, b).breakpoints()
+    assert np.array_equal(np.union1d(joined, [a.duration]), expect)
 
 def test_schedule_json_roundtrip_bit_exact():
     sched = pulses.PulseSchedule(
