@@ -53,11 +53,11 @@ print(f"survival after the wait: excited site {survival[0]:.6f}, "
 print(f"(analytic: exp(-wait/t_2) = {math.exp(-wait/plan.t_2):.6f})")
 print()
 
-records, image = readout.sample_shots(survival, plan, shots=2000, seed=42)
+escaped, image = readout.sample_shots(survival, plan, shots=2000, seed=42)
 total = sum(image.values())
 print(f"2000 shots, {total} electrons detected; pixel histogram:")
 for px, count in sorted(image.items()):
     print(f"  pixel {px}: {count}")
-frac = sum(r.tunneled[0] for r in records) / len(records)
+frac = escaped[:, 0].mean()
 print(f"excited-site escape fraction: {frac:.4f} "
       f"(expected {1 - survival[0]:.4f})")

@@ -59,6 +59,20 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _format_scalar(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return _format_float(float(x))
+    if isinstance(x, str):
+        return json.dumps(x)
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
 def dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
     pad = "  " * indent
@@ -74,24 +88,13 @@ def dump_json(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        flat = all(isinstance(x, (int, float, bool)) or x is None for x in seq)
-        if flat and len(seq) <= 16:
-            return "[" + ", ".join(dump_json(x) for x in seq) + "]"
+        if len(seq) <= 16 and all(isinstance(x, (int, float)) or x is None for x in seq):
+            return "[" + ", ".join(map(_format_scalar, seq)) + "]"
         items = [f"{pad}  {dump_json(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         return dump_json(obj.tolist(), indent)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return _format_scalar(obj)
 
 
 def config_hash(config: dict) -> str:
@@ -443,7 +446,7 @@ def run_readout(config: dict, overrides: list[str]) -> int:
         for ch in bits
     ]
     seed = config.get("seed", 0)
-    records, image = readout.sample_shots(survival, rplan, ro["shots"], seed)
+    escaped, image = readout.sample_shots(survival, rplan, ro["shots"], seed)
     w = _Writer(config, overrides, "readout")
     img_rows = [
         (px[0], px[1], count) for px, count in sorted(image.items())
@@ -462,11 +465,7 @@ def run_readout(config: dict, overrides: list[str]) -> int:
         "seed": seed,
         "rng": readout.RNG_ALGORITHM,
         "shots": [
-            {
-                "index": r.index,
-                "tunneled": [bool(b) for b in r.tunneled],
-            }
-            for r in records
+            {"index": k, "tunneled": row} for k, row in enumerate(escaped.tolist())
         ],
     })
     print(f"wrote {p_img}")

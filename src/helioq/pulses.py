@@ -16,6 +16,7 @@ dynamics when finite-rate ramps shift the effective resonance time.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -196,11 +197,13 @@ def concat(first: PulseSchedule, second: PulseSchedule) -> PulseSchedule:
         )
         for c in second.microwave
     ]
+    # a colliding name takes the lowest free base~n, where base is the name
+    # less one trailing ~<digits>, so the naming is associative
     ann = dict(first.annotations)
-    for k, (a, b) in second.annotations.items():
-        name, n = k, 1
+    for name, (a, b) in second.annotations.items():
+        base, n = re.sub(r"~[0-9]+$", "", name), 1
         while name in ann:
-            name = f"{k}~{n}"
+            name = f"{base}~{n}"
             n += 1
         ann[name] = (a + off, b + off)
     return PulseSchedule(

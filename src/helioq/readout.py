@@ -14,9 +14,14 @@ a factor ~4 in energy, so its escape is faster by many orders, and a
 reverse field can be chosen where the excited electron leaves within the
 wait window while the ground electron effectively never does.
 
-Shot sampling is a per-site Bernoulli draw on 1 - survival(wait) using a
-counter-based Philox stream: shot k draws from key = seed with a disjoint
-counter block, so parallel and serial sampling are bit-identical.
+Shot sampling is a per-site Bernoulli draw on 1 - survival(wait), done for
+all shots at once: `sample_shots` returns a (shots, sites) bool array and
+the pixel histogram.  Shot k is NumPy's Generator(Philox(key=seed,
+counter=k << 128)).random(n_sites): Philox4x64-10 (Salmon et al., SC'11)
+keyed by the 128-bit seed, whose j-th block of four 64-bit words comes from
+the counter (k << 128) + j + 1; the words go to the sites in order, a word
+u gives the double (u >> 11) * 2**-53, and site n escapes when that double
+is >= survival[n].
 """
 from __future__ import annotations
 
@@ -31,7 +36,6 @@ from .units import EV_ERG, E_SQ, HBAR, K_B, M_E
 
 __all__ = [
     "ReadoutPlan",
-    "ShotRecord",
     "plan",
     "sample_shots",
     "tunnel_rate",
@@ -203,23 +207,38 @@ def plan(
     )
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """One projective readout: per-site escape outcomes and the pixel image."""
-
-    index: int
-    tunneled: tuple[bool, ...]
-    pixel_counts: dict
-    seed: int
-
-    def __post_init__(self):
-        total = sum(self.pixel_counts.values())
-        if total != sum(self.tunneled):
-            raise ValueError("pixel histogram must total the tunneled count")
+_SHOT_CHUNK = 1 << 16          # shots drawn per pass; bounds the temporaries
+_M64 = (1 << 64) - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
-def _shot_rng(seed: int, shot: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=shot << 128))
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products a * m, from 32-bit halves."""
+    lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    a_lo, a_hi = a & lo32, a >> s32
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> s32) + (lh & lo32) + (hl & lo32)
+    hi = a_hi * m_hi + (lh >> s32) + (hl >> s32) + (mid >> s32)
+    return a * np.uint64(m), hi
+
+
+def _uniforms(seed: int, first: int, stop: int, n: int) -> np.ndarray:
+    """Philox4x64-10 doubles of shots first..stop-1, n per shot: see the module."""
+    blocks = -(-n // 4)
+    shape = (stop - first, blocks)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c2 = np.broadcast_to(np.arange(first, stop, dtype=np.uint64)[:, None], shape)
+    c1 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = seed & _M64, seed >> 64
+    for _ in range(10):
+        lo0, hi0 = _mulhilo(c0, _PHILOX_M[0])
+        lo1, hi1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) & _M64, (k1 + _PHILOX_W[1]) & _M64
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(shape[0], 4 * blocks)[:, :n]
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def sample_shots(
@@ -227,38 +246,30 @@ def sample_shots(
     readout_plan: ReadoutPlan,
     shots: int,
     seed: int,
-) -> tuple[list[ShotRecord], dict]:
+) -> tuple[np.ndarray, dict]:
     """Draw detector images: site n escapes with probability 1 - survival[n].
 
-    Returns the per-shot records and the aggregate pixel histogram.
+    Returns `(escaped, image)`: the (shots, n_sites) bool array of escapes
+    and the aggregate pixel histogram {pixel: count}, without empty pixels.
     Deterministic in (seed, shot index); see RNG_ALGORITHM.
     """
     p_survive = np.asarray(survival, dtype=float)
     if np.any((p_survive < 0) | (p_survive > 1)):
         raise ValueError("survival probabilities must lie in [0, 1]")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must lie in [0, 2**128 - 1], got {seed}")
     n_sites = p_survive.size
     pixels = readout_plan.site_pixels or tuple((0, 0) for _ in range(n_sites))
     if len(pixels) != n_sites:
         raise ValueError(
             f"plan maps {len(pixels)} sites, got {n_sites} survival probabilities"
         )
-    records = []
-    aggregate: dict = {}
-    for k in range(shots):
-        rng = _shot_rng(seed, k)
-        escaped = rng.random(n_sites) >= p_survive
-        counts: dict = {}
-        for site, gone in enumerate(escaped):
-            if gone:
-                px = pixels[site]
-                counts[px] = counts.get(px, 0) + 1
-                aggregate[px] = aggregate.get(px, 0) + 1
-        records.append(
-            ShotRecord(
-                index=k,
-                tunneled=tuple(bool(x) for x in escaped),
-                pixel_counts=counts,
-                seed=seed,
-            )
-        )
-    return records, aggregate
+    escaped = np.empty((shots, n_sites), dtype=bool)
+    for first in range(0, shots, _SHOT_CHUNK):
+        stop = min(first + _SHOT_CHUNK, shots)
+        escaped[first:stop] = _uniforms(int(seed), first, stop, n_sites) >= p_survive
+    image: dict = {}
+    for px, count in zip(pixels, escaped.sum(axis=0).tolist()):
+        if count:
+            image[px] = image.get(px, 0) + count
+    return escaped, image

@@ -5,8 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from helioq import hydrogenic, units
+from helioq import cli, hydrogenic, units
 from helioq.cli import main
 
 BASE_DEVICE = {
@@ -384,3 +387,110 @@ def test_config_errors_in_one_process(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"config error: config invalid at {where}: {info.value.message}\n"
         )
+
+
+def test_seed_beyond_the_philox_key_is_a_config_error(tmp_path):
+    # the schema bounds the seed by the 128-bit key, so an oversized seed
+    # exits 2 before any work instead of failing as a numerical error
+    readout_block = {"wait_s": 1e-6, "selectivity": 1e6, "shots": 10,
+                     "initial_bits": "ud"}
+    for seed, code in ((2**130, 2), (2**128, 2), (2**128 - 1, 0)):
+        cfg = write_config(tmp_path, {
+            "output_dir": str(tmp_path / "out"),
+            "seed": seed,
+            "device": dict(BASE_DEVICE),
+            "readout": readout_block,
+        })
+        assert main(["readout", "--config", cfg]) == code
+
+
+# --- the recursive serializer that dump_json replaced, kept as the oracle ----
+
+
+def _format_float(x: float) -> str:
+    if math.isnan(x):
+        raise ValueError("NaN is not serializable")
+    if math.isinf(x):
+        return "null"  # unbounded quantity (e.g. infinite retention time)
+    return format(x, ".17g")
+
+
+def dump_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON with 17-significant-digit floats."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  {json.dumps(str(k))}: {dump_json(v, indent + 1)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(x, (int, float, bool)) or x is None for x in seq)
+        if flat and len(seq) <= 16:
+            return "[" + ", ".join(dump_json(x) for x in seq) + "]"
+        items = [f"{pad}  {dump_json(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return dump_json(obj.tolist(), indent)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_finite_or_inf = st.floats(allow_nan=False)
+_scalars = st.one_of(
+    st.integers(-(2**70), 2**70),
+    _finite_or_inf,
+    st.booleans(),
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _finite_or_inf.map(np.float64),
+)
+_arrays = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=18), elements=_finite_or_inf),
+    hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, max_side=18)),
+    hnp.arrays(np.bool_, hnp.array_shapes(max_dims=2, max_side=18)),
+)
+# lists at the inline length limit, of plain scalars and of mixed ones
+_edge_lists = st.integers(15, 17).flatmap(
+    lambda n: st.lists(st.one_of(st.integers(), _finite_or_inf, st.booleans(), st.none()),
+                       min_size=n, max_size=n)
+    | st.lists(_scalars, min_size=n, max_size=n)
+)
+_documents = st.recursive(
+    st.one_of(_scalars, st.text(max_size=4), _arrays, _edge_lists),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=_documents)
+def test_dump_json_matches_the_recursive_serializer(doc):
+    assert cli.dump_json(doc) == dump_json(doc)
+
+
+def test_dump_json_still_rejects_nan():
+    nan = float("nan")
+    for doc in (nan, [nan], [1.0] * 16 + [nan], {"a": (0, nan)}, np.array([1.0, nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            dump_json(doc)
+        with pytest.raises(ValueError, match="NaN"):
+            cli.dump_json(doc)

@@ -789,3 +789,50 @@ def test_integrator_failure_names_segment_mode_and_rtol(monkeypatch):
     )
     with pytest.raises(RuntimeError, match=r"in state-vector mode with tunneling off"):
         evolve(ham, sched, RegisterState.state_vector("u"), EvolutionSpec(sample_times=[T_SEG]))
+
+
+# --- relabeling sites --------------------------------------------------------
+
+RELABEL_SITES = ((0.0, 0.0), (1.0, 0.0), (0.3, 1.2))
+RELABEL_VOLTS = (0.0, 4e-6, 1e-5)
+RELABEL_BITS = "udd"
+
+
+def site_populations_after_drive(perm):
+    """Per-site excited populations of the 3-site register with sites permuted.
+
+    New site j is old site perm[j]: its position, voltage and initial bit.
+    A global ramped drive at the mean transition frequency (so DOP853 runs)
+    competes with the exchange between detuned sites.
+    """
+    geom = qubits.DeviceGeometry(
+        pitch=0.5e-4, sites=tuple(RELABEL_SITES[p] for p in perm)
+    )
+    ham = qubits.build(geom, voltages=[RELABEL_VOLTS[p] for p in perm])
+    t_end = 4e-9
+    drive = pulses.MicrowaveChannel(
+        float(np.mean(ham.eps_K)) * units.K_TO_GHZ, 1e9 / ham.drive_coeff, 0.3,
+        ((0.0, 0.0), (t_end / 2, 1.0), (t_end, 0.0)),
+    )
+    res = evolve(
+        ham, pulses.PulseSchedule(duration=t_end, microwave=(drive,)),
+        RegisterState.state_vector("".join(RELABEL_BITS[p] for p in perm)),
+        EvolutionSpec(sample_times=np.linspace(0.0, t_end, 5)),
+    )
+    excited = (np.arange(8)[:, None] >> np.arange(3)) & 1   # (basis, site)
+    return res.populations @ excited
+
+
+@pytest.fixture(scope="module")
+def unpermuted_site_populations():
+    pops = site_populations_after_drive((0, 1, 2))
+    # the drive and the exchange both move population off the start
+    assert np.abs(pops[-1] - [1.0, 0.0, 0.0]).max() > 0.1
+    return pops
+
+
+@pytest.mark.parametrize("perm", [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+def test_relabeling_sites_permutes_site_populations(perm, unpermuted_site_populations):
+    pops = site_populations_after_drive(perm)
+    rtol = EvolutionSpec(sample_times=[0.0]).rtol
+    assert np.abs(pops - unpermuted_site_populations[:, list(perm)]).max() <= 10 * rtol

@@ -11,6 +11,7 @@ from helioq import dynamics, hydrogenic, pulses, qubits, units
 from helioq.cli import dump_json
 
 B_PAIR = 4.869674443045692e-3  # K, exchange coupling at 0.5 um, zero field
+COLLIDING = ("x", "x~1", "y")
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +174,23 @@ def test_concat_associative_property(a, b, c):
     left = pulses.concat(pulses.concat(a, b), c)
     right = pulses.concat(a, pulses.concat(b, c))
     assert_close_schedules(left, right)
+
+
+# colliding interval names: a clash takes the lowest free base~n, so the
+# names do not depend on how the concatenation is grouped
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(a=schedules(COLLIDING), b=schedules(COLLIDING), c=schedules(COLLIDING))
+def test_concat_associative_with_colliding_names(a, b, c):
+    left = pulses.concat(pulses.concat(a, b), c)
+    right = pulses.concat(a, pulses.concat(b, c))
+    assert_close_schedules(left, right)
+
+
+def test_concat_names_three_collisions_alike():
+    x = pulses.PulseSchedule(duration=1e-9, annotations={"x": (0.0, 1e-9)})
+    left = pulses.concat(pulses.concat(x, x), x)
+    right = pulses.concat(x, pulses.concat(x, x))
+    assert list(left.annotations) == list(right.annotations) == ["x", "x~1", "x~2"]
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)

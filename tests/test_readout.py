@@ -108,8 +108,8 @@ def test_shot_sampling_statistics(solution):
     plan = readout.plan(solution, 1e-6, 1e6)
     shots = 10_000
     p_survive = 0.3
-    records, image = readout.sample_shots([p_survive], plan, shots, seed=123)
-    tunneled = sum(r.tunneled[0] for r in records)
+    escaped, image = readout.sample_shots([p_survive], plan, shots, seed=123)
+    tunneled = escaped[:, 0].sum()
     expect = shots * (1 - p_survive)
     sigma = math.sqrt(shots * p_survive * (1 - p_survive))
     assert abs(tunneled - expect) <= 3 * sigma
@@ -118,9 +118,9 @@ def test_shot_sampling_statistics(solution):
 
 def test_shot_sampling_certain_escape(solution):
     plan = readout.plan(solution, 1e-6, 1e6)
-    records, image = readout.sample_shots([0.0, 1.0], plan, 100, seed=5)
-    assert all(r.tunneled[0] for r in records)
-    assert not any(r.tunneled[1] for r in records)
+    escaped, image = readout.sample_shots([0.0, 1.0], plan, 100, seed=5)
+    assert escaped[:, 0].all()
+    assert not escaped[:, 1].any()
     assert image[(0, 0)] == 100
 
 
@@ -128,10 +128,10 @@ def test_shot_sampling_reproducible(solution):
     plan = readout.plan(solution, 1e-6, 1e6)
     a = readout.sample_shots([0.4, 0.7], plan, 500, seed=99)
     b = readout.sample_shots([0.4, 0.7], plan, 500, seed=99)
-    assert [r.tunneled for r in a[0]] == [r.tunneled for r in b[0]]
+    assert np.array_equal(a[0], b[0])
     assert a[1] == b[1]
     c = readout.sample_shots([0.4, 0.7], plan, 500, seed=100)
-    assert [r.tunneled for r in a[0]] != [r.tunneled for r in c[0]]
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_shot_frequency_error_scales_inverse_sqrt(solution):
@@ -144,8 +144,8 @@ def test_shot_frequency_error_scales_inverse_sqrt(solution):
     def block_variance(shots):
         freqs = []
         for seed in range(20):
-            records, _ = readout.sample_shots([p], plan, shots, seed=seed)
-            freqs.append(sum(r.tunneled[0] for r in records) / shots)
+            escaped, _ = readout.sample_shots([p], plan, shots, seed=seed)
+            freqs.append(escaped[:, 0].sum() / shots)
         return np.var(freqs)
 
     v1 = block_variance(500)
@@ -159,9 +159,9 @@ def test_pixel_aggregation(solution):
     plan = readout.plan(solution, 1e-6, 1e6, pixel_size=1e-4,
                         site_positions_cm=positions)
     assert plan.site_pixels == ((0, 0), (0, 0))
-    records, image = readout.sample_shots([0.0, 0.0], plan, 50, seed=1)
+    escaped, image = readout.sample_shots([0.0, 0.0], plan, 50, seed=1)
     assert image == {(0, 0): 100}
-    assert records[0].pixel_counts == {(0, 0): 2}
+    assert escaped[0].sum() == 2
 
 
 def test_survival_from_trace_record_matches_shots(solution):
@@ -180,8 +180,8 @@ def test_survival_from_trace_record_matches_shots(solution):
     survival = res.trace[-1]
     assert survival == pytest.approx(math.exp(-plan.wait / plan.t_2), rel=1e-8)
     shots = 10_000
-    records, _ = readout.sample_shots([survival], plan, shots, seed=7)
-    tunneled = sum(r.tunneled[0] for r in records)
+    escaped, _ = readout.sample_shots([survival], plan, shots, seed=7)
+    tunneled = escaped[:, 0].sum()
     sigma = math.sqrt(shots * survival * (1 - survival))
     assert abs(tunneled - shots * (1 - survival)) <= 3 * sigma
 
@@ -201,3 +201,45 @@ def test_plan_repeats_exactly(solution):
         again = readout.plan(solution, 1e-6, 1e6)
         assert (again.e_plus, again.t_1, again.t_2) == (first.e_plus, first.t_1, first.t_2)
     assert not any(a.flags.writeable for a in readout._angle_rule(200))
+
+
+def philox_oracle(seed, first, stop, n):
+    """NumPy's own Philox4x64-10 stream of each shot, one generator per shot."""
+    rows = [
+        np.random.Generator(np.random.Philox(key=seed, counter=k << 128)).random(n)
+        for k in range(first, stop)
+    ]
+    return np.array(rows).reshape(stop - first, n)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123, 2**40 + 5, 2**64 + 3, 2**128 - 1])
+@pytest.mark.parametrize("n_sites", [1, 3, 4, 5, 8, 9])
+def test_vectorized_philox_matches_numpy_generators(seed, n_sites):
+    # 2**64 + 3 sets key word 1; 4 and 8 sites end on a counter block, 5 and
+    # 9 start a new one
+    for shots in (0, 1, 3000):
+        draws = readout._uniforms(seed, 0, shots, n_sites)
+        assert np.array_equal(draws, philox_oracle(seed, 0, shots, n_sites))
+
+
+def test_shots_cross_the_chunk_boundary(solution):
+    plan = readout.plan(solution, 1e-6, 1e6)
+    chunk, n_sites, seed = readout._SHOT_CHUNK, 5, 2**64 + 3
+    shots = chunk + 7
+    survival = np.linspace(0.2, 0.8, n_sites)
+    escaped, image = readout.sample_shots(survival, plan, shots, seed)
+    assert escaped.shape == (shots, n_sites)
+    for first, stop in ((0, 3), (chunk - 4, chunk + 4), (shots - 3, shots)):
+        expect = philox_oracle(seed, first, stop, n_sites) >= survival
+        assert np.array_equal(escaped[first:stop], expect)
+    assert image == {(0, 0): int(escaped.sum())}
+
+
+def test_seed_outside_the_key_range_raises(solution):
+    # the key is 128 bits; NumPy's own range check is no longer on the path
+    plan = readout.plan(solution, 1e-6, 1e6)
+    for seed in (-1, 2**128, 2**130):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*128 - 1\]"):
+            readout.sample_shots([0.5], plan, 10, seed)
+    escaped, _ = readout.sample_shots([0.5], plan, 10, 2**128 - 1)
+    assert np.array_equal(escaped, philox_oracle(2**128 - 1, 0, 10, 1) >= 0.5)
