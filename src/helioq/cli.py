@@ -212,6 +212,13 @@ def device_voltages(block: dict, n_sites: int) -> np.ndarray:
     return np.asarray(mv, dtype=float) * 1e-3
 
 
+def check_sites(key: str, sites, n_sites: int) -> None:
+    """Raise a ConfigError when `key` names a site the device does not have."""
+    for site in sites:
+        if site >= n_sites:
+            raise ConfigError(f"{key} names site {site}, but the device has {n_sites} sites")
+
+
 class _Writer:
     def __init__(self, config: dict, overrides: list[str], subcommand: str):
         self.hash = config_hash(config)
@@ -363,6 +370,7 @@ def run_calibrate(config: dict, overrides: list[str], refine: bool = False) -> i
     sw = require_block(config, "swap")
     ham, _ = _build_register(config)
     pair = tuple(sw["pair"])
+    check_sites("swap.pair", pair, ham.n_qubits)
     refine = refine or sw.get("refine", False)
     dwell = pulses.calibrate_swap(
         ham, pair, sw["alpha"],
@@ -407,6 +415,8 @@ def run_evolve(config: dict, overrides: list[str]) -> int:
     sched = pulses.PulseSchedule.from_dict(require_block(config, "schedule"))
     init_blk = require_block(config, "initial")
     ham, _ = _build_register(config)
+    check_sites("schedule.voltage_channels[].site",
+                [c.site for c in sched.voltage_channels], ham.n_qubits)
     mode = init_blk.get("mode", "state-vector")
     if mode == "state-vector":
         initial = dynamics.RegisterState.state_vector(init_blk["bits"])
@@ -477,6 +487,7 @@ def run_demo_swap(config: dict, overrides: list[str]) -> int:
     sw = require_block(config, "swap")
     ham, geom = _build_register(config)
     pair = tuple(sw["pair"])
+    check_sites("swap.pair", pair, ham.n_qubits)
     alpha = sw["alpha"]
     rise, fall = sw.get("rise_s", 0.0), sw.get("fall_s", 0.0)
     dwell = pulses.calibrate_swap(

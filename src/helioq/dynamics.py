@@ -27,13 +27,14 @@ Optional loss channels:
   escapes the surface.
 
 The timeline is cut into pieces at the schedule breakpoints and t_f, so
-each piece has one slope per channel and one tunneling state; one
-propagator per piece steps from sample to sample inside it.  A piece with
-constant coefficients builds its operator once: the eigendecomposition of
-H when closed, or the sparse Liouvillian, whose exponential acts by
-expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), when
-dissipative.  Other pieces use DOP853 with the step size capped at a
-tenth of each step, on the same Liouvillian for a density matrix.
+each piece has one slope per channel and one tunneling state.  Samples are
+read from one propagation per piece and never cut it.  A constant piece
+builds its operator once: the eigendecomposition of H when closed, which
+gives every sample from the piece's start, or the sparse Liouvillian when
+dissipative, whose exponential expm_multiply (Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33, 2011) applies from sample to sample.  Other pieces take
+one DOP853 integration, on the same Liouvillian for a density matrix, read
+at the samples by its dense output (Hairer, Norsett & Wanner, Solving ODEs I).
 """
 from __future__ import annotations
 
@@ -486,17 +487,13 @@ def evolve(
     # samples at 0 hold the initial state, also when t_end = 0 leaves no piece
     k = int(np.searchsorted(samples, 0.0, side="right"))
     out_states = [state] * k
-    t = 0.0
     for ta, tb in zip(bounds[:-1], bounds[1:]):
-        step = _propagator(sys, liou, ta, tb, ta >= t_f, ir)
         j = int(np.searchsorted(samples, tb, side="right"))
-        for stop in samples[k:j]:
-            if stop > t:
-                state, t = step(state, t, stop), stop
-            out_states.append(state)
-        if tb > t:
-            state, t = step(state, t, tb), tb
-        k = j
+        # the piece's samples in (ta, tb] and tb itself, repeats read once
+        times, at = np.unique(np.append(samples[k:j], tb), return_inverse=True)
+        states = _propagator(sys, liou, ta, tb, ta >= t_f, ir)(state, times)
+        out_states.extend(states[i] for i in at[:-1])
+        state, k = states[-1], j
 
     snapshots = [RegisterState(initial.mode, n, s) for s in out_states]
     return EvolutionResult(
@@ -511,7 +508,7 @@ def evolve(
 
 
 def _propagator(sys, liou, ta, tb, tunneling, rtol):
-    """Step function (state, t0, t1) -> state for ta <= t0 <= t1 <= tb."""
+    """Propagation (state at ta, sorted times in (ta, tb]) -> states at those times."""
     tm = 0.5 * (ta + tb)
     dissipative = liou is not None and (sys.spec.budget is not None or tunneling)
     if sys.constant_on(ta, tb):
@@ -519,37 +516,40 @@ def _propagator(sys, liou, ta, tb, tunneling, rtol):
             w, v = np.linalg.eigh(sys.dense_h(tm))
             vh = v.conj().T
 
-            def unitary(state, t0, t1):
-                phases = np.exp(-1j * w * (t1 - t0))
+            def unitary(state, times):
+                # every sample from the start state, through the one eigenbasis
+                phases = (np.exp(-1j * w * (t - ta)) for t in times)
                 if state.ndim == 1:
-                    return v @ (phases * (vh @ state))
-                u = v @ np.diag(phases) @ vh
-                return u @ state @ u.conj().T
+                    c = vh @ state
+                    return [v @ (p * c) for p in phases]
+                return [u @ state @ u.conj().T for u in (v @ np.diag(p) @ vh for p in phases)]
 
             return unitary
         if dissipative:
             op, rate = liou.constant(tm, tunneling)
 
-            def exponential(state, t0, t1):
-                dt = t1 - t0
-                rho = expm_multiply(dt * op, state.reshape(-1)) * np.exp(dt * rate)
-                return rho.reshape(state.shape)
+            def exponential(state, times):
+                # expm_multiply's cost grows with dt ||L||, so it steps sample to sample
+                out = [state]
+                for dt in np.diff(times, prepend=ta):
+                    rho = expm_multiply(dt * op, out[-1].reshape(-1)) * np.exp(dt * rate)
+                    out.append(rho.reshape(state.shape))
+                return out[1:]
 
             return exponential
 
     def rhs(t, y):
         return -1j * sys.apply_h(t, y) if liou is None else liou.apply(t, y, tunneling)
 
-    return lambda state, t0, t1: _propagate_ivp(rhs, state, t0, t1, rtol, tunneling)
+    return lambda state, times: _propagate_ivp(rhs, state, ta, times, rtol, tunneling)
 
 
-def _propagate_ivp(rhs, state, ta, tb, rtol, tunneling):
-    """DOP853 over [ta, tb]; a density matrix integrates as its row-major vector."""
+def _propagate_ivp(rhs, state, ta, times, rtol, tunneling):
+    """One DOP853 run from ta, read at `times`; a density matrix runs as its row-major vector."""
+    tb = float(times[-1])
     sol = solve_ivp(
         rhs, (ta, tb), state.reshape(-1), method="DOP853",
-        rtol=rtol, atol=rtol * 1e-2,
-        max_step=(tb - ta) / 10.0,
-        dense_output=False,
+        rtol=rtol, atol=rtol * 1e-2, t_eval=times,
     )
     if not sol.success:
         mode = "state-vector" if state.ndim == 1 else "density-matrix"
@@ -557,4 +557,4 @@ def _propagate_ivp(rhs, state, ta, tb, rtol, tunneling):
             f"integrator failed on [{ta}, {tb}] in {mode} mode with tunneling "
             f"{'on' if tunneling else 'off'} at rtol={rtol}: {sol.message}"
         )
-    return sol.y[:, -1].reshape(state.shape)
+    return sol.y.T.reshape(-1, *state.shape)

@@ -136,14 +136,6 @@ def _moment_matrix(size: int, power: int, order: int) -> np.ndarray:
     return out
 
 
-def z_matrix(spec: HydrogenicBasisSpec, size: int | None = None) -> np.ndarray:
-    """Unperturbed <m|z|n> in cm (symmetric by construction)."""
-    size = spec.size if size is None else size
-    order = max(spec.quad_order, size + 8)
-    _, r_b = spec.scales
-    return _moment_matrix(size, 1, order) * r_b
-
-
 @dataclass(frozen=True)
 class HydrogenicSolution:
     """Stark-shifted levels, z matrix elements, and wavefunction samples.

@@ -238,8 +238,7 @@ _STARK_CACHE_SIZE = 1024
 class _StarkMap:
     """Transition energy (K) versus pressing field, from the checked eigensolve.
 
-    Exact evaluations are kept in an LRU cache of `_STARK_CACHE_SIZE`
-    fields; array arguments are evaluated element by element.
+    Exact evaluations are kept in an LRU cache of `_STARK_CACHE_SIZE` fields.
     """
 
     def __init__(self, basis: HydrogenicBasisSpec):
@@ -258,12 +257,6 @@ class _StarkMap:
         else:
             self._remember(key, transition_K(self.basis, key))
         return self._cache[key]
-
-    def __call__(self, e_field):
-        e = np.asarray(e_field, dtype=float)
-        if e.ndim == 0:
-            return self.exact(float(e))
-        return np.array([self.exact(f) for f in e.ravel()]).reshape(e.shape)
 
 
 def build(

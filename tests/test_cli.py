@@ -335,6 +335,47 @@ def test_electrode_depth_key_rejected(tmp_path):
     assert main(["build", "--config", cfg]) == 2
 
 
+def test_noise_convention_key_rejected(tmp_path):
+    # noise.convention was never read by the budget and is no longer in the schema
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE),
+        "noise": {"s_v": 1e-10, "convention": "white-noise"},
+    })
+    assert main(["decoherence", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("subcommand", ["calibrate", "demo-swap"])
+def test_swap_pair_past_the_last_site_is_a_config_error(tmp_path, capsys, subcommand):
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE),
+        "swap": {"pair": [0, 2], "alpha": math.pi / 4},
+    })
+    assert main([subcommand, "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: swap.pair names site 2, but the device has 2 sites\n"
+    )
+
+
+def test_voltage_channel_past_the_last_site_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE),
+        "schedule": {
+            "duration_s": 1e-9,
+            "voltage_channels": [{"site": 2, "points": [[0.0, 0.0], [1e-9, 1e-3]]}],
+        },
+        "initial": {"bits": "ud"},
+        "evolution": {"sample_count": 3},
+    })
+    assert main(["evolve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: schedule.voltage_channels[].site names site 2, "
+        "but the device has 2 sites\n"
+    )
+
+
 def test_floats_serialized_at_full_precision(tmp_path):
     cfg = write_config(tmp_path, {
         "output_dir": str(tmp_path / "out"),

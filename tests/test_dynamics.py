@@ -403,13 +403,14 @@ def loss_budget(t1, t2_eff):
     )
 
 
-def coupled_register(n, seed, eps_K=1.0):
-    """n coupled qubits near eps_K with detunings, exchange and sz-sz shifts of ~1/T_SEG."""
+def coupled_register(n, seed, eps_K=1.0, coupling=1.0):
+    """n coupled qubits near eps_K with detunings of ~1/T_SEG, exchange and
+    sz-sz shifts of ~coupling/T_SEG."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / (T_SEG * K_RAD)
     eps = eps_K + rng.uniform(-1.0, 1.0, n) * scale
-    a = np.triu(rng.uniform(0.0, 1.0, (n, n)) * scale, 1)
-    b = np.triu(rng.uniform(0.0, 2.0, (n, n)) * scale, 1)
+    a = np.triu(rng.uniform(0.0, 1.0, (n, n)) * scale, 1) * coupling
+    b = np.triu(rng.uniform(0.0, 2.0, (n, n)) * scale, 1) * coupling
     return qubits.QubitArrayHamiltonian.from_parameters(
         eps_K=eps, a_K=a + a.T, b_K=b + b.T, drive_coeff=1e9
     )
@@ -493,10 +494,10 @@ def test_lindblad_ivp_matches_exponential(drive, n):
     liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
     rho0 = random_density_matrix(2**n, seed=7)
     rtol = 1e-10
-    exact = dynamics._propagator(sys, liou, 0.0, T_SEG, True, rtol)(rho0, 0.0, T_SEG)
+    exact = dynamics._propagator(sys, liou, 0.0, T_SEG, True, rtol)(rho0, [T_SEG])[-1]
     stepped = dynamics._propagate_ivp(
-        lambda t, y: liou.apply(t, y, True), rho0, 0.0, T_SEG, rtol, True
-    )
+        lambda t, y: liou.apply(t, y, True), rho0, 0.0, [T_SEG], rtol, True
+    )[-1]
     # rtol bounds each step's error; the global error is a small multiple of it
     assert np.abs(stepped - exact).max() <= 10 * rtol
 
@@ -643,10 +644,10 @@ def test_unitary_eigh_matches_ivp_on_constant_segment():
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     psi /= np.linalg.norm(psi)
     rtol = 1e-10
-    exact = dynamics._propagator(sys, None, 0.0, T_SEG, False, rtol)(psi, 0.0, T_SEG)
+    exact = dynamics._propagator(sys, None, 0.0, T_SEG, False, rtol)(psi, [T_SEG])[-1]
     stepped = dynamics._propagate_ivp(
-        lambda t, y: -1j * sys.apply_h(t, y), psi, 0.0, T_SEG, rtol, False
-    )
+        lambda t, y: -1j * sys.apply_h(t, y), psi, 0.0, [T_SEG], rtol, False
+    )[-1]
     # rtol bounds each step's error; the global error is a small multiple of it
     assert np.abs(stepped - exact).max() <= 10 * rtol
 
@@ -784,11 +785,119 @@ def test_integrator_failure_names_segment_mode_and_rtol(monkeypatch):
     with pytest.raises(RuntimeError) as err:
         evolve(ham, sched, RegisterState.density_matrix("u"), spec)
     assert str(err.value) == (
-        f"integrator failed on [0.0, {0.5 * T_SEG}] in density-matrix mode with "
+        f"integrator failed on [0.0, {T_SEG}] in density-matrix mode with "
         "tunneling on at rtol=3e-14: Required step size is less than spacing"
     )
     with pytest.raises(RuntimeError, match=r"in state-vector mode with tunneling off"):
         evolve(ham, sched, RegisterState.state_vector("u"), EvolutionSpec(sample_times=[T_SEG]))
+
+
+# --- samples are read from one propagation per piece -------------------------
+
+TRIANGLE = ((0.0, 0.0), (0.5 * T_SEG, 1.0), (T_SEG, 0.0))
+
+
+def driven_register(n, envelope, seed=None, coupling=1.0):
+    """Coupled register (seed n by default) under one drive resonant with qubit 0."""
+    ham = coupled_register(n, n if seed is None else seed, coupling=coupling)
+    carrier = ham.eps_K[0] * units.K_TO_GHZ
+    sched = pulses.PulseSchedule(
+        duration=T_SEG, microwave=(pulses.MicrowaveChannel(carrier, 0.15, 0.4, envelope),),
+    )
+    return ham, sched
+
+
+SAMPLE_GRID_CASES = {
+    # one ramped piece under DOP853
+    "ramp-state-vector": (3, ((0.0, 0.2), (T_SEG, 1.0)), None),
+    # two DOP853 pieces on the Lindblad generator, draining from t = 0
+    "triangle-density-matrix": (2, TRIANGLE, TunnelingSpec(0.0, 4 * T_SEG)),
+    # one eigendecomposition
+    "constant-state-vector": (3, (), None),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLE_GRID_CASES)
+def test_samples_do_not_change_the_final_state(case):
+    n, envelope, tunneling = SAMPLE_GRID_CASES[case]
+    ham, sched = driven_register(n, envelope)
+    if tunneling is None:
+        initial = RegisterState.state_vector("u" + "d" * (n - 1))
+    else:
+        initial = RegisterState("density-matrix", n, random_density_matrix(2**n, seed=3))
+    finals = [
+        evolve(ham, sched, initial,
+               EvolutionSpec(sample_times=grid, rtol=1e-10, tunneling=tunneling)).final_state
+        for grid in ([T_SEG], np.linspace(0.0, T_SEG, 4), np.linspace(0.0, T_SEG, 101))
+    ]
+    assert np.abs(finals[0] - initial.data).max() > 0.1
+    assert np.array_equal(finals[0], finals[1])
+    assert np.array_equal(finals[0], finals[2])
+
+
+def test_one_integration_per_piece_matches_chained_restarts():
+    n = 3
+    ham, sched = driven_register(n, ((0.0, 0.2), (T_SEG, 1.0)))
+    rtol = 1e-10
+    sys = dynamics._System(ham, sched, EvolutionSpec(sample_times=[T_SEG], rtol=rtol))
+    times = np.linspace(0.0, T_SEG, 9)[1:]
+    psi = RegisterState.state_vector("udu").data
+    once = dynamics._propagator(sys, None, 0.0, T_SEG, False, rtol)(psi, times)
+
+    def rhs(t, y):
+        return -1j * sys.apply_h(t, y)
+
+    state, t0 = psi, 0.0
+    for t1, got in zip(times, once):
+        state, t0 = dynamics._propagate_ivp(rhs, state, t0, [t1], rtol, False)[-1], t1
+        assert np.abs(got - state).max() <= 10 * rtol
+
+
+@pytest.mark.parametrize("mode", ["state-vector", "density-matrix"])
+def test_evaluations_do_not_track_the_sample_count(monkeypatch, mode):
+    nfev = []
+    original = dynamics.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    dm = mode == "density-matrix"
+    n = 2 if dm else 3
+    ham, sched = driven_register(n, TRIANGLE)
+    initial = getattr(RegisterState, mode.replace("-", "_"))("u" + "d" * (n - 1))
+    counts = []
+    for count in (4, 101):
+        nfev.clear()
+        evolve(ham, sched, initial, EvolutionSpec(
+            sample_times=np.linspace(0.0, T_SEG, count),
+            budget=loss_budget(3 * T_SEG, 2 * T_SEG) if dm else None,
+            tunneling=TunnelingSpec(0.25 * T_SEG, 4 * T_SEG) if dm else None,
+        ))
+        counts.append(sum(nfev))
+    assert len(nfev) == (3 if dm else 2)
+    assert counts[1] <= 1.5 * counts[0]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    coupling=st.floats(0.0, 2.0),
+    envelope=st.sampled_from([(), ((0.0, 0.3), (T_SEG, 1.0)), TRIANGLE]),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_state_vector_norm_is_conserved(n, seed, coupling, envelope, fractions):
+    # constant envelopes take the eigendecomposition, ramps one DOP853 run
+    # per piece read at the samples inside it
+    ham, sched = driven_register(n, envelope, seed, coupling)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    res = evolve(ham, sched, RegisterState("state-vector", n, psi / np.linalg.norm(psi)),
+                 EvolutionSpec(sample_times=np.sort(fractions) * T_SEG))
+    assert np.abs(res.norm - 1.0).max() < 1e-8
 
 
 # --- relabeling sites --------------------------------------------------------

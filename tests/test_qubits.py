@@ -147,17 +147,6 @@ def test_build_deterministic(pair_geometry):
     )
 
 
-def test_stark_map_spline_matches_exact(pair_register):
-    stark = pair_register.stark_map
-    fields = np.linspace(-2.0, 2.0, 7)
-    spline_vals = stark(fields)
-    for f, s in zip(fields, spline_vals):
-        # negative (extracting) fields carry ~1e-6 tracking jitter from the
-        # exponentially narrow crossings with truncation states
-        tol = 1e-9 if f >= 0 else 1e-5
-        assert s == pytest.approx(stark.exact(float(f)), rel=tol)
-
-
 def test_stark_cache_is_bounded(pair_geometry):
     stark = qubits.build(pair_geometry).stark_map
     limit = qubits._STARK_CACHE_SIZE
