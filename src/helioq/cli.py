@@ -219,6 +219,15 @@ def check_sites(key: str, sites, n_sites: int) -> None:
             raise ConfigError(f"{key} names site {site}, but the device has {n_sites} sites")
 
 
+def swap_pair(block: dict, n_sites: int) -> tuple[int, int]:
+    """The `swap.pair` sites, after checking that they are two distinct device sites."""
+    pair = tuple(block["pair"])
+    check_sites("swap.pair", pair, n_sites)
+    if pair[0] == pair[1]:
+        raise ConfigError(f"swap.pair names site {pair[0]} twice")
+    return pair
+
+
 class _Writer:
     def __init__(self, config: dict, overrides: list[str], subcommand: str):
         self.hash = config_hash(config)
@@ -369,8 +378,7 @@ def run_build(config: dict, overrides: list[str]) -> int:
 def run_calibrate(config: dict, overrides: list[str], refine: bool = False) -> int:
     sw = require_block(config, "swap")
     ham, _ = _build_register(config)
-    pair = tuple(sw["pair"])
-    check_sites("swap.pair", pair, ham.n_qubits)
+    pair = swap_pair(sw, ham.n_qubits)
     refine = refine or sw.get("refine", False)
     dwell = pulses.calibrate_swap(
         ham, pair, sw["alpha"],
@@ -417,11 +425,16 @@ def run_evolve(config: dict, overrides: list[str]) -> int:
     ham, _ = _build_register(config)
     check_sites("schedule.voltage_channels[].site",
                 [c.site for c in sched.voltage_channels], ham.n_qubits)
+    bits = init_blk["bits"]
+    if len(bits) != ham.n_qubits:
+        raise ConfigError(
+            f"initial.bits has {len(bits)} characters for {ham.n_qubits} sites"
+        )
     mode = init_blk.get("mode", "state-vector")
     if mode == "state-vector":
-        initial = dynamics.RegisterState.state_vector(init_blk["bits"])
+        initial = dynamics.RegisterState.state_vector(bits)
     else:
-        initial = dynamics.RegisterState.density_matrix(init_blk["bits"])
+        initial = dynamics.RegisterState.density_matrix(bits)
     spec = _evolution_spec(config, sched.duration)
     result = dynamics.evolve(ham, sched, initial, spec)
     w = _Writer(config, overrides, "evolve")
@@ -486,8 +499,7 @@ def run_readout(config: dict, overrides: list[str]) -> int:
 def run_demo_swap(config: dict, overrides: list[str]) -> int:
     sw = require_block(config, "swap")
     ham, geom = _build_register(config)
-    pair = tuple(sw["pair"])
-    check_sites("swap.pair", pair, ham.n_qubits)
+    pair = swap_pair(sw, ham.n_qubits)
     alpha = sw["alpha"]
     rise, fall = sw.get("rise_s", 0.0), sw.get("fall_s", 0.0)
     dwell = pulses.calibrate_swap(

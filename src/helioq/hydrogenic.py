@@ -175,23 +175,30 @@ class HydrogenicSolution:
         return self.transition_K(m, n) * K_TO_GHZ
 
 
-def _eigensystem(spec: HydrogenicBasisSpec, e_perp: float, size: int):
-    """Eigenpairs of the truncated Stark matrix, in physical order.
+def _eigensystem(spec: HydrogenicBasisSpec, e_perp: float, size: int, vectors: bool = False):
+    """Energies of the truncated Stark matrix in physical order, with the
+    eigenvectors where they are read.
+
+    The energies always come from `np.linalg.eigvalsh`, so every caller gets
+    the same bits at the same field.  `np.linalg.eigh` runs only when
+    `vectors` is asked for or the field is negative; otherwise the returned
+    vectors are None.
 
     For pressing (binding) fields the ascending-energy order is physical.
     For the small *negative* fields probed by symmetric finite differences
     the potential is unbounded at large z and the truncated matrix grows
     spurious states sinking below the spectrum; there the quasi-bound
-    levels are recovered by maximum-overlap assignment to the unperturbed
-    labels (the avoided crossings with the spurious states are
-    exponentially narrow at the field strengths of interest, and the
-    convergence check in `solve` guards states 1 and 2).
+    levels are recovered by maximum-overlap assignment of the eigenvectors
+    to the unperturbed labels (the avoided crossings with the spurious
+    states are exponentially narrow at the field strengths of interest,
+    and the convergence check in `solve` guards states 1 and 2).
     """
     rydberg_K, r_b = spec.scales
     m_idx = np.arange(1, size + 1)
     z_cm = _moment_matrix(size, 1, max(spec.quad_order, size + 8)) * r_b
     h = np.diag(-rydberg_K / m_idx**2) + EVCM_K * e_perp * z_cm
-    energies, vecs = np.linalg.eigh(h)
+    energies = np.linalg.eigvalsh(h)
+    vecs = np.linalg.eigh(h)[1] if vectors or e_perp < 0 else None
     if e_perp < 0:
         from scipy.optimize import linear_sum_assignment
 
@@ -202,10 +209,14 @@ def _eigensystem(spec: HydrogenicBasisSpec, e_perp: float, size: int):
     return energies, vecs, z_cm
 
 
-def _checked_eigensystem(spec: HydrogenicBasisSpec, e_perp: float):
-    """`_eigensystem` at `spec.size`, after the convergence checks of `solve`."""
+def _checked_eigensystem(spec: HydrogenicBasisSpec, e_perp: float, vectors: bool = False):
+    """`_eigensystem` at `spec.size`, after the convergence checks of `solve`.
+
+    The size + 5 check needs energies only, so it runs `eigh` just at
+    negative fields, where the level assignment reads the eigenvectors.
+    """
     rydberg_K, _ = spec.scales
-    energies, vecs, z_cm = _eigensystem(spec, e_perp, spec.size)
+    energies, vecs, z_cm = _eigensystem(spec, e_perp, spec.size, vectors)
     check_e, _, _ = _eigensystem(spec, e_perp, spec.size + 5)
     # shifts are measured against the qubit splitting: E_2 itself crosses
     # zero near 36 V/cm, where a self-relative metric is meaningless
@@ -251,7 +262,7 @@ def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
     levels are not strictly ordered.
     """
     rydberg_K, r_b = spec.scales
-    energies, vecs, z_cm = _checked_eigensystem(spec, e_perp)
+    energies, vecs, z_cm = _checked_eigensystem(spec, e_perp, vectors=True)
 
     # fix the sign of each perturbed state so its dominant component is positive
     dom = np.argmax(np.abs(vecs), axis=0)
@@ -287,8 +298,8 @@ def stark_rate(spec: HydrogenicBasisSpec, m: int, step: float = 1e-3) -> float:
         raise ValueError(f"state index {m} outside basis of size {spec.size}")
 
     def central(delta: float) -> float:
-        up = solve(spec, +delta).energies[m - 1]
-        dn = solve(spec, -delta).energies[m - 1]
+        up = _checked_eigensystem(spec, +delta)[0][m - 1]
+        dn = _checked_eigensystem(spec, -delta)[0][m - 1]
         return (up - dn) / (2.0 * delta) * K_TO_GHZ
 
     coarse = central(step)

@@ -334,6 +334,8 @@ def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall, v_peak):
     n, m = pair
     n_q = hamiltonian.n_qubits
     target = math.sin(alpha) ** 2
+    if v_peak is None:  # the resonance does not depend on the dwell: solve it once
+        v_peak = resonance_voltage(hamiltonian, n, m)
 
     def mismatch(dwell):
         sched = swap_schedule(hamiltonian, pair, dwell, rise, fall, v_peak)

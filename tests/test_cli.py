@@ -358,6 +358,33 @@ def test_swap_pair_past_the_last_site_is_a_config_error(tmp_path, capsys, subcom
     )
 
 
+
+@pytest.mark.parametrize("subcommand", ["calibrate", "demo-swap"])
+def test_swap_pair_naming_one_site_twice_is_a_config_error(tmp_path, capsys, subcommand):
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE),
+        "swap": {"pair": [1, 1], "alpha": math.pi / 4},
+    })
+    assert main([subcommand, "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: swap.pair names site 1 twice\n"
+
+
+@pytest.mark.parametrize("mode", ["state-vector", "density-matrix"])
+@pytest.mark.parametrize("bits", ["u", "udu"])
+def test_initial_bits_not_one_per_site_is_a_config_error(tmp_path, capsys, mode, bits):
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE),
+        "schedule": {"duration_s": 1e-9},
+        "initial": {"bits": bits, "mode": mode},
+        "evolution": {"sample_count": 3},
+    })
+    assert main(["evolve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: initial.bits has {len(bits)} characters for 2 sites\n"
+    )
+
 def test_voltage_channel_past_the_last_site_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "output_dir": str(tmp_path / "out"),

@@ -4,11 +4,12 @@ The matrix-element oracle here is independent of the package: closed-form
 m = 1, 2 wavefunctions integrated by adaptive quadrature, plus published
 hydrogenic expectation values (<z>_m = 3 m^2 r_B / 2 for these states).
 """
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from helioq import units
+from helioq import hydrogenic, qubits, units
 from helioq.hydrogenic import (
     ConvergenceError,
     HydrogenicBasisSpec,
@@ -203,3 +204,52 @@ def test_grid_validation():
         HydrogenicBasisSpec(lam=LAM, grid=np.array([0.0, 1e-6]))
     with pytest.raises(ValueError):
         HydrogenicBasisSpec(lam=LAM, grid=np.array([1e-6, 1e-6]))
+
+
+def _stark_matrix(spec, e_perp):
+    """The truncated Stark matrix (K) that `transition_K` diagonalizes."""
+    rydberg_K, r_b = spec.scales
+    m = np.arange(1, spec.size + 1)
+    z_cm = hydrogenic._moment_matrix(spec.size, 1, max(spec.quad_order, spec.size + 8)) * r_b
+    return np.diag(-rydberg_K / m**2) + units.EVCM_K * e_perp * z_cm
+
+
+@pytest.mark.parametrize("e_perp", [0.0, 37.0, 100.0])
+def test_transition_K_matches_extended_precision_eigensolve(basis, e_perp):
+    # independent eigensolver: mpmath's Jacobi iteration at 30 digits on the
+    # same 32-state matrix
+    h = mpmath.matrix(_stark_matrix(basis, e_perp).tolist())
+    with mpmath.workdps(30):
+        energies = sorted(mpmath.eigsy(h, eigvals_only=True))
+        splitting = float(energies[1] - energies[0])
+    assert transition_K(basis, e_perp) == pytest.approx(splitting, rel=1e-13, abs=0)
+
+
+def test_transition_K_matches_eigh_over_a_sweep(basis):
+    for e_perp in (-1e-3, 0.0, 1e-3, 1.0, 10.0, 37.0, 60.0, 100.0, 120.0):
+        energies = np.linalg.eigh(_stark_matrix(basis, e_perp))[0]
+        splitting = energies[1] - energies[0]
+        assert abs(transition_K(basis, e_perp) - splitting) <= 1e-12 * splitting
+
+
+class _EighCalled(Exception):
+    pass
+
+
+def test_eigenvectors_only_where_they_are_read(basis, monkeypatch):
+    # pins the cost of a Stark lookup: energies come from eigvalsh, and eigh
+    # runs only where eigenvectors are read
+    expected = transition_K(basis, 12.5)
+
+    def eigh(*args, **kwargs):
+        raise _EighCalled
+
+    monkeypatch.setattr(hydrogenic.np.linalg, "eigh", eigh)
+    assert transition_K(basis, 0.0) > 0
+    assert transition_K(basis, 12.5) == expected
+    assert qubits._StarkMap(basis).exact(12.5) == expected
+    # the level assignment at negative fields and solve's vectors still need it
+    with pytest.raises(_EighCalled):
+        transition_K(basis, -1e-3)
+    with pytest.raises(_EighCalled):
+        solve(basis, 12.5)

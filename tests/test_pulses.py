@@ -334,3 +334,34 @@ def test_swap_schedule_without_device_map():
     # explicit peak voltage bypasses the device map
     sched = pulses.swap_schedule(ham, (0, 1), 1e-9, v_peak=0.0)
     assert sched.duration == pytest.approx(1e-9, rel=1e-12)
+
+
+def test_refine_solves_the_resonance_once(monkeypatch):
+    # the resonance voltage does not depend on the dwell, so one solve serves
+    # every evaluation of the refinement and gives the dwell that re-solving
+    # it inside each schedule gives
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
+    ham = qubits.build(geom, voltages=np.array([0.0, 5e-5]))
+    alpha = math.pi / 2
+    ramp = pulses.calibrate_swap(ham, (0, 1), alpha) / 16
+    swap_schedule = pulses.swap_schedule
+    resonance_voltage = pulses.resonance_voltage
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return resonance_voltage(*args)
+
+    def per_schedule(hamiltonian, pair, dwell, rise, fall, v_peak):
+        return swap_schedule(hamiltonian, pair, dwell, rise, fall)
+
+    monkeypatch.setattr(pulses, "resonance_voltage", counted)
+    monkeypatch.setattr(pulses, "swap_schedule", per_schedule)
+    re_solved = pulses.calibrate_swap(ham, (0, 1), alpha, refine=True, rise=ramp, fall=ramp)
+    assert len(calls) > 5
+
+    monkeypatch.setattr(pulses, "swap_schedule", swap_schedule)
+    calls.clear()
+    refined = pulses.calibrate_swap(ham, (0, 1), alpha, refine=True, rise=ramp, fall=ramp)
+    assert calls == [(ham, 0, 1)]
+    assert refined == re_solved
