@@ -110,6 +110,16 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
+def _finite_json(text: str, source: str):
+    """json.loads that rejects numbers that are not finite (NaN, Infinity, 1e999)."""
+    def finite(token):
+        if not math.isfinite(x := float(token)):
+            raise ConfigError(f"{source} holds the non-finite number {token}")
+        return x
+
+    return json.loads(text, parse_constant=finite, parse_float=finite)
+
+
 def apply_override(config: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ConfigError(f"override must look like path.to.key=value: {assignment!r}")
@@ -121,7 +131,7 @@ def apply_override(config: dict, assignment: str) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"override path {path!r} crosses a non-object value")
     try:
-        value = json.loads(raw)
+        value = _finite_json(raw, f"override {assignment!r}")
     except json.JSONDecodeError:
         value = raw
     node[keys[-1]] = value
@@ -130,7 +140,7 @@ def apply_override(config: dict, assignment: str) -> None:
 def load_config(path: str, overrides: list[str]) -> tuple[dict, list[str]]:
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = _finite_json(fh.read(), f"config {path}")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -15,8 +15,8 @@ area Omega T = pi inverts the qubit.
 Each evolve call writes H(t) = diag(z(t)) + H_static + f_x(t) X + f_y(t) Y
 once, as a list of terms that each hold one entry per row (row i couples
 to column cols[i] with value vals[i]): the sz-sz diagonal, one term per
-exchange pair, and one per X_n and Y_n flip.  The state-vector product,
-the dense matrix and the Liouvillian's commutators are all read from it.
+exchange pair, and one per X_n and Y_n flip.  The state-vector product
+and the dense matrix, the one form of H a density matrix sees, use it.
 
 Optional loss channels:
 - per-qubit relaxation at rate 1/T1 (lowering operator) and pure dephasing
@@ -30,14 +30,16 @@ The timeline is cut into pieces at the schedule breakpoints and t_f, so
 each piece has one slope per channel and one tunneling state.  Samples are
 read from one propagation per piece and never cut it.  A constant piece
 builds its operator once: the eigendecomposition of H when closed, which
-gives every sample from the piece's start, or the sparse Liouvillian when
-dissipative, whose exponential expm_multiply (Al-Mohy & Higham, SIAM J.
-Sci. Comput. 33, 2011) applies from sample to sample.  Other pieces take
-one DOP853 integration, on the same Liouvillian for a density matrix, read
-at the samples by its dense output (Hairer, Norsett & Wanner, Solving ODEs I).
+gives every sample from the piece's start, or the sparse Liouvillian
+-i(H (x) I - I (x) H^T) + D, D the loss channels, when dissipative, whose
+exponential expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+2011) applies from sample to sample.  Other pieces take one DOP853
+integration, of -i(H rho - rho H) + D for a density matrix, read at the
+samples by its dense output (Hairer, Norsett & Wanner, Solving ODEs I).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -340,83 +342,70 @@ class _System:
         """The time-dependent diagonal sum_n (eps_n(t) - w) sz_n/2."""
         return 0.5 * ((self.eps_rad(t) - w) @ self.zpat)
 
-    def _weighted(self, t):
-        """(c_k(t), terms of H_k) for the H_k whose coefficient is nonzero."""
+    def _weighted(self, t, parts):
+        """(c_k(t), parts[k]) for the H_k whose coefficient is nonzero."""
         coeffs = (1.0, *self.drive_xy(t))
-        return [(c, terms) for c, terms in zip(coeffs, self.terms) if c != 0.0]
+        return [(c, part) for c, part in zip(coeffs, parts) if c != 0.0]
+
+    @functools.cached_property
+    def _flat(self):
+        """Each H_k as (flat indices into H, values), zeros dropped.
+
+        One H_k couples each row to distinct columns, so its indices are distinct.
+        """
+        rows = np.arange(self.dim) * self.dim
+        flat = [(np.array([rows + cols for cols, _ in terms], dtype=int).ravel(),
+                 np.array([vals for _, vals in terms]).ravel()) for terms in self.terms]
+        return [(at[vals != 0.0], vals[vals != 0.0]) for at, vals in flat]
 
     def apply_h(self, t, psi) -> np.ndarray:
         out = self.z(t) * psi
-        for c, terms in self._weighted(t):
+        for c, terms in self._weighted(t, self.terms):
             for cols, vals in terms:
                 out += c * vals * psi[cols]
         return out
 
-    def dense_h(self, t) -> np.ndarray:
-        h = np.diag(self.z(t).astype(complex))
-        rows = np.arange(self.dim)
-        for c, terms in self._weighted(t):
-            for cols, vals in terms:
-                h[rows, cols] += c * vals
+    def dense_h(self, t, w: float = 0.0) -> np.ndarray:
+        """H(t) as a dense matrix, less w sum_n sz_n/2."""
+        h = np.diag(self.z(t, w).astype(complex))
+        for c, (at, vals) in self._weighted(t, self._flat):
+            h.reshape(-1)[at] += c * vals
         return h
 
 
 class _Liouvillian:
-    """Sparse density-matrix generator, built once per evolve call.
+    """Density-matrix generator -i[H(t), .] + D, less {G, .} once tunneling is on.
 
+    H(t) is read from `_System.dense_h`; only D and D - {G, .} are stored.
     On row-major vec(rho), op (x) I acts as op @ rho and I (x) op^T as
-    rho @ op.  L(t) = L_static + D(t) + f_x(t) L_x + f_y(t) L_y, less
-    {G, .} once tunneling is on.  L_static holds -i[H_static, .] (exchange
-    and sz-sz shifts), relaxation sqrt(1/T1) s- as index shifts, and
-    dephasing sqrt(2/T2_eff) sz/2, which alone decays coherences as
-    exp(-t/T2_eff).  D(t) = -i(z_a - z_b) acts elementwise on rho_ab for
-    z = sum_n eps_n(t) sz_n/2; L_x, L_y are the drive commutators;
-    G = sum_n P_up_n/(2 t_up) is the readout tunneling drain.
+    rho @ op.  D holds relaxation sqrt(1/T1) s- (jumps as index shifts, and
+    decay) and dephasing sqrt(2/T2_eff) sz/2, which alone decays coherences
+    as exp(-t/T2_eff); G = sum_n P_up_n/(2 t_up) is the readout tunneling drain.
     """
 
     def __init__(self, sys: _System, budget: DecoherenceBudget | None,
                  tunneling: TunnelingSpec | None):
         dim = sys.dim
         idx = np.arange(dim)
-        eye = sp.identity(dim, format="csr")
-
-        def op(terms):
-            """CSR sum of one-entry-per-row terms, stored zeros dropped."""
-            cols, vals = (np.concatenate(x) for x in zip(*terms))
-            m = sp.csr_matrix((vals, (np.tile(idx, len(terms)), cols)), shape=(dim, dim))
-            m.eliminate_zeros()
-            return m
-
-        def commutator(h):
-            return -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-
         self.sys = sys
-        static_terms, *xy_terms = sys.terms
-        self.xy = tuple(commutator(op(terms)) for terms in xy_terms if terms)
-        static = commutator(op(static_terms))
+        jumps, decay = [], np.zeros((dim, dim))
         if budget is not None:
             g1, gphi = 1.0 / budget.t1_s, 1.0 / budget.t2_eff_s
-            decay = np.zeros((dim, dim))
             for q in range(sys.n):
                 occ = (idx >> q) & 1
                 # s-_q: row i couples to i | 2^q when bit q of i is clear
-                lower = op([(idx ^ (1 << q), 1.0 - occ)])
-                static = static + g1 * sp.kron(lower, lower)
+                lower = sp.csr_matrix((1.0 - occ, (idx, idx ^ (1 << q))), shape=(dim, dim))
+                lower.eliminate_zeros()
+                jumps.append(g1 * sp.kron(lower, lower))
                 decay -= 0.5 * g1 * (occ[:, None] + occ[None, :])
                 decay -= gphi * (occ[:, None] != occ[None, :])
-            static = static + sp.diags(decay.ravel())
-        self.static = static.tocsr()
-        if tunneling is not None:
-            g = sum((idx >> q) & 1 for q in range(sys.n)) / (2.0 * tunneling.t_up)
-            self.drain = -(g[:, None] + g[None, :]).ravel()
-
-    def _diagonal(self, t, tunneling: bool, w: float = 0.0) -> np.ndarray:
-        z = self.sys.z(t, w)
-        d = -1j * (z[:, None] - z[None, :]).ravel()
-        return d + self.drain if tunneling else d
-
-    def _drive(self, t) -> list:
-        return [(c, m) for c, m in zip(self.sys.drive_xy(t), self.xy) if c != 0.0]
+        # without tunneling, escape takes forever and G vanishes
+        t_up = math.inf if tunneling is None else tunneling.t_up
+        g = sum((idx >> q) & 1 for q in range(sys.n)) / (2.0 * t_up)
+        d = sum(jumps) + sp.diags(decay.ravel())
+        drain = sp.diags(-(g[:, None] + g[None, :]).ravel())
+        # indexed by the piece's tunneling flag
+        self.dissipator = (d.tocsr(), (d + drain).tocsr())
 
     def constant(self, t, tunneling: bool):
         """(L', r) with L(t) = L' + diag(r), the two commuting.
@@ -426,20 +415,18 @@ class _Liouvillian:
         with the rest of L.  expm_multiply's step count grows with the norm,
         so an idle lab-frame register then costs what a detuned one does.
         """
-        drive = self._drive(t)
-        w = 0.0 if drive else float(np.mean(self.sys.eps_rad(t)))
-        out = self.static + sp.diags(self._diagonal(t, tunneling, w))
-        for c, m in drive:
-            out = out + c * m
+        w = 0.0 if any(self.sys.drive_xy(t)) else float(np.mean(self.sys.eps_rad(t)))
+        h = sp.csr_matrix(self.sys.dense_h(t, w))
+        eye = sp.identity(self.sys.dim, format="csr")
+        out = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) + self.dissipator[tunneling]
         e = 0.5 * self.sys.zpat.sum(axis=0)
-        return out, -1j * w * (e[:, None] - e[None, :]).ravel()
+        return out.tocsr(), -1j * w * (e[:, None] - e[None, :]).ravel()
 
     def apply(self, t, y, tunneling: bool) -> np.ndarray:
         """L(t) @ y, the Lindblad right-hand side."""
-        out = self.static @ y + self._diagonal(t, tunneling) * y
-        for c, m in self._drive(t):
-            out += c * (m @ y)
-        return out
+        h = self.sys.dense_h(t)
+        rho = y.reshape(h.shape)
+        return (-1j * (h @ rho - rho @ h)).reshape(-1) + self.dissipator[tunneling] @ y
 
 
 def evolve(

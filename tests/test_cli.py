@@ -457,6 +457,45 @@ def test_config_errors_in_one_process(tmp_path, capsys):
         )
 
 
+EVOLVE_CONFIG = {
+    "device": dict(BASE_DEVICE),
+    "schedule": {"duration_s": 1e-9},
+    "initial": {"bits": "ud"},
+    "evolution": {"sample_count": 3},
+}
+
+
+@pytest.mark.parametrize("override", [
+    "evolution.rtol=NaN",
+    "device.d_um=NaN",
+    "device.E_perp=Infinity",
+    "device.E_perp=-Infinity",
+    "device.d_um=1e999",
+    "evolution.sample_times_s=[NaN]",
+])
+def test_non_finite_override_is_a_config_error(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"output_dir": str(out), **EVOLVE_CONFIG})
+    assert main(["evolve", "--config", cfg, "--set", override]) == 2
+    token = override.split("=", 1)[1].strip("[]")
+    assert capsys.readouterr().err == (
+        f"config error: override {override!r} holds the non-finite number {token}\n"
+    )
+    assert not out.exists()
+
+
+def test_non_finite_number_in_a_config_file_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    text = json.dumps({"output_dir": str(out), **EVOLVE_CONFIG})
+    cfg.write_text(text.replace('"d_um": 0.5', '"d_um": NaN'))
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config {cfg} holds the non-finite number NaN\n"
+    )
+    assert not out.exists()
+
+
 def test_seed_beyond_the_philox_key_is_a_config_error(tmp_path):
     # the schema bounds the seed by the 128-bit key, so an oversized seed
     # exits 2 before any work instead of failing as a numerical error

@@ -502,29 +502,35 @@ def test_lindblad_ivp_matches_exponential(drive, n):
     assert np.abs(stepped - exact).max() <= 10 * rtol
 
 
-@pytest.mark.parametrize("drive", [True, False])
-def test_sparse_generator_matches_explicit_lindblad(drive):
-    n = 4
+@pytest.mark.parametrize("n,tunneling,drive", [
+    # the n = 4 tunneling cases keep their original ids
+    pytest.param(n, tun, drive, id=str(drive) if (n, tun) == (4, True)
+                 else f"{drive}-n{n}-tunneling-{'on' if tun else 'off'}")
+    for n in (1, 4, 6) for tun in (True, False) for drive in (True, False)
+])
+def test_sparse_generator_matches_explicit_lindblad(n, tunneling, drive):
+    # the spec has tunneling; the flag says whether the piece is past t_f
     ham, sched, spec = segment_setup(n, True, drive, seed=3)
     sys = dynamics._System(ham, sched, spec)
     liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
+    dim = 2**n
     rng = np.random.default_rng(11)
-    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g + g.conj().T
     t = 0.3 * T_SEG
 
     h = sys.dense_h(t)
-    ops, drain = dense_lindblad_terms(n, spec.budget, 4 * T_SEG)
+    ops, drain = dense_lindblad_terms(n, spec.budget, 4 * T_SEG if tunneling else None)
     expect = -1j * (h @ rho - rho @ h) - (drain @ rho + rho @ drain)
     for op in ops:
         ld = op.conj().T @ op
         expect += op @ rho @ op.conj().T - 0.5 * (ld @ rho + rho @ ld)
     scale = np.abs(expect).max()
 
-    applied = liou.apply(t, rho.reshape(-1), True).reshape(16, 16)
+    applied = liou.apply(t, rho.reshape(-1), tunneling).reshape(dim, dim)
     assert np.abs(applied - expect).max() <= 1e-13 * scale
-    op, rate = liou.constant(t, True)
-    split = (op @ rho.reshape(-1) + rate * rho.reshape(-1)).reshape(16, 16)
+    op, rate = liou.constant(t, tunneling)
+    split = (op @ rho.reshape(-1) + rate * rho.reshape(-1)).reshape(dim, dim)
     assert np.abs(split - expect).max() <= 1e-13 * scale
 
 
@@ -630,6 +636,13 @@ def test_hamiltonian_matches_pauli_kron_oracle(n, frame, exchange, phase):
     expect = kron_hamiltonian(ham, channel, frame, t)
     scale_h = np.abs(expect).max()
     assert np.abs(sys.dense_h(t) - expect).max() <= 1e-13 * scale_h
+    # dense_h adds each H_k at once by flat index: equal to adding term by term
+    for w in (0.0, 1e9):
+        loop = np.diag(sys.z(t, w).astype(complex))
+        for c, terms in zip((1.0, *sys.drive_xy(t)), sys.terms):
+            for cols, vals in terms:
+                loop[np.arange(2**n), cols] += c * vals
+        assert np.array_equal(sys.dense_h(t, w), loop)
 
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     applied = sys.apply_h(t, psi)
