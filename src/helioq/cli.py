@@ -409,11 +409,14 @@ def run_calibrate(config: dict, overrides: list[str], refine: bool = False) -> i
 
 def _evolution_spec(config: dict, duration: float) -> dynamics.EvolutionSpec:
     ev = config.get("evolution", {})
+    key = "sample_times_s" if "sample_times_s" in ev else "t_end_s"
     if "sample_times_s" in ev:
         samples = np.asarray(ev["sample_times_s"], dtype=float)
     else:
         t_end = ev.get("t_end_s", duration)
         samples = np.linspace(0.0, t_end, ev.get("sample_count", 101))
+    if np.any(np.diff(samples) < 0) or samples[-1] > duration * (1 + 1e-12):
+        raise ConfigError(f"evolution.{key} must ascend and end within the {duration} s schedule")
     budget_obj = None
     if ev.get("use_budget", False):
         budget_obj = device_budget(config)
@@ -430,7 +433,11 @@ def _evolution_spec(config: dict, duration: float) -> dynamics.EvolutionSpec:
 
 
 def run_evolve(config: dict, overrides: list[str]) -> int:
-    sched = pulses.PulseSchedule.from_dict(require_block(config, "schedule"))
+    block = require_block(config, "schedule")
+    try:
+        sched = pulses.PulseSchedule.from_dict(block)
+    except ValueError as exc:  # breakpoints out of order or range
+        raise ConfigError(f"schedule.{exc}") from exc
     init_blk = require_block(config, "initial")
     ham, _ = _build_register(config)
     check_sites("schedule.voltage_channels[].site",
@@ -441,6 +448,8 @@ def run_evolve(config: dict, overrides: list[str]) -> int:
             f"initial.bits has {len(bits)} characters for {ham.n_qubits} sites"
         )
     mode = init_blk.get("mode", "state-vector")
+    if mode == "state-vector" and "tunneling" in config.get("evolution", {}):
+        raise ConfigError("evolution.tunneling needs initial.mode density-matrix")
     if mode == "state-vector":
         initial = dynamics.RegisterState.state_vector(bits)
     else:
@@ -525,7 +534,7 @@ def run_demo_swap(config: dict, overrides: list[str]) -> int:
     target = "".join(bits_t)
     initial = dynamics.RegisterState.state_vector(source)
     t_meas = rise + dwell  # sample at ramp-down onset: the resonant segment ends here
-    spec = _evolution_spec(config, t_meas)
+    spec = _evolution_spec(config, sched.duration)
     if "evolution" not in config or "sample_times_s" not in config.get("evolution", {}):
         spec = dynamics.EvolutionSpec(
             sample_times=np.array([t_meas]), frame=spec.frame, rtol=spec.rtol,

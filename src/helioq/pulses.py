@@ -112,17 +112,19 @@ class PulseSchedule:
         if self.duration < 0:
             raise ValueError(f"duration must be nonnegative, got {self.duration}")
         vcs = tuple(
-            VoltageChannel(c.site, _check_points(c.points, 0.0, self.duration, "voltage"))
-            for c in self.voltage_channels
+            VoltageChannel(
+                c.site, _check_points(c.points, 0.0, self.duration, f"voltage_channels[{i}]")
+            )
+            for i, c in enumerate(self.voltage_channels)
         )
         mws = tuple(
             MicrowaveChannel(
                 c.freq_GHz,
                 c.amp_V_per_cm,
                 c.phase,
-                _check_points(c.envelope, 0.0, self.duration, "envelope", unit_interval=True),
+                _check_points(c.envelope, 0.0, self.duration, f"microwave[{i}] envelope", True),
             )
-            for c in self.microwave
+            for i, c in enumerate(self.microwave)
         )
         object.__setattr__(self, "voltage_channels", vcs)
         object.__setattr__(self, "microwave", mws)
@@ -261,7 +263,6 @@ def calibrate_swap(
     refine: bool = False,
     rise: float = 0.0,
     fall: float = 0.0,
-    v_peak: float | None = None,
 ) -> float:
     """Dwell time (s) bringing the pair to cos(a)|du> - i sin(a)|ud>.
 
@@ -279,7 +280,7 @@ def calibrate_swap(
     dwell = 2.0 * HBAR * alpha / b_erg
     if not refine or alpha == 0.0:
         return dwell
-    return _refine_dwell(hamiltonian, pair, alpha, dwell, rise, fall, v_peak)
+    return _refine_dwell(hamiltonian, pair, alpha, dwell, rise, fall)
 
 
 def swap_schedule(
@@ -306,7 +307,7 @@ def swap_schedule(
 def resonance_voltage(
     hamiltonian: QubitArrayHamiltonian, n: int, m: int,
 ) -> float:
-    """Voltage increment on site n's electrode that matches site m's transition."""
+    """Voltage increment (at most 1 V) on site n's electrode that matches site m's transition."""
     from scipy.optimize import brentq
 
     eps_target = hamiltonian.eps_K[m]
@@ -317,16 +318,17 @@ def resonance_voltage(
     def gap(dv):
         return tuning(dv) - eps_target
 
-    # bracket around zero increment; the transition is monotone in field
+    # the transition rises with field (c_geom > 0): bracket on the target's side only
+    side = 1.0 if gap(0.0) < 0 else -1.0
     dv = 1e-6
-    while gap(-dv) * gap(dv) > 0:
+    while side * gap(side * dv) < 0:
         dv *= 2.0
         if dv > 1.0:
-            raise ValueError("no resonance within +-1 V of electrode swing")
-    return brentq(gap, -dv, dv, xtol=1e-15)
+            raise ValueError("no resonance within 1 V of electrode swing")
+    return brentq(gap, 0.0, side * dv, xtol=1e-15)
 
 
-def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall, v_peak):
+def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
     from scipy.optimize import minimize_scalar
 
     from . import dynamics
@@ -334,8 +336,8 @@ def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall, v_peak):
     n, m = pair
     n_q = hamiltonian.n_qubits
     target = math.sin(alpha) ** 2
-    if v_peak is None:  # the resonance does not depend on the dwell: solve it once
-        v_peak = resonance_voltage(hamiltonian, n, m)
+    # the resonance does not depend on the dwell: solve it once
+    v_peak = resonance_voltage(hamiltonian, n, m)
 
     def mismatch(dwell):
         sched = swap_schedule(hamiltonian, pair, dwell, rise, fall, v_peak)

@@ -484,6 +484,32 @@ def test_non_finite_override_is_a_config_error(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["evolution.sample_times_s=[2e-9,1e-9]"],
+     "evolution.sample_times_s must ascend and end within the 1e-09 s schedule"),
+    (["schedule.duration_s=1e-8", "evolution.sample_times_s=[2e-8]"],
+     "evolution.sample_times_s must ascend and end within the 1e-08 s schedule"),
+    (["schedule.duration_s=1e-8", "evolution.t_end_s=2e-8"],
+     "evolution.t_end_s must ascend and end within the 1e-08 s schedule"),
+    (['schedule.voltage_channels=[{"site": 0, "points": [[1e-9, 0.0], [0.0, 1e-3]]}]'],
+     "schedule.voltage_channels[0] breakpoint times must be sorted"),
+    (['schedule.microwave=[{"freq_GHz": 118.4, "amp_V_per_cm": 1.0, "envelope": [[0.0, 2]]}]'],
+     "schedule.microwave[0] envelope values must lie in [0, 1]"),
+    (['evolution.tunneling={"t_f_s": 0.0, "t_up_s": 1e-7}'],
+     "evolution.tunneling needs initial.mode density-matrix"),
+], ids=["unsorted-samples", "samples-past-end", "t-end-past-end", "voltage-order",
+        "envelope-range", "tunneling-state-vector"])
+def test_schedule_and_evolution_mistakes_are_config_errors(tmp_path, capsys, overrides, message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"output_dir": str(out), **EVOLVE_CONFIG})
+    argv = ["evolve", "--config", cfg]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_non_finite_number_in_a_config_file_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = tmp_path / "config.json"

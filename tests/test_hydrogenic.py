@@ -125,6 +125,19 @@ def test_stark_rates_match_quoted_values(basis):
         assert rate == pytest.approx(expect, rel=1e-6)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_stark_rate_matches_finite_difference_oracle(basis, m):
+    # symmetric differences of the solved levels at +-1e-3 and +-5e-4 V/cm,
+    # Richardson-extrapolated in the step
+    def central(step):
+        up = solve(basis, step).energies[m - 1]
+        dn = solve(basis, -step).energies[m - 1]
+        return (up - dn) / (2.0 * step) * units.K_TO_GHZ
+
+    coarse, fine = central(1e-3), central(5e-4)
+    assert stark_rate(basis, m) == pytest.approx((4.0 * fine - coarse) / 3.0, rel=1e-8)
+
+
 def test_hellmann_feynman_at_operating_field(basis):
     # dE_m/dE_perp from finite differences equals e <m|z|m> on the
     # Stark-perturbed states

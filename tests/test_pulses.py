@@ -365,3 +365,34 @@ def test_refine_solves_the_resonance_once(monkeypatch):
     refined = pulses.calibrate_swap(ham, (0, 1), alpha, refine=True, rise=ramp, fall=ramp)
     assert calls == [(ham, 0, 1)]
     assert refined == re_solved
+
+
+@pytest.mark.parametrize("volts", [(0.0, 5e-5), (5e-5, 0.0), (0.0, -5e-5), (-5e-5, 0.0)])
+def test_resonance_voltage_searches_the_target_side_only(monkeypatch, volts):
+    # the transition rises with field, so the root lies on one side of the
+    # site's own field; no probe may cross to the other side
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
+    ham = qubits.build(geom, voltages=np.array(volts))
+    base = qubits.site_field(geom, volts[0])
+    side = np.sign(qubits.site_field(geom, volts[1]) - base)
+    probes = []
+    exact = ham.stark_map.exact
+
+    def recorded(e_field):
+        probes.append(e_field)
+        return exact(e_field)
+
+    monkeypatch.setattr(ham.stark_map, "exact", recorded)
+    dv = pulses.resonance_voltage(ham, 0, 1)
+    assert np.sign(dv) == side
+    assert ham.stark_tuning(0)(dv) == pytest.approx(ham.eps_K[1], rel=1e-12)
+    assert probes and all(side * (f - base) >= 0 for f in probes)
+
+
+def test_resonance_beyond_the_electrode_swing():
+    # at c_geom = 1e-3 the 2 V offset puts site 1 at 40 V/cm, which site 0
+    # would need 2 V of swing to reach
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)), c_geom=1e-3)
+    ham = qubits.build(geom, voltages=np.array([0.0, 2.0]))
+    with pytest.raises(ValueError, match="no resonance within 1 V of electrode swing"):
+        pulses.resonance_voltage(ham, 0, 1)
