@@ -25,6 +25,7 @@ other exception, reported with its type).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -517,6 +518,12 @@ def run_readout(config: dict, overrides: list[str]) -> int:
 
 def run_demo_swap(config: dict, overrides: list[str]) -> int:
     sw = require_block(config, "swap")
+    for key in ("t_end_s", "sample_count", "tunneling"):
+        if key in config.get("evolution", {}):
+            raise ConfigError(
+                f"evolution.{key} does not apply to demo-swap, which evolves a state "
+                "vector and samples at evolution.sample_times_s or at the dwell's end"
+            )
     ham, geom = _build_register(config)
     pair = swap_pair(sw, ham.n_qubits)
     alpha = sw["alpha"]
@@ -535,11 +542,8 @@ def run_demo_swap(config: dict, overrides: list[str]) -> int:
     initial = dynamics.RegisterState.state_vector(source)
     t_meas = rise + dwell  # sample at ramp-down onset: the resonant segment ends here
     spec = _evolution_spec(config, sched.duration)
-    if "evolution" not in config or "sample_times_s" not in config.get("evolution", {}):
-        spec = dynamics.EvolutionSpec(
-            sample_times=np.array([t_meas]), frame=spec.frame, rtol=spec.rtol,
-            budget=spec.budget, tunneling=spec.tunneling,
-        )
+    if "sample_times_s" not in config.get("evolution", {}):
+        spec = dataclasses.replace(spec, sample_times=np.array([t_meas]))
     result = dynamics.evolve(ham, sched, initial, spec)
     final = result.final_state
     amp_source = final[dynamics.basis_index(source)]

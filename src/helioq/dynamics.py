@@ -12,11 +12,11 @@ rotating frame at the carrier ("rwa"), w_n becomes the detuning and the
 drive becomes (Omega/2)(cos(phi) sx + sin(phi) sy), so a resonant pulse of
 area Omega T = pi inverts the qubit.
 
-Each evolve call writes H(t) = diag(z(t)) + H_static + f_x(t) X + f_y(t) Y
-once, as a list of terms that each hold one entry per row (row i couples
-to column cols[i] with value vals[i]): the sz-sz diagonal, one term per
-exchange pair, and one per X_n and Y_n flip.  The state-vector product
-and the dense matrix, the one form of H a density matrix sees, use it.
+Each evolve call writes H(t) = diag(z(t)) + H_0 + f_x(t) H_X + f_y(t) H_Y
+once, each H_k one CSR matrix with its zeros dropped: H_0 the sz-sz
+diagonal and every exchange pair, H_X = sum_n X_n and H_Y = sum_n Y_n.
+The state-vector product sums c_k (H_k @ psi), and the dense matrix, the
+one form of H a density matrix sees, adds each H_k's stored entries.
 
 Optional loss channels:
 - per-qubit relaxation at rate 1/T1 (lowering operator) and pure dephasing
@@ -39,7 +39,6 @@ samples by its dense output (Hairer, Norsett & Wanner, Solving ODEs I).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -124,17 +123,6 @@ class RegisterState:
         i = basis_index(bits)
         rho[i, i] = 1.0
         return cls("density-matrix", n, rho)
-
-    @property
-    def trace(self) -> float:
-        if self.mode == "state-vector":
-            return float(np.vdot(self.data, self.data).real)
-        return float(np.trace(self.data).real)
-
-    def populations(self) -> np.ndarray:
-        if self.mode == "state-vector":
-            return np.abs(self.data) ** 2
-        return np.diag(self.data).real.copy()
 
 
 @dataclass(frozen=True)
@@ -231,11 +219,27 @@ class EvolutionResult:
 # --- operator assembly -----------------------------------------------------
 
 
+def _one_per_row(dim: int, terms) -> sp.csr_matrix:
+    """sum of terms (cols, vals), each holding vals[i] at (i, cols[i]), as CSR.
+
+    Zeros are dropped; the terms name distinct columns in every row.  The
+    indices are int32, as scipy stores them, which spares it a range check.
+    """
+    cols = np.array([c for c, _ in terms], dtype=np.int32).T.reshape(-1)
+    vals = np.array([v for _, v in terms]).T.reshape(-1)
+    indptr = len(terms) * np.arange(dim + 1, dtype=np.int32)
+    m = sp.csr_matrix((vals, cols, indptr), shape=(dim, dim))
+    m.eliminate_zeros()
+    return m
+
+
 class _System:
     """H(t) = diag(z(t)) + sum_k c_k(t) H_k of one evolve call, (c_k) = (1, f_x, f_y).
 
-    `terms[k]` lists H_k's (cols, vals) terms: H_0 the sz-sz diagonal and
-    each exchange pair, H_1 each X_n flip and H_2 each Y_n flip.
+    `h[k]` is H_k as CSR: H_0 the sz-sz diagonal and each exchange pair,
+    H_1 = H_X the X_n flips and H_2 = H_Y the Y_n flips (the one complex
+    H_k), the last two only with a microwave channel, without which f_x and
+    f_y vanish.  `at[k]` holds H_k's entries' flat indices into the dense H.
     """
 
     def __init__(self, ham: QubitArrayHamiltonian, schedule: PulseSchedule, spec: EvolutionSpec):
@@ -249,22 +253,20 @@ class _System:
         b_rad = ham.b_K * K_TO_RAD_PER_S
         szsz = np.zeros(self.dim)
         static = [(idx, szsz)]
+        # uncoupled pairs add only zeros, which the CSR build drops
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                if a_rad[i, j] != 0.0:
-                    szsz += 0.25 * a_rad[i, j] * self.zpat[i] * self.zpat[j]
-                if b_rad[i, j] != 0.0:
-                    # s+_i s-_j + s-_i s+_j couples rows whose bits i, j differ
-                    hop = np.where(self.zpat[i] != self.zpat[j], 0.5 * b_rad[i, j], 0.0)
-                    static.append((idx ^ (1 << i | 1 << j), hop))
-        # the drive terms exist only when a microwave channel can fill them
-        flips = [idx ^ (1 << n) for n in range(self.n)] if schedule.microwave else []
-        ones = np.ones(self.dim)
-        self.terms = (
-            static,
-            [(f, ones) for f in flips],
-            [(f, -1j * z) for f, z in zip(flips, self.zpat)],
-        )
+                szsz += 0.25 * a_rad[i, j] * self.zpat[i] * self.zpat[j]
+                # s+_i s-_j + s-_i s+_j couples rows whose bits i, j differ
+                hop = np.where(self.zpat[i] != self.zpat[j], 0.5 * b_rad[i, j], 0.0)
+                static.append((idx ^ (1 << i | 1 << j), hop))
+        self.h = [_one_per_row(self.dim, static)]
+        # H_X and H_Y exist only when a microwave channel can fill them
+        if schedule.microwave:
+            flips = [idx ^ (1 << n) for n in range(self.n)]
+            self.h.append(_one_per_row(self.dim, [(f, np.ones(self.dim)) for f in flips]))
+            self.h.append(_one_per_row(self.dim, [(f, -1j * z) for f, z in zip(flips, self.zpat)]))
+        self.at = [np.repeat(idx * self.dim, np.diff(m.indptr)) + m.indices for m in self.h]
 
         # transition frequencies vs time (rad/s); channels that never leave
         # zero are inert and do not require a Stark map
@@ -342,34 +344,21 @@ class _System:
         """The time-dependent diagonal sum_n (eps_n(t) - w) sz_n/2."""
         return 0.5 * ((self.eps_rad(t) - w) @ self.zpat)
 
-    def _weighted(self, t, parts):
-        """(c_k(t), parts[k]) for the H_k whose coefficient is nonzero."""
-        coeffs = (1.0, *self.drive_xy(t))
-        return [(c, part) for c, part in zip(coeffs, parts) if c != 0.0]
-
-    @functools.cached_property
-    def _flat(self):
-        """Each H_k as (flat indices into H, values), zeros dropped.
-
-        One H_k couples each row to distinct columns, so its indices are distinct.
-        """
-        rows = np.arange(self.dim) * self.dim
-        flat = [(np.array([rows + cols for cols, _ in terms], dtype=int).ravel(),
-                 np.array([vals for _, vals in terms]).ravel()) for terms in self.terms]
-        return [(at[vals != 0.0], vals[vals != 0.0]) for at, vals in flat]
+    def _weighted(self, t):
+        """(c_k(t), k) for the H_k whose coefficient is nonzero."""
+        return [(c, k) for k, c in enumerate((1.0, *self.drive_xy(t))) if c != 0.0]
 
     def apply_h(self, t, psi) -> np.ndarray:
         out = self.z(t) * psi
-        for c, terms in self._weighted(t, self.terms):
-            for cols, vals in terms:
-                out += c * vals * psi[cols]
+        for c, k in self._weighted(t):
+            out += c * (self.h[k] @ psi)
         return out
 
     def dense_h(self, t, w: float = 0.0) -> np.ndarray:
         """H(t) as a dense matrix, less w sum_n sz_n/2."""
         h = np.diag(self.z(t, w).astype(complex))
-        for c, (at, vals) in self._weighted(t, self._flat):
-            h.reshape(-1)[at] += c * vals
+        for c, k in self._weighted(t):
+            h.reshape(-1)[self.at[k]] += c * self.h[k].data
         return h
 
 
@@ -394,8 +383,7 @@ class _Liouvillian:
             for q in range(sys.n):
                 occ = (idx >> q) & 1
                 # s-_q: row i couples to i | 2^q when bit q of i is clear
-                lower = sp.csr_matrix((1.0 - occ, (idx, idx ^ (1 << q))), shape=(dim, dim))
-                lower.eliminate_zeros()
+                lower = _one_per_row(dim, [(idx ^ (1 << q), 1.0 - occ)])
                 jumps.append(g1 * sp.kron(lower, lower))
                 decay -= 0.5 * g1 * (occ[:, None] + occ[None, :])
                 decay -= gphi * (occ[:, None] != occ[None, :])
@@ -482,14 +470,21 @@ def evolve(
         out_states.extend(states[i] for i in at[:-1])
         state, k = states[-1], j
 
-    snapshots = [RegisterState(initial.mode, n, s) for s in out_states]
+    states = np.array(out_states)
+    if dm:
+        trace = np.trace(states, axis1=1, axis2=2).real
+        populations = np.diagonal(states, axis1=1, axis2=2).real.copy()
+    else:
+        # one vdot per sample: a vectorized |psi|^2 sum rounds differently
+        trace = np.array([np.vdot(s, s).real for s in states])
+        populations = np.abs(states) ** 2
     return EvolutionResult(
         mode=initial.mode,
         labels=basis_labels(n),
         times=samples.copy(),
-        states=np.array(out_states),
-        trace=np.array([s.trace for s in snapshots]),
-        populations=np.array([s.populations() for s in snapshots]),
+        states=states,
+        trace=trace,
+        populations=populations,
         frame=spec.frame,
     )
 

@@ -510,6 +510,42 @@ def test_schedule_and_evolution_mistakes_are_config_errors(tmp_path, capsys, ove
     assert not out.exists()
 
 
+SWAP_CONFIG = {
+    "device": dict(BASE_DEVICE),
+    "swap": {"pair": [0, 1], "alpha": math.pi / 4},
+}
+
+
+@pytest.mark.parametrize("override", [
+    "evolution.t_end_s=1e-9",
+    "evolution.sample_count=3",
+    'evolution.tunneling={"t_f_s": 0.0, "t_up_s": 1e-7}',
+], ids=["t-end", "sample-count", "tunneling"])
+def test_demo_swap_rejects_evolution_keys_it_cannot_honour(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"output_dir": str(out), **SWAP_CONFIG})
+    assert main(["demo-swap", "--config", cfg, "--set", override]) == 2
+    key = override.split("=", 1)[0]
+    assert capsys.readouterr().err == (
+        f"config error: {key} does not apply to demo-swap, which evolves a state "
+        "vector and samples at evolution.sample_times_s or at the dwell's end\n"
+    )
+    assert not out.exists()
+
+
+def test_demo_swap_reads_sample_times(tmp_path):
+    # the last sample sets the final state, so an early one leaves the swap undone
+    reports = {}
+    early = ["--set", "evolution.sample_times_s=[1e-12]"]
+    for label, argv in (("dwell-end", []), ("early", early)):
+        out = tmp_path / label
+        cfg = write_config(tmp_path, {"output_dir": str(out), **SWAP_CONFIG})
+        assert main(["demo-swap", "--config", cfg, *argv]) == 0
+        reports[label] = json.loads(next(out.glob("demo-swap_*.json")).read_text())
+    assert reports["dwell-end"]["fidelity_vs_exchange_oracle"] > 1 - 1e-4
+    assert reports["early"]["achieved_amplitudes"]["target"] < 1e-2
+
+
 def test_non_finite_number_in_a_config_file_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = tmp_path / "config.json"

@@ -616,7 +616,7 @@ def kron_hamiltonian(ham, channel, frame, t):
     return h
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("frame", ["rwa", "lab"])
 @pytest.mark.parametrize("exchange", [True, False])
 @pytest.mark.parametrize("phase", [0.0, 0.5 * math.pi])
@@ -636,17 +636,39 @@ def test_hamiltonian_matches_pauli_kron_oracle(n, frame, exchange, phase):
     expect = kron_hamiltonian(ham, channel, frame, t)
     scale_h = np.abs(expect).max()
     assert np.abs(sys.dense_h(t) - expect).max() <= 1e-13 * scale_h
-    # dense_h adds each H_k at once by flat index: equal to adding term by term
+    # no H_k stores a zero (uncoupled pairs and equal-bit rows add none)
+    assert all(np.all(h_k.data != 0.0) for h_k in sys.h)
+    # dense_h adds each H_k's stored entries by flat index: equal to the dense sum
     for w in (0.0, 1e9):
-        loop = np.diag(sys.z(t, w).astype(complex))
-        for c, terms in zip((1.0, *sys.drive_xy(t)), sys.terms):
-            for cols, vals in terms:
-                loop[np.arange(2**n), cols] += c * vals
-        assert np.array_equal(sys.dense_h(t, w), loop)
+        dense = np.diag(sys.z(t, w))
+        for c, h_k in zip((1.0, *sys.drive_xy(t)), sys.h):
+            dense = dense + c * h_k.toarray()
+        assert np.array_equal(sys.dense_h(t, w), dense)
 
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     applied = sys.apply_h(t, psi)
     assert np.abs(applied - expect @ psi).max() <= 1e-13 * np.abs(expect @ psi).max()
+
+
+def test_apply_h_matches_dense_h_at_nine_qubits():
+    # the CSR product and the flat-index dense matrix, with the drive on;
+    # every scale ~1e9 rad/s, as in the Pauli-kron oracle
+    n = 9
+    rng = np.random.default_rng(n)
+    scale = 1e9 / K_RAD
+    a = np.triu(rng.uniform(0.5, 1.5, (n, n)) * scale, 1)
+    b = np.triu(rng.uniform(0.5, 1.5, (n, n)) * scale, 1)
+    ham = qubits.QubitArrayHamiltonian.from_parameters(
+        eps_K=rng.uniform(0.5, 1.5, n) * scale, a_K=a + a.T, b_K=b + b.T, drive_coeff=1e9
+    )
+    channel = pulses.MicrowaveChannel(0.2, 0.8, 0.3, ((0.0, 0.3), (T_SEG, 1.0)))
+    sched = pulses.PulseSchedule(duration=T_SEG, microwave=(channel,))
+    sys = dynamics._System(ham, sched, EvolutionSpec(sample_times=[T_SEG]))
+    t = 0.37 * T_SEG
+    assert all(sys.drive_xy(t))
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    expect = sys.dense_h(t) @ psi
+    assert np.abs(sys.apply_h(t, psi) - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_unitary_eigh_matches_ivp_on_constant_segment():
