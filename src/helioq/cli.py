@@ -179,15 +179,17 @@ def require_block(config: dict, name: str) -> dict:
 
 
 def device_geometry(block: dict) -> qubits.DeviceGeometry:
-    pitch = block["d_um"] * 1e-4
-    return qubits.DeviceGeometry(
-        pitch=pitch,
-        sites=tuple((x, y) for x, y in block["sites"]),
-        e_perp=block.get("E_perp", 0.0),
-        b_field=block.get("B_T", 1.5),
-        temperature=block.get("T_K", 0.01),
-        c_geom=block.get("c_geom", 1.0),
-    )
+    try:
+        return qubits.DeviceGeometry(
+            pitch=block["d_um"] * 1e-4,
+            sites=tuple((x, y) for x, y in block["sites"]),
+            e_perp=block.get("E_perp", 0.0),
+            b_field=block.get("B_T", 1.5),
+            temperature=block.get("T_K", 0.01),
+            c_geom=block.get("c_geom", 1.0),
+        )
+    except ValueError as exc:  # sites coincide or sit closer than one pitch
+        raise ConfigError(f"device.sites: {exc}") from exc
 
 
 def basis_spec(block: dict) -> hydrogenic.HydrogenicBasisSpec:
@@ -589,7 +591,9 @@ _RUNNERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `append` copies its default."""
     parser = argparse.ArgumentParser(
         prog="helioq",
         description="Electrons-on-helium qubit simulator: batch experiments",
@@ -606,19 +610,15 @@ def main(argv: list[str] | None = None) -> int:
         if name == "calibrate":
             p.add_argument("--refine", action="store_true",
                            help="root-find the dwell through the full dynamics")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    flags = {"refine": args.refine} if args.subcommand == "calibrate" else {}
     try:
         config, overrides = load_config(args.config, args.overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    runner = _RUNNERS[args.subcommand]
-    try:
-        if args.subcommand == "calibrate":
-            return runner(config, overrides, refine=args.refine)
-        return runner(config, overrides)
+        return _RUNNERS[args.subcommand](config, overrides, **flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,12 +38,12 @@ __all__ = [
 ]
 
 
-def _check_points(points, lo, hi, name, unit_interval=False):
+def _check_points(points, hi, name, unit_interval=False):
     pts = [(float(t), float(v)) for t, v in points]
     times = [t for t, _ in pts]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError(f"{name} breakpoint times must be sorted")
-    if times and (times[0] < lo - 1e-30 or times[-1] > hi * (1 + 1e-12) + 1e-30):
+    if times and (times[0] < -1e-30 or times[-1] > hi * (1 + 1e-12) + 1e-30):
         raise ValueError(f"{name} breakpoints must lie within [0, duration]")
     if unit_interval and any(not 0.0 <= v <= 1.0 for _, v in pts):
         raise ValueError(f"{name} values must lie in [0, 1]")
@@ -111,19 +111,13 @@ class PulseSchedule:
     def __post_init__(self):
         if self.duration < 0:
             raise ValueError(f"duration must be nonnegative, got {self.duration}")
+        d = self.duration
         vcs = tuple(
-            VoltageChannel(
-                c.site, _check_points(c.points, 0.0, self.duration, f"voltage_channels[{i}]")
-            )
+            replace(c, points=_check_points(c.points, d, f"voltage_channels[{i}]"))
             for i, c in enumerate(self.voltage_channels)
         )
         mws = tuple(
-            MicrowaveChannel(
-                c.freq_GHz,
-                c.amp_V_per_cm,
-                c.phase,
-                _check_points(c.envelope, 0.0, self.duration, f"microwave[{i}] envelope", True),
-            )
+            replace(c, envelope=_check_points(c.envelope, d, f"microwave[{i}] envelope", True))
             for i, c in enumerate(self.microwave)
         )
         object.__setattr__(self, "voltage_channels", vcs)
@@ -185,20 +179,35 @@ class PulseSchedule:
         )
 
 
+def _confined(sched, shift, t, after):
+    """`sched`'s channels shifted by `shift` and zero past the junction at t.
+
+    A nonzero edge value (`default` without points) holds up to t and then
+    jumps to zero; the hold point stays even where it repeats the edge point,
+    so the point count does not depend on rounding.
+    """
+    def moved(points, default):
+        pts = [(s + shift, x) for s, x in points]
+        edge_t, v = (pts[-1] if after else pts[0]) if pts else (t, default)
+        if v == 0.0:
+            return tuple(pts)
+        tj = max(t, edge_t) if after else min(t, edge_t)
+        return tuple(pts + [(tj, v), (tj, 0.0)] if after else [(tj, 0.0), (tj, v)] + pts)
+
+    return (
+        tuple(replace(c, points=moved(c.points, 0.0)) for c in sched.voltage_channels),
+        tuple(replace(c, envelope=moved(c.envelope, 1.0)) for c in sched.microwave),
+    )
+
+
 def concat(first: PulseSchedule, second: PulseSchedule) -> PulseSchedule:
-    """Concatenate two schedules; the second's times shift by the first's duration."""
+    """Concatenate two schedules; the second's times shift by the first's duration.
+
+    Each schedule's channels are zero outside that schedule's own interval.
+    """
     off = first.duration
-    shifted_v = [
-        VoltageChannel(c.site, tuple((t + off, v) for t, v in c.points))
-        for c in second.voltage_channels
-    ]
-    shifted_m = [
-        MicrowaveChannel(
-            c.freq_GHz, c.amp_V_per_cm, c.phase,
-            tuple((t + off, x) for t, x in c.envelope),
-        )
-        for c in second.microwave
-    ]
+    v_first, m_first = _confined(first, 0.0, off, True)
+    v_second, m_second = _confined(second, off, off, False)
     # a colliding name takes the lowest free base~n, where base is the name
     # less one trailing ~<digits>, so the naming is associative
     ann = dict(first.annotations)
@@ -210,8 +219,8 @@ def concat(first: PulseSchedule, second: PulseSchedule) -> PulseSchedule:
         ann[name] = (a + off, b + off)
     return PulseSchedule(
         duration=first.duration + second.duration,
-        voltage_channels=first.voltage_channels + tuple(shifted_v),
-        microwave=first.microwave + tuple(shifted_m),
+        voltage_channels=v_first + v_second,
+        microwave=m_first + m_second,
         annotations=ann,
     )
 
@@ -295,8 +304,8 @@ def swap_schedule(
 
     Ramps the first electrode of the pair by v_peak (volts) so its
     transition crosses the partner's, holds for `dwell`, and ramps back.
-    If v_peak is omitted it is solved from the device's Stark map; a
-    statically resonant pair needs no ramp (v_peak = 0).
+    If v_peak is omitted it is the partner's voltage less the first site's
+    (see `resonance_voltage`); a pair at equal voltages needs no ramp.
     """
     n, m = pair
     if v_peak is None:
@@ -304,28 +313,17 @@ def swap_schedule(
     return triangular_ramp(n, v_peak, rise, dwell, fall)
 
 
-def resonance_voltage(
-    hamiltonian: QubitArrayHamiltonian, n: int, m: int,
-) -> float:
-    """Voltage increment (at most 1 V) on site n's electrode that matches site m's transition."""
-    from scipy.optimize import brentq
+def resonance_voltage(hamiltonian: QubitArrayHamiltonian, n: int, m: int) -> float:
+    """Voltage increment (at most 1 V) on site n's electrode that matches site m's transition.
 
-    eps_target = hamiltonian.eps_K[m]
-    if hamiltonian.eps_K[n] == eps_target:
-        return 0.0
-    tuning = hamiltonian.stark_tuning(n)
-
-    def gap(dv):
-        return tuning(dv) - eps_target
-
-    # the transition rises with field (c_geom > 0): bracket on the target's side only
-    side = 1.0 if gap(0.0) < 0 else -1.0
-    dv = 1e-6
-    while side * gap(side * dv) < 0:
-        dv *= 2.0
-        if dv > 1.0:
-            raise ValueError("no resonance within 1 V of electrode swing")
-    return brentq(gap, 0.0, side * dv, xtol=1e-15)
+    Every site reads one rising Stark map at the field E_perp + c_geom V / d,
+    so site n matches site m exactly at V_m: the increment is V_m - V_n.
+    """
+    hamiltonian.stark_tuning(n)  # raises when no device Stark map is attached
+    dv = float(hamiltonian.voltages[m] - hamiltonian.voltages[n])
+    if abs(dv) > 1.0:
+        raise ValueError("no resonance within 1 V of electrode swing")
+    return dv
 
 
 def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
@@ -336,7 +334,7 @@ def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
     n, m = pair
     n_q = hamiltonian.n_qubits
     target = math.sin(alpha) ** 2
-    # the resonance does not depend on the dwell: solve it once
+    # the resonance does not depend on the dwell: read it once
     v_peak = resonance_voltage(hamiltonian, n, m)
 
     def mismatch(dwell):

@@ -345,6 +345,37 @@ def test_noise_convention_key_rejected(tmp_path):
     assert main(["decoherence", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("sites, message", [
+    ([[0, 0], [0, 0]], "site positions must be distinct"),
+    ([[0, 0], [0.5, 0]], "sites 0 and 1 are closer than one pitch"),
+], ids=["coincident", "closer-than-a-pitch"])
+def test_device_site_mistakes_are_config_errors(tmp_path, capsys, sites, message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "output_dir": str(out),
+        "device": {**BASE_DEVICE, "sites": sites},
+    })
+    assert main(["build", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: device.sites: {message}\n"
+    assert not out.exists()
+
+
+def test_overrides_do_not_leak_into_the_next_call(tmp_path, capsys):
+    # the parser is built once per process; a second call without --set
+    # must not see the first call's overrides
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE),
+        "noise": {"s_v": 0.0},
+    })
+    assert main(["decoherence", "--config", cfg, "--set", "device.B_T=3.0"]) == 0
+    assert main(["decoherence", "--config", cfg]) == 0
+    written = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+    docs = [json.loads(open(p).read()) for p in written]
+    assert [d["overrides"] for d in docs] == [["device.B_T=3.0"], []]
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("subcommand", ["calibrate", "demo-swap"])
 def test_swap_pair_past_the_last_site_is_a_config_error(tmp_path, capsys, subcommand):
     cfg = write_config(tmp_path, {

@@ -114,6 +114,45 @@ def test_concat_associative_and_consistent():
 
 
 
+HOLD = pulses.PulseSchedule(1.0, (pulses.VoltageChannel(0, ((0.0, 1.0),)),))
+HALF_ON = pulses.PulseSchedule(
+    1.0, microwave=(pulses.MicrowaveChannel(100.0, 1.0, 0.0, ((0.0, 0.5),)),)
+)
+ALWAYS_ON = pulses.PulseSchedule(1.0, microwave=(pulses.MicrowaveChannel(100.0, 1.0),))
+IDLE = pulses.PulseSchedule(1.0)
+
+
+# values held past a schedule's own interval must not leak across the junction
+@pytest.mark.parametrize("first, second, read, expect", [
+    (HOLD, HOLD, lambda s, t: s.voltage_at(0, t), [1.0, 1.0, 1.0]),
+    (HALF_ON, IDLE, lambda s, t: s.microwave[0].envelope_at(t), [0.5, 0.0, 0.0]),
+    (IDLE, ALWAYS_ON, lambda s, t: s.microwave[0].envelope_at(t), [0.0, 1.0, 1.0]),
+], ids=["held-voltage", "first-envelope", "second-empty-envelope"])
+def test_concat_zeroes_each_schedule_outside_its_interval(first, second, read, expect):
+    joined = pulses.concat(first, second)
+    assert [read(joined, t) for t in (0.5, 1.0, 1.5)] == expect
+
+
+def test_concat_jumps_on_a_last_point_past_the_duration():
+    # breakpoints may sit up to 1e-12 relative past the duration; the jump
+    # to zero then sits on that last point, so the points stay sorted
+    late = pulses.PulseSchedule(
+        1.0, (pulses.VoltageChannel(0, ((0.0, 0.0), (1.0 + 1e-13, 1.0))),)
+    )
+    joined = pulses.concat(late, IDLE)
+    assert joined.voltage_channels[0].points[-1] == (1.0 + 1e-13, 0.0)
+    assert joined.voltage_at(0, 1.5) == 0.0
+
+
+def test_concat_keeps_channels_that_start_and_end_at_zero():
+    ramp = pulses.triangular_ramp(0, 1e-3, 1e-9, 2e-9, 1e-9)
+    joined = pulses.concat(ramp, ramp)
+    points = ramp.voltage_channels[0].points
+    assert [c.points for c in joined.voltage_channels] == [
+        points, tuple((t + ramp.duration, v) for t, v in points)
+    ]
+
+
 @st.composite
 def schedules(draw, names=("dwell",)):
     """Schedules of up to two voltage and two microwave channels on [0, duration]."""
@@ -384,6 +423,7 @@ def test_resonance_voltage_searches_the_target_side_only(monkeypatch, volts):
 
     monkeypatch.setattr(ham.stark_map, "exact", recorded)
     dv = pulses.resonance_voltage(ham, 0, 1)
+    assert not probes  # the resonance is read off the voltages, not the map
     assert np.sign(dv) == side
     assert ham.stark_tuning(0)(dv) == pytest.approx(ham.eps_K[1], rel=1e-12)
     assert probes and all(side * (f - base) >= 0 for f in probes)
@@ -396,3 +436,43 @@ def test_resonance_beyond_the_electrode_swing():
     ham = qubits.build(geom, voltages=np.array([0.0, 2.0]))
     with pytest.raises(ValueError, match="no resonance within 1 V of electrode swing"):
         pulses.resonance_voltage(ham, 0, 1)
+
+
+def bracketed_resonance(ham, n, m):
+    """Independent oracle: the root of site n's Stark tuning at site m's
+    transition, by a doubling bracket on the target's side and brentq."""
+    from scipy.optimize import brentq
+
+    tuning = ham.stark_tuning(n)
+
+    def gap(dv):
+        return tuning(dv) - ham.eps_K[m]
+
+    side = 1.0 if gap(0.0) < 0 else -1.0
+    dv = 1e-6
+    while side * gap(side * dv) < 0:
+        dv *= 2.0
+        assert dv < 4.0, "no bracket within 4 V"
+    return brentq(gap, 0.0, side * dv, xtol=1e-15)
+
+
+@pytest.mark.parametrize("volts", [
+    (0.0, 5e-5), (5e-5, 0.0), (0.0, -5e-5), (-5e-5, 0.0), (-3e-5, 2e-5),
+    (2e-5, -3e-5), (1e-4, 3e-4), (-6e-5, -2e-5),
+])
+def test_resonance_voltage_matches_the_bracketed_root(volts):
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
+    ham = qubits.build(geom, voltages=np.array(volts))
+    dv = pulses.resonance_voltage(ham, 0, 1)
+    assert dv == pytest.approx(bracketed_resonance(ham, 0, 1), rel=0, abs=1e-15 + 1e-12 * abs(dv))
+
+
+@pytest.mark.parametrize("v_partner", [0.6, 0.9])
+def test_resonance_within_the_electrode_swing_past_half_a_volt(v_partner):
+    # at c_geom = 1e-3 site 1 sits 12 or 18 V/cm above site 0; the resonance
+    # needs that much of site 0's 1 V swing
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)), c_geom=1e-3)
+    ham = qubits.build(geom, voltages=np.array([0.0, v_partner]))
+    dv = pulses.resonance_voltage(ham, 0, 1)
+    assert dv == v_partner
+    assert dv == pytest.approx(bracketed_resonance(ham, 0, 1), rel=0, abs=1e-15 + 1e-12 * dv)
