@@ -74,6 +74,11 @@ def _format_scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+def _block(items, pad: str) -> str:
+    body = ",\n".join(f"{pad}  {item}" for item in items)
+    return f"[\n{body}\n{pad}]" if body else "[]"
+
+
 def dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
     pad = "  " * indent
@@ -87,13 +92,16 @@ def dump_json(obj, indent: int = 0) -> str:
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         seq = list(obj)
-        if not seq:
-            return "[]"
         if len(seq) <= 16 and all(isinstance(x, (int, float)) or x is None for x in seq):
             return "[" + ", ".join(map(_format_scalar, seq)) + "]"
-        items = [f"{pad}  {dump_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        return _block((dump_json(v, indent + 1) for v in seq), pad)
     if isinstance(obj, np.ndarray):
+        # float64 arrays go row by row, one list per row, as text equal to tolist()'s
+        if obj.dtype == np.float64 and obj.ndim > 2:
+            return _block((dump_json(v, indent + 1) for v in obj), pad)
+        if obj.dtype == np.float64 and obj.ndim == 2 and obj.shape[1] <= 16:
+            rows = obj.tolist()
+            return _block(("[" + ", ".join(map(_format_float, r)) + "]" for r in rows), pad)
         return dump_json(obj.tolist(), indent)
     return _format_scalar(obj)
 
@@ -242,53 +250,43 @@ def swap_pair(block: dict, n_sites: int) -> tuple[int, int]:
 
 
 class _Writer:
+    """Writes a run's artifacts as ``<subcommand>_<config hash>.<suffix>`` and prints
+    ``wrote <path>`` for each; the output directory is made by the first write."""
+
     def __init__(self, config: dict, overrides: list[str], subcommand: str):
         self.hash = config_hash(config)
-        self.meta = {
-            "config_hash": self.hash,
-            "artifact_version": __version__,
-            "overrides": overrides,
-        }
-        # the comment line that opens every CSV artifact
-        self.csv_meta = f"config_hash={self.hash} artifact_version={__version__}" + (
-            f" overrides={';'.join(overrides)}" if overrides else ""
-        )
+        self.overrides = overrides
         self.outdir = Path(config["output_dir"])
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.sub = subcommand
 
-    def path(self, suffix: str) -> Path:
-        return self.outdir / f"{self.sub}_{self.hash}.{suffix}"
-
-    def csv(self, header: list[str], rows, suffix: str = "csv") -> Path:
-        p = self.path(suffix)
+    def _write(self, suffix: str, text: str) -> None:
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        p = self.outdir / f"{self.sub}_{self.hash}.{suffix}"
         with open(p, "w") as fh:
-            fh.write(f"# {self.csv_meta}\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(
-                    ",".join(
-                        _format_float(float(x)) if isinstance(x, (float, np.floating))
-                        else str(x)
-                        for x in row
-                    )
-                    + "\n"
-                )
-        return p
+            fh.write(text)
+        print(f"wrote {p}")
 
-    def json(self, payload: dict, suffix: str = "json") -> Path:
-        p = self.path(suffix)
-        doc = dict(self.meta)
-        doc.update(payload)
-        with open(p, "w") as fh:
-            fh.write(dump_json(doc) + "\n")
-        return p
+    def csv(self, header: list[str], rows, suffix: str = "csv") -> None:
+        overrides = f" overrides={';'.join(self.overrides)}" if self.overrides else ""
+        lines = [f"# config_hash={self.hash} artifact_version={__version__}{overrides}",
+                 ",".join(header)]
+        lines += (
+            ",".join(_format_float(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+                     for x in row)
+            for row in rows
+        )
+        self._write(suffix, "\n".join(lines) + "\n")
+
+    def json(self, payload: dict, suffix: str = "json") -> None:
+        meta = {"config_hash": self.hash, "artifact_version": __version__,
+                "overrides": self.overrides}
+        self._write(suffix, dump_json({**meta, **payload}) + "\n")
 
 
 # --- subcommands -------------------------------------------------------------
 
 
-def run_spectrum(config: dict, overrides: list[str]) -> int:
+def run_spectrum(config: dict, w: _Writer) -> None:
     dev = require_block(config, "device")
     sw = require_block(config, "spectrum")
     basis = basis_spec(dev)
@@ -301,13 +299,10 @@ def run_spectrum(config: dict, overrides: list[str]) -> int:
             rows.append(
                 (float(f), m, float(sol.energies[m - 1]), sol.transition_GHz(m))
             )
-    w = _Writer(config, overrides, "spectrum")
-    p = w.csv(["E_perp_V_per_cm", "m", "E_m_K", "nu_1m_GHz"], rows)
-    print(f"wrote {p}")
-    return EXIT_OK
+    w.csv(["E_perp_V_per_cm", "m", "E_m_K", "nu_1m_GHz"], rows)
 
 
-def run_medium(config: dict, overrides: list[str]) -> int:
+def run_medium(config: dict, w: _Writer) -> None:
     blk = require_block(config, "medium")
     surface = medium.HeliumSurface(temperature=blk.get("temperature_K", 0.01))
     ks = np.geomspace(blk["k_min"], blk["k_max"], blk["points"])
@@ -331,9 +326,7 @@ def run_medium(config: dict, overrides: list[str]) -> int:
                     sheet, branch, float(k), shear_speed=blk.get("shear_speed")
                 )
                 rows.append((branch, float(k), om, om * HBAR / K_B))
-    w = _Writer(config, overrides, "medium")
-    p = w.csv(["branch", "k_per_cm", "omega_per_s", "omega_K"], rows)
-    paths = [p]
+    w.csv(["branch", "k_per_cm", "omega_per_s", "omega_K"], rows)
     if "boundary" in blk:
         b = blk["boundary"]
         ns = np.geomspace(b["n_min"], b["n_max"], b["points"])
@@ -341,15 +334,10 @@ def run_medium(config: dict, overrides: list[str]) -> int:
         boundary_rows = [
             (float(n), medium.melting_temperature(float(n), gamma)) for n in ns
         ]
-        paths.append(
-            w.csv(["n_per_cm2", "T_melt_K"], boundary_rows, suffix="boundary.csv")
-        )
-    for p in paths:
-        print(f"wrote {p}")
-    return EXIT_OK
+        w.csv(["n_per_cm2", "T_melt_K"], boundary_rows, suffix="boundary.csv")
 
 
-def run_decoherence(config: dict, overrides: list[str]) -> int:
+def run_decoherence(config: dict, w: _Writer) -> None:
     dev = require_block(config, "device")
     geom = device_geometry(dev)
     basis = basis_spec(dev)
@@ -366,10 +354,7 @@ def run_decoherence(config: dict, overrides: list[str]) -> int:
         "bohr_radius_cm": hydrogenic.rydberg_scales(basis.lam)[1],
         "confinement_K": qubits.confinement_scale(geom),
     }
-    w = _Writer(config, overrides, "decoherence")
-    p = w.json({"budget": bud.to_dict(), "intermediates": intermediates})
-    print(f"wrote {p}")
-    return EXIT_OK
+    w.json({"budget": bud.to_dict(), "intermediates": intermediates})
 
 
 def _build_register(config: dict):
@@ -380,15 +365,12 @@ def _build_register(config: dict):
     return qubits.build(geom, volts, basis=basis), geom
 
 
-def run_build(config: dict, overrides: list[str]) -> int:
+def run_build(config: dict, w: _Writer) -> None:
     ham, _ = _build_register(config)
-    w = _Writer(config, overrides, "build")
-    p = w.json({"hamiltonian": ham.to_dict()})
-    print(f"wrote {p}")
-    return EXIT_OK
+    w.json({"hamiltonian": ham.to_dict()})
 
 
-def run_calibrate(config: dict, overrides: list[str], refine: bool = False) -> int:
+def run_calibrate(config: dict, w: _Writer, refine: bool = False) -> None:
     sw = require_block(config, "swap")
     ham, _ = _build_register(config)
     pair = swap_pair(sw, ham.n_qubits)
@@ -397,17 +379,14 @@ def run_calibrate(config: dict, overrides: list[str], refine: bool = False) -> i
         ham, pair, sw["alpha"],
         refine=refine, rise=sw.get("rise_s", 0.0), fall=sw.get("fall_s", 0.0),
     )
-    w = _Writer(config, overrides, "calibrate")
-    p = w.json({
+    w.json({
         "pair": list(pair),
         "alpha": sw["alpha"],
         "dwell_s": dwell,
         "refined": bool(refine),
         "b_K": float(ham.b_K[pair[0], pair[1]]),
     })
-    print(f"wrote {p}")
     print(f"dwell_s={_format_float(dwell)}")
-    return EXIT_OK
 
 
 def _evolution_spec(config: dict, duration: float) -> dynamics.EvolutionSpec:
@@ -420,6 +399,9 @@ def _evolution_spec(config: dict, duration: float) -> dynamics.EvolutionSpec:
         samples = np.linspace(0.0, t_end, ev.get("sample_count", 101))
     if np.any(np.diff(samples) < 0) or samples[-1] > duration * (1 + 1e-12):
         raise ConfigError(f"evolution.{key} must ascend and end within the {duration} s schedule")
+    for other in ("t_end_s", "sample_count"):
+        if key == "sample_times_s" and other in ev:
+            raise ConfigError(f"evolution.{other} does not apply with evolution.sample_times_s")
     budget_obj = None
     if ev.get("use_budget", False):
         budget_obj = device_budget(config)
@@ -435,7 +417,7 @@ def _evolution_spec(config: dict, duration: float) -> dynamics.EvolutionSpec:
     )
 
 
-def run_evolve(config: dict, overrides: list[str]) -> int:
+def run_evolve(config: dict, w: _Writer) -> None:
     block = require_block(config, "schedule")
     try:
         sched = pulses.PulseSchedule.from_dict(block)
@@ -459,16 +441,14 @@ def run_evolve(config: dict, overrides: list[str]) -> int:
         initial = dynamics.RegisterState.density_matrix(bits)
     spec = _evolution_spec(config, sched.duration)
     result = dynamics.evolve(ham, sched, initial, spec)
-    w = _Writer(config, overrides, "evolve")
-    p_csv = w.path("csv")
-    result.to_csv(p_csv, metadata=w.csv_meta)
-    p_json = w.json({"result": result.to_json_dict()})
-    print(f"wrote {p_csv}")
-    print(f"wrote {p_json}")
-    return EXIT_OK
+    w.csv(
+        ["t", *(f"pop_{label}" for label in result.labels), "trace"],
+        np.column_stack((result.times, result.populations, result.trace)).tolist(),
+    )
+    w.json({"result": result.to_json_dict()})
 
 
-def run_readout(config: dict, overrides: list[str]) -> int:
+def run_readout(config: dict, w: _Writer) -> None:
     dev = require_block(config, "device")
     ro = require_block(config, "readout")
     geom = device_geometry(dev)
@@ -492,12 +472,11 @@ def run_readout(config: dict, overrides: list[str]) -> int:
     ]
     seed = config.get("seed", 0)
     escaped, image = readout.sample_shots(survival, rplan, ro["shots"], seed)
-    w = _Writer(config, overrides, "readout")
     img_rows = [
         (px[0], px[1], count) for px, count in sorted(image.items())
     ]
-    p_img = w.csv(["pixel_x", "pixel_y", "counts"], img_rows, suffix="image.csv")
-    p_log = w.json({
+    w.csv(["pixel_x", "pixel_y", "counts"], img_rows, suffix="image.csv")
+    w.json({
         "plan": {
             "e_plus_V_per_cm": rplan.e_plus,
             "wait_s": rplan.wait,
@@ -513,12 +492,9 @@ def run_readout(config: dict, overrides: list[str]) -> int:
             {"index": k, "tunneled": row} for k, row in enumerate(escaped.tolist())
         ],
     })
-    print(f"wrote {p_img}")
-    print(f"wrote {p_log}")
-    return EXIT_OK
 
 
-def run_demo_swap(config: dict, overrides: list[str]) -> int:
+def run_demo_swap(config: dict, w: _Writer) -> None:
     sw = require_block(config, "swap")
     for key in ("t_end_s", "sample_count", "tunneling"):
         if key in config.get("evolution", {}):
@@ -555,8 +531,7 @@ def run_demo_swap(config: dict, overrides: list[str]) -> int:
     fidelity = (
         abs(math.cos(alpha) * amp_source + 1j * math.sin(alpha) * amp_target) ** 2
     )
-    w = _Writer(config, overrides, "demo-swap")
-    p = w.json({
+    w.json({
         "pair": list(pair),
         "alpha": alpha,
         "dwell_s": dwell,
@@ -569,14 +544,12 @@ def run_demo_swap(config: dict, overrides: list[str]) -> int:
         },
         "fidelity_vs_exchange_oracle": fidelity,
     })
-    print(f"wrote {p}")
     print(
         f"alpha={_format_float(alpha)} "
         f"|amp_{source}|={_format_float(abs(amp_source))} (target {_format_float(abs(math.cos(alpha)))}) "
         f"|amp_{target}|={_format_float(abs(amp_target))} (target {_format_float(abs(math.sin(alpha)))}) "
         f"fidelity={_format_float(fidelity)}"
     )
-    return EXIT_OK
 
 
 _RUNNERS = {
@@ -618,7 +591,8 @@ def main(argv: list[str] | None = None) -> int:
     flags = {"refine": args.refine} if args.subcommand == "calibrate" else {}
     try:
         config, overrides = load_config(args.config, args.overrides)
-        return _RUNNERS[args.subcommand](config, overrides, **flags)
+        _RUNNERS[args.subcommand](config, _Writer(config, overrides, args.subcommand), **flags)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -164,7 +164,11 @@ class EvolutionSpec:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Trajectory snapshots with norm/trace record and derived populations."""
+    """Trajectory snapshots with norm/trace record and derived populations.
+
+    `to_json_dict` gives the states as one float array of (re, im) rows, of
+    shape (samples, elements, 2); the CLI writes the files.
+    """
 
     mode: str
     labels: list[str]
@@ -191,27 +195,14 @@ class EvolutionResult:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def to_csv(self, path, metadata: str = "") -> None:
-        with open(path, "w") as fh:
-            if metadata:
-                fh.write(f"# {metadata}\n")
-            cols = ["t"] + [f"pop_{lab}" for lab in self.labels] + ["trace"]
-            fh.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.times):
-                row = [t, *self.populations[i], self.trace[i]]
-                fh.write(",".join(format(x, ".17g") for x in row) + "\n")
-
     def to_json_dict(self) -> dict:
-        states = [
-            [[z.real, z.imag] for z in np.asarray(s).reshape(-1)]
-            for s in self.states
-        ]
+        states = self.states.reshape(len(self.states), -1)
         return {
             "mode": self.mode,
             "frame": self.frame,
             "labels": self.labels,
             "times": self.times.tolist(),
-            "states": states,
+            "states": np.stack((states.real, states.imag), axis=-1),
             "trace": self.trace.tolist(),
         }
 

@@ -541,6 +541,21 @@ def test_schedule_and_evolution_mistakes_are_config_errors(tmp_path, capsys, ove
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("t_end_s", 1e-8), ("sample_count", 7)],
+                         ids=["t-end", "sample-count"])
+def test_sample_grid_keys_beside_sample_times_are_config_errors(tmp_path, capsys, key, value):
+    # evolve samples at sample_times_s alone, so a grid key beside it is a mistake
+    out = tmp_path / "out"
+    evolution = {"sample_times_s": [0.0, 5e-9], key: value}
+    cfg = write_config(tmp_path, {"output_dir": str(out), **EVOLVE_CONFIG,
+                                  "schedule": {"duration_s": 1e-8}, "evolution": evolution})
+    assert main(["evolve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: evolution.{key} does not apply with evolution.sample_times_s\n"
+    )
+    assert not out.exists()
+
+
 SWAP_CONFIG = {
     "device": dict(BASE_DEVICE),
     "swap": {"pair": [0, 1], "alpha": math.pi / 4},
@@ -604,6 +619,38 @@ def test_seed_beyond_the_philox_key_is_a_config_error(tmp_path):
         assert main(["readout", "--config", cfg]) == code
 
 
+# one small config per subcommand, with the suffixes of its artifacts in write order
+WRITER_CASES = {
+    "spectrum": ({"device": dict(BASE_DEVICE),
+                  "spectrum": {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 3,
+                               "max_state": 3}}, ["csv"]),
+    "medium": ({"medium": {"density_cm2": 1e8, "temperature_K": 0.1, "b_field_T": 1.5,
+                           "k_min": 1e2, "k_max": 1e3, "points": 5,
+                           "boundary": {"n_min": 1e7, "n_max": 1e9, "points": 4}}},
+               ["csv", "boundary.csv"]),
+    "decoherence": ({"device": dict(BASE_DEVICE), "noise": {"s_v": 1e-10}}, ["json"]),
+    "build": ({"device": dict(BASE_DEVICE)}, ["json"]),
+    "calibrate": (SWAP_CONFIG, ["json"]),
+    "evolve": (EVOLVE_CONFIG, ["csv", "json"]),
+    "readout": ({"device": dict(BASE_DEVICE),
+                 "readout": {"wait_s": 1e-6, "selectivity": 1e6, "shots": 50}},
+                ["image.csv", "json"]),
+    "demo-swap": (SWAP_CONFIG, ["json"]),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(cli._RUNNERS))
+def test_each_artifact_prints_one_wrote_line(tmp_path, capsys, subcommand):
+    out = tmp_path / "out"
+    block, suffixes = WRITER_CASES[subcommand]
+    config = {"output_dir": str(out), **block}
+    assert main([subcommand, "--config", write_config(tmp_path, config)]) == 0
+    paths = [str(out / f"{subcommand}_{cli.config_hash(config)}.{sfx}") for sfx in suffixes]
+    stdout = capsys.readouterr().out.splitlines()
+    assert [line[6:] for line in stdout if line.startswith("wrote ")] == paths
+    assert sorted(str(p) for p in out.iterdir()) == sorted(paths)
+
+
 # --- the recursive serializer that dump_json replaced, kept as the oracle ----
 
 
@@ -659,10 +706,11 @@ _scalars = st.one_of(
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     _finite_or_inf.map(np.float64),
 )
+_shapes = hnp.array_shapes(max_dims=3, min_side=0, max_side=18)
 _arrays = st.one_of(
-    hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=18), elements=_finite_or_inf),
-    hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, max_side=18)),
-    hnp.arrays(np.bool_, hnp.array_shapes(max_dims=2, max_side=18)),
+    hnp.arrays(np.float64, _shapes, elements=_finite_or_inf),
+    hnp.arrays(np.int64, _shapes),
+    hnp.arrays(np.bool_, _shapes),
 )
 # lists at the inline length limit, of plain scalars and of mixed ones
 _edge_lists = st.integers(15, 17).flatmap(
@@ -687,10 +735,101 @@ def test_dump_json_matches_the_recursive_serializer(doc):
     assert cli.dump_json(doc) == dump_json(doc)
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (0, 3, 2), (2, 0, 2), (2, 0), (1, 17)])
+def test_dump_json_writes_empty_and_wide_float_arrays_as_their_lists(shape):
+    # the row-by-row path's edges, which the strategy above seldom draws
+    doc = {"a": np.arange(math.prod(shape), dtype=float).reshape(shape)}
+    assert cli.dump_json(doc) == dump_json(doc)
+
+
 def test_dump_json_still_rejects_nan():
     nan = float("nan")
-    for doc in (nan, [nan], [1.0] * 16 + [nan], {"a": (0, nan)}, np.array([1.0, nan])):
+    for doc in (nan, [nan], [1.0] * 16 + [nan], {"a": (0, nan)}, np.array([1.0, nan]),
+                np.array([[1.0, nan]])):
         with pytest.raises(ValueError, match="NaN"):
             dump_json(doc)
         with pytest.raises(ValueError, match="NaN"):
             cli.dump_json(doc)
+
+
+# --- the EvolutionResult serializers that the CLI writer replaced, kept as oracles
+
+
+def result_to_csv(res, path, metadata: str = "") -> None:
+    with open(path, "w") as fh:
+        if metadata:
+            fh.write(f"# {metadata}\n")
+        cols = ["t"] + [f"pop_{lab}" for lab in res.labels] + ["trace"]
+        fh.write(",".join(cols) + "\n")
+        for i, t in enumerate(res.times):
+            row = [t, *res.populations[i], res.trace[i]]
+            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+
+
+def result_to_json_dict(res) -> dict:
+    states = [
+        [[z.real, z.imag] for z in np.asarray(s).reshape(-1)]
+        for s in res.states
+    ]
+    return {
+        "mode": res.mode,
+        "frame": res.frame,
+        "labels": res.labels,
+        "times": res.times.tolist(),
+        "states": states,
+        "trace": res.trace.tolist(),
+    }
+
+
+RABI_SCHEDULE = {
+    "duration_s": 1e-9,
+    "microwave": [{"freq_GHz": 118.4, "amp_V_per_cm": 1.0}],
+}
+
+
+def test_evolve_artifacts_match_the_result_serializers(tmp_path, monkeypatch):
+    from helioq import dynamics
+
+    results = []
+    evolve = dynamics.evolve
+
+    def capture(*args, **kwargs):
+        results.append(evolve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dynamics, "evolve", capture)
+    cases = {
+        "state-vector": ({"d_um": 0.5, "sites": [[0, 0]], "B_T": 1.5, "T_K": 0.01},
+                         "d", 5, []),
+        "density-matrix": (dict(BASE_DEVICE), "ud", 3, ["evolution.rtol=1e-9"]),
+    }
+    for mode, (device, bits, count, overrides) in cases.items():
+        out = tmp_path / mode
+        cfg = write_config(tmp_path, {
+            "output_dir": str(out),
+            "device": device,
+            "schedule": RABI_SCHEDULE,
+            "initial": {"bits": bits, "mode": mode},
+            "evolution": {"sample_count": count},
+        }, name=f"{mode}.json")
+        argv = ["evolve", "--config", cfg]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 0
+        res = results[-1]
+        text = next(out.glob("evolve_*.json")).read_text()
+        meta = {k: json.loads(text)[k] for k in ("config_hash", "artifact_version", "overrides")}
+        assert meta["overrides"] == overrides
+        assert text == dump_json({**meta, "result": result_to_json_dict(res)}) + "\n"
+        oracle_csv = tmp_path / f"{mode}.csv"
+        result_to_csv(res, oracle_csv, metadata=(
+            f"config_hash={meta['config_hash']} artifact_version={meta['artifact_version']}"
+            + (f" overrides={';'.join(overrides)}" if overrides else "")
+        ))
+        assert next(out.glob("evolve_*.csv")).read_bytes() == oracle_csv.read_bytes()
+
+    sv = results[0]
+    doc = json.loads(next((tmp_path / "state-vector").glob("evolve_*.json")).read_text())
+    assert doc["result"]["labels"] == ["d", "u"]
+    amp = doc["result"]["states"][-1][1]
+    assert amp[0] ** 2 + amp[1] ** 2 == pytest.approx(sv.population("u")[-1], rel=1e-12)

@@ -365,30 +365,6 @@ def test_spectator_phase_accumulation_with_couplings():
     assert np.abs(res.trace - 1.0).max() < 1e-10
 
 
-def test_result_serialization_roundtrip(tmp_path):
-    ham = single_qubit()
-    omega = 1e9
-    t_end = math.pi / omega
-    sched = drive_schedule(t_end, 10.0, omega, ham.drive_coeff)
-    times = np.linspace(0.0, t_end, 5)
-    res = evolve(
-        ham, sched, RegisterState.state_vector("d"),
-        EvolutionSpec(sample_times=times),
-    )
-    p = tmp_path / "traj.csv"
-    res.to_csv(p, metadata="test")
-    lines = p.read_text().splitlines()
-    assert lines[0] == "# test"
-    assert lines[1] == "t,pop_d,pop_u,trace"
-    assert len(lines) == 2 + len(times)
-    doc = res.to_json_dict()
-    assert doc["labels"] == ["d", "u"]
-    amp = doc["states"][-1][1]
-    assert amp[0] ** 2 + amp[1] ** 2 == pytest.approx(
-        res.population("u")[-1], rel=1e-12
-    )
-
-
 # --- cross-path checks of the density-matrix propagators ---------------------
 
 T_SEG = 2e-8  # one constant segment, s
