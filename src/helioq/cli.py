@@ -154,6 +154,8 @@ def load_config(path: str, overrides: list[str]) -> tuple[dict, list[str]]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must hold a JSON object at its top level")
     for assignment in overrides:
         apply_override(config, assignment)
     from jsonschema.exceptions import best_match

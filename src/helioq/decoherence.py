@@ -14,7 +14,7 @@ end.  The channels:
   relative spectral weight outside the zero-ripplon line (not a decay);
 - electrode voltage noise: S_nu = (tuning) * S_V, with dephasing time
   1 / S_nu^2 under the back-of-envelope estimator (the rigorous white-noise
-  convention 2 pi^2 S_nu^2 is selectable, never silently applied);
+  rate would be 2 pi^2 S_nu^2);
 - in-plane coupling suppression: 2 l^2 / d^2 for a neighboring pair.
 
 The mobility scattering rate e^2 E_T^2 / (4 sigma hbar) is a diagnostic for
@@ -118,17 +118,13 @@ def mobility_rate(e_field: float, sigma: float = SIGMA_HE) -> float:
     return force**2 / (4.0 * sigma * HBAR)
 
 
-def voltage_noise_dephasing(
-    noise_density: float, tuning: float, convention: str = "estimator",
-) -> tuple[float, float]:
+def voltage_noise_dephasing(noise_density: float, tuning: float) -> tuple[float, float]:
     """Frequency-noise density (Hz/sqrt(Hz)) and dephasing time (s).
 
     noise_density is the line's voltage noise in V/sqrt(Hz); tuning is the
-    qubit-frequency lever arm in GHz/mV.  The default "estimator"
-    convention takes the rate to be the frequency-noise power density
-    S_nu^2; "white-noise" applies the rigorous factor 2 pi^2 for pure
-    dephasing under Gaussian white frequency noise (about 20x faster).
-    S_V = 0 returns an infinite dephasing time.
+    qubit-frequency lever arm in GHz/mV.  The estimator takes the rate to be
+    the frequency-noise power density S_nu^2.  S_V = 0 returns an infinite
+    dephasing time.
     """
     if noise_density < 0:
         raise ValueError(f"noise_density must be nonnegative, got {noise_density}")
@@ -138,13 +134,7 @@ def voltage_noise_dephasing(
     s_nu = tuning_hz_per_v * noise_density  # Hz / sqrt(Hz)
     if s_nu == 0.0:
         return 0.0, math.inf
-    if convention == "estimator":
-        rate = s_nu**2
-    elif convention == "white-noise":
-        rate = 2.0 * math.pi**2 * s_nu**2
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return s_nu, 1.0 / rate
+    return s_nu, 1.0 / s_nu**2
 
 
 def inplane_suppression(length: float, pitch: float) -> float:
@@ -194,13 +184,6 @@ class DecoherenceBudget:
         if math.isinf(self.t_phi_v_s):
             d["t_phi_v_s"] = None  # unbounded: noiseless line
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecoherenceBudget":
-        d = dict(d)
-        if d.get("t_phi_v_s") is None:
-            d["t_phi_v_s"] = math.inf
-        return cls(**d)
 
 
 def budget(

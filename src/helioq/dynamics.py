@@ -164,7 +164,7 @@ class EvolutionSpec:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Trajectory snapshots with norm/trace record and derived populations.
+    """Trajectory snapshots with their trace record and derived populations.
 
     `to_json_dict` gives the states as one float array of (re, im) rows, of
     shape (samples, elements, 2); the CLI writes the files.
@@ -185,11 +185,6 @@ class EvolutionResult:
                 f"{len(self.labels[0])}-qubit register"
             )
         return self.populations[:, basis_index(bits)]
-
-    @property
-    def norm(self) -> np.ndarray:
-        """State-vector norm (sqrt of the recorded squared norm)."""
-        return np.sqrt(self.trace)
 
     @property
     def final_state(self) -> np.ndarray:

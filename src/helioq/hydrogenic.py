@@ -21,8 +21,8 @@ infinite wall, three orders of magnitude above R.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -60,6 +60,11 @@ def rydberg_scales(lam: float) -> tuple[float, float]:
     return rydberg_K, bohr_cm
 
 
+# Gauss-Laguerre order of the moment integrals, raised to size + 8 for
+# larger bases so the quadrature stays exact
+_QUAD_ORDER = 96
+
+
 @dataclass(frozen=True)
 class HydrogenicBasisSpec:
     """Truncated-basis specification for the pressed hydrogenic problem.
@@ -70,43 +75,21 @@ class HydrogenicBasisSpec:
     measures convergence within the bound states' span, not accuracy: the
     span misses the continuum, so against a finite-difference solution of
     the full problem the 1->2 line reads high by ~0.1 GHz at 10 V/cm and
-    13 GHz at 100 V/cm.  `grid` holds the z samples (cm) on which
-    wavefunctions are reported; it defaults to 2000 points up to
-    40 * size * r_B.
+    13 GHz at 100 V/cm.
     """
 
     lam: float
     size: int = 32
-    grid: np.ndarray | None = field(default=None)
-    quad_order: int = 96
 
     def __post_init__(self):
         if self.size < 3:
             raise ValueError(f"basis size must be at least 3, got {self.size}")
         if self.lam <= 0:
             raise ValueError(f"image strength must be positive, got {self.lam}")
-        if self.grid is None:
-            _, r_b = rydberg_scales(self.lam)
-            z_max = 40.0 * self.size * r_b
-            grid = np.linspace(z_max / 2000.0, z_max, 2000)
-            object.__setattr__(self, "grid", grid)
-        else:
-            grid = np.asarray(self.grid, dtype=float)
-            if grid.ndim != 1 or grid.size < 2:
-                raise ValueError("grid must be a 1D array of at least 2 samples")
-            if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
-                raise ValueError("grid must be strictly increasing and start above 0")
-            object.__setattr__(self, "grid", grid)
 
     @property
     def scales(self) -> tuple[float, float]:
         return rydberg_scales(self.lam)
-
-
-def basis_function(m: int, x: np.ndarray) -> np.ndarray:
-    """Zero-field eigenfunction u_m at x = z / r_B (normalized to r_B units)."""
-    x = np.asarray(x, dtype=float)
-    return 2.0 / m**2.5 * x * eval_genlaguerre(m - 1, 1, 2.0 * x / m) * np.exp(-x / m)
 
 
 @lru_cache(maxsize=16)
@@ -139,34 +122,23 @@ def _moment_matrix(size: int, power: int, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HydrogenicSolution:
-    """Stark-shifted levels, z matrix elements, and wavefunction samples.
+    """Stark-shifted levels and z matrix elements.
 
     Energies are in kelvin, sorted ascending; `z_elements[i, j]` is
-    <i+1|z|j+1> (cm) between the perturbed states; `psi[i]` samples the
-    i-th perturbed wavefunction on `grid` in cm^(-1/2).  `coefficients`
-    maps perturbed states to the zero-field basis (columns).  `psi` is
-    computed from `coefficients` on first access and then kept.
+    <i+1|z|j+1> (cm) between the perturbed states, each state's sign fixed
+    so its dominant zero-field component is positive.
     """
 
     e_perp: float               # V/cm, >0 presses toward the surface
     energies: np.ndarray        # K, shape (size,)
     z_elements: np.ndarray      # cm, shape (size, size)
-    grid: np.ndarray            # cm
     lam: float
     rydberg_K: float
     bohr_cm: float
-    coefficients: np.ndarray    # shape (size, size)
 
     @property
     def size(self) -> int:
         return self.energies.size
-
-    @cached_property
-    def psi(self) -> np.ndarray:
-        """Perturbed wavefunctions on `grid`, cm^-1/2, shape (size, len(grid))."""
-        x = self.grid / self.bohr_cm
-        basis_samples = np.vstack([basis_function(m, x) for m in range(1, self.size + 1)])
-        return (self.coefficients.T @ basis_samples) / np.sqrt(self.bohr_cm)
 
     def transition_K(self, m: int, n: int = 1) -> float:
         """E_m - E_n in kelvin (1-based state labels)."""
@@ -197,7 +169,7 @@ def _eigensystem(spec: HydrogenicBasisSpec, e_perp: float, size: int, vectors: b
     """
     rydberg_K, r_b = spec.scales
     m_idx = np.arange(1, size + 1)
-    z_cm = _moment_matrix(size, 1, max(spec.quad_order, size + 8)) * r_b
+    z_cm = _moment_matrix(size, 1, max(_QUAD_ORDER, size + 8)) * r_b
     h = np.diag(-rydberg_K / m_idx**2) + EVCM_K * e_perp * z_cm
     energies = np.linalg.eigvalsh(h)
     vecs = np.linalg.eigh(h)[1] if vectors or e_perp < 0 else None
@@ -278,11 +250,9 @@ def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
         e_perp=float(e_perp),
         energies=energies,
         z_elements=z_pert,
-        grid=spec.grid,
         lam=spec.lam,
         rydberg_K=rydberg_K,
         bohr_cm=r_b,
-        coefficients=vecs,
     )
 
 
@@ -295,5 +265,5 @@ def stark_rate(spec: HydrogenicBasisSpec, m: int) -> float:
     """
     if not 1 <= m <= spec.size:
         raise ValueError(f"state index {m} outside basis of size {spec.size}")
-    z_mm = _moment_matrix(spec.size, 1, max(spec.quad_order, spec.size + 8))[m - 1, m - 1]
+    z_mm = _moment_matrix(spec.size, 1, max(_QUAD_ORDER, spec.size + 8))[m - 1, m - 1]
     return EVCM_K * z_mm * spec.scales[1] * K_TO_GHZ

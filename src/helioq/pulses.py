@@ -16,7 +16,6 @@ dynamics when finite-rate ramps shift the effective resonance time.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -30,7 +29,6 @@ __all__ = [
     "PulseSchedule",
     "VoltageChannel",
     "calibrate_swap",
-    "concat",
     "pi_pulse",
     "rabi_frequency",
     "swap_schedule",
@@ -57,10 +55,9 @@ def _breakpoint_arrays(points, default):
     return xy
 
 
-def _interp(xy, t):
+def _interp(xy, t: float) -> float:
     """Piecewise-linear evaluation; boundary values held outside the span."""
-    out = np.interp(t, xy[0], xy[1])
-    return float(out) if np.ndim(out) == 0 else out
+    return float(np.interp(t, xy[0], xy[1]))
 
 
 @dataclass(frozen=True)
@@ -123,12 +120,9 @@ class PulseSchedule:
         object.__setattr__(self, "voltage_channels", vcs)
         object.__setattr__(self, "microwave", mws)
 
-    def voltage_at(self, site: int, t):
+    def voltage_at(self, site: int, t: float) -> float:
         """Summed voltage increment on `site` at time t (volts)."""
-        vals = [c.value_at(t) for c in self.voltage_channels if c.site == site]
-        if not vals:
-            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-        return sum(vals)
+        return sum((c.value_at(t) for c in self.voltage_channels if c.site == site), 0.0)
 
     def breakpoints(self) -> np.ndarray:
         """Sorted unique times at which any channel changes slope."""
@@ -177,52 +171,6 @@ class PulseSchedule:
             ),
             annotations={k: (a, b) for k, (a, b) in d.get("annotations", {}).items()},
         )
-
-
-def _confined(sched, shift, t, after):
-    """`sched`'s channels shifted by `shift` and zero past the junction at t.
-
-    A nonzero edge value (`default` without points) holds up to t and then
-    jumps to zero; the hold point stays even where it repeats the edge point,
-    so the point count does not depend on rounding.
-    """
-    def moved(points, default):
-        pts = [(s + shift, x) for s, x in points]
-        edge_t, v = (pts[-1] if after else pts[0]) if pts else (t, default)
-        if v == 0.0:
-            return tuple(pts)
-        tj = max(t, edge_t) if after else min(t, edge_t)
-        return tuple(pts + [(tj, v), (tj, 0.0)] if after else [(tj, 0.0), (tj, v)] + pts)
-
-    return (
-        tuple(replace(c, points=moved(c.points, 0.0)) for c in sched.voltage_channels),
-        tuple(replace(c, envelope=moved(c.envelope, 1.0)) for c in sched.microwave),
-    )
-
-
-def concat(first: PulseSchedule, second: PulseSchedule) -> PulseSchedule:
-    """Concatenate two schedules; the second's times shift by the first's duration.
-
-    Each schedule's channels are zero outside that schedule's own interval.
-    """
-    off = first.duration
-    v_first, m_first = _confined(first, 0.0, off, True)
-    v_second, m_second = _confined(second, off, off, False)
-    # a colliding name takes the lowest free base~n, where base is the name
-    # less one trailing ~<digits>, so the naming is associative
-    ann = dict(first.annotations)
-    for name, (a, b) in second.annotations.items():
-        base, n = re.sub(r"~[0-9]+$", "", name), 1
-        while name in ann:
-            name = f"{base}~{n}"
-            n += 1
-        ann[name] = (a + off, b + off)
-    return PulseSchedule(
-        duration=first.duration + second.duration,
-        voltage_channels=v_first + v_second,
-        microwave=m_first + m_second,
-        annotations=ann,
-    )
 
 
 def rabi_frequency(e_rf: float, z12: float) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hydrogenic import HydrogenicBasisSpec, HydrogenicSolution, solve, transition_K
+from .hydrogenic import HydrogenicBasisSpec, solve, transition_K
 from .units import (
     E_SQ,
     E_SQ_K_CM,
@@ -45,7 +45,6 @@ __all__ = [
     "QubitArrayHamiltonian",
     "build",
     "confinement_scale",
-    "couplings",
     "site_field",
 ]
 
@@ -128,20 +127,6 @@ def _pair_couplings(
             a[i, j] = a[j, i] = E_SQ_K_CM * dz[i] * dz[j] / d3
             b[i, j] = b[j, i] = 2.0 * E_SQ_K_CM * abs(z12[i]) * abs(z12[j]) / d3
     return a, b
-
-
-def couplings(
-    geometry: DeviceGeometry,
-    solution: HydrogenicSolution,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dipole coupling matrices (A_nm, B_nm) in kelvin at a common field.
-
-    Uses the matrix elements of `solution` for every site; `build` computes
-    per-site elements when voltages differ.
-    """
-    dz = np.full(geometry.n_sites, solution.z_elements[0, 0] - solution.z_elements[1, 1])
-    z12 = np.full(geometry.n_sites, solution.z_elements[0, 1])
-    return _pair_couplings(geometry, dz, z12)
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,7 @@ def test_c16_norm_and_positivity():
             RegisterState.state_vector("d"),
             EvolutionSpec(sample_times=times),
         )
-        assert np.abs(res.norm - 1.0).max() < 1e-8
+        assert np.abs(np.sqrt(res.trace) - 1.0).max() < 1e-8
 
         budget = decoherence.budget(**OPERATING, noise_density=1e-10, tuning=1.0)
         t_dm = 8 * math.pi / 3e8

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helioq import cli, hydrogenic, units
+from helioq import cli, hydrogenic, qubits, units
 from helioq.cli import main
 
 BASE_DEVICE = {
@@ -100,6 +100,20 @@ def test_build_writes_matrices(tmp_path):
     assert ham["n_qubits"] == 2
     assert ham["a_K"][0][1] == pytest.approx(0.15795561, rel=1e-6)
     assert ham["b_K"][0][1] == pytest.approx(4.8696744e-3, rel=1e-6)
+
+
+def test_build_reads_basis_size(tmp_path):
+    device = dict(BASE_DEVICE, E_perp=20.0)
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "device": device})
+    assert main(["build", "--config", cfg]) == 0
+    assert main(["build", "--config", cfg, "--set", "device.basis_size=40"]) == 0
+    docs = [json.loads(p.read_text()) for p in (tmp_path / "out").glob("build_*.json")]
+    default = next(d for d in docs if not d["overrides"])["hamiltonian"]
+    sized = next(d for d in docs if d["overrides"])["hamiltonian"]
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)), e_perp=20.0)
+    basis = hydrogenic.HydrogenicBasisSpec(lam=units.image_strength(1.057), size=40)
+    assert sized == qubits.build(geom, np.zeros(2), basis=basis).to_dict()
+    assert sized["eps_K"] != default["eps_K"]
 
 
 def test_calibrate_and_evolve_roundtrip(tmp_path):
@@ -211,6 +225,25 @@ def test_medium_outputs(tmp_path):
     assert float(t) == med.melting_temperature(float(n), 137.0)
 
 
+def test_medium_reads_shear_speed(tmp_path):
+    from helioq import medium as med
+
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "medium": {"density_cm2": 1e8, "k_min": 1e2, "k_max": 1e3, "points": 5,
+                   "shear_speed": 3.5e5},
+    })
+    assert main(["medium", "--config", cfg]) == 0
+    lines = next((tmp_path / "out").glob("medium_*.csv")).read_text().splitlines()
+    shear = [row.split(",") for row in lines[2:] if row.startswith("shear-acoustic,")]
+    assert len(shear) == 5
+    sheet = med.ElectronSheet(1e8, 0.0)
+    for _, k, omega, _ in shear:
+        assert float(omega) == med.collective_mode(
+            sheet, "shear-acoustic", float(k), shear_speed=3.5e5
+        )
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path, {
         "output_dir": str(tmp_path / "out"),
@@ -242,6 +275,19 @@ def test_overrides_change_hash_and_echo(tmp_path):
     overridden = next(d for d in docs if d["overrides"])
     assert overridden["overrides"] == ["device.B_T=3.0"]
     assert overridden["budget"]["b_field"] == 3.0
+
+
+def test_override_that_is_not_json_is_a_raw_string(tmp_path):
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE),
+    })
+    elsewhere = tmp_path / "elsewhere"
+    assignment = f"output_dir={elsewhere}"
+    assert main(["build", "--config", cfg, "--set", assignment]) == 0
+    assert not (tmp_path / "out").exists()
+    doc = json.loads(next(elsewhere.glob("build_*.json")).read_text())
+    assert doc["overrides"] == [assignment]
 
 
 def test_evolve_csv_echoes_overrides(tmp_path):
@@ -450,7 +496,7 @@ def test_floats_serialized_at_full_precision(tmp_path):
 
 
 def test_evolve_budget_matches_decoherence_budget(tmp_path):
-    from helioq import cli, decoherence
+    from helioq import cli
 
     config = {
         "output_dir": str(tmp_path / "out"),
@@ -462,9 +508,9 @@ def test_evolve_budget_matches_decoherence_budget(tmp_path):
     cfg = write_config(tmp_path, config)
     assert main(["decoherence", "--config", cfg]) == 0
     doc = json.loads(next((tmp_path / "out").glob("decoherence_*.json")).read_text())
-    reported = decoherence.DecoherenceBudget.from_dict(doc["budget"])
-    assert reported.coupling_const == 0.03 and reported.tau_inv_s > 0
-    assert cli._evolution_spec(config, 1e-8).budget == reported
+    reported = doc["budget"]
+    assert reported["coupling_const"] == 0.03 and reported["tau_inv_s"] > 0
+    assert cli._evolution_spec(config, 1e-8).budget.to_dict() == reported
 
 
 def test_config_errors_in_one_process(tmp_path, capsys):
@@ -486,6 +532,18 @@ def test_config_errors_in_one_process(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"config error: config invalid at {where}: {info.value.message}\n"
         )
+
+
+@pytest.mark.parametrize("top", ["[1, 2]", '"x"', "5"], ids=["list", "string", "number"])
+def test_non_object_config_is_a_config_error(tmp_path, capsys, top):
+    # an override walks into the top level, which must be an object
+    cfg = tmp_path / "top.json"
+    cfg.write_text(top)
+    assert main(["build", "--config", str(cfg), "--set", "a=1"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config {cfg} must hold a JSON object at its top level\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["top.json"]
 
 
 EVOLVE_CONFIG = {

@@ -88,21 +88,15 @@ def test_offdiagonal_element_against_oracle(zero_field):
     )
 
 
-def test_wavefunctions_normalized(basis, zero_field):
-    # adaptive-quadrature oracle on the sampled wavefunctions' analytic form
+def test_wavefunctions_normalized(basis):
+    # adaptive-quadrature oracle on the closed-form wavefunctions
     for m, u, hi in ((1, _u1, 60), (2, _u2, 120)):
         norm, _ = integrate.quad(lambda x: u(x) ** 2, 0, hi)
         assert norm == pytest.approx(1.0, abs=1e-10)
-    # solver-grid samples agree with the closed forms pointwise
-    r_b = zero_field.bohr_cm
-    x = zero_field.grid / r_b
-    mask = x < 50
-    expect = _u1(x[mask]) / np.sqrt(r_b)
-    assert np.allclose(zero_field.psi[0, mask], expect, rtol=0, atol=1e-6 * expect.max())
     # basis orthonormality through the solver's quadrature, all states
-    from helioq.hydrogenic import _moment_matrix
+    from helioq.hydrogenic import _QUAD_ORDER, _moment_matrix
 
-    gram = _moment_matrix(basis.size, 0, basis.quad_order)
+    gram = _moment_matrix(basis.size, 0, _QUAD_ORDER)
     assert np.abs(gram - np.eye(basis.size)).max() < 1e-8
 
 
@@ -212,18 +206,11 @@ def test_small_basis_rejected():
         HydrogenicBasisSpec(lam=LAM, size=2)
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        HydrogenicBasisSpec(lam=LAM, grid=np.array([0.0, 1e-6]))
-    with pytest.raises(ValueError):
-        HydrogenicBasisSpec(lam=LAM, grid=np.array([1e-6, 1e-6]))
-
-
 def _stark_matrix(spec, e_perp):
     """The truncated Stark matrix (K) that `transition_K` diagonalizes."""
     rydberg_K, r_b = spec.scales
     m = np.arange(1, spec.size + 1)
-    z_cm = hydrogenic._moment_matrix(spec.size, 1, max(spec.quad_order, spec.size + 8)) * r_b
+    z_cm = hydrogenic._moment_matrix(spec.size, 1, max(hydrogenic._QUAD_ORDER, spec.size + 8)) * r_b
     return np.diag(-rydberg_K / m**2) + units.EVCM_K * e_perp * z_cm
 
 

@@ -92,6 +92,22 @@ def test_plan_meets_selectivity_window(solution):
     assert plan.t_2 < wait < plan.t_1
 
 
+def test_plan_brackets_below_the_starting_field():
+    # just below E_2's zero crossing the excited state is barely bound, so
+    # its escape field lies under the bracket's starting 1e-3 V/cm
+    from scipy.optimize import brentq
+
+    basis = HydrogenicBasisSpec(lam=LAM)
+    crossing = brentq(lambda f: solve(basis, f).energies[1], 20.0, 60.0)
+    weak = solve(basis, crossing - 0.5)
+    assert -0.1 < weak.energies[1] < 0.0
+    wait = 1e-6
+    plan = readout.plan(weak, wait, 1e6)
+    assert 0.0 < plan.e_plus < 1e-3
+    assert plan.t_2 == pytest.approx(wait / 5.0, rel=1e-7)
+    assert plan.t_2 < wait < plan.t_1
+
+
 def test_plan_reports_frontier_when_unreachable(solution):
     # a selectivity beyond the ground state's protection cannot be met:
     # at the chosen field t_1/t_2 ~ 7e104, so ask for more than that
