@@ -364,17 +364,17 @@ def _build_register(config: dict):
     geom = device_geometry(dev)
     basis = basis_spec(dev)
     volts = device_voltages(dev, geom.n_sites)
-    return qubits.build(geom, volts, basis=basis), geom
+    return qubits.build(geom, volts, basis=basis)
 
 
 def run_build(config: dict, w: _Writer) -> None:
-    ham, _ = _build_register(config)
+    ham = _build_register(config)
     w.json({"hamiltonian": ham.to_dict()})
 
 
 def run_calibrate(config: dict, w: _Writer, refine: bool = False) -> None:
     sw = require_block(config, "swap")
-    ham, _ = _build_register(config)
+    ham = _build_register(config)
     pair = swap_pair(sw, ham.n_qubits)
     refine = refine or sw.get("refine", False)
     dwell = pulses.calibrate_swap(
@@ -426,7 +426,7 @@ def run_evolve(config: dict, w: _Writer) -> None:
     except ValueError as exc:  # breakpoints out of order or range
         raise ConfigError(f"schedule.{exc}") from exc
     init_blk = require_block(config, "initial")
-    ham, _ = _build_register(config)
+    ham = _build_register(config)
     check_sites("schedule.voltage_channels[].site",
                 [c.site for c in sched.voltage_channels], ham.n_qubits)
     bits = init_blk["bits"]
@@ -504,7 +504,7 @@ def run_demo_swap(config: dict, w: _Writer) -> None:
                 f"evolution.{key} does not apply to demo-swap, which evolves a state "
                 "vector and samples at evolution.sample_times_s or at the dwell's end"
             )
-    ham, geom = _build_register(config)
+    ham = _build_register(config)
     pair = swap_pair(sw, ham.n_qubits)
     alpha = sw["alpha"]
     rise, fall = sw.get("rise_s", 0.0), sw.get("fall_s", 0.0)

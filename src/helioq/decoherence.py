@@ -49,18 +49,15 @@ __all__ = [
 _K_TO_RATE = K_B / HBAR  # s^-1 per kelvin
 
 
-def t1_free(temperature: float, lam: float, sigma: float = SIGMA_HE) -> float:
+def t1_free(temperature: float, lam: float) -> float:
     """Interband lifetime (s) of an unconfined electron at `temperature` (K)."""
     rydberg_K, bohr_cm = rydberg_scales(lam)
-    delta_t = thermal_amplitude(HeliumSurface(sigma=sigma, temperature=temperature))
+    delta_t = thermal_amplitude(HeliumSurface(temperature=temperature))
     rate = rydberg_K * (delta_t / bohr_cm) ** 2 * _K_TO_RATE
     return 1.0 / rate
 
 
-def t2_confined(
-    temperature: float, b_field: float, pitch: float, lam: float,
-    sigma: float = SIGMA_HE,
-) -> float:
+def t2_confined(temperature: float, b_field: float, pitch: float, lam: float) -> float:
     """Two-ripplon dephasing time (s) of a magnetically confined electron.
 
     Requires b_field > 0: without the field the Landau ladder is absent and
@@ -73,7 +70,7 @@ def t2_confined(
             "dephasing is governed by the one-ripplon channel of t1_free"
         )
     rydberg_K, bohr_cm = rydberg_scales(lam)
-    surface = HeliumSurface(sigma=sigma, temperature=temperature)
+    surface = HeliumSurface(temperature=temperature)
     delta_t = thermal_amplitude(surface)
     scales = magnetic_quantities(b_field, pitch)
     length = scales.length_cm
@@ -89,13 +86,13 @@ def t2_confined(
 
 def sideband_weight(
     temperature: float, b_field: float, lam: float,
-    coupling_const: float = 1e-2, sigma: float = SIGMA_HE,
+    coupling_const: float = 1e-2,
 ) -> float:
     """Relative ripplon-sideband intensity G (dimensionless)."""
     if b_field <= 0:
         raise ValueError(f"b_field must be positive, got {b_field}")
     rydberg_K, bohr_cm = rydberg_scales(lam)
-    surface = HeliumSurface(sigma=sigma, temperature=temperature)
+    surface = HeliumSurface(temperature=temperature)
     delta_t = thermal_amplitude(surface)
     length = magnetic_length(b_field)
     omega_l_K = ripplon_energy_K(surface, 1.0 / length)
@@ -106,7 +103,7 @@ def sideband_weight(
     )
 
 
-def mobility_rate(e_field: float, sigma: float = SIGMA_HE) -> float:
+def mobility_rate(e_field: float) -> float:
     """Momentum relaxation rate (e E_T)^2 / (4 sigma hbar) in s^-1.
 
     e_field is the effective ripplon coupling field in V/cm (diagnostic for
@@ -115,7 +112,7 @@ def mobility_rate(e_field: float, sigma: float = SIGMA_HE) -> float:
     if e_field < 0:
         raise ValueError(f"e_field must be nonnegative, got {e_field}")
     force = EV_ERG * e_field  # dyn
-    return force**2 / (4.0 * sigma * HBAR)
+    return force**2 / (4.0 * SIGMA_HE * HBAR)
 
 
 def voltage_noise_dephasing(noise_density: float, tuning: float) -> tuple[float, float]:
@@ -195,16 +192,15 @@ def budget(
     tuning: float = 1.0,
     coupling_const: float = 1e-2,
     mobility_field: float = 0.0,
-    sigma: float = SIGMA_HE,
 ) -> DecoherenceBudget:
     """Evaluate every channel at one operating point and combine them.
 
     The effective dephasing time is 1/T2_eff = 1/T2 + 1/T_phi_V (harmonic
     combination of the ripplon and voltage-noise channels).
     """
-    t1 = t1_free(temperature, lam, sigma=sigma)
-    t2 = t2_confined(temperature, b_field, pitch, lam, sigma=sigma)
-    g = sideband_weight(temperature, b_field, lam, coupling_const, sigma=sigma)
+    t1 = t1_free(temperature, lam)
+    t2 = t2_confined(temperature, b_field, pitch, lam)
+    g = sideband_weight(temperature, b_field, lam, coupling_const)
     s_nu, t_phi = voltage_noise_dephasing(noise_density, tuning)
     length = magnetic_quantities(b_field, pitch).length_cm
     rate_eff = 1.0 / t2 + (0.0 if math.isinf(t_phi) else 1.0 / t_phi)
@@ -217,7 +213,7 @@ def budget(
         t2_s=t2,
         sideband_g=g,
         coupling_const=coupling_const,
-        tau_inv_s=mobility_rate(mobility_field, sigma=sigma),
+        tau_inv_s=mobility_rate(mobility_field),
         noise_density=noise_density,
         tuning_ghz_per_mv=tuning,
         s_nu=s_nu,

@@ -133,8 +133,6 @@ class HydrogenicSolution:
     energies: np.ndarray        # K, shape (size,)
     z_elements: np.ndarray      # cm, shape (size, size)
     lam: float
-    rydberg_K: float
-    bohr_cm: float
 
     @property
     def size(self) -> int:
@@ -235,7 +233,6 @@ def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
     retained basis, or the state is effectively unbound), or if the low
     levels are not strictly ordered.
     """
-    rydberg_K, r_b = spec.scales
     energies, vecs, z_cm = _checked_eigensystem(spec, e_perp, vectors=True)
 
     # fix the sign of each perturbed state so its dominant component is positive
@@ -251,8 +248,6 @@ def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
         energies=energies,
         z_elements=z_pert,
         lam=spec.lam,
-        rydberg_K=rydberg_K,
-        bohr_cm=r_b,
     )
 
 

@@ -10,14 +10,14 @@ Calibration is analytic in the sudden-resonance picture: a resonant drive
 of Rabi frequency Omega flips the qubit in pi/Omega, and a resonantly
 coupled pair driven by the exchange element B reaches the superposition
 cos(a)|down,up> - i sin(a)|up,down> after a dwell of 2 hbar a / B.  A
-`refine` pass is available that root-finds the dwell through the full
-dynamics when finite-rate ramps shift the effective resonance time.
+`refine` pass root-finds the signed swap angle through the full dynamics
+when finite-rate ramps shift the effective resonance time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -224,9 +224,13 @@ def calibrate_swap(
     """Dwell time (s) bringing the pair to cos(a)|du> - i sin(a)|ud>.
 
     In the sudden-resonance approximation the dwell is 2 hbar a / B_nm.
-    With `refine`, the dwell is root-found through the full dynamics of the
-    ramped protocol (see `swap_schedule`), which matters when the ramp time
-    is comparable to the dwell.
+    With `refine` (0 < a < pi), the dwell root-finds the signed swap angle
+    through the full dynamics of the ramped protocol (see `swap_schedule`)
+    on [dwell/4, dwell (a + pi) / (2a)], which matters when the ramp time
+    is comparable to the dwell.  The sign is that of Re(conj(a_src) i a_dst)
+    against its phase at dwell/4, so the mirror root 2 hbar (pi - a) / B is
+    no root.  Where ramps put sin^2(a) out of reach, the dwell at which that
+    sign flips is returned, near the target population's maximum.
     """
     n, m = pair
     b_erg = hamiltonian.b_K[n, m] * K_B
@@ -275,37 +279,38 @@ def resonance_voltage(hamiltonian: QubitArrayHamiltonian, n: int, m: int) -> flo
 
 
 def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
-    from scipy.optimize import minimize_scalar
+    from scipy.optimize import brentq
 
     from . import dynamics
 
+    if not 0.0 < alpha < math.pi:
+        raise ValueError(f"refine supports 0 < alpha < pi, got alpha = {alpha}")
     n, m = pair
-    n_q = hamiltonian.n_qubits
-    target = math.sin(alpha) ** 2
+    label = "".join("u" if k == n else "d" for k in range(hamiltonian.n_qubits))
+    initial = dynamics.RegisterState.state_vector(label)
     # the resonance does not depend on the dwell: read it once
     v_peak = resonance_voltage(hamiltonian, n, m)
 
-    def mismatch(dwell):
+    @cache
+    def amplitudes(dwell):  # |a_src|, |a_dst| and conj(a_src) i a_dst
         sched = swap_schedule(hamiltonian, pair, dwell, rise, fall, v_peak)
-        bits = ["d"] * n_q
-        bits[n] = "u"
-        initial = dynamics.RegisterState.state_vector("".join(bits))
         spec = dynamics.EvolutionSpec(sample_times=np.array([sched.duration]))
-        res = dynamics.evolve(hamiltonian, sched, initial, spec)
-        bits_t = ["d"] * n_q
-        bits_t[m] = "u"
-        p = res.population("".join(bits_t))[-1]
-        return (p - target) ** 2
+        psi = dynamics.evolve(hamiltonian, sched, initial, spec).final_state
+        a_s, a_t = psi[1 << n], psi[1 << m]
+        return abs(a_s), abs(a_t), np.conj(a_s) * 1j * a_t
 
-    hi = 1.5 * dwell0 + 2.0 * (rise + fall)
-    # above alpha = 0.4 pi the window also holds the mirror root 2 hbar (pi - alpha) / B
-    mirror = dwell0 * (math.pi - alpha) / alpha
-    if dwell0 < mirror < hi:
-        hi = 0.5 * (dwell0 + mirror) + 2.0 * (rise + fall)
-    out = minimize_scalar(
-        mismatch, bounds=(0.25 * dwell0, hi), method="bounded",
-        options={"xatol": dwell0 * 1e-9},
-    )
-    if not out.success:
-        raise RuntimeError(f"dwell refinement failed: {out.message}")
-    return float(out.x)
+    lo, hi = 0.25 * dwell0, dwell0 * (alpha + math.pi) / (2.0 * alpha)
+    # the ramps add a relative phase between source and target: take the
+    # sign against the one at the lower end
+    turn = np.exp(-1j * np.angle(amplitudes(lo)[2]))
+
+    def mismatch(dwell):  # sin(alpha - theta) for the sudden swap angle theta
+        a_s, a_t, z = amplitudes(dwell)
+        return math.sin(alpha) * math.copysign(a_s, (z * turn).real) - math.cos(alpha) * a_t
+
+    if mismatch(lo) * mismatch(hi) > 0:
+        raise RuntimeError(
+            f"dwell refinement failed: alpha = {alpha}, rise = {rise} s, fall = {fall} s: "
+            f"the swap angle does not cross alpha on [{lo}, {hi}] s"
+        )
+    return brentq(mismatch, lo, hi, xtol=1e-12 * dwell0)

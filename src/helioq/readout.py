@@ -101,9 +101,7 @@ def _angle_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, w
 
 
-def tunnel_rate(
-    solution: HydrogenicSolution, m: int, e_plus: float, order: int = 200,
-) -> float:
+def tunnel_rate(solution: HydrogenicSolution, m: int, e_plus: float) -> float:
     """Escape rate (s^-1) of state m under reverse field e_plus (V/cm).
 
     Attempt frequency |E_m|/hbar; over-barrier states escape at that
@@ -112,7 +110,7 @@ def tunnel_rate(
     """
     energy = solution.energies[m - 1] * K_B
     nu = abs(energy) / HBAR
-    expo = wkb_exponent(solution, m, e_plus, order)
+    expo = wkb_exponent(solution, m, e_plus)
     return nu * math.exp(-expo)
 
 

@@ -436,6 +436,21 @@ def test_swap_pair_past_the_last_site_is_a_config_error(tmp_path, capsys, subcom
 
 
 
+def test_refine_without_a_crossing_exits_3(tmp_path, capsys):
+    # at 0.9 pi with ramps of an eighth of the sudden dwell the swap angle
+    # never reaches alpha inside the refine bracket
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE, voltages_mV=[0.0, 0.05]),
+        "swap": {"pair": [0, 1], "alpha": 0.9 * math.pi, "rise_s": 1.1e-9, "fall_s": 1.1e-9},
+    })
+    assert main(["calibrate", "--refine", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("RuntimeError: dwell refinement failed: alpha = ")
+    assert "rise = 1.1e-09 s, fall = 1.1e-09 s" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("subcommand", ["calibrate", "demo-swap"])
 def test_swap_pair_naming_one_site_twice_is_a_config_error(tmp_path, capsys, subcommand):
     cfg = write_config(tmp_path, {

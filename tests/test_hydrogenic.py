@@ -56,7 +56,7 @@ def test_rydberg_scaling_laws():
 
 
 def test_zero_field_levels_are_hydrogenic(zero_field):
-    r = zero_field.rydberg_K
+    r, _ = rydberg_scales(zero_field.lam)
     for m in range(1, zero_field.size - 5 + 1):
         assert zero_field.energies[m - 1] == pytest.approx(-r / m**2, rel=1e-6)
 
@@ -68,7 +68,7 @@ def test_transition_frequency(zero_field):
 
 
 def test_diagonal_elements_against_oracle(zero_field):
-    r_b = zero_field.bohr_cm
+    _, r_b = rydberg_scales(zero_field.lam)
     z11, _ = integrate.quad(lambda x: _u1(x) * x * _u1(x), 0, 60)
     z22, _ = integrate.quad(lambda x: _u2(x) * x * _u2(x), 0, 120)
     assert zero_field.z_elements[0, 0] == pytest.approx(z11 * r_b, rel=1e-10)
@@ -84,7 +84,7 @@ def test_offdiagonal_element_against_oracle(zero_field):
     val, _ = integrate.quad(lambda x: _u1(x) * x * _u2(x), 0, 80)
     assert abs(val) == pytest.approx(0.5587016542708524, rel=1e-10)  # 32 sqrt(2)/81
     assert abs(zero_field.z_elements[0, 1]) == pytest.approx(
-        abs(val) * zero_field.bohr_cm, rel=1e-10
+        abs(val) * rydberg_scales(zero_field.lam)[1], rel=1e-10
     )
 
 
@@ -168,7 +168,7 @@ def test_sum_rule_quantifies_truncation():
     must deliver is stability of the bound sum.
     """
     small = solve(HydrogenicBasisSpec(lam=LAM, size=20), 0.0)
-    r_b = small.bohr_cm
+    _, r_b = rydberg_scales(small.lam)
     bound_sum = float(np.sum((small.z_elements[0, :] / r_b) ** 2))
     # frozen oracle: sum_{n<=20} |<1|z|n>|^2 from independent quadrature
     assert bound_sum == pytest.approx(2.672354865841365, rel=1e-6)

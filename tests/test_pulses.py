@@ -188,6 +188,77 @@ def test_refine_avoids_mirror_root(register, alpha_over_pi):
     assert refined == pytest.approx(plain, rel=1e-5)
 
 
+@pytest.mark.parametrize("alpha_over_pi", [0.1, 0.25, 0.42, 0.4537, 0.49, 0.5, 0.6, 0.7])
+def test_sudden_refine_is_the_analytic_dwell(register, alpha_over_pi):
+    # a sudden swap rotates by theta = B t / (2 hbar) exactly, so the root of
+    # the signed mismatch is 2 hbar alpha / B to rounding, pi / 2 included
+    alpha = alpha_over_pi * math.pi
+    plain = pulses.calibrate_swap(register, (0, 1), alpha)
+    refined = pulses.calibrate_swap(register, (0, 1), alpha, refine=True)
+    assert refined == pytest.approx(plain, rel=1e-12, abs=0)
+
+
+def test_sudden_refine_never_returns_the_mirror_root(register):
+    # 2 hbar (pi - alpha) / B reaches the same populations with the wrong
+    # relative phase; over [0.4 pi, 0.5 pi] it lies inside the bracket
+    rng = np.random.default_rng(7)
+    for alpha in rng.uniform(0.4 * math.pi, 0.5 * math.pi, 100):
+        plain = pulses.calibrate_swap(register, (0, 1), alpha)
+        refined = pulses.calibrate_swap(register, (0, 1), alpha, refine=True)
+        assert refined == pytest.approx(plain, rel=1e-12, abs=0), alpha
+
+
+@pytest.fixture(scope="module")
+def detuned():
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
+    return qubits.build(geom, voltages=np.array([0.0, 5e-5]))
+
+
+def swapped_population(ham, dwell, rise, fall):
+    sched = pulses.swap_schedule(ham, (0, 1), dwell, rise, fall)
+    res = dynamics.evolve(
+        ham,
+        sched,
+        dynamics.RegisterState.state_vector("ud"),
+        dynamics.EvolutionSpec(sample_times=np.array([sched.duration])),
+    )
+    return res.population("du")[-1]
+
+
+@pytest.mark.parametrize("alpha_over_pi, ramp_fraction", [(0.32, 1 / 4), (0.42, 1 / 8)])
+def test_ramped_refine_returns_the_first_root(detuned, alpha_over_pi, ramp_fraction):
+    # the ramps swap part of the population, so the target is reached before
+    # the sudden dwell; a later root that reaches it again on the way back
+    # is not the gate
+    alpha = alpha_over_pi * math.pi
+    target = math.sin(alpha) ** 2
+    dwell0 = pulses.calibrate_swap(detuned, (0, 1), alpha)
+    ramp = ramp_fraction * dwell0
+    refined = pulses.calibrate_swap(detuned, (0, 1), alpha, refine=True, rise=ramp, fall=ramp)
+    assert refined < dwell0
+    assert swapped_population(detuned, refined, ramp, ramp) == pytest.approx(target, abs=1e-9)
+    for dwell in np.linspace(dwell0 / 4, refined, 50, endpoint=False):
+        assert swapped_population(detuned, dwell, ramp, ramp) < target, dwell / dwell0
+
+
+def test_refine_without_a_crossing_names_the_bracket(detuned):
+    alpha = 0.9 * math.pi
+    dwell0 = pulses.calibrate_swap(detuned, (0, 1), alpha)
+    ramp = dwell0 / 8
+    with pytest.raises(RuntimeError, match="dwell refinement failed") as info:
+        pulses.calibrate_swap(detuned, (0, 1), alpha, refine=True, rise=ramp, fall=ramp)
+    message = str(info.value)
+    lo, hi = dwell0 / 4, dwell0 * (alpha + math.pi) / (2 * alpha)
+    for value in (alpha, ramp, lo, hi):
+        assert repr(float(value)) in message
+
+
+@pytest.mark.parametrize("alpha", [math.pi, 1.5 * math.pi])
+def test_refine_past_a_half_turn_is_a_domain_error(register, alpha):
+    with pytest.raises(ValueError, match=r"0 < alpha < pi"):
+        pulses.calibrate_swap(register, (0, 1), alpha, refine=True)
+
+
 def test_stark_hot_path_never_samples_wavefunctions(monkeypatch):
     # a ramped swap retunes site 0 through the Stark map on every
     # right-hand-side evaluation; past `build` none of it may run the full
