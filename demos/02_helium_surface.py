@@ -9,17 +9,16 @@ import numpy as np
 
 from helioq import medium
 
-surface = medium.HeliumSurface(temperature=0.01)
-
-print(f"thermal surface roughness at {surface.temperature*1e3:.0f} mK: "
-      f"{medium.thermal_amplitude(surface):.3e} cm")
+temperature = 0.01  # K
+print(f"thermal surface roughness at {temperature*1e3:.0f} mK: "
+      f"{medium.thermal_amplitude(temperature):.3e} cm")
 print()
 
 print("ripplon dispersion (gravity branch -> capillary branch):")
 for k in np.geomspace(1.0, 1e6, 7):
-    omega = medium.ripplon_omega(surface, k)
+    omega = medium.ripplon_omega(k)
     print(f"  k = {k:9.2e} /cm   omega = {omega:9.3e} /s"
-          f"   hbar omega = {medium.ripplon_energy_K(surface, k):.3e} K")
+          f"   hbar omega = {medium.ripplon_energy_K(k):.3e} K")
 print()
 
 sheet = medium.ElectronSheet(density=4.5e8, b_field=1.5)

@@ -11,8 +11,7 @@ import numpy as np
 
 from helioq import dynamics, pulses, qubits, units
 
-geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)),
-                             b_field=1.5, temperature=0.01)
+geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
 # a 0.05 mV static bias detunes the pair by ~8x the exchange coupling
 ham = qubits.build(geom, voltages=np.array([0.0, 5e-5]))
 

@@ -13,7 +13,8 @@ Subcommands wire the library modules into reproducible experiments:
 
 Configs are JSON validated against the shipped schema (unknown keys are
 rejected); ``--set dotted.path=value`` overrides are applied first and
-echoed into the outputs.  Output files are named from a hash of the
+echoed into the outputs.  ``calibrate --refine`` is shorthand for
+``--set swap.refine=true``.  Output files are named from a hash of the
 effective config, embed that hash and the package version, contain no
 timestamps, and serialize every float with 17 significant digits, so a
 rerun with the same config and seed is byte-identical.
@@ -194,8 +195,6 @@ def device_geometry(block: dict) -> qubits.DeviceGeometry:
             pitch=block["d_um"] * 1e-4,
             sites=tuple((x, y) for x, y in block["sites"]),
             e_perp=block.get("E_perp", 0.0),
-            b_field=block.get("B_T", 1.5),
-            temperature=block.get("T_K", 0.01),
             c_geom=block.get("c_geom", 1.0),
         )
     except ValueError as exc:  # sites coincide or sit closer than one pitch
@@ -213,11 +212,10 @@ def device_budget(config: dict) -> decoherence.DecoherenceBudget:
     """The decoherence budget of the config's device and noise blocks."""
     dev = require_block(config, "device")
     noise = config.get("noise", {})
-    geom = device_geometry(dev)
     return decoherence.budget(
-        temperature=geom.temperature,
-        b_field=geom.b_field,
-        pitch=geom.pitch,
+        temperature=dev.get("T_K", 0.01),
+        b_field=dev.get("B_T", 1.5),
+        pitch=device_geometry(dev).pitch,
         lam=basis_spec(dev).lam,
         noise_density=noise.get("s_v", 0.0),
         tuning=noise.get("tuning_ghz_per_mv", 1.0),
@@ -306,11 +304,9 @@ def run_spectrum(config: dict, w: _Writer) -> None:
 
 def run_medium(config: dict, w: _Writer) -> None:
     blk = require_block(config, "medium")
-    surface = medium.HeliumSurface(temperature=blk.get("temperature_K", 0.01))
     ks = np.geomspace(blk["k_min"], blk["k_max"], blk["points"])
     rows = [
-        ("ripplon", float(k), medium.ripplon_omega(surface, float(k)),
-         medium.ripplon_energy_K(surface, float(k)))
+        ("ripplon", float(k), medium.ripplon_omega(float(k)), medium.ripplon_energy_K(float(k)))
         for k in ks
     ]
     if "density_cm2" in blk:
@@ -344,14 +340,13 @@ def run_decoherence(config: dict, w: _Writer) -> None:
     geom = device_geometry(dev)
     basis = basis_spec(dev)
     bud = device_budget(config)
-    surface = medium.HeliumSurface(temperature=geom.temperature)
-    scales = medium.magnetic_quantities(geom.b_field, geom.pitch)
+    scales = medium.magnetic_quantities(bud.b_field, bud.pitch)
     intermediates = {
-        "delta_T_cm": medium.thermal_amplitude(surface),
+        "delta_T_cm": medium.thermal_amplitude(bud.temperature),
         "magnetic_length_cm": scales.length_cm,
         "omega_c_K": scales.omega_c_K,
         "omega_zb_K": scales.omega_zb_K,
-        "omega_l_K": medium.ripplon_energy_K(surface, 1.0 / scales.length_cm),
+        "omega_l_K": medium.ripplon_energy_K(1.0 / scales.length_cm),
         "rydberg_K": hydrogenic.rydberg_scales(basis.lam)[0],
         "bohr_radius_cm": hydrogenic.rydberg_scales(basis.lam)[1],
         "confinement_K": qubits.confinement_scale(geom),
@@ -372,11 +367,11 @@ def run_build(config: dict, w: _Writer) -> None:
     w.json({"hamiltonian": ham.to_dict()})
 
 
-def run_calibrate(config: dict, w: _Writer, refine: bool = False) -> None:
+def run_calibrate(config: dict, w: _Writer) -> None:
     sw = require_block(config, "swap")
     ham = _build_register(config)
     pair = swap_pair(sw, ham.n_qubits)
-    refine = refine or sw.get("refine", False)
+    refine = sw.get("refine", False)
     dwell = pulses.calibrate_swap(
         ham, pair, sw["alpha"],
         refine=refine, rise=sw.get("rise_s", 0.0), fall=sw.get("fall_s", 0.0),
@@ -385,7 +380,7 @@ def run_calibrate(config: dict, w: _Writer, refine: bool = False) -> None:
         "pair": list(pair),
         "alpha": sw["alpha"],
         "dwell_s": dwell,
-        "refined": bool(refine),
+        "refined": refine,
         "b_K": float(ham.b_K[pair[0], pair[1]]),
     })
     print(f"dwell_s={_format_float(dwell)}")
@@ -434,10 +429,10 @@ def run_evolve(config: dict, w: _Writer) -> None:
         raise ConfigError(
             f"initial.bits has {len(bits)} characters for {ham.n_qubits} sites"
         )
-    mode = init_blk.get("mode", "state-vector")
-    if mode == "state-vector" and "tunneling" in config.get("evolution", {}):
-        raise ConfigError("evolution.tunneling needs initial.mode density-matrix")
-    if mode == "state-vector":
+    if init_blk.get("mode", "state-vector") == "state-vector":
+        for key in ("tunneling", "use_budget"):
+            if config.get("evolution", {}).get(key):
+                raise ConfigError(f"evolution.{key} needs initial.mode density-matrix")
         initial = dynamics.RegisterState.state_vector(bits)
     else:
         initial = dynamics.RegisterState.density_matrix(bits)
@@ -498,7 +493,7 @@ def run_readout(config: dict, w: _Writer) -> None:
 
 def run_demo_swap(config: dict, w: _Writer) -> None:
     sw = require_block(config, "swap")
-    for key in ("t_end_s", "sample_count", "tunneling"):
+    for key in ("t_end_s", "sample_count", "tunneling", "use_budget"):
         if key in config.get("evolution", {}):
             raise ConfigError(
                 f"evolution.{key} does not apply to demo-swap, which evolves a state "
@@ -583,17 +578,18 @@ def _parser() -> argparse.ArgumentParser:
             help="dotted-path config override (repeatable, last wins)",
         )
         if name == "calibrate":
-            p.add_argument("--refine", action="store_true",
-                           help="root-find the dwell through the full dynamics")
+            p.add_argument(
+                "--refine", dest="overrides", action="append_const", const="swap.refine=true",
+                help="root-find the dwell through the full dynamics (--set swap.refine=true)",
+            )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    flags = {"refine": args.refine} if args.subcommand == "calibrate" else {}
     try:
         config, overrides = load_config(args.config, args.overrides)
-        _RUNNERS[args.subcommand](config, _Writer(config, overrides, args.subcommand), **flags)
+        _RUNNERS[args.subcommand](config, _Writer(config, overrides, args.subcommand))
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,13 +26,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .hydrogenic import rydberg_scales
-from .medium import (
-    HeliumSurface,
-    magnetic_length,
-    magnetic_quantities,
-    ripplon_energy_K,
-    thermal_amplitude,
-)
+from .medium import magnetic_length, magnetic_quantities, ripplon_energy_K, thermal_amplitude
 from .units import EV_ERG, HBAR, K_B, SIGMA_HE
 
 __all__ = [
@@ -52,7 +46,7 @@ _K_TO_RATE = K_B / HBAR  # s^-1 per kelvin
 def t1_free(temperature: float, lam: float) -> float:
     """Interband lifetime (s) of an unconfined electron at `temperature` (K)."""
     rydberg_K, bohr_cm = rydberg_scales(lam)
-    delta_t = thermal_amplitude(HeliumSurface(temperature=temperature))
+    delta_t = thermal_amplitude(temperature)
     rate = rydberg_K * (delta_t / bohr_cm) ** 2 * _K_TO_RATE
     return 1.0 / rate
 
@@ -70,11 +64,10 @@ def t2_confined(temperature: float, b_field: float, pitch: float, lam: float) ->
             "dephasing is governed by the one-ripplon channel of t1_free"
         )
     rydberg_K, bohr_cm = rydberg_scales(lam)
-    surface = HeliumSurface(temperature=temperature)
-    delta_t = thermal_amplitude(surface)
+    delta_t = thermal_amplitude(temperature)
     scales = magnetic_quantities(b_field, pitch)
     length = scales.length_cm
-    omega_l_K = ripplon_energy_K(surface, 1.0 / length)
+    omega_l_K = ripplon_energy_K(1.0 / length)
     rate_K = (
         rydberg_K**4
         * (delta_t / bohr_cm) ** 4
@@ -92,10 +85,9 @@ def sideband_weight(
     if b_field <= 0:
         raise ValueError(f"b_field must be positive, got {b_field}")
     rydberg_K, bohr_cm = rydberg_scales(lam)
-    surface = HeliumSurface(temperature=temperature)
-    delta_t = thermal_amplitude(surface)
+    delta_t = thermal_amplitude(temperature)
     length = magnetic_length(b_field)
-    omega_l_K = ripplon_energy_K(surface, 1.0 / length)
+    omega_l_K = ripplon_energy_K(1.0 / length)
     return (
         coupling_const
         * (rydberg_K / omega_l_K) ** 2

@@ -411,9 +411,9 @@ def evolve(
 ) -> EvolutionResult:
     """Integrate the register from t = 0 through the schedule.
 
-    Sample times must be covered by the schedule duration.  Tunneling
-    requires density-matrix mode.  Raises if the integrator cannot reach
-    its error target.
+    Sample times must be covered by the schedule duration.  Tunneling and
+    a budget require density-matrix mode.  Raises if the integrator cannot
+    reach its error target.
     """
     n = hamiltonian.n_qubits
     if initial.n_qubits != n:
@@ -426,6 +426,8 @@ def evolve(
         raise ValueError(f"density-matrix mode supports at most {_DENSITY_MATRIX_MAX} qubits")
     if spec.tunneling is not None and initial.mode != "density-matrix":
         raise ValueError("tunneling evolution requires density-matrix mode")
+    if spec.budget is not None and initial.mode != "density-matrix":
+        raise ValueError("budget evolution requires density-matrix mode")
     t_end = float(spec.sample_times[-1])
     if t_end > schedule.duration * (1 + 1e-12) + 1e-300:
         raise ValueError(

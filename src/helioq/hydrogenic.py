@@ -129,7 +129,6 @@ class HydrogenicSolution:
     so its dominant zero-field component is positive.
     """
 
-    e_perp: float               # V/cm, >0 presses toward the surface
     energies: np.ndarray        # K, shape (size,)
     z_elements: np.ndarray      # cm, shape (size, size)
     lam: float
@@ -244,7 +243,6 @@ def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
     z_pert = 0.5 * (z_pert + z_pert.T)
 
     return HydrogenicSolution(
-        e_perp=float(e_perp),
         energies=energies,
         z_elements=z_pert,
         lam=spec.lam,

@@ -1,12 +1,13 @@
 """Ripplon dispersion, thermal surface statistics, and collective electron modes.
 
 Capillary waves on the superfluid surface follow omega^2(k) = g k +
-(sigma/rho) k^3; their thermal occupation sets the rms surface displacement
-delta_T = sqrt(k_B T / sigma) that drives qubit decoherence.  The electron
-sheet itself is characterized by the Coulomb-to-thermal ratio Gamma =
-e^2 sqrt(pi n) / k_B T: above ~130 the electrons freeze into a triangular
-crystal whose long-wavelength phonons (and their magnetic-field
-counterparts) are available in `collective_mode`.
+(sigma/rho) k^3, with the helium-4 constants of `units`; their thermal
+occupation sets the rms surface displacement delta_T = sqrt(k_B T / sigma)
+that drives qubit decoherence.  The electron sheet itself is characterized
+by the Coulomb-to-thermal ratio Gamma = e^2 sqrt(pi n) / k_B T: above ~130
+the electrons freeze into a triangular crystal whose long-wavelength
+phonons (and their magnetic-field counterparts) are available in
+`collective_mode`.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ __all__ = [
     "GAMMA_MELT_DEFAULT",
     "GAMMA_MELT_PHASE_BOUNDARY",
     "ElectronSheet",
-    "HeliumSurface",
     "MagneticScales",
     "collective_mode",
     "magnetic_length",
@@ -51,20 +51,6 @@ GAMMA_MELT_PHASE_BOUNDARY = 137.0
 
 
 @dataclass(frozen=True)
-class HeliumSurface:
-    """Surface tension, density, gravity, and temperature of the helium bath."""
-
-    sigma: float = SIGMA_HE      # erg/cm^2
-    rho: float = RHO_HE          # g/cm^3
-    g: float = G_ACC             # cm/s^2
-    temperature: float = 0.01    # K
-
-    def __post_init__(self):
-        if self.sigma <= 0 or self.rho <= 0 or self.temperature <= 0:
-            raise ValueError("sigma, rho, and temperature must be positive")
-
-
-@dataclass(frozen=True)
 class ElectronSheet:
     """Areal electron density (cm^-2) and perpendicular magnetic field (T)."""
 
@@ -78,23 +64,25 @@ class ElectronSheet:
             raise ValueError(f"b_field must be nonnegative, got {self.b_field}")
 
 
-def ripplon_omega(surface: HeliumSurface, k):
+def ripplon_omega(k):
     """Capillary-gravity angular frequency sqrt(g k + (sigma/rho) k^3), s^-1."""
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
         raise ValueError("wavevector must be positive")
-    out = np.sqrt(surface.g * k + (surface.sigma / surface.rho) * k**3)
+    out = np.sqrt(G_ACC * k + (SIGMA_HE / RHO_HE) * k**3)
     return float(out) if out.ndim == 0 else out
 
 
-def ripplon_energy_K(surface: HeliumSurface, k):
+def ripplon_energy_K(k):
     """hbar omega(k) expressed in kelvin."""
-    return ripplon_omega(surface, k) * HBAR / K_B
+    return ripplon_omega(k) * HBAR / K_B
 
 
-def thermal_amplitude(surface: HeliumSurface) -> float:
-    """Root-mean-square thermal surface displacement sqrt(k_B T / sigma), cm."""
-    return math.sqrt(K_B * surface.temperature / surface.sigma)
+def thermal_amplitude(temperature: float) -> float:
+    """Root-mean-square thermal surface displacement sqrt(k_B T / sigma) at T (K), cm."""
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    return math.sqrt(K_B * temperature / SIGMA_HE)
 
 
 def plasma_parameter(sheet: ElectronSheet, temperature: float) -> float:

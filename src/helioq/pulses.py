@@ -16,7 +16,7 @@ when finite-rate ramps shift the effective resonance time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -98,12 +98,11 @@ class MicrowaveChannel:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Time-tagged voltage and microwave channels plus named intervals."""
+    """Time-tagged voltage and microwave channels."""
 
     duration: float
     voltage_channels: tuple[VoltageChannel, ...] = ()
     microwave: tuple[MicrowaveChannel, ...] = ()
-    annotations: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.duration < 0:
@@ -133,27 +132,9 @@ class PulseSchedule:
             ts.update(t for t, _ in c.envelope)
         return np.array(sorted(ts))
 
-    def to_dict(self) -> dict:
-        return {
-            "duration_s": self.duration,
-            "voltage_channels": [
-                {"site": c.site, "points": [[t, v] for t, v in c.points]}
-                for c in self.voltage_channels
-            ],
-            "microwave": [
-                {
-                    "freq_GHz": c.freq_GHz,
-                    "amp_V_per_cm": c.amp_V_per_cm,
-                    "phase": c.phase,
-                    "envelope": [[t, x] for t, x in c.envelope],
-                }
-                for c in self.microwave
-            ],
-            "annotations": {k: [a, b] for k, (a, b) in self.annotations.items()},
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "PulseSchedule":
+        """The schedule of a config's `schedule` block."""
         return cls(
             duration=d["duration_s"],
             voltage_channels=tuple(
@@ -169,7 +150,6 @@ class PulseSchedule:
                 )
                 for c in d.get("microwave", [])
             ),
-            annotations={k: (a, b) for k, (a, b) in d.get("annotations", {}).items()},
         )
 
 
@@ -199,8 +179,7 @@ def triangular_ramp(
 ) -> PulseSchedule:
     """Ramp a site voltage 0 -> v_peak (rise), hold (dwell), -> 0 (fall).
 
-    The hold interval is annotated "swap-dwell".  Zero rise or fall times
-    encode instantaneous jumps.
+    Zero rise or fall times encode instantaneous jumps.
     """
     if rise < 0 or dwell < 0 or fall < 0:
         raise ValueError("rise, dwell, and fall must be nonnegative")
@@ -209,7 +188,6 @@ def triangular_ramp(
     return PulseSchedule(
         duration=t3,
         voltage_channels=(VoltageChannel(site, points),),
-        annotations={"swap-dwell": (t1, t2)},
     )
 
 

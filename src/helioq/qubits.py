@@ -51,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeviceGeometry:
-    """Electrode layout and global operating conditions.
+    """Electrode layout, global pressing field and electrode lever arm.
 
     `sites` are 2D lattice coordinates in units of the pitch; distinct
     sites must be at least one pitch apart.
@@ -60,8 +60,6 @@ class DeviceGeometry:
     pitch: float                     # cm
     sites: tuple[tuple[float, float], ...]
     e_perp: float = 0.0              # V/cm global pressing field
-    b_field: float = 1.5             # T
-    temperature: float = 0.01        # K
     c_geom: float = 1.0
 
     def __post_init__(self):

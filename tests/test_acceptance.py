@@ -71,7 +71,7 @@ def test_c03_dipole_heights(ground_solution):
 
 def test_c04_thermal_amplitude():
     with criterion("C04", "delta_T(10 mK) within 10% of 1.93e-9 cm"):
-        val = medium.thermal_amplitude(medium.HeliumSurface(temperature=0.01))
+        val = medium.thermal_amplitude(0.01)
         assert abs(val - 1.93e-9) / 1.93e-9 <= 0.10
 
 
@@ -87,9 +87,7 @@ def test_c06_magnetic_scales():
         assert abs(scales.omega_c_K - 2.0) / 2.0 <= 0.05
         assert abs(scales.length_cm * 1e8 - 210.0) / 210.0 <= 0.02
         assert abs(scales.omega_zb_K - 0.4) / 0.4 <= 0.20
-        omega_l = medium.ripplon_energy_K(
-            medium.HeliumSurface(temperature=0.01), 1.0 / scales.length_cm
-        )
+        omega_l = medium.ripplon_energy_K(1.0 / scales.length_cm)
         assert abs(omega_l - 4e-3) / 4e-3 <= 0.20
 
 

@@ -200,7 +200,7 @@ def test_medium_outputs(tmp_path):
     cfg = write_config(tmp_path, {
         "output_dir": str(tmp_path / "out"),
         "medium": {
-            "density_cm2": 1e8, "temperature_K": 0.1, "b_field_T": 1.5,
+            "density_cm2": 1e8, "b_field_T": 1.5,
             "k_min": 1e2, "k_max": 1e3, "points": 5,
             "boundary": {"n_min": 1e7, "n_max": 1e9, "points": 4,
                          "gamma_melt": 137},
@@ -601,8 +601,10 @@ def test_non_finite_override_is_a_config_error(tmp_path, capsys, override):
      "schedule.microwave[0] envelope values must lie in [0, 1]"),
     (['evolution.tunneling={"t_f_s": 0.0, "t_up_s": 1e-7}'],
      "evolution.tunneling needs initial.mode density-matrix"),
+    (["evolution.use_budget=true"],
+     "evolution.use_budget needs initial.mode density-matrix"),
 ], ids=["unsorted-samples", "samples-past-end", "t-end-past-end", "voltage-order",
-        "envelope-range", "tunneling-state-vector"])
+        "envelope-range", "tunneling-state-vector", "budget-state-vector"])
 def test_schedule_and_evolution_mistakes_are_config_errors(tmp_path, capsys, overrides, message):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {"output_dir": str(out), **EVOLVE_CONFIG})
@@ -639,7 +641,8 @@ SWAP_CONFIG = {
     "evolution.t_end_s=1e-9",
     "evolution.sample_count=3",
     'evolution.tunneling={"t_f_s": 0.0, "t_up_s": 1e-7}',
-], ids=["t-end", "sample-count", "tunneling"])
+    "evolution.use_budget=true",
+], ids=["t-end", "sample-count", "tunneling", "use-budget"])
 def test_demo_swap_rejects_evolution_keys_it_cannot_honour(tmp_path, capsys, override):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {"output_dir": str(out), **SWAP_CONFIG})
@@ -663,6 +666,22 @@ def test_demo_swap_reads_sample_times(tmp_path):
         reports[label] = json.loads(next(out.glob("demo-swap_*.json")).read_text())
     assert reports["dwell-end"]["fidelity_vs_exchange_oracle"] > 1 - 1e-4
     assert reports["early"]["achieved_amplitudes"]["target"] < 1e-2
+
+
+def test_refine_flag_is_the_swap_refine_override(tmp_path):
+    # --refine, after --config as the benchmark passes it, is hashed and
+    # echoed as the override it stands for
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"output_dir": str(out), **SWAP_CONFIG})
+    assert main(["calibrate", "--config", cfg]) == 0
+    assert main(["calibrate", "--config", cfg, "--refine"]) == 0
+    written = {json.loads(p.read_text())["refined"]: p for p in out.iterdir()}
+    assert len(list(out.iterdir())) == 2 and set(written) == {False, True}
+    flag_bytes = written[True].read_bytes()
+    assert json.loads(flag_bytes)["overrides"] == ["swap.refine=true"]
+    assert main(["calibrate", "--config", cfg, "--set", "swap.refine=true"]) == 0
+    assert len(list(out.iterdir())) == 2
+    assert written[True].read_bytes() == flag_bytes
 
 
 def test_non_finite_number_in_a_config_file_is_a_config_error(tmp_path, capsys):
@@ -697,7 +716,7 @@ WRITER_CASES = {
     "spectrum": ({"device": dict(BASE_DEVICE),
                   "spectrum": {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 3,
                                "max_state": 3}}, ["csv"]),
-    "medium": ({"medium": {"density_cm2": 1e8, "temperature_K": 0.1, "b_field_T": 1.5,
+    "medium": ({"medium": {"density_cm2": 1e8, "b_field_T": 1.5,
                            "k_min": 1e2, "k_max": 1e3, "points": 5,
                            "boundary": {"n_min": 1e7, "n_max": 1e9, "points": 4}}},
                ["csv", "boundary.csv"]),

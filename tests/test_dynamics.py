@@ -330,6 +330,15 @@ def test_mode_and_cap_validation():
         )
 
 
+def test_budget_on_a_state_vector_is_an_error():
+    # the loss channels act on a density matrix; a state vector would drop them
+    with pytest.raises(ValueError, match="budget evolution requires density-matrix mode"):
+        evolve(
+            single_qubit(), pulses.PulseSchedule(duration=1e-6), RegisterState.state_vector("u"),
+            EvolutionSpec(sample_times=np.array([1e-7]), budget=loss_budget(1e-6, 1e-6)),
+        )
+
+
 def test_rwa_requires_single_carrier():
     ham = single_qubit()
     sched = pulses.PulseSchedule(

@@ -5,59 +5,49 @@ import numpy as np
 import pytest
 
 from helioq import medium
-from helioq.units import HBAR, K_B
+from helioq.units import G_ACC, HBAR, K_B, RHO_HE, SIGMA_HE
 
 
-@pytest.fixture
-def surface():
-    return medium.HeliumSurface(temperature=0.01)
-
-
-def test_ripplon_at_magnetic_length_scale(surface):
+def test_ripplon_at_magnetic_length_scale():
     # hbar omega at k = 1/l for l = 210 angstrom is ~4e-3 K
     k = 1.0 / medium.magnetic_length(1.5)
-    assert medium.ripplon_energy_K(surface, k) == pytest.approx(4.024425e-3, rel=1e-6)
-    assert medium.ripplon_energy_K(surface, k) == pytest.approx(4e-3, rel=0.2)
+    assert medium.ripplon_energy_K(k) == pytest.approx(4.024425e-3, rel=1e-6)
+    assert medium.ripplon_energy_K(k) == pytest.approx(4e-3, rel=0.2)
 
 
-def test_ripplon_gravity_branch(surface):
+def test_ripplon_gravity_branch():
     # capillary term vanishes at long wavelength
     k = 1e-3
-    assert medium.ripplon_omega(surface, k) == pytest.approx(
-        math.sqrt(surface.g * k), rel=1e-6
+    assert medium.ripplon_omega(k) == pytest.approx(
+        math.sqrt(G_ACC * k), rel=1e-6
     )
 
 
 def test_ripplon_crossover():
     # gk = (sigma/rho) k^3 at k_c = sqrt(g rho / sigma); bisection cross-check
-    surface = medium.HeliumSurface(temperature=0.01)
-    k_c = math.sqrt(surface.g * surface.rho / surface.sigma)
+    k_c = math.sqrt(G_ACC * RHO_HE / SIGMA_HE)
     assert k_c == pytest.approx(19.603945066291175, rel=1e-12)
     lo, hi = 1.0, 1e3
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if surface.g * mid > (surface.sigma / surface.rho) * mid**3:
+        if G_ACC * mid > (SIGMA_HE / RHO_HE) * mid**3:
             lo = mid
         else:
             hi = mid
     assert lo == pytest.approx(k_c, rel=1e-10)
 
 
-def test_ripplon_monotone(surface):
+def test_ripplon_monotone():
     ks = np.geomspace(1e-2, 1e7, 200)
-    assert np.all(np.diff(medium.ripplon_omega(surface, ks)) > 0)
+    assert np.all(np.diff(medium.ripplon_omega(ks)) > 0)
 
 
 def test_thermal_amplitude_values():
-    assert medium.thermal_amplitude(
-        medium.HeliumSurface(temperature=0.01)
-    ) == pytest.approx(1.9317049e-9, rel=1e-6)
-    assert medium.thermal_amplitude(
-        medium.HeliumSurface(temperature=0.1)
-    ) == pytest.approx(6.1085872e-9, rel=1e-6)
+    assert medium.thermal_amplitude(0.01) == pytest.approx(1.9317049e-9, rel=1e-6)
+    assert medium.thermal_amplitude(0.1) == pytest.approx(6.1085872e-9, rel=1e-6)
     # square-root scaling
-    a = medium.thermal_amplitude(medium.HeliumSurface(temperature=0.02))
-    b = medium.thermal_amplitude(medium.HeliumSurface(temperature=0.08))
+    a = medium.thermal_amplitude(0.02)
+    b = medium.thermal_amplitude(0.08)
     assert b == pytest.approx(2 * a, rel=1e-12)
 
 
@@ -188,8 +178,8 @@ def test_bandwidth_cyclotron_identity():
 
 def test_validation():
     with pytest.raises(ValueError):
-        medium.HeliumSurface(sigma=-1, temperature=0.01)
+        medium.thermal_amplitude(0.0)
     with pytest.raises(ValueError):
         medium.ElectronSheet(-1e8)
     with pytest.raises(ValueError):
-        medium.ripplon_omega(medium.HeliumSurface(temperature=0.01), -1.0)
+        medium.ripplon_omega(-1.0)

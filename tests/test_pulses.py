@@ -45,7 +45,6 @@ def test_triangular_ramp_shape():
     assert sched.voltage_at(0, 0.5e-9) == pytest.approx(1e-3, rel=1e-12)
     assert sched.voltage_at(0, 1e-9) == pytest.approx(2e-3, rel=1e-12)
     assert sched.voltage_at(0, 2e-9) == pytest.approx(0.0, abs=1e-18)
-    assert sched.annotations["swap-dwell"] == (1e-9, 1e-9)
     # zero peak is identically zero
     flat = pulses.triangular_ramp(0, 0.0, 1e-9, 1e-9, 1e-9)
     for t in np.linspace(0, flat.duration, 7):
@@ -81,39 +80,52 @@ def test_hold_outside_span():
 
 
 @st.composite
-def schedules(draw):
-    """Schedules of up to two voltage and two microwave channels on [0, duration]."""
+def schedule_blocks(draw):
+    """A `schedule` config block of up to two voltage and two microwave channels
+    on [0, duration], optional keys drawn present or absent, and its schedule."""
     duration = draw(st.floats(1e-10, 1e-7))
 
     def points(values):
         fracs = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=4)))
-        return tuple((f * duration, draw(values)) for f in fracs)
+        return [[f * duration, draw(values)] for f in fracs]
 
-    voltages = tuple(
-        pulses.VoltageChannel(draw(st.integers(0, 2)), points(st.floats(-1e-2, 1e-2)))
+    def microwave_channel():
+        channel = {"freq_GHz": draw(st.floats(1.0, 200.0)),
+                   "amp_V_per_cm": draw(st.floats(0.0, 2.0))}
+        if draw(st.booleans()):
+            channel["phase"] = draw(st.floats(-math.pi, math.pi))
+        if draw(st.booleans()):
+            channel["envelope"] = points(st.floats(0.0, 1.0))
+        return channel
+
+    voltages = [
+        {"site": draw(st.integers(0, 2)), "points": points(st.floats(-1e-2, 1e-2))}
         for _ in range(draw(st.integers(0, 2)))
+    ]
+    microwave = [microwave_channel() for _ in range(draw(st.integers(0, 2)))]
+    block = {"duration_s": duration}
+    for key, channels in (("voltage_channels", voltages), ("microwave", microwave)):
+        if channels or draw(st.booleans()):
+            block[key] = channels
+    sched = pulses.PulseSchedule(
+        duration,
+        tuple(pulses.VoltageChannel(c["site"], tuple(map(tuple, c["points"])))
+              for c in voltages),
+        tuple(pulses.MicrowaveChannel(c["freq_GHz"], c["amp_V_per_cm"], c.get("phase", 0.0),
+                                      tuple(map(tuple, c.get("envelope", []))))
+              for c in microwave),
     )
-    microwave = tuple(
-        pulses.MicrowaveChannel(
-            draw(st.floats(1.0, 200.0)), draw(st.floats(0.0, 2.0)),
-            draw(st.floats(-math.pi, math.pi)), points(st.floats(0.0, 1.0)),
-        )
-        for _ in range(draw(st.integers(0, 2)))
-    )
-    annotations = {}
-    for name in draw(st.lists(st.sampled_from(("dwell",)), unique=True)):
-        a, b = sorted(draw(st.floats(0.0, 1.0)) * duration for _ in range(2))
-        annotations[name] = (a, b)
-    return pulses.PulseSchedule(duration, voltages, microwave, annotations)
+    return block, sched
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(sched=schedules())
-def test_schedule_dict_roundtrip_property(sched):
-    assert pulses.PulseSchedule.from_dict(sched.to_dict()) == sched
+@given(case=schedule_blocks())
+def test_schedule_from_dict_property(case):
+    block, sched = case
+    assert pulses.PulseSchedule.from_dict(block) == sched
 
 
-def test_schedule_json_roundtrip_bit_exact():
+def test_schedule_from_json_bit_exact():
     sched = pulses.PulseSchedule(
         duration=7.25e-9,
         voltage_channels=(
@@ -124,16 +136,21 @@ def test_schedule_json_roundtrip_bit_exact():
                 118.412, 1.0, 0.25, ((0.0, 0.0), (1e-9, 1.0), (7.25e-9, 0.0))
             ),
         ),
-        annotations={"swap-dwell": (1.3e-9, 7e-9)},
     )
-    text = dump_json(sched.to_dict())
-    back = pulses.PulseSchedule.from_dict(json.loads(text))
+    block = {
+        "duration_s": 7.25e-9,
+        "voltage_channels": [
+            {"site": 0, "points": [[0.0, 0.0], [1.3e-9, 2.0e-3], [7.25e-9, 0.0]]},
+        ],
+        "microwave": [
+            {"freq_GHz": 118.412, "amp_V_per_cm": 1.0, "phase": 0.25,
+             "envelope": [[0.0, 0.0], [1e-9, 1.0], [7.25e-9, 0.0]]},
+        ],
+    }
+    back = pulses.PulseSchedule.from_dict(json.loads(dump_json(block)))
     assert back.duration == sched.duration
     assert back.voltage_channels == sched.voltage_channels
     assert back.microwave == sched.microwave
-    assert back.annotations == sched.annotations
-    # serialization is stable: a second pass is byte-identical
-    assert dump_json(back.to_dict()) == text
 
 
 def test_calibrate_swap_dwell(register):

@@ -125,8 +125,6 @@ def test_voltage_offset_equivalence(pair_geometry):
         pitch=pair_geometry.pitch,
         sites=pair_geometry.sites,
         e_perp=pair_geometry.e_perp + pair_geometry.c_geom * c / pair_geometry.pitch,
-        b_field=pair_geometry.b_field,
-        temperature=pair_geometry.temperature,
         c_geom=pair_geometry.c_geom,
     )
     ham_b = qubits.build(geom_b, voltages=np.array([1e-4, 3e-4]))
