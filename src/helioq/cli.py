@@ -76,8 +76,19 @@ def _format_scalar(x) -> str:
 
 
 def _block(items, pad: str) -> str:
-    body = ",\n".join(f"{pad}  {item}" for item in items)
-    return f"[\n{body}\n{pad}]" if body else "[]"
+    body = f",\n{pad}  ".join(items)
+    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
+
+
+def _rows(a: np.ndarray, indent: int):
+    """The text of each a[i] at `indent`, as dump_json(a[i].tolist(), indent) writes it."""
+    kinds = {"b": ("false", "true").__getitem__, "i": str, "u": str, "f": _format_float}
+    fmt = kinds.get(a.dtype.kind)  # tolist() gives Python bools, ints and floats
+    if fmt and a.ndim == 1:
+        return map(fmt, a.tolist())
+    if fmt and a.ndim == 2 and a.shape[1] <= 16:
+        return ("[" + ", ".join(map(fmt, r)) + "]" for r in a.tolist())
+    return (dump_json(r, indent) for r in a)
 
 
 def dump_json(obj, indent: int = 0) -> str:
@@ -97,13 +108,13 @@ def dump_json(obj, indent: int = 0) -> str:
             return "[" + ", ".join(map(_format_scalar, seq)) + "]"
         return _block((dump_json(v, indent + 1) for v in seq), pad)
     if isinstance(obj, np.ndarray):
-        # float64 arrays go row by row, one list per row, as text equal to tolist()'s
-        if obj.dtype == np.float64 and obj.ndim > 2:
-            return _block((dump_json(v, indent + 1) for v in obj), pad)
-        if obj.dtype == np.float64 and obj.ndim == 2 and obj.shape[1] <= 16:
-            rows = obj.tolist()
-            return _block(("[" + ", ".join(map(_format_float, r)) + "]" for r in rows), pad)
-        return dump_json(obj.tolist(), indent)
+        # row by row, as text equal to tolist()'s; a structured array's rows are records
+        if obj.dtype.names:
+            keys = (json.dumps(k).replace("%", "%%") for k in obj.dtype.names)
+            record = "{\n" + ",\n".join(f"{pad}    {k}: %s" for k in keys) + f"\n{pad}  }}"
+            fields = zip(*(_rows(obj[k], indent + 2) for k in obj.dtype.names))
+            return _block(map(record.__mod__, fields), pad)
+        return _block(_rows(obj, indent + 1), pad) if obj.ndim > 1 else dump_json(obj.tolist(), indent)
     return _format_scalar(obj)
 
 
@@ -469,6 +480,8 @@ def run_readout(config: dict, w: _Writer) -> None:
     ]
     seed = config.get("seed", 0)
     escaped, image = readout.sample_shots(survival, rplan, ro["shots"], seed)
+    shots = np.empty(len(escaped), [("index", int), ("tunneled", bool, escaped.shape[1:])])
+    shots["index"], shots["tunneled"] = np.arange(len(escaped)), escaped
     img_rows = [
         (px[0], px[1], count) for px, count in sorted(image.items())
     ]
@@ -485,9 +498,7 @@ def run_readout(config: dict, w: _Writer) -> None:
         "survival": survival,
         "seed": seed,
         "rng": readout.RNG_ALGORITHM,
-        "shots": [
-            {"index": k, "tunneled": row} for k, row in enumerate(escaped.tolist())
-        ],
+        "shots": shots,
     })
 
 

@@ -27,15 +27,15 @@ Optional loss channels:
   escapes the surface.
 
 The timeline is cut into pieces at the schedule breakpoints and t_f, so
-each piece has one slope per channel and one tunneling state.  Samples are
-read from one propagation per piece and never cut it.  A constant piece
-builds its operator once: the eigendecomposition of H when closed, which
-gives every sample from the piece's start, or the sparse Liouvillian
--i(H (x) I - I (x) H^T) + D, D the loss channels, when dissipative, whose
+each piece has one slope per channel and one tunneling state; samples are
+read from one propagation per piece.  A constant piece builds its operator
+once: the eigendecomposition of H when closed, or, when dissipative, the
+sparse Liouvillian -i(H (x) I - I (x) H^T) + D, D the loss channels, whose
 exponential expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-2011) applies from sample to sample.  Other pieces take one DOP853
-integration, of -i(H rho - rho H) + D for a density matrix, read at the
-samples by its dense output (Hairer, Norsett & Wanner, Solving ODEs I).
+2011) applies from sample to sample.  Other pieces take one DOP853 run,
+read by its dense output (Hairer, Norsett & Wanner, Solving ODEs I).  For
+a density matrix it integrates -i(H rho - (H rho)^dagger) + D, one product,
+with H = A + t B built once per piece where linear in t (rwa, voltages held).
 """
 from __future__ import annotations
 
@@ -205,18 +205,22 @@ class EvolutionResult:
 # --- operator assembly -----------------------------------------------------
 
 
-def _one_per_row(dim: int, terms) -> sp.csr_matrix:
-    """sum of terms (cols, vals), each holding vals[i] at (i, cols[i]), as CSR.
+def _one_per_row(terms, *shape) -> sp.csr_matrix:
+    """sum of terms (m, vals), each holding vals[i] at (i, i ^ m), as CSR.
 
-    Zeros are dropped; the terms name distinct columns in every row.  The
-    indices are int32, as scipy stores them, which spares it a range check.
+    Rows are indexed by `shape`, (dim,) or (dim, dim) for a superoperator, each
+    vals broadcast to it; the masks m are distinct.  Only nonzeros are stored.
     """
-    cols = np.array([c for c, _ in terms], dtype=np.int32).T.reshape(-1)
-    vals = np.array([v for _, v in terms]).T.reshape(-1)
-    indptr = len(terms) * np.arange(dim + 1, dtype=np.int32)
-    m = sp.csr_matrix((vals, cols, indptr), shape=(dim, dim))
-    m.eliminate_zeros()
-    return m
+    vals = [np.broadcast_to(v, shape) for _, v in terms]
+    rows = np.arange(math.prod(shape), dtype=np.int32).reshape(shape[0], -1)
+    indptr = np.append(np.int32(0), np.cumsum(sum(v != 0 for v in vals), dtype=np.int32))
+    data, cols = np.empty(indptr[-1], np.result_type(*vals)), np.empty(indptr[-1], np.int32)
+    step = max(1, 4096 // rows.shape[1])  # rows per block
+    for lo in range(0, len(rows), step):
+        block, r = np.stack([v[lo:lo + step].ravel() for v in vals], 1), rows[lo:lo + step]
+        at, keep = slice(indptr[r[0, 0]], indptr[r[-1, -1] + 1]), block != 0
+        data[at], cols[at] = block[keep], (r.reshape(-1, 1) ^ [m for m, _ in terms])[keep]
+    return sp.csr_matrix((data, cols, indptr), shape=(rows.size,) * 2)
 
 
 class _System:
@@ -238,20 +242,20 @@ class _System:
         a_rad = ham.a_K * K_TO_RAD_PER_S
         b_rad = ham.b_K * K_TO_RAD_PER_S
         szsz = np.zeros(self.dim)
-        static = [(idx, szsz)]
+        static = [(0, szsz)]
         # uncoupled pairs add only zeros, which the CSR build drops
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 szsz += 0.25 * a_rad[i, j] * self.zpat[i] * self.zpat[j]
                 # s+_i s-_j + s-_i s+_j couples rows whose bits i, j differ
                 hop = np.where(self.zpat[i] != self.zpat[j], 0.5 * b_rad[i, j], 0.0)
-                static.append((idx ^ (1 << i | 1 << j), hop))
-        self.h = [_one_per_row(self.dim, static)]
+                static.append((1 << i | 1 << j, hop))
+        self.h = [_one_per_row(static, self.dim)]
         # H_X and H_Y exist only when a microwave channel can fill them
         if schedule.microwave:
-            flips = [idx ^ (1 << n) for n in range(self.n)]
-            self.h.append(_one_per_row(self.dim, [(f, np.ones(self.dim)) for f in flips]))
-            self.h.append(_one_per_row(self.dim, [(f, -1j * z) for f, z in zip(flips, self.zpat)]))
+            flips = [1 << n for n in range(self.n)]
+            self.h.append(_one_per_row([(f, 1.0) for f in flips], self.dim))
+            self.h.append(_one_per_row([(f, -1j * z) for f, z in zip(flips, self.zpat)], self.dim))
         self.at = [np.repeat(idx * self.dim, np.diff(m.indptr)) + m.indices for m in self.h]
 
         # transition frequencies vs time (rad/s); channels that never leave
@@ -305,6 +309,10 @@ class _System:
                 fx += omega * math.cos(w * t + ch.phase)
         return fx, fy
 
+    def voltages_hold(self, p: float, q: float) -> bool:
+        """True when no voltage moves on the piece holding interior points p, q."""
+        return all(self.schedule.voltage_at(s, p) == self.schedule.voltage_at(s, q) for s in self.tuning)
+
     def constant_on(self, ta: float, tb: float) -> bool:
         """True when every coefficient is constant on (ta, tb).
 
@@ -313,16 +321,11 @@ class _System:
         only when its amplitude vanishes there.
         """
         p, q = ta + 0.25 * (tb - ta), ta + 0.75 * (tb - ta)
-        for site in self.tuning:
-            if self.schedule.voltage_at(site, p) != self.schedule.voltage_at(site, q):
-                return False
-        for ch in self.schedule.microwave:
-            ep, eq = ch.envelope_at(p), ch.envelope_at(q)
-            if ep != eq:
-                return False
-            if self.spec.frame == "lab" and ch.amp_V_per_cm * ep != 0.0:
-                return False
-        return True
+        return self.voltages_hold(p, q) and all(
+            ch.envelope_at(p) == ch.envelope_at(q)
+            and (self.spec.frame == "rwa" or ch.amp_V_per_cm * ch.envelope_at(p) == 0.0)
+            for ch in self.schedule.microwave
+        )
 
     # -- operator application -------------------------------------------------
 
@@ -347,39 +350,43 @@ class _System:
             h.reshape(-1)[self.at[k]] += c * self.h[k].data
         return h
 
+    def dense_h_on(self, ta: float, tb: float):
+        """t -> dense H(t) on (ta, tb), one axpy A + (t - tm) B where linear: rwa, voltages held."""
+        p, q, tm = ta + 0.25 * (tb - ta), ta + 0.75 * (tb - ta), 0.5 * (ta + tb)
+        if self.spec.frame == "lab" or not self.voltages_hold(p, q):
+            return self.dense_h
+        a, b = self.dense_h(tm), (self.dense_h(q) - self.dense_h(p)) / (q - p)
+        return lambda t: a + (t - tm) * b
+
 
 class _Liouvillian:
     """Density-matrix generator -i[H(t), .] + D, less {G, .} once tunneling is on.
 
-    H(t) is read from `_System.dense_h`; only D and D - {G, .} are stored.
+    Only D and D - {G, .} are stored, as CSR and as `_one_per_row` terms.
     On row-major vec(rho), op (x) I acts as op @ rho and I (x) op^T as
-    rho @ op.  D holds relaxation sqrt(1/T1) s- (jumps as index shifts, and
+    rho @ op.  D holds relaxation sqrt(1/T1) s- (jumps as index flips, and
     decay) and dephasing sqrt(2/T2_eff) sz/2, which alone decays coherences
     as exp(-t/T2_eff); G = sum_n P_up_n/(2 t_up) is the readout tunneling drain.
     """
 
     def __init__(self, sys: _System, budget: DecoherenceBudget | None,
                  tunneling: TunnelingSpec | None):
-        dim = sys.dim
-        idx = np.arange(dim)
+        dim, idx = sys.dim, np.arange(sys.dim)
         self.sys = sys
-        jumps, decay = [], np.zeros((dim, dim))
+        self.jumps, decay = [], np.zeros((dim, dim))
         if budget is not None:
             g1, gphi = 1.0 / budget.t1_s, 1.0 / budget.t2_eff_s
             for q in range(sys.n):
                 occ = (idx >> q) & 1
-                # s-_q: row i couples to i | 2^q when bit q of i is clear
-                lower = _one_per_row(dim, [(idx ^ (1 << q), 1.0 - occ)])
-                jumps.append(g1 * sp.kron(lower, lower))
+                self.jumps.append(((1 << q) * (dim + 1), g1 * np.outer(1 - occ, 1 - occ)))
                 decay -= 0.5 * g1 * (occ[:, None] + occ[None, :])
                 decay -= gphi * (occ[:, None] != occ[None, :])
         # without tunneling, escape takes forever and G vanishes
         t_up = math.inf if tunneling is None else tunneling.t_up
         g = sum((idx >> q) & 1 for q in range(sys.n)) / (2.0 * t_up)
-        d = sum(jumps) + sp.diags(decay.ravel())
-        drain = sp.diags(-(g[:, None] + g[None, :]).ravel())
-        # indexed by the piece's tunneling flag
-        self.dissipator = (d.tocsr(), (d + drain).tocsr())
+        # both indexed by the piece's tunneling flag
+        self.decay = (decay, decay - (g[:, None] + g[None, :]))
+        self.dissipator = tuple(_one_per_row([(0, d), *self.jumps], dim, dim) for d in self.decay)
 
     def constant(self, t, tunneling: bool):
         """(L', r) with L(t) = L' + diag(r), the two commuting.
@@ -388,19 +395,24 @@ class _Liouvillian:
         frequency w on the total excitation N = sum_n sz_n/2, which commutes
         with the rest of L.  expm_multiply's step count grows with the norm,
         so an idle lab-frame register then costs what a detuned one does.
+        Each flip m of H puts -i H[a, a ^ m] and -i (0 - H[b ^ m, b]) in row (a, b),
+        its zeros signed as in the sparse sum -i(H (x) I - I (x) H^T) + D.
         """
         w = 0.0 if any(self.sys.drive_xy(t)) else float(np.mean(self.sys.eps_rad(t)))
-        h = sp.csr_matrix(self.sys.dense_h(t, w))
-        eye = sp.identity(self.sys.dim, format="csr")
-        out = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) + self.dissipator[tunneling]
+        h, dim, n = self.sys.dense_h(t, w), self.sys.dim, self.sys.n
+        idx, hd = np.arange(dim), h.diagonal()
+        terms = [(0, -1j * (hd[:, None] - hd[None, :]) + self.decay[tunneling]), *self.jumps]
+        for m in sorted(set(np.bitwise_xor(*np.nonzero(h)).tolist()) - {0}):
+            terms += [(m << n, -1j * h[idx, idx ^ m][:, None]), (m, -1j * (0 - h[idx ^ m, idx]))]
+        op = _one_per_row(terms, dim, dim)
+        op.sort_indices()
         e = 0.5 * self.sys.zpat.sum(axis=0)
-        return out.tocsr(), -1j * w * (e[:, None] - e[None, :]).ravel()
+        return op, -1j * w * (e[:, None] - e[None, :]).ravel()
 
-    def apply(self, t, y, tunneling: bool) -> np.ndarray:
-        """L(t) @ y, the Lindblad right-hand side."""
-        h = self.sys.dense_h(t)
-        rho = y.reshape(h.shape)
-        return (-1j * (h @ rho - rho @ h)).reshape(-1) + self.dissipator[tunneling] @ y
+    def apply(self, h, y, tunneling: bool) -> np.ndarray:
+        """L(t) @ y for the dense H(t); rho is Hermitian, so rho H is (H rho)^dagger."""
+        hr = h @ y.reshape(h.shape)
+        return (-1j * (hr - hr.conj().T)).reshape(-1) + self.dissipator[tunneling] @ y
 
 
 def evolve(
@@ -508,8 +520,10 @@ def _propagator(sys, liou, ta, tb, tunneling, rtol):
 
             return exponential
 
+    h_at = None if liou is None else sys.dense_h_on(ta, tb)
+
     def rhs(t, y):
-        return -1j * sys.apply_h(t, y) if liou is None else liou.apply(t, y, tunneling)
+        return -1j * sys.apply_h(t, y) if liou is None else liou.apply(h_at(t), y, tunneling)
 
     return lambda state, times: _propagate_ivp(rhs, state, ta, times, rtol, tunneling)
 

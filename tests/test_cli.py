@@ -834,6 +834,37 @@ def test_dump_json_writes_empty_and_wide_float_arrays_as_their_lists(shape):
     assert cli.dump_json(doc) == dump_json(doc)
 
 
+@pytest.mark.parametrize("sites,shots", [(1, 1), (1, 40), (4, 300), (16, 40), (17, 1), (17, 40)])
+def test_readout_log_matches_the_recursive_serializer(tmp_path, monkeypatch, sites, shots):
+    # 17 sites cross the 16-value inline limit: each shot's row goes one value per line
+    from helioq import readout
+
+    drawn = []
+    sample_shots = readout.sample_shots
+
+    def capture(*args):
+        drawn.append(sample_shots(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(readout, "sample_shots", capture)
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "seed": 7,
+        "device": {**BASE_DEVICE, "sites": [[i % 5, i // 5] for i in range(sites)],
+                   "voltages_mV": [0.0] * sites},
+        "readout": {"wait_s": 1e-7, "selectivity": 1e6, "shots": shots,
+                    "initial_bits": ("uud" * sites)[:sites]},
+    })
+    assert main(["readout", "--config", cfg]) == 0
+    text = next((tmp_path / "out").glob("readout_*.json")).read_text()
+    doc = json.loads(text)
+    escaped = drawn[-1][0]
+    assert doc["shots"] == [{"index": k, "tunneled": row} for k, row in enumerate(escaped.tolist())]
+    assert text == dump_json(doc) + "\n"
+    if shots > 1:
+        assert escaped.any() and not escaped.all()
+
+
 def test_dump_json_still_rejects_nan():
     nan = float("nan")
     for doc in (nan, [nan], [1.0] * 16 + [nan], {"a": (0, nan)}, np.array([1.0, nan]),

@@ -481,7 +481,7 @@ def test_lindblad_ivp_matches_exponential(drive, n):
     rtol = 1e-10
     exact = dynamics._propagator(sys, liou, 0.0, T_SEG, True, rtol)(rho0, [T_SEG])[-1]
     stepped = dynamics._propagate_ivp(
-        lambda t, y: liou.apply(t, y, True), rho0, 0.0, [T_SEG], rtol, True
+        lambda t, y: liou.apply(sys.dense_h(t), y, True), rho0, 0.0, [T_SEG], rtol, True
     )[-1]
     # rtol bounds each step's error; the global error is a small multiple of it
     assert np.abs(stepped - exact).max() <= 10 * rtol
@@ -512,7 +512,7 @@ def test_sparse_generator_matches_explicit_lindblad(n, tunneling, drive):
         expect += op @ rho @ op.conj().T - 0.5 * (ld @ rho + rho @ ld)
     scale = np.abs(expect).max()
 
-    applied = liou.apply(t, rho.reshape(-1), tunneling).reshape(dim, dim)
+    applied = liou.apply(h, rho.reshape(-1), tunneling).reshape(dim, dim)
     assert np.abs(applied - expect).max() <= 1e-13 * scale
     op, rate = liou.constant(t, tunneling)
     split = (op @ rho.reshape(-1) + rate * rho.reshape(-1)).reshape(dim, dim)
@@ -966,3 +966,81 @@ def test_relabeling_sites_permutes_site_populations(perm, unpermuted_site_popula
     pops = site_populations_after_drive(perm)
     rtol = EvolutionSpec(sample_times=[0.0]).rtol
     assert np.abs(pops - unpermuted_site_populations[:, list(perm)]).max() <= 10 * rtol
+
+
+# --- density-matrix pieces linear in t: H(t) = A + (t - tm) B, one product ---
+
+
+def ramped_drive(ham, phase):
+    """TRIANGLE envelope on one drive resonant with qubit 0: two linear pieces."""
+    carrier = ham.eps_K[0] * units.K_TO_GHZ
+    return pulses.PulseSchedule(
+        duration=T_SEG, microwave=(pulses.MicrowaveChannel(carrier, 0.15, phase, TRIANGLE),),
+    )
+
+
+@pytest.mark.parametrize("phase", [0.0, math.pi / 2], ids=["phase-0", "phase-pi/2"])
+@pytest.mark.parametrize("tunneling", [False, True], ids=["tunneling-off", "tunneling-on"])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_linear_piece_rhs_matches_the_two_product_form(n, tunneling, phase):
+    ham = coupled_register(n, seed=n)
+    spec = EvolutionSpec(sample_times=[T_SEG], budget=loss_budget(3 * T_SEG, 2 * T_SEG),
+                         tunneling=TunnelingSpec(0.0, 4 * T_SEG))
+    sys = dynamics._System(ham, ramped_drive(ham, phase), spec)
+    liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
+    h_at = sys.dense_h_on(0.5 * T_SEG, T_SEG)
+    assert h_at != sys.dense_h
+    rho = random_density_matrix(2**n, seed=n)
+    for t in T_SEG * np.array([0.5, 0.57, 0.75, 0.93, 1.0]):
+        h = sys.dense_h(t)
+        expect = (-1j * (h @ rho - rho @ h)).reshape(-1)
+        expect += liou.dissipator[tunneling] @ rho.reshape(-1)
+        applied = liou.apply(h_at(t), rho.reshape(-1), tunneling)
+        assert np.abs(applied - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def test_moving_voltages_and_lab_drives_read_dense_h(device_pair):
+    v = pulses.resonance_voltage(device_pair, 0, 1)
+    ramp = pulses.PulseSchedule(T_SEG, (pulses.VoltageChannel(0, ((0.0, 0.0), (T_SEG, v))),))
+    held = pulses.PulseSchedule(T_SEG, (pulses.VoltageChannel(0, ((0.0, v), (T_SEG, v))),))
+    for sched, frame, linear in ((ramp, "rwa", False), (held, "rwa", True),
+                                 (ramped_drive(device_pair, 0.0), "lab", False)):
+        sys = dynamics._System(device_pair, sched, EvolutionSpec([T_SEG], frame=frame))
+        assert (sys.dense_h_on(0.0, T_SEG) != sys.dense_h) == linear
+
+
+@pytest.mark.parametrize("n,tunneling", [(3, False), (4, True)])
+def test_ramped_density_matrix_matches_the_per_evaluation_path(monkeypatch, n, tunneling):
+    ham = coupled_register(n, seed=2)
+    spec = EvolutionSpec(
+        sample_times=np.linspace(0.0, T_SEG, 5), rtol=1e-9,
+        budget=loss_budget(3 * T_SEG, 2 * T_SEG),
+        tunneling=TunnelingSpec(0.3 * T_SEG, 2 * T_SEG) if tunneling else None,
+    )
+    initial = RegisterState("density-matrix", n, random_density_matrix(2**n, seed=4))
+    linear = evolve(ham, ramped_drive(ham, 0.4), initial, spec)
+    monkeypatch.setattr(dynamics._System, "dense_h_on", lambda self, ta, tb: self.dense_h)
+    general = evolve(ham, ramped_drive(ham, 0.4), initial, spec)
+    assert np.abs(linear.states - general.states).max() <= 10 * spec.rtol
+
+
+def test_linear_pieces_build_h_a_fixed_number_of_times(monkeypatch):
+    nfev = []
+    original = dynamics.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    dense_h = count_calls(monkeypatch, dynamics._System, "dense_h")
+    drive_xy = count_calls(monkeypatch, dynamics._System, "drive_xy")
+    ham = coupled_register(3, seed=1)
+    evolve(ham, ramped_drive(ham, 0.4), RegisterState.density_matrix("udd"), EvolutionSpec(
+        sample_times=[T_SEG], budget=loss_budget(3 * T_SEG, 2 * T_SEG),
+        tunneling=TunnelingSpec(0.5 * T_SEG, 2 * T_SEG),
+    ))
+    # two DOP853 pieces, each reading H at its midpoint and two interior points
+    assert len(nfev) == 2 and min(nfev) > 100
+    assert len(dense_h) == len(drive_xy) == 6
