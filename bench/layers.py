@@ -1,0 +1,196 @@
+"""Layer timings of the Stark map, from one eigensolve up to a cold CLI run.
+
+    python bench/layers.py [--repeats 7] [--label NAME] [--src DIR] [--out FILE]
+
+Times, in this process unless noted:
+
+- `transition_K`: one checked solve (two `eigvalsh` and the size + 5 guard);
+- `stark_lookup`: one `_StarkMap.exact` at a field no earlier lookup of that
+  map has seen, as every right-hand-side evaluation of a ramp is;
+- `stark_build`: the per-basis Chebyshev fit (absent where the map has none);
+- `ramped_swap_evolve`: one 2-site swap `evolve` with rise = fall = dwell/8,
+  on a freshly built register, with its Stark lookups counted;
+- `cold_demo_swap`: `python -m helioq demo-swap` with the same ramps, in a
+  fresh interpreter (wall time and `ru_maxrss`), beside `python -c pass`.
+
+Each value is the minimum of `--repeats` repeats, stored with the repeat
+count, median and maximum.  The run is stored under `--label` in `--out`
+(default `BENCH_stark_map.json` at the repository root), beside the runs of
+other labels already there, with its run record: commit, nproc, BLAS
+threads and the Python, NumPy and SciPy versions.  `--src` times the package
+of another checkout's `src/`; pair runs only when they come from one host.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LOOKUPS = 200              # distinct fields per lookup repeat
+SOLVES = 20                # checked solves per transition_K repeat
+
+
+def _stats(samples: list[float], unit: str, **extra) -> dict:
+    return {"value": min(samples), "unit": unit, "repeats": len(samples),
+            "median": statistics.median(samples), "max": max(samples), **extra}
+
+
+def _timed(fn, repeats: int, per: int = 1, setup=None) -> list[float]:
+    out = []
+    for _ in range(repeats):
+        arg = setup() if setup else None
+        t0 = time.perf_counter()
+        fn(arg)
+        out.append((time.perf_counter() - t0) / per)
+    return out
+
+
+# runs argv once and prints its wall time, ru_maxrss (KiB) and exit code; a
+# small launcher keeps the bench's own pages out of the child's peak RSS
+_LAUNCH = """import os, subprocess, sys, time
+t0 = time.perf_counter()
+p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(p.pid, 0)
+print(time.perf_counter() - t0, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def _cold(argv: list[str], src: Path, repeats: int) -> tuple[list[float], list[float]]:
+    """Wall time (s) and peak RSS (MiB) of `argv` in fresh interpreters."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    walls, rss = [], []
+    for _ in range(repeats):
+        out = subprocess.run([sys.executable, "-c", _LAUNCH, *argv], env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        if out[2] != "0":
+            raise RuntimeError(f"{argv} exited {out[2]}")
+        walls.append(float(out[0]))
+        rss.append(int(out[1]) / 1024.0)
+    return walls, rss
+
+
+def _blas_threads() -> dict:
+    keys = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    return {k: os.environ.get(k) for k in keys}
+
+
+def _commit(src: Path) -> str:
+    try:
+        return subprocess.run(
+            ["git", "-C", str(src), "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def measure(src: Path, repeats: int, workdir: Path) -> dict:
+    sys.path.insert(0, str(src))
+    import numpy as np
+    import scipy
+
+    from helioq import dynamics, hydrogenic, pulses, qubits, units
+
+    basis = hydrogenic.HydrogenicBasisSpec(lam=units.image_strength(units.EPSILON_HE))
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
+    volts = np.array([0.0, 5e-5])
+    ham = qubits.build(geom, voltages=volts)     # fills the moment tables
+    rng = np.random.default_rng(0)
+    layers = {}
+
+    solve_fields = rng.uniform(0.0, 2.0, SOLVES)
+    layers["transition_K"] = _stats(_timed(
+        lambda _: [hydrogenic.transition_K(basis, f) for f in solve_fields],
+        repeats, SOLVES), "s")
+
+    fit = getattr(qubits, "_stark_fit", None)
+    if fit is not None:
+        layers["stark_build"] = _stats(_timed(lambda _: fit.__wrapped__(basis), repeats), "s",
+                                       terms=len(fit(basis)))
+    qubits._StarkMap(basis).exact(1.0)   # a map with a shared fit builds it here
+    lookup_fields = rng.uniform(0.0, 2.0, LOOKUPS)
+    layers["stark_lookup"] = _stats(_timed(
+        lambda stark: [stark.exact(f) for f in lookup_fields],
+        repeats, LOOKUPS, setup=lambda: qubits._StarkMap(basis)), "s")
+
+    dwell = pulses.calibrate_swap(ham, (0, 1), math.pi / 2)
+    ramp = dwell / 8
+    sched = pulses.swap_schedule(ham, (0, 1), dwell, ramp, ramp)
+    spec = dynamics.EvolutionSpec(sample_times=np.array([sched.duration]))
+    start = dynamics.RegisterState.state_vector("ud")
+
+    def evolve_once(h):
+        return dynamics.evolve(h, sched, start, spec)
+
+    def fresh():
+        return qubits.build(geom, voltages=volts)
+
+    lookups = []
+    exact = qubits._StarkMap.exact
+    qubits._StarkMap.exact = lambda self, f: lookups.append(f) or exact(self, f)
+    try:
+        evolve_once(fresh())
+    finally:
+        qubits._StarkMap.exact = exact
+    layers["ramped_swap_evolve"] = _stats(_timed(evolve_once, repeats, setup=fresh), "s",
+                                          stark_lookups=len(lookups))
+
+    config = {
+        "output_dir": str(workdir / "out"),
+        "device": {"d_um": 0.5, "sites": [[0, 0], [1, 0]], "B_T": 1.5, "T_K": 0.01,
+                   "voltages_mV": [0.0, 0.05]},
+        "swap": {"pair": [0, 1], "alpha": math.pi / 2, "rise_s": ramp, "fall_s": ramp},
+    }
+    cfg = workdir / "demo_swap.json"
+    cfg.write_text(json.dumps(config))
+    for name, argv in (
+        ("cold_python_pass", [sys.executable, "-c", "pass"]),
+        ("cold_demo_swap", [sys.executable, "-m", "helioq", "demo-swap", "--config", str(cfg)]),
+    ):
+        walls, rss = _cold(argv, src, repeats)
+        layers[name] = _stats(walls, "s", peak_rss_mib=_stats(rss, "MiB"))
+
+    return {
+        "record": {
+            "commit": _commit(src),
+            "nproc": os.cpu_count(),
+            "blas_threads": _blas_threads(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        "layers": layers,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--label", default="current")
+    ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_stark_map.json")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    with tempfile.TemporaryDirectory() as tmp:
+        run = measure(args.src.resolve(), args.repeats, Path(tmp))
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
+    doc["runs"][args.label] = run
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    for name, v in run["layers"].items():
+        print(f"{name:22s} {v['value']:.3e} {v['unit']} (min of {v['repeats']})")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

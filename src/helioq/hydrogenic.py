@@ -92,15 +92,10 @@ class HydrogenicBasisSpec:
         return rydberg_scales(self.lam)
 
 
-@lru_cache(maxsize=16)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.laguerre.laggauss(order)
-
-
 @lru_cache(maxsize=32)
 def _moment_matrix(size: int, power: int, order: int) -> np.ndarray:
     """<m|x^power|n> in Bohr-radius units, exact scaled Gauss-Laguerre."""
-    t, w = _gl_nodes(order)
+    t, w = np.polynomial.laguerre.laggauss(order)
     out = np.empty((size, size))
     for m in range(1, size + 1):
         for n in range(m, size + 1):

@@ -22,12 +22,12 @@ takes pi hbar / B_nm.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .hydrogenic import HydrogenicBasisSpec, solve, transition_K
+from .hydrogenic import ConvergenceError, HydrogenicBasisSpec, solve, transition_K
 from .units import (
     E_SQ,
     E_SQ_K_CM,
@@ -72,24 +72,16 @@ class DeviceGeometry:
             raise ValueError("site positions must be distinct")
         for i in range(len(sites)):
             for j in range(i + 1, len(sites)):
-                if self.site_distance_unitless(sites, i, j) < 1.0 - 1e-12:
-                    raise ValueError(
-                        f"sites {i} and {j} are closer than one pitch"
-                    )
+                if math.dist(sites[i], sites[j]) < 1.0 - 1e-12:
+                    raise ValueError(f"sites {i} and {j} are closer than one pitch")
         object.__setattr__(self, "sites", sites)
-
-    @staticmethod
-    def site_distance_unitless(sites, i: int, j: int) -> float:
-        dx = sites[i][0] - sites[j][0]
-        dy = sites[i][1] - sites[j][1]
-        return math.hypot(dx, dy)
 
     @property
     def n_sites(self) -> int:
         return len(self.sites)
 
     def distance_cm(self, i: int, j: int) -> float:
-        return self.site_distance_unitless(self.sites, i, j) * self.pitch
+        return math.dist(self.sites[i], self.sites[j]) * self.pitch
 
     def positions_cm(self) -> np.ndarray:
         return np.asarray(self.sites, dtype=float) * self.pitch
@@ -214,32 +206,62 @@ class QubitArrayHamiltonian:
         return d
 
 
-# fields remembered per Stark map; a ramped gate looks up a few hundred
-_STARK_CACHE_SIZE = 1024
+# Chebyshev degree and domain [0, _FIT_MAX] V/cm of each basis's Stark map;
+# the default basis converges to ~140 V/cm, its series in ~100 terms
+_FIT_DEGREE, _FIT_MAX = 160, 120.0
+
+
+def _chop(c: np.ndarray, tol: float = 2.0**-52) -> int:
+    """Coefficients to keep by standardChop (Aurentz & Trefethen, ACM TOMS 43,
+    2017), with its 1-based indices; len(c) when the tail never levels off."""
+    env = np.maximum.accumulate(np.abs(c)[::-1])[::-1] / np.abs(c).max()
+    for j in range(2, env.size + 1):
+        if (j2 := int(1.25 * j + 5.5)) > env.size:
+            return env.size
+        e1 = env[j - 1]
+        if e1 == 0 or env[j2 - 1] / e1 > 3 * (1 - math.log(e1) / math.log(tol)):
+            break
+    if (j3 := int(np.sum(env >= tol ** (7 / 6)))) < j2:
+        j2, env[j3] = j3 + 1, tol ** (7 / 6)
+    return max(int(np.argmin(np.log10(env[:j2]) + np.linspace(0, -math.log10(tol) / 3, j2))), 1)
+
+
+@lru_cache(maxsize=4)
+def _stark_fit(basis: HydrogenicBasisSpec) -> tuple[float, ...]:
+    """Chopped Chebyshev series of `transition_K(basis, .)` on [0, _FIT_MAX]
+    V/cm from the extreme points; () when the guard fails at a node."""
+    x = np.cos(np.pi * np.arange(_FIT_DEGREE + 1) / _FIT_DEGREE)
+    try:
+        v = [transition_K(basis, _FIT_MAX / 2 * (1 + float(xi))) for xi in x]
+    except ConvergenceError:
+        return ()
+    c = np.fft.rfft(v + v[-2:0:-1]).real / _FIT_DEGREE
+    c[[0, -1]] /= 2
+    if (keep := _chop(c)) == c.size:
+        raise ConvergenceError(f"Stark map of {basis} not converged at degree {_FIT_DEGREE}", c[-1] / c[0])
+    return tuple(c[:keep].tolist())
 
 
 class _StarkMap:
-    """Transition energy (K) versus pressing field, from the checked eigensolve.
-
-    Exact evaluations are kept in an LRU cache of `_STARK_CACHE_SIZE` fields.
-    """
+    """Transition energy (K) versus pressing field (V/cm) for one basis."""
 
     def __init__(self, basis: HydrogenicBasisSpec):
         self.basis = basis
-        self._cache: OrderedDict[float, float] = OrderedDict()
-
-    def _remember(self, key: float, value: float) -> None:
-        self._cache[key] = value
-        if len(self._cache) > _STARK_CACHE_SIZE:
-            self._cache.popitem(last=False)
+        self._coefficients: tuple[float, ...] = ()
 
     def exact(self, e_field: float) -> float:
-        key = float(e_field)
-        if key in self._cache:
-            self._cache.move_to_end(key)
-        else:
-            self._remember(key, transition_K(self.basis, key))
-        return self._cache[key]
+        """The basis's shared `_stark_fit`, built on the first lookup in its domain
+        [0, _FIT_MAX] V/cm, summed there; `transition_K` itself everywhere else
+        and for a basis without a fit."""
+        f = float(e_field)
+        if 0.0 <= f <= _FIT_MAX and (c := self._coefficients or _stark_fit(self.basis)):
+            self._coefficients = c
+            x = f * (2.0 / _FIT_MAX) - 1.0
+            b1 = b2 = 0.0
+            for ck in c[:0:-1]:
+                b1, b2 = ck + 2.0 * x * b1 - b2, b1
+            return c[0] + x * b1 - b2
+        return transition_K(self.basis, f)
 
 
 def build(
@@ -259,7 +281,6 @@ def build(
     v = np.broadcast_to(np.asarray(voltages, dtype=float), (n,)).copy()
     fields = np.asarray(site_field(geometry, v), dtype=float).reshape(n)
 
-    stark = _StarkMap(basis)
     eps = np.empty(n)
     z11 = np.empty(n)
     z22 = np.empty(n)
@@ -270,7 +291,6 @@ def build(
         z11[i] = sol.z_elements[0, 0]
         z22[i] = sol.z_elements[1, 1]
         z12[i] = sol.z_elements[0, 1]
-        stark._remember(float(f), eps[i])
 
     a, b = _pair_couplings(geometry, z11 - z22, z12)
     drive_coeff = EV_ERG * float(np.abs(z12).mean()) / HBAR
@@ -284,5 +304,5 @@ def build(
         z12_cm=z12,
         geometry=geometry,
         voltages=v,
-        stark_map=stark,
+        stark_map=_StarkMap(basis),
     )

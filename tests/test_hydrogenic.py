@@ -247,9 +247,15 @@ def test_eigenvectors_only_where_they_are_read(basis, monkeypatch):
     monkeypatch.setattr(hydrogenic.np.linalg, "eigh", eigh)
     assert transition_K(basis, 0.0) > 0
     assert transition_K(basis, 12.5) == expected
-    assert qubits._StarkMap(basis).exact(12.5) == expected
+    # above its Chebyshev domain the Stark map is the checked solve itself
+    assert qubits._StarkMap(basis).exact(125.0) == transition_K(basis, 125.0)
     # the level assignment at negative fields and solve's vectors still need it
     with pytest.raises(_EighCalled):
         transition_K(basis, -1e-3)
     with pytest.raises(_EighCalled):
         solve(basis, 12.5)
+    # inside the domain, a lookup after the map's build solves nothing
+    stark = qubits._StarkMap(basis)
+    stark.exact(0.0)
+    monkeypatch.setattr(hydrogenic.np.linalg, "eigvalsh", eigh)
+    assert stark.exact(12.5) == pytest.approx(expected, rel=1e-12, abs=0)

@@ -145,18 +145,78 @@ def test_build_deterministic(pair_geometry):
     )
 
 
-def test_stark_cache_is_bounded(pair_geometry):
+def test_stark_map_memory_is_bounded(pair_geometry):
+    # a map holds one fixed coefficient series, shared by every map of its
+    # basis, that no number of lookups grows; the per-basis cache of those
+    # series is itself bounded
     stark = qubits.build(pair_geometry).stark_map
-    limit = qubits._STARK_CACHE_SIZE
-    fields = np.linspace(0.0, 50.0, limit + 20)
-    first = stark.exact(fields[0])
-    for f in fields[1:]:
+    stark.exact(1.0)
+    series = stark._coefficients
+    assert series is qubits._stark_fit(stark.basis) and len(series) <= qubits._FIT_DEGREE + 1
+    for f in np.linspace(0.0, 50.0, 1044):
         stark.exact(f)
-        assert len(stark._cache) <= limit
-    assert len(stark._cache) == limit
-    assert float(fields[0]) not in stark._cache  # evicted, least recently used
-    assert stark.exact(fields[0]) == first
-    assert stark.exact(fields[0]) == hydrogenic.solve(stark.basis, fields[0]).transition_K(2)
+    assert vars(stark) == {"basis": stark.basis, "_coefficients": series}
+    assert stark._coefficients is series
+    limit = qubits._stark_fit.cache_info().maxsize
+    assert limit is not None and limit <= 8
+    for k in range(limit + 2):
+        other = hydrogenic.HydrogenicBasisSpec(lam=LAM * (1.01 + 0.01 * k))
+        qubits._StarkMap(other).exact(1.0)
+        assert qubits._stark_fit.cache_info().currsize <= limit
+
+
+def test_stark_map_matches_the_checked_solve():
+    # cross-path: the Chebyshev map against transition_K over its domain,
+    # and transition_K itself, bit for bit, outside it
+    basis = hydrogenic.HydrogenicBasisSpec(lam=LAM)
+    stark = qubits._StarkMap(basis)
+    rng = np.random.default_rng(21)
+    inside = np.concatenate([[0.0, qubits._FIT_MAX], rng.uniform(0.0, qubits._FIT_MAX, 240)])
+    for f in inside:
+        splitting = hydrogenic.transition_K(basis, f)
+        assert abs(stark.exact(f) - splitting) <= 1e-12 * splitting, f
+    above = np.nextafter(qubits._FIT_MAX, np.inf)
+    for f in (-1e-12, -1e-3, -0.3, -1.5, -4.0, above, 125.0, 135.0):
+        assert stark.exact(f) == hydrogenic.transition_K(basis, f), f
+
+
+def test_stark_map_without_a_fit_is_the_checked_solve():
+    # a basis that fails its guard inside the domain (24 states converge
+    # only below ~67 V/cm) keeps every lookup on the checked solve
+    small = hydrogenic.HydrogenicBasisSpec(lam=LAM, size=24)
+    assert qubits._stark_fit(small) == ()
+    stark = qubits._StarkMap(small)
+    for f in (0.0, 1.0, 12.5):
+        assert stark.exact(f) == hydrogenic.transition_K(small, f)
+    with pytest.raises(hydrogenic.ConvergenceError, match="not converged"):
+        stark.exact(qubits._FIT_MAX)
+
+
+def test_stark_fit_recovers_a_polynomial(monkeypatch):
+    # the transform and the chop, on a node solve with a known series: a
+    # cubic comes back in four terms and sums to its own values
+    def cubic(spec, f):
+        return 5.0 + 2e-2 * f + 3e-4 * f**2 - 1e-6 * f**3
+
+    basis = hydrogenic.HydrogenicBasisSpec(lam=LAM * 1.7)
+    monkeypatch.setattr(qubits, "transition_K", cubic)
+    assert len(qubits._stark_fit(basis)) == 4
+    stark = qubits._StarkMap(basis)
+    for f in np.linspace(0.0, qubits._FIT_MAX, 37):
+        assert stark.exact(f) == pytest.approx(cubic(basis, f), rel=1e-14)
+    qubits._stark_fit.cache_clear()
+
+
+def test_stark_fit_rejects_a_tail_that_does_not_decay(monkeypatch):
+    # a kink in the node solve leaves Chebyshev coefficients that fall only
+    # as k^-2, so the series never levels off at rounding
+    basis = hydrogenic.HydrogenicBasisSpec(lam=LAM * 1.3)
+    monkeypatch.setattr(qubits, "transition_K", lambda spec, f: 5.0 + abs(f - 37.0) / 100)
+    stark = qubits._StarkMap(basis)
+    for _ in range(2):  # a failed fit is not cached
+        with pytest.raises(hydrogenic.ConvergenceError, match="Stark map .* degree 160"):
+            stark.exact(10.0)
+    assert stark._coefficients == ()
 
 
 def test_geometry_validation():
