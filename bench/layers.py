@@ -1,4 +1,4 @@
-"""Layer timings of the Stark map, from one eigensolve up to a cold CLI run.
+"""Layer timings of the Stark map and the readout plan, up to a cold CLI run.
 
     python bench/layers.py [--repeats 7] [--label NAME] [--src DIR] [--out FILE]
 
@@ -10,6 +10,10 @@ Times, in this process unless noted:
 - `stark_build`: the per-basis Chebyshev fit (absent where the map has none);
 - `ramped_swap_evolve`: one 2-site swap `evolve` with rise = fall = dwell/8,
   on a freshly built register, with its Stark lookups counted;
+- `wkb_exponent`: one barrier exponent, states 1 and 2 at weak to strong
+  reverse fields;
+- `readout_plan`: one `readout.plan` of the zero-field solution (wait
+  1e-7 s, selectivity 1e6), with its exponent evaluations counted;
 - `cold_demo_swap`: `python -m helioq demo-swap` with the same ramps, in a
   fresh interpreter (wall time and `ru_maxrss`), beside `python -c pass`.
 
@@ -37,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LOOKUPS = 200              # distinct fields per lookup repeat
 SOLVES = 20                # checked solves per transition_K repeat
+PLANS = 20                 # readout plans per repeat
 
 
 def _stats(samples: list[float], unit: str, **extra) -> dict:
@@ -98,7 +103,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     import numpy as np
     import scipy
 
-    from helioq import dynamics, hydrogenic, pulses, qubits, units
+    from helioq import dynamics, hydrogenic, pulses, qubits, readout, units
 
     basis = hydrogenic.HydrogenicBasisSpec(lam=units.image_strength(units.EPSILON_HE))
     geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
@@ -143,6 +148,22 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         qubits._StarkMap.exact = exact
     layers["ramped_swap_evolve"] = _stats(_timed(evolve_once, repeats, setup=fresh), "s",
                                           stark_lookups=len(lookups))
+
+    solution = hydrogenic.solve(basis, 0.0)
+    exponent_args = [(m, f) for m in (1, 2) for f in (1e-3, 0.1, 1.0, 4.0, 6.0)]
+    layers["wkb_exponent"] = _stats(_timed(
+        lambda _: [readout.wkb_exponent(solution, m, f) for m, f in exponent_args],
+        repeats, len(exponent_args)), "s")
+    exponents = []
+    wkb = readout.wkb_exponent
+    readout.wkb_exponent = lambda *a, **k: exponents.append(a) or wkb(*a, **k)
+    try:
+        readout.plan(solution, 1e-7, 1e6)
+    finally:
+        readout.wkb_exponent = wkb
+    layers["readout_plan"] = _stats(_timed(
+        lambda _: [readout.plan(solution, 1e-7, 1e6) for _ in range(PLANS)],
+        repeats, PLANS), "s", wkb_evaluations=len(exponents))
 
     config = {
         "output_dir": str(workdir / "out"),

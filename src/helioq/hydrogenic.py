@@ -204,8 +204,10 @@ def _checked_eigensystem(spec: HydrogenicBasisSpec, e_perp: float, vectors: bool
     n_check = min(spec.size - 5, 12)
     if e_perp < 0:
         barrier_top_K = 2.0 * np.sqrt(spec.lam * E_SQ * EVCM_K * K_B * abs(e_perp)) / K_B
-        n_quasi = int(np.floor(np.sqrt(rydberg_K) / np.sqrt(barrier_top_K)))
-        n_check = min(n_check, max(n_quasi, 2))
+        # compared, not divided: the barrier top underflows to 0 at tiny fields
+        if n_check**2 * barrier_top_K > rydberg_K:
+            n_quasi = int(np.floor(np.sqrt(rydberg_K) / np.sqrt(barrier_top_K)))
+            n_check = min(n_check, max(n_quasi, 2))
     if np.any(np.diff(energies[:n_check]) <= 0):
         raise ConvergenceError(
             f"degenerate or disordered levels at E_perp={e_perp} V/cm", float("nan")
@@ -247,11 +249,11 @@ def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
 def stark_rate(spec: HydrogenicBasisSpec, m: int) -> float:
     """Linear Stark tuning rate d(nu_m)/dE_perp at zero field, GHz per (V/cm).
 
-    By Hellmann-Feynman the rate is e <m|z|m> / h.  At zero field the
-    truncated basis's eigenvectors are its basis vectors, so the diagonal
-    of the moment matrix gives the exact derivative of the solved levels.
+    By Hellmann-Feynman the rate is e <m|z|m> / h, and <m|z|m> = 3 m^2 r_B / 2
+    for the hard-wall image states in closed form.  At zero field the
+    truncated basis's eigenvectors are its basis vectors, so this is also
+    the derivative of the solved levels.
     """
     if not 1 <= m <= spec.size:
         raise ValueError(f"state index {m} outside basis of size {spec.size}")
-    z_mm = _moment_matrix(spec.size, 1, max(_QUAD_ORDER, spec.size + 8))[m - 1, m - 1]
-    return EVCM_K * z_mm * spec.scales[1] * K_TO_GHZ
+    return EVCM_K * 1.5 * m**2 * spec.scales[1] * K_TO_GHZ

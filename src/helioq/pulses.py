@@ -16,8 +16,10 @@ when finite-rate ramps shift the effective resonance time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,16 +50,20 @@ def _check_points(points, hi, name, unit_interval=False):
     return tuple(pts)
 
 
-def _breakpoint_arrays(points, default):
-    """Read-only (times, values) rows; without points `default` holds everywhere."""
-    xy = np.array(points or ((0.0, default),), dtype=float).T.copy()
-    xy.flags.writeable = False
-    return xy
-
-
-def _interp(xy, t: float) -> float:
-    """Piecewise-linear evaluation; boundary values held outside the span."""
-    return float(np.interp(t, xy[0], xy[1]))
+def _interp(points, t: float, default: float) -> float:
+    """`np.interp` over (time, value) breakpoints, bit for bit: held values
+    outside, a repeated time's last value; `default` where there are none."""
+    if not points:
+        return default
+    j = bisect_right(points, t, key=itemgetter(0))
+    if j == 0:
+        return points[0][1]
+    if j == len(points):
+        return points[-1][1]
+    (t0, v0), (t1, v1) = points[j - 1], points[j]
+    if t0 == t:
+        return v0
+    return float((v1 - v0) / (t1 - t0) * (t - t0) + v0)
 
 
 @dataclass(frozen=True)
@@ -67,12 +73,8 @@ class VoltageChannel:
     site: int
     points: tuple[tuple[float, float], ...]
 
-    @cached_property
-    def _xy(self):
-        return _breakpoint_arrays(self.points, 0.0)
-
     def value_at(self, t):
-        return _interp(self._xy, t)
+        return _interp(self.points, t, 0.0)
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,8 @@ class MicrowaveChannel:
     phase: float = 0.0
     envelope: tuple[tuple[float, float], ...] = ()
 
-    @cached_property
-    def _xy(self):
-        return _breakpoint_arrays(self.envelope, 1.0)
-
     def envelope_at(self, t):
-        return _interp(self._xy, t)
+        return _interp(self.envelope, t, 1.0)
 
 
 @dataclass(frozen=True)
@@ -207,8 +205,8 @@ def calibrate_swap(
     on [dwell/4, dwell (a + pi) / (2a)], which matters when the ramp time
     is comparable to the dwell.  The sign is that of Re(conj(a_src) i a_dst)
     against its phase at dwell/4, so the mirror root 2 hbar (pi - a) / B is
-    no root.  Where ramps put sin^2(a) out of reach, the dwell at which that
-    sign flips is returned, near the target population's maximum.
+    no root.  Where ramps put sin^2(a) out of reach, the refinement raises
+    RuntimeError with the target population reached where that sign flips.
     """
     n, m = pair
     b_erg = hamiltonian.b_K[n, m] * K_B
@@ -256,6 +254,11 @@ def resonance_voltage(hamiltonian: QubitArrayHamiltonian, n: int, m: int) -> flo
     return dv
 
 
+# |a_t|^2 - sin^2(alpha) allowed at a refined dwell: at 0.5 um, alpha 0.1-0.9 pi
+# and ramps to dwell/4, roots missed by <= 2.6e-12, out-of-reach jumps by >= 2.4e-3
+_REACH_TOL = 1e-8
+
+
 def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
     from scipy.optimize import brentq
 
@@ -291,4 +294,12 @@ def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
             f"dwell refinement failed: alpha = {alpha}, rise = {rise} s, fall = {fall} s: "
             f"the swap angle does not cross alpha on [{lo}, {hi}] s"
         )
-    return brentq(mismatch, lo, hi, xtol=1e-12 * dwell0)
+    dwell = brentq(mismatch, lo, hi, xtol=1e-12 * dwell0)
+    reached = amplitudes(dwell)[1] ** 2
+    if abs(reached - math.sin(alpha) ** 2) > _REACH_TOL:
+        raise RuntimeError(
+            f"dwell refinement failed: alpha = {alpha}, rise = {rise} s, fall = {fall} s: "
+            f"sin^2(alpha) = {math.sin(alpha) ** 2:.6g} is out of reach; the swap angle "
+            f"jumps past it where the target population is {reached:.6g}"
+        )
+    return dwell

@@ -8,11 +8,13 @@ vacuum.  A state of energy E_m escapes by tunneling at
 
 over the classically forbidden region between the two (analytic) turning
 points, with attempt frequency nu_m = |E_m| / hbar; states whose energy
-clears the barrier escape at nu_m outright.  The exponent is the
-load-bearing part: the excited state sees a barrier lower and thinner by
-a factor ~4 in energy, so its escape is faster by many orders, and a
-reverse field can be chosen where the excited electron leaves within the
-wait window while the ground electron effectively never does.
+clears the barrier escape at nu_m outright.  The integral is a complete
+elliptic one in closed form, and it vanishes at the barrier-top field
+E_m^2 / (4 Lambda e^2 e), where `plan` starts its bracket.  The exponent
+is the load-bearing part: the excited state sees a barrier lower and
+thinner by a factor ~4 in energy, so its escape is faster by many orders,
+and a reverse field can be chosen where the excited electron leaves
+within the wait window while the ground electron effectively never does.
 
 Shot sampling is a per-site Bernoulli draw on 1 - survival(wait), done for
 all shots at once: `sample_shots` returns a (shots, sites) bool array and
@@ -27,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import ellipe, ellipk
 
 from .hydrogenic import HydrogenicSolution
 from .units import EV_ERG, E_SQ, HBAR, K_B, M_E
@@ -56,14 +58,12 @@ def _turning_points(lam_esq: float, force: float, energy_erg: float):
     return (z2, z1) if z2 < z1 else (z1, z2)
 
 
-def wkb_exponent(
-    solution: HydrogenicSolution, m: int, e_plus: float, order: int = 200,
-) -> float:
+def wkb_exponent(solution: HydrogenicSolution, m: int, e_plus: float) -> float:
     """Barrier-penetration exponent 2/hbar * Int sqrt(2 m_e (V - E_m)) dz.
 
-    Returns 0.0 for an over-barrier state.  Gauss-Legendre in the angle
-    variable that absorbs the square-root turning-point behavior; `order`
-    nodes resolve log-rate to well below 1e-4.
+    Returns 0.0 for an over-barrier state.  V - E = F (z - z1)(z2 - z)/z gives
+    W = (2/hbar) sqrt(2 m_e F z2) (2/3) [(z1 + z2) E(k) - 2 z1 K(k)], k^2 =
+    1 - z1/z2 (Byrd & Friedman, Handbook of Elliptic Integrals).
     """
     if e_plus <= 0:
         raise ValueError(f"reverse field must be positive, got {e_plus}")
@@ -81,24 +81,9 @@ def wkb_exponent(
     if tp is None:
         return 0.0
     z1, z2 = tp
-    # z = zc + zr sin(theta) maps the sqrt endpoint behavior to a smooth
-    # cos^2-weighted integrand
-    zc, zr = 0.5 * (z1 + z2), 0.5 * (z2 - z1)
-    theta, w = _angle_rule(order)
-    z = zc + zr * np.sin(theta)
-    v_minus_e = force * (z - z1) * (z2 - z) / z
-    v_minus_e = np.clip(v_minus_e, 0.0, None)
-    integrand = np.sqrt(2.0 * M_E * v_minus_e) * zr * np.cos(theta)
-    return float(2.0 * np.dot(w, integrand) / HBAR)
-
-
-@lru_cache(maxsize=8)
-def _angle_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-pi/2, pi/2], shared read-only."""
-    theta, w = np.polynomial.legendre.leggauss(order)
-    theta, w = 0.5 * math.pi * theta, 0.5 * math.pi * w
-    theta.flags.writeable = w.flags.writeable = False
-    return theta, w
+    k2 = 1.0 - z1 / z2
+    integral = (2.0 / 3.0) * ((z1 + z2) * ellipe(k2) - 2.0 * z1 * ellipk(k2))
+    return float(2.0 * math.sqrt(2.0 * M_E * force * z2) * integral / HBAR)
 
 
 def tunnel_rate(solution: HydrogenicSolution, m: int, e_plus: float) -> float:
@@ -163,16 +148,13 @@ def plan(
         # reaches tens of thousands at weak fields
         return math.log(nu2 * wait / target) - wkb_exponent(solution, 2, e_plus)
 
-    # bracket: grow the field until the excited state escapes fast enough
-    lo, hi = 1e-3, 2e-3
+    # bracket: the exponent falls with field to 0 at the barrier-top field
+    hi = (solution.energies[1] * K_B) ** 2 / (4.0 * solution.lam * E_SQ * EV_ERG)
+    if excited_gap(hi) < 0:
+        raise RuntimeError("no reverse field drives the excited state out in time")
+    lo = 0.5 * hi
     while excited_gap(lo) > 0:
         lo *= 0.5
-        if lo < 1e-12:
-            raise RuntimeError("excited state escapes even at vanishing field")
-    while excited_gap(hi) < 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("no reverse field drives the excited state out in time")
     e_plus = brentq(excited_gap, lo, hi, xtol=1e-12, rtol=1e-14)
 
     rate2 = tunnel_rate(solution, 2, e_plus)

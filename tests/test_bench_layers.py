@@ -21,11 +21,12 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert set(record) == {"commit", "nproc", "blas_threads", "python", "numpy", "scipy"}
     assert set(layers) == {
         "transition_K", "stark_build", "stark_lookup", "ramped_swap_evolve",
-        "cold_python_pass", "cold_demo_swap",
+        "wkb_exponent", "readout_plan", "cold_python_pass", "cold_demo_swap",
     }
     for value in layers.values():
         assert value["repeats"] == 1
         assert 0 < value["value"] == value["median"] == value["max"]
     assert layers["stark_build"]["terms"] > 0
     assert layers["ramped_swap_evolve"]["stark_lookups"] > 0
+    assert layers["readout_plan"]["wkb_evaluations"] > 0
     assert layers["cold_demo_swap"]["peak_rss_mib"]["value"] > 0

@@ -102,6 +102,16 @@ def test_build_writes_matrices(tmp_path):
     assert ham["b_K"][0][1] == pytest.approx(4.8696744e-3, rel=1e-6)
 
 
+def test_build_at_a_vanishing_negative_field(tmp_path):
+    # the barrier top underflows to 0 K at this field; the solve still runs
+    device = dict(BASE_DEVICE, E_perp=-1e-300)
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "device": device})
+    assert main(["build", "--config", cfg]) == 0
+    doc = json.loads(next((tmp_path / "out").glob("build_*.json")).read_text())
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)), e_perp=-1e-300)
+    assert doc["hamiltonian"] == qubits.build(geom, np.zeros(2)).to_dict()
+
+
 def test_build_reads_basis_size(tmp_path):
     device = dict(BASE_DEVICE, E_perp=20.0)
     cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "device": device})
@@ -448,6 +458,22 @@ def test_refine_without_a_crossing_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("RuntimeError: dwell refinement failed: alpha = ")
     assert "rise = 1.1e-09 s, fall = 1.1e-09 s" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_refine_out_of_reach_exits_3(tmp_path, capsys):
+    # at pi/2 with ramps of a sixteenth of the sudden dwell the swap angle
+    # jumps past alpha where the target population is about 0.9975
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE, voltages_mV=[0.0, 0.05]),
+        "swap": {"pair": [0, 1], "alpha": math.pi / 2, "rise_s": 3.07e-10, "fall_s": 3.07e-10},
+    })
+    assert main(["calibrate", "--refine", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("RuntimeError: dwell refinement failed: alpha = 1.5707963267948966, ")
+    assert "sin^2(alpha) = 1 is out of reach" in err
+    assert "target population is 0.997" in err
     assert not (tmp_path / "out").exists()
 
 

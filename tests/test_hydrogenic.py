@@ -132,6 +132,17 @@ def test_stark_rate_matches_finite_difference_oracle(basis, m):
     assert stark_rate(basis, m) == pytest.approx((4.0 * fine - coarse) / 3.0, rel=1e-8)
 
 
+def test_stark_rate_is_the_closed_form_dipole(basis):
+    # <m|z|m> = 3 m^2 r_B / 2 for the hard-wall image states; the rate is
+    # e <m|z|m> / h, written here in erg and Hz
+    r_b = rydberg_scales(LAM)[1]
+    for m in range(1, basis.size + 1):
+        expect = 1.5 * m**2 * r_b * units.EV_ERG / units.H_PLANCK / 1e9
+        assert abs(stark_rate(basis, m) - expect) <= 1e-15 * expect
+    with pytest.raises(ValueError, match="outside basis"):
+        stark_rate(basis, basis.size + 1)
+
+
 def test_hellmann_feynman_at_operating_field(basis):
     # dE_m/dE_perp from finite differences equals e <m|z|m> on the
     # Stark-perturbed states
@@ -199,6 +210,13 @@ def test_transition_K_and_solve_fail_alike(basis):
         solve(basis, 200.0)
     assert direct.value.shift == full.value.shift
     assert direct.value.shift > 1e-4
+
+
+def test_vanishing_negative_field_solves(basis):
+    # below ~1e-289 V/cm the barrier top underflows to 0 K; the level-order
+    # check must not divide by it
+    assert transition_K(basis, -1e-300) == transition_K(basis, -1e-200) == 5.682902316418053
+    assert solve(basis, -1e-300).transition_K(2) == 5.682902316418053
 
 
 def test_small_basis_rejected():

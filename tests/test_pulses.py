@@ -79,6 +79,30 @@ def test_hold_outside_span():
     assert sched.voltage_at(0, 3.0) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_breakpoint_reads_equal_np_interp_bit_for_bit():
+    # random breakpoints with jumps (repeated times), probed inside, outside,
+    # at every breakpoint and one ulp either side of it
+    rng = np.random.default_rng(20261019)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        times = np.sort(rng.uniform(0.0, 1e-8, n))
+        for i in range(1, n):
+            if rng.random() < 0.3:
+                times[i] = times[i - 1]
+        volts, levels = rng.uniform(-1e-2, 1e-2, n), rng.uniform(0.0, 1.0, n)
+        channel = pulses.VoltageChannel(0, tuple(zip(times.tolist(), volts.tolist())))
+        drive = pulses.MicrowaveChannel(1.0, 1.0, 0.0, tuple(zip(times.tolist(), levels.tolist())))
+        probes = np.concatenate([
+            rng.uniform(-2e-9, 1.2e-8, 64), times,
+            np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
+        ])
+        for t in probes.tolist():
+            assert channel.value_at(t) == float(np.interp(t, times, volts))
+            assert drive.envelope_at(t) == float(np.interp(t, times, levels))
+    assert pulses.VoltageChannel(0, ()).value_at(1e-9) == 0.0
+    assert pulses.MicrowaveChannel(1.0, 1.0).envelope_at(1e-9) == 1.0
+
+
 @st.composite
 def schedule_blocks(draw):
     """A `schedule` config block of up to two voltage and two microwave channels
@@ -340,10 +364,10 @@ def test_swap_schedule_without_device_map():
 def test_refine_solves_the_resonance_once(monkeypatch):
     # the resonance voltage does not depend on the dwell, so one solve serves
     # every evaluation of the refinement and gives the dwell that re-solving
-    # it inside each schedule gives
+    # it inside each schedule gives; 0.3 pi is in reach of dwell/16 ramps
     geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
     ham = qubits.build(geom, voltages=np.array([0.0, 5e-5]))
-    alpha = math.pi / 2
+    alpha = 0.3 * math.pi
     ramp = pulses.calibrate_swap(ham, (0, 1), alpha) / 16
     swap_schedule = pulses.swap_schedule
     resonance_voltage = pulses.resonance_voltage
