@@ -206,7 +206,8 @@ def calibrate_swap(
     is comparable to the dwell.  The sign is that of Re(conj(a_src) i a_dst)
     against its phase at dwell/4, so the mirror root 2 hbar (pi - a) / B is
     no root.  Where ramps put sin^2(a) out of reach, the refinement raises
-    RuntimeError with the target population reached where that sign flips.
+    RuntimeError with the target's share of the pair's population where that
+    sign flips.
     """
     n, m = pair
     b_erg = hamiltonian.b_K[n, m] * K_B
@@ -254,8 +255,9 @@ def resonance_voltage(hamiltonian: QubitArrayHamiltonian, n: int, m: int) -> flo
     return dv
 
 
-# |a_t|^2 - sin^2(alpha) allowed at a refined dwell: at 0.5 um, alpha 0.1-0.9 pi
-# and ramps to dwell/4, roots missed by <= 2.6e-12, out-of-reach jumps by >= 2.4e-3
+# share |a_t|^2 / (|a_s|^2 + |a_t|^2) less sin^2(alpha) allowed at a refined dwell:
+# at 0.5 um, alpha 0.1-0.9 pi and ramps to dwell/4, roots miss by <= 2.6e-12 and
+# out-of-reach jumps by >= 2.4e-3 (with a third site, 1.1e-13 and 4.0e-2)
 _REACH_TOL = 1e-8
 
 
@@ -295,11 +297,12 @@ def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
             f"the swap angle does not cross alpha on [{lo}, {hi}] s"
         )
     dwell = brentq(mismatch, lo, hi, xtol=1e-12 * dwell0)
-    reached = amplitudes(dwell)[1] ** 2
-    if abs(reached - math.sin(alpha) ** 2) > _REACH_TOL:
+    a_s, a_t, _ = amplitudes(dwell)
+    share = a_t**2 / (a_s**2 + a_t**2)
+    if abs(share - math.sin(alpha) ** 2) > _REACH_TOL:
         raise RuntimeError(
             f"dwell refinement failed: alpha = {alpha}, rise = {rise} s, fall = {fall} s: "
             f"sin^2(alpha) = {math.sin(alpha) ** 2:.6g} is out of reach; the swap angle "
-            f"jumps past it where the target population is {reached:.6g}"
+            f"jumps past it where the target holds {share:.6g} of the pair's population"
         )
     return dwell

@@ -473,8 +473,22 @@ def test_refine_out_of_reach_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("RuntimeError: dwell refinement failed: alpha = 1.5707963267948966, ")
     assert "sin^2(alpha) = 1 is out of reach" in err
-    assert "target population is 0.997" in err
+    assert "target holds 0.997" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_refine_on_three_sites_writes_the_dwell(tmp_path):
+    # the third site takes population from the pair; the root still reaches
+    # alpha within the pair
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE, sites=[[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]],
+                       voltages_mV=[0.0, 0.05, 0.2]),
+        "swap": {"pair": [0, 1], "alpha": 0.3 * math.pi},
+    })
+    assert main(["calibrate", "--refine", "--config", cfg]) == 0
+    (artifact,) = (tmp_path / "out").iterdir()
+    assert json.loads(artifact.read_text())["refined"] is True
 
 
 @pytest.mark.parametrize("subcommand", ["calibrate", "demo-swap"])

@@ -294,6 +294,26 @@ def test_refine_without_a_crossing_names_the_bracket(detuned):
         assert repr(float(value)) in message
 
 
+def test_refine_reaches_alpha_while_a_third_site_takes_population():
+    # a third site one pitch from both ends of the pair draws population out
+    # of it, so |a_t|^2 falls short of sin^2(alpha) at the true root; the
+    # reach check reads the target's share of the pair, which a root fixes
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0), (0.5, math.sqrt(3) / 2)))
+    ham = qubits.build(geom, voltages=np.array([0.0, 5e-5, 2e-4]))
+    alpha = 0.3 * math.pi
+    dwell = pulses.calibrate_swap(ham, (0, 1), alpha, refine=True)
+    sched = pulses.swap_schedule(ham, (0, 1), dwell)
+    res = dynamics.evolve(
+        ham,
+        sched,
+        dynamics.RegisterState.state_vector("udd"),
+        dynamics.EvolutionSpec(sample_times=np.array([sched.duration])),
+    )
+    source, target = res.population("udd")[-1], res.population("dud")[-1]
+    assert target / (source + target) == pytest.approx(math.sin(alpha) ** 2, abs=1e-12)
+    assert math.sin(alpha) ** 2 - target > 1e-4
+
+
 @pytest.mark.parametrize("alpha", [math.pi, 1.5 * math.pi])
 def test_refine_past_a_half_turn_is_a_domain_error(register, alpha):
     with pytest.raises(ValueError, match=r"0 < alpha < pi"):
