@@ -1,4 +1,4 @@
-"""Layer timings of the Stark map and the readout plan, up to a cold CLI run.
+"""Layer timings of the Stark map, the readout plan and cold CLI processes.
 
     python bench/layers.py [--repeats 7] [--label NAME] [--src DIR] [--out FILE]
 
@@ -14,8 +14,15 @@ Times, in this process unless noted:
   reverse fields;
 - `readout_plan`: one `readout.plan` of the zero-field solution (wait
   1e-7 s, selectivity 1e6), with its exponent evaluations counted;
-- `cold_demo_swap`: `python -m helioq demo-swap` with the same ramps, in a
-  fresh interpreter (wall time and `ru_maxrss`), beside `python -c pass`.
+- `moment_tables`: the uncached moment tables of the 32- and 37-state
+  bases, which every process builds once;
+- in fresh interpreters (wall time and `ru_maxrss`), beside `python -c pass`:
+  `cold_import_cli` (`import helioq.cli`), `cold_setup` (that import and
+  one `load_config`, what perfbench's `setup_s` times), and `python -m
+  helioq` for `cold_spectrum` (40 fields), `cold_demo_swap` (the ramps
+  above), `cold_demo_swap_sudden`, `cold_evolve_dm` (a 2-site density
+  matrix under a constant pulse with the decoherence budget) and
+  `cold_readout` (4 sites, 4000 shots).
 
 Each value is the minimum of `--repeats` repeats, stored with the repeat
 count, median and maximum.  The run is stored under `--label` in `--out`
@@ -165,17 +172,45 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         lambda _: [readout.plan(solution, 1e-7, 1e6) for _ in range(PLANS)],
         repeats, PLANS), "s", wkb_evaluations=len(exponents))
 
-    config = {
-        "output_dir": str(workdir / "out"),
-        "device": {"d_um": 0.5, "sites": [[0, 0], [1, 0]], "B_T": 1.5, "T_K": 0.01,
-                   "voltages_mV": [0.0, 0.05]},
-        "swap": {"pair": [0, 1], "alpha": math.pi / 2, "rise_s": ramp, "fall_s": ramp},
+    layers["moment_tables"] = _stats(_timed(
+        lambda _: [hydrogenic._moment_matrix.__wrapped__(size, 1, max(96, size + 8))
+                   for size in (32, 37)], repeats), "s")
+
+    device = {"d_um": 0.5, "sites": [[0, 0], [1, 0]], "B_T": 1.5, "T_K": 0.01,
+              "voltages_mV": [0.0, 0.05]}
+    sudden = {"pair": [0, 1], "alpha": math.pi / 2}
+    configs = {
+        "spectrum": {"device": device,
+                     "spectrum": {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 40}},
+        "demo_swap": {"device": device, "swap": {**sudden, "rise_s": ramp, "fall_s": ramp}},
+        "demo_swap_sudden": {"device": device, "swap": sudden},
+        "evolve_dm": {"device": device, "schedule": {"duration_s": 4 * dwell},
+                      "initial": {"bits": "ud", "mode": "density-matrix"},
+                      "evolution": {"sample_count": 5, "use_budget": True}},
+        "readout": {"seed": 3,
+                    "device": {**device, "sites": [[i, 0] for i in range(4)],
+                               "voltages_mV": [0.0] * 4},
+                    "readout": {"wait_s": 1e-7, "selectivity": 1e6, "pixel_um": 1.0,
+                                "shots": 4000, "initial_bits": "udud"}},
     }
-    cfg = workdir / "demo_swap.json"
-    cfg.write_text(json.dumps(config))
+    cfg = {}
+    for name, config in configs.items():
+        cfg[name] = workdir / f"{name}.json"
+        cfg[name].write_text(json.dumps({"output_dir": str(workdir / "out"), **config}))
+
+    def helioq(sub: str, name: str) -> list[str]:
+        return [sys.executable, "-m", "helioq", sub, "--config", str(cfg[name])]
+
     for name, argv in (
         ("cold_python_pass", [sys.executable, "-c", "pass"]),
-        ("cold_demo_swap", [sys.executable, "-m", "helioq", "demo-swap", "--config", str(cfg)]),
+        ("cold_import_cli", [sys.executable, "-c", "import helioq.cli"]),
+        ("cold_setup", [sys.executable, "-c", "import sys, helioq.cli; "
+                        "helioq.cli.load_config(sys.argv[1], [])", str(cfg["spectrum"])]),
+        ("cold_spectrum", helioq("spectrum", "spectrum")),
+        ("cold_demo_swap", helioq("demo-swap", "demo_swap")),
+        ("cold_demo_swap_sudden", helioq("demo-swap", "demo_swap_sudden")),
+        ("cold_evolve_dm", helioq("evolve", "evolve_dm")),
+        ("cold_readout", helioq("readout", "readout")),
     ):
         walls, rss = _cold(argv, src, repeats)
         layers[name] = _stats(walls, "s", peak_rss_mib=_stats(rss, "MiB"))

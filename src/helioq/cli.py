@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, decoherence, dynamics, hydrogenic, medium, pulses, qubits, readout
-from .units import EPSILON_HE, HBAR, K_B, image_strength
+from .units import EPSILON_HE, HBAR, K_B, K_TO_GHZ, image_strength
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -305,11 +305,11 @@ def run_spectrum(config: dict, w: _Writer) -> None:
     fields = np.linspace(sw["e_perp_min"], sw["e_perp_max"], sw["points"])
     rows = []
     for f in fields:
-        sol = hydrogenic.solve(basis, float(f))
-        for m in range(1, max_state + 1):
-            rows.append(
-                (float(f), m, float(sol.energies[m - 1]), sol.transition_GHz(m))
-            )
+        # energies only; nu_1m is HydrogenicSolution.transition_GHz's arithmetic
+        e = hydrogenic.levels(basis, float(f)).tolist()
+        rows.extend(
+            (float(f), m, e[m - 1], (e[m - 1] - e[0]) * K_TO_GHZ) for m in range(1, max_state + 1)
+        )
     w.csv(["E_perp_V_per_cm", "m", "E_m_K", "nu_1m_GHz"], rows)
 
 

@@ -36,6 +36,12 @@ exponential expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
 read by its dense output (Hairer, Norsett & Wanner, Solving ODEs I).  For
 a density matrix it integrates -i(H rho - (H rho)^dagger) + D, one product,
 with H = A + t B built once per piece where linear in t (rwa, voltages held).
+
+SciPy loads on first use, so importing this module costs NumPy alone:
+`scipy.sparse` when an evolve builds its CSR matrices, `scipy.sparse.linalg`
+for a dissipative constant piece and `scipy.integrate` for a DOP853 piece.
+`dynamics.solve_ivp` wraps SciPy's and is the one name to patch to count or
+fail integrator runs.
 """
 from __future__ import annotations
 
@@ -43,9 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import expm_multiply
 
 from .decoherence import DecoherenceBudget
 from .pulses import PulseSchedule
@@ -205,12 +208,14 @@ class EvolutionResult:
 # --- operator assembly -----------------------------------------------------
 
 
-def _one_per_row(terms, *shape) -> sp.csr_matrix:
+def _one_per_row(terms, *shape):
     """sum of terms (m, vals), each holding vals[i] at (i, i ^ m), as CSR.
 
     Rows are indexed by `shape`, (dim,) or (dim, dim) for a superoperator, each
     vals broadcast to it; the masks m are distinct.  Only nonzeros are stored.
     """
+    from scipy.sparse import csr_matrix
+
     vals = [np.broadcast_to(v, shape) for _, v in terms]
     rows = np.arange(math.prod(shape), dtype=np.int32).reshape(shape[0], -1)
     indptr = np.append(np.int32(0), np.cumsum(sum(v != 0 for v in vals), dtype=np.int32))
@@ -220,7 +225,7 @@ def _one_per_row(terms, *shape) -> sp.csr_matrix:
         block, r = np.stack([v[lo:lo + step].ravel() for v in vals], 1), rows[lo:lo + step]
         at, keep = slice(indptr[r[0, 0]], indptr[r[-1, -1] + 1]), block != 0
         data[at], cols[at] = block[keep], (r.reshape(-1, 1) ^ [m for m, _ in terms])[keep]
-    return sp.csr_matrix((data, cols, indptr), shape=(rows.size,) * 2)
+    return csr_matrix((data, cols, indptr), shape=(rows.size,) * 2)
 
 
 class _System:
@@ -508,6 +513,8 @@ def _propagator(sys, liou, ta, tb, tunneling, rtol):
 
             return unitary
         if dissipative:
+            from scipy.sparse.linalg import expm_multiply
+
             op, rate = liou.constant(tm, tunneling)
 
             def exponential(state, times):
@@ -526,6 +533,13 @@ def _propagator(sys, liou, ta, tb, tunneling, rtol):
         return -1j * sys.apply_h(t, y) if liou is None else liou.apply(h_at(t), y, tunneling)
 
     return lambda state, times: _propagate_ivp(rhs, state, ta, times, rtol, tunneling)
+
+
+def solve_ivp(*args, **kwargs):
+    """`scipy.integrate.solve_ivp`, imported on first use; the one patch point for the integrator."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def _propagate_ivp(rhs, state, ta, times, rtol, tunneling):

@@ -12,7 +12,10 @@ zero-field eigenfunctions
 the bound-state solutions of the hard-wall image problem.  Matrix elements
 <m|z^p|n> are polynomials times a single exponential, so scaled
 Gauss-Laguerre quadrature evaluates them exactly (up to rounding) once the
-order exceeds half the polynomial degree.
+order exceeds half the polynomial degree.  L^{(1)}_k comes from the
+three-term recurrence of SciPy's `eval_genlaguerre`, written in NumPy in
+the same order of operations, so the tables match SciPy's bit for bit
+without importing it.
 
 Sign convention: E_perp > 0 presses the electron toward the surface and
 raises every level, compact states least; the 1->2 spacing grows with
@@ -21,11 +24,11 @@ infinite wall, three orders of magnitude above R.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .units import EVCM_K, E_SQ, HBAR, K_B, K_TO_GHZ, M_E
 
@@ -33,6 +36,7 @@ __all__ = [
     "ConvergenceError",
     "HydrogenicBasisSpec",
     "HydrogenicSolution",
+    "levels",
     "rydberg_scales",
     "solve",
     "stark_rate",
@@ -92,25 +96,64 @@ class HydrogenicBasisSpec:
         return rydberg_scales(self.lam)
 
 
+def _laguerre1(deg: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L^{(1)}_{deg[i]}(y[i]) for each row i of y, bit for bit SciPy's `eval_genlaguerre`.
+
+    Degrees 0 and 1 are its closed forms 1 and (-y + 1) + 1; higher degrees
+    its recurrence d = -y/2, p = d + 1, then for k = 1 .. deg - 1
+    d <- -y/(k + 2) p + k/(k + 2) d and p <- d + p, times deg + 1.  Rows
+    are stepped longest first, so step k updates a prefix.
+    """
+    out = np.ones_like(y)
+    one = deg == 1
+    out[one] = (-y[one] + 1.0) + 1.0
+    rows = np.flatnonzero(deg >= 2)
+    rows = rows[np.argsort(-deg[rows], kind="stable")]
+    degs, y = deg[rows], y[rows]
+    d = -y / 2.0
+    p = d + 1.0
+    for k in range(1, int(degs.max(initial=1))):
+        c = np.count_nonzero(degs > k)
+        d[:c] = -y[:c] / (k + 2.0) * p[:c] + (k / (k + 2.0)) * d[:c]
+        p[:c] = d[:c] + p[:c]
+    out[rows] = (degs + 1.0)[:, None] * p
+    return out
+
+
+# pairs per block of `_moment_matrix`, which keeps its temporaries near 100 kB each
+_PAIR_BLOCK = 128
+
+
 @lru_cache(maxsize=32)
 def _moment_matrix(size: int, power: int, order: int) -> np.ndarray:
-    """<m|x^power|n> in Bohr-radius units, exact scaled Gauss-Laguerre."""
+    """<m|x^power|n> in Bohr-radius units, exact scaled Gauss-Laguerre.
+
+    The pairs m <= n are evaluated together, block by block, each on its own
+    grid.  Each pair's sum is its own `np.dot`: a matrix-vector product sums
+    in another order, which moves the last bits of the tables.
+    """
     t, w = np.polynomial.laguerre.laggauss(order)
+    m, n = np.triu_indices(size)
+    m, n = m + 1, n + 1
+    # u_m u_n x^p carries exp(-a x); the exponential is absorbed into the
+    # Gauss-Laguerre weight via x = t / a
+    a = 1.0 / m + 1.0 / n
+    # Python's pow for the normalisations, whose bits NumPy's need not match
+    norm = np.array([(2.0 / i**2.5) * (2.0 / j**2.5) for i, j in zip(m.tolist(), n.tolist())])
+    vals = np.empty(m.size)
+    for b in range(0, m.size, _PAIR_BLOCK):
+        at = slice(b, b + _PAIR_BLOCK)
+        x = t / a[at, None]
+        poly = (
+            norm[at, None] * x ** (2 + power)
+            * _laguerre1(m[at] - 1, 2.0 * x / m[at, None])
+            * _laguerre1(n[at] - 1, 2.0 * x / n[at, None])
+        )
+        vals[at] = [np.dot(w, row) for row in poly]
+    vals /= a
     out = np.empty((size, size))
-    for m in range(1, size + 1):
-        for n in range(m, size + 1):
-            a = 1.0 / m + 1.0 / n
-            x = t / a
-            # u_m u_n x^p carries exp(-a x); the exponential is absorbed
-            # into the Gauss-Laguerre weight via x = t / a
-            poly = (
-                (2.0 / m**2.5) * (2.0 / n**2.5) * x ** (2 + power)
-                * eval_genlaguerre(m - 1, 1, 2.0 * x / m)
-                * eval_genlaguerre(n - 1, 1, 2.0 * x / n)
-            )
-            val = np.dot(w, poly) / a
-            out[m - 1, n - 1] = val
-            out[n - 1, m - 1] = val
+    out[m - 1, n - 1] = vals
+    out[n - 1, m - 1] = vals
     out.setflags(write=False)
     return out
 
@@ -184,11 +227,13 @@ def _checked_eigensystem(spec: HydrogenicBasisSpec, e_perp: float, vectors: bool
     rydberg_K, _ = spec.scales
     energies, vecs, z_cm = _eigensystem(spec, e_perp, spec.size, vectors)
     check_e, _, _ = _eigensystem(spec, e_perp, spec.size + 5)
+    # the guard reads plain floats: the same doubles without NumPy's scalar overhead
+    base, check = energies[:2].tolist(), check_e[:2].tolist()
     # shifts are measured against the qubit splitting: E_2 itself crosses
     # zero near 36 V/cm, where a self-relative metric is meaningless
-    splitting = check_e[1] - check_e[0]
+    splitting = check[1] - check[0]
     for m in (1, 2):
-        shift = abs(check_e[m - 1] - energies[m - 1]) / abs(splitting)
+        shift = abs(check[m - 1] - base[m - 1]) / abs(splitting)
         if shift > 1e-4:
             raise ConvergenceError(
                 f"basis not converged at E_perp={e_perp} V/cm: state {m} "
@@ -203,21 +248,27 @@ def _checked_eigensystem(spec: HydrogenicBasisSpec, e_perp: float, vectors: bool
     # covers just those.
     n_check = min(spec.size - 5, 12)
     if e_perp < 0:
-        barrier_top_K = 2.0 * np.sqrt(spec.lam * E_SQ * EVCM_K * K_B * abs(e_perp)) / K_B
+        barrier_top_K = 2.0 * math.sqrt(spec.lam * E_SQ * EVCM_K * K_B * abs(e_perp)) / K_B
         # compared, not divided: the barrier top underflows to 0 at tiny fields
         if n_check**2 * barrier_top_K > rydberg_K:
-            n_quasi = int(np.floor(np.sqrt(rydberg_K) / np.sqrt(barrier_top_K)))
+            n_quasi = math.floor(math.sqrt(rydberg_K) / math.sqrt(barrier_top_K))
             n_check = min(n_check, max(n_quasi, 2))
-    if np.any(np.diff(energies[:n_check]) <= 0):
+    low = energies[:n_check].tolist()
+    if any(b <= a for a, b in zip(low, low[1:])):
         raise ConvergenceError(
             f"degenerate or disordered levels at E_perp={e_perp} V/cm", float("nan")
         )
     return energies, vecs, z_cm
 
 
+def levels(spec: HydrogenicBasisSpec, e_perp: float) -> np.ndarray:
+    """`solve(spec, e_perp).energies` (K), bit for bit: the same checks, no eigenvectors."""
+    return _checked_eigensystem(spec, e_perp)[0]
+
+
 def transition_K(spec: HydrogenicBasisSpec, e_perp: float, m: int = 2, n: int = 1) -> float:
     """`solve(spec, e_perp).transition_K(m, n)`, bit for bit, from the eigenvalues alone."""
-    energies, _, _ = _checked_eigensystem(spec, e_perp)
+    energies = levels(spec, e_perp)
     return float(energies[m - 1] - energies[n - 1])
 
 

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipe, ellipk
 
 from .hydrogenic import HydrogenicSolution
 from .units import EV_ERG, E_SQ, HBAR, K_B, M_E
@@ -80,6 +79,8 @@ def wkb_exponent(solution: HydrogenicSolution, m: int, e_plus: float) -> float:
     tp = _turning_points(lam_esq, force, energy)
     if tp is None:
         return 0.0
+    from scipy.special import ellipe, ellipk
+
     z1, z2 = tp
     k2 = 1.0 - z1 / z2
     integral = (2.0 / 3.0) * ((z1 + z2) * ellipe(k2) - 2.0 * z1 * ellipk(k2))

@@ -21,7 +21,9 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert set(record) == {"commit", "nproc", "blas_threads", "python", "numpy", "scipy"}
     assert set(layers) == {
         "transition_K", "stark_build", "stark_lookup", "ramped_swap_evolve",
-        "wkb_exponent", "readout_plan", "cold_python_pass", "cold_demo_swap",
+        "wkb_exponent", "readout_plan", "moment_tables", "cold_python_pass",
+        "cold_import_cli", "cold_setup", "cold_spectrum", "cold_demo_swap",
+        "cold_demo_swap_sudden", "cold_evolve_dm", "cold_readout",
     }
     for value in layers.values():
         assert value["repeats"] == 1
@@ -29,4 +31,4 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert layers["stark_build"]["terms"] > 0
     assert layers["ramped_swap_evolve"]["stark_lookups"] > 0
     assert layers["readout_plan"]["wkb_evaluations"] > 0
-    assert layers["cold_demo_swap"]["peak_rss_mib"]["value"] > 0
+    assert all(v["peak_rss_mib"]["value"] > 0 for k, v in layers.items() if k.startswith("cold_"))

@@ -369,6 +369,19 @@ def test_numerical_failure_exit_code(tmp_path):
     assert main(["spectrum", "--config", cfg]) == 3
 
 
+def test_spectrum_past_the_basis_fails_as_solve_does(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE),
+        "spectrum": {"e_perp_min": 0.0, "e_perp_max": 200.0, "points": 2},
+    })
+    assert main(["spectrum", "--config", cfg]) == 3
+    with pytest.raises(hydrogenic.ConvergenceError) as direct:
+        hydrogenic.solve(hydrogenic.HydrogenicBasisSpec(lam=units.image_strength(1.057)), 200.0)
+    assert capsys.readouterr().err == f"ConvergenceError: {direct.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     # a defect such as a TypeError is not reported as a numerical failure
     from helioq import cli

@@ -13,6 +13,7 @@ from helioq import hydrogenic, qubits, units
 from helioq.hydrogenic import (
     ConvergenceError,
     HydrogenicBasisSpec,
+    levels,
     rydberg_scales,
     solve,
     stark_rate,
@@ -202,6 +203,11 @@ def test_transition_K_matches_solve_exactly(basis, e_perp):
     assert transition_K(basis, e_perp, 3, 2) == solve(basis, e_perp).transition_K(3, 2)
 
 
+def test_levels_are_solve_energies_bit_for_bit(basis):
+    for e_perp in (-4.0, -1.0, -1e-3, 0.0, 1e-3, 2.5, 37.0, 100.0, 120.0):
+        assert np.array_equal(levels(basis, e_perp), solve(basis, e_perp).energies)
+
+
 def test_transition_K_and_solve_fail_alike(basis):
     # 200 V/cm lies past the range the default 32-state basis converges over
     with pytest.raises(ConvergenceError) as direct:
@@ -277,3 +283,48 @@ def test_eigenvectors_only_where_they_are_read(basis, monkeypatch):
     stark.exact(0.0)
     monkeypatch.setattr(hydrogenic.np.linalg, "eigvalsh", eigh)
     assert stark.exact(12.5) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def _laguerre_grids(size, order):
+    """(m, n, x) for each pair m <= n of the moment table, x its quadrature grid."""
+    t, _ = np.polynomial.laguerre.laggauss(order)
+    for m in range(1, size + 1):
+        for n in range(m, size + 1):
+            x = t / (1.0 / m + 1.0 / n)
+            yield m, n, x
+
+
+def _scipy_moment_matrix(size, power, order):
+    """The per-pair moment table on SciPy's eval_genlaguerre."""
+    from scipy.special import eval_genlaguerre
+
+    _, w = np.polynomial.laguerre.laggauss(order)
+    out = np.empty((size, size))
+    for m, n, x in _laguerre_grids(size, order):
+        a = 1.0 / m + 1.0 / n
+        poly = (
+            (2.0 / m**2.5) * (2.0 / n**2.5) * x ** (2 + power)
+            * eval_genlaguerre(m - 1, 1, 2.0 * x / m)
+            * eval_genlaguerre(n - 1, 1, 2.0 * x / n)
+        )
+        out[m - 1, n - 1] = out[n - 1, m - 1] = np.dot(w, poly) / a
+    return out
+
+
+@pytest.mark.parametrize("size", [5, 32, 37])
+def test_moment_table_is_scipys_bit_for_bit(size):
+    order = max(hydrogenic._QUAD_ORDER, size + 8)
+    built = hydrogenic._moment_matrix.__wrapped__(size, 1, order)
+    assert np.array_equal(built, _scipy_moment_matrix(size, 1, order))
+
+
+@pytest.mark.parametrize("size", [5, 32, 37])
+def test_laguerre_recurrence_is_scipys_bit_for_bit(size):
+    from scipy.special import eval_genlaguerre
+
+    order = max(hydrogenic._QUAD_ORDER, size + 8)
+    # every grid of the table, each at every degree 0-44
+    ys = np.array([2.0 * x / k for m, n, x in _laguerre_grids(size, order) for k in {m, n}])
+    for deg in range(45):
+        got = hydrogenic._laguerre1(np.full(len(ys), deg), ys)
+        assert np.array_equal(got, eval_genlaguerre(deg, 1, ys)), deg

@@ -1,0 +1,85 @@
+"""SciPy loads only where a job uses it.
+
+Each check starts a fresh interpreter, so no earlier import in the test
+process (or in another test) can supply a SciPy submodule that the code
+under test forgot to import itself.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+DEVICE = {"d_um": 0.5, "sites": [[0, 0], [1, 0]], "B_T": 1.5, "T_K": 0.01,
+          "voltages_mV": [0.0, 0.05]}
+
+# runs `python -m helioq <argv>` in this interpreter, then prints the exit
+# code and the loaded scipy modules as one JSON line
+_RUN = """
+import json, runpy, sys
+import helioq.cli
+helioq.cli.load_config(sys.argv[1], [])
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.argv = ["helioq", *sys.argv[2:]]
+try:
+    runpy.run_module("helioq", run_name="__main__")
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+after = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"code": code, "before": before, "after": after}))
+"""
+
+
+def _cold(tmp_path, subcommand, payload):
+    cfg = tmp_path / f"{subcommand}.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **payload}))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN, str(cfg), subcommand, "--config", str(cfg)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_config_and_spectrum_load_no_scipy(tmp_path):
+    run = _cold(tmp_path, "spectrum", {
+        "device": DEVICE,
+        "spectrum": {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 5},
+    })
+    assert run == {"code": 0, "before": [], "after": []}
+
+
+@pytest.mark.parametrize("subcommand, payload, loads", [
+    # a constant dissipative piece: scipy.sparse.linalg.expm_multiply
+    ("evolve", {
+        "device": DEVICE,
+        "schedule": {"duration_s": 1e-8},
+        "initial": {"bits": "ud", "mode": "density-matrix"},
+        "evolution": {"sample_count": 3, "use_budget": True},
+    }, "scipy.sparse.linalg"),
+    # an enveloped drive: one DOP853 piece through scipy.integrate.solve_ivp
+    ("evolve", {
+        "device": {"d_um": 0.5, "sites": [[0, 0]], "B_T": 1.5, "T_K": 0.01},
+        "schedule": {"duration_s": 1e-9, "microwave": [
+            {"freq_GHz": 100.0, "amp_V_per_cm": 0.1, "envelope": [[0.0, 0.0], [1e-9, 1.0]]}]},
+        "initial": {"bits": "u"},
+        "evolution": {"sample_times_s": [1e-9]},
+    }, "scipy.integrate"),
+    # the plan's brentq and the elliptic integrals of its exponent
+    ("readout", {
+        "seed": 11,
+        "device": DEVICE,
+        "readout": {"wait_s": 1e-6, "selectivity": 1e6, "pixel_um": 1.0,
+                    "shots": 400, "initial_bits": "ud"},
+    }, "scipy.special"),
+], ids=["evolve-constant-density-matrix", "evolve-enveloped", "readout"])
+def test_cold_subcommands_import_what_they_use(tmp_path, subcommand, payload, loads):
+    run = _cold(tmp_path, subcommand, payload)
+    assert run["code"] == 0
+    assert run["before"] == []
+    assert loads in run["after"]
