@@ -10,6 +10,11 @@ Times, in this process unless noted:
 - `stark_build`: the per-basis Chebyshev fit (absent where the map has none);
 - `ramped_swap_evolve`: one 2-site swap `evolve` with rise = fall = dwell/8,
   on a freshly built register, with its Stark lookups counted;
+- `refine_sudden`, `refine_ramped`, `refine_out_of_reach`: one
+  `calibrate_swap(refine=True)` on that register, sudden at 0.3 pi, at
+  0.3 pi with ramps of a sixteenth of the sudden dwell, and at pi/2 with
+  such ramps, which raises that sin^2(alpha) is out of reach; each with its
+  `dynamics.evolve` calls and `dynamics.solve_ivp` runs counted;
 - `wkb_exponent`: one barrier exponent, states 1 and 2 at weak to strong
   reverse fields;
 - `readout_plan`: one `readout.plan` of the zero-field solution (wait
@@ -155,6 +160,44 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         qubits._StarkMap.exact = exact
     layers["ramped_swap_evolve"] = _stats(_timed(evolve_once, repeats, setup=fresh), "s",
                                           stark_lookups=len(lookups))
+
+    def counted(fn) -> dict:
+        """`dynamics.evolve` calls and `dynamics.solve_ivp` runs of one fn(None)."""
+        runs = {"evolve": 0, "solve_ivp": 0}
+        originals = {name: getattr(dynamics, name) for name in runs}
+        for name, original in originals.items():
+            def count(*args, _name=name, _fn=original, **kwargs):
+                runs[_name] += 1
+                return _fn(*args, **kwargs)
+            setattr(dynamics, name, count)
+        try:
+            fn(None)
+        finally:
+            for name, original in originals.items():
+                setattr(dynamics, name, original)
+        return {"evolves": runs["evolve"], "integrator_runs": runs["solve_ivp"]}
+
+    def refine(alpha, ramp_fraction, in_reach=True):
+        ramp = ramp_fraction * pulses.calibrate_swap(ham, (0, 1), alpha)
+
+        def run(_):
+            try:
+                pulses.calibrate_swap(ham, (0, 1), alpha, refine=True, rise=ramp, fall=ramp)
+            except RuntimeError:
+                if in_reach:
+                    raise
+            else:
+                if not in_reach:
+                    raise RuntimeError(f"refine at alpha = {alpha} was expected out of reach")
+        return run
+
+    for name, run in (
+        ("refine_sudden", refine(0.3 * math.pi, 0.0)),
+        ("refine_ramped", refine(0.3 * math.pi, 1 / 16)),
+        ("refine_out_of_reach", refine(math.pi / 2, 1 / 16, in_reach=False)),
+    ):
+        runs = counted(run)
+        layers[name] = _stats(_timed(run, repeats), "s", **runs)
 
     solution = hydrogenic.solve(basis, 0.0)
     exponent_args = [(m, f) for m in (1, 2) for f in (1e-3, 0.1, 1.0, 4.0, 6.0)]

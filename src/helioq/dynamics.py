@@ -535,6 +535,12 @@ def _propagator(sys, liou, ta, tb, tunneling, rtol):
     return lambda state, times: _propagate_ivp(rhs, state, ta, times, rtol, tunneling)
 
 
+def piece_propagator(hamiltonian, schedule, ta, tb):
+    """`evolve`'s closed propagation (state at ta, sorted times in (ta, tb]) -> states on (ta, tb)."""
+    spec = EvolutionSpec(sample_times=np.array([tb]))
+    return _propagator(_System(hamiltonian, schedule, spec), None, ta, tb, False, spec.rtol * 1e-3)
+
+
 def solve_ivp(*args, **kwargs):
     """`scipy.integrate.solve_ivp`, imported on first use; the one patch point for the integrator."""
     from scipy.integrate import solve_ivp

@@ -203,7 +203,10 @@ def calibrate_swap(
     With `refine` (0 < a < pi), the dwell root-finds the signed swap angle
     through the full dynamics of the ramped protocol (see `swap_schedule`)
     on [dwell/4, dwell (a + pi) / (2a)], which matters when the ramp time
-    is comparable to the dwell.  The sign is that of Re(conj(a_src) i a_dst)
+    is comparable to the dwell.  Every trial dwell reads one eigenbasis of
+    the resonant plateau; the ramps run once each, the fall time-reversed,
+    which a swap's real symmetric H(t) allows (see `_swap_amplitudes`).
+    The sign is that of Re(conj(a_src) i a_dst)
     against its phase at dwell/4, so the mirror root 2 hbar (pi - a) / B is
     no root.  Where ramps put sin^2(a) out of reach, the refinement raises
     RuntimeError with the target's share of the pair's population where that
@@ -261,28 +264,53 @@ def resonance_voltage(hamiltonian: QubitArrayHamiltonian, n: int, m: int) -> flo
 _REACH_TOL = 1e-8
 
 
-def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
-    from scipy.optimize import brentq
-
+def _swap_amplitudes(hamiltonian, pair, v_peak, longest, rise, fall):
+    """dwell -> (a_src, a_dst) after the swap schedule, for dwells up to `longest`; the rise,
+    the plateau's `eigh` and the fall's two rows run once (see `_refine_dwell`)."""
     from . import dynamics
+
+    fwd = swap_schedule(hamiltonian, pair, longest, rise, fall, v_peak)
+    rev = swap_schedule(hamiltonian, pair, longest, fall, rise, v_peak)
+
+    def ramped(schedule, k, t):  # qubit k excited, run through the first t s of schedule
+        start = dynamics.RegisterState.state_vector("".join(
+            "u" if j == k else "d" for j in range(hamiltonian.n_qubits)))
+        spec = dynamics.EvolutionSpec(sample_times=np.array([t]))
+        return dynamics.evolve(hamiltonian, schedule, start, spec).final_state if t > 0 else start.data
+
+    phi = ramped(fwd, pair[0], rise)
+    row_s = phi if rise == fall else ramped(rev, pair[0], fall)
+    row_t = ramped(rev, pair[1], fall)
+    plateau = dynamics.piece_propagator(hamiltonian, fwd, rise, rise + longest)
+
+    def amplitudes(dwell):
+        psi = plateau(phi, np.array([rise + dwell]))[0]
+        return row_s @ psi, row_t @ psi
+
+    return amplitudes
+
+
+def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
+    """Root of the signed swap angle, every trial dwell read from one plateau eigendecomposition.
+
+    Without a microwave H(t) is real symmetric, so transposing the fall's
+    product of exp(-i H dt) factors reverses their order: <k| U_fall =
+    (U_rev |k>)^T, U_rev the fall run backwards, a rise of length `fall`.
+    """
+    from scipy.optimize import brentq
 
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"refine supports 0 < alpha < pi, got alpha = {alpha}")
-    n, m = pair
-    label = "".join("u" if k == n else "d" for k in range(hamiltonian.n_qubits))
-    initial = dynamics.RegisterState.state_vector(label)
+    lo, hi = 0.25 * dwell0, dwell0 * (alpha + math.pi) / (2.0 * alpha)
     # the resonance does not depend on the dwell: read it once
-    v_peak = resonance_voltage(hamiltonian, n, m)
+    v_peak = resonance_voltage(hamiltonian, *pair)
+    swap = _swap_amplitudes(hamiltonian, pair, v_peak, hi, rise, fall)
 
     @cache
     def amplitudes(dwell):  # |a_src|, |a_dst| and conj(a_src) i a_dst
-        sched = swap_schedule(hamiltonian, pair, dwell, rise, fall, v_peak)
-        spec = dynamics.EvolutionSpec(sample_times=np.array([sched.duration]))
-        psi = dynamics.evolve(hamiltonian, sched, initial, spec).final_state
-        a_s, a_t = psi[1 << n], psi[1 << m]
+        a_s, a_t = swap(dwell)
         return abs(a_s), abs(a_t), np.conj(a_s) * 1j * a_t
 
-    lo, hi = 0.25 * dwell0, dwell0 * (alpha + math.pi) / (2.0 * alpha)
     # the ramps add a relative phase between source and target: take the
     # sign against the one at the lower end
     turn = np.exp(-1j * np.angle(amplitudes(lo)[2]))

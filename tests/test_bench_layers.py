@@ -21,6 +21,7 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert set(record) == {"commit", "nproc", "blas_threads", "python", "numpy", "scipy"}
     assert set(layers) == {
         "transition_K", "stark_build", "stark_lookup", "ramped_swap_evolve",
+        "refine_sudden", "refine_ramped", "refine_out_of_reach",
         "wkb_exponent", "readout_plan", "moment_tables", "cold_python_pass",
         "cold_import_cli", "cold_setup", "cold_spectrum", "cold_demo_swap",
         "cold_demo_swap_sudden", "cold_evolve_dm", "cold_readout",
@@ -30,5 +31,8 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
         assert 0 < value["value"] == value["median"] == value["max"]
     assert layers["stark_build"]["terms"] > 0
     assert layers["ramped_swap_evolve"]["stark_lookups"] > 0
+    assert layers["refine_sudden"]["integrator_runs"] == layers["refine_sudden"]["evolves"] == 0
+    for name in ("refine_ramped", "refine_out_of_reach"):
+        assert 0 < layers[name]["integrator_runs"] <= 3
     assert layers["readout_plan"]["wkb_evaluations"] > 0
     assert all(v["peak_rss_mib"]["value"] > 0 for k, v in layers.items() if k.startswith("cold_"))

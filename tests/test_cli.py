@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helioq import cli, hydrogenic, qubits, units
+from helioq import cli, dynamics, hydrogenic, qubits, units
 from helioq.cli import main
 
 BASE_DEVICE = {
@@ -487,6 +487,33 @@ def test_refine_out_of_reach_exits_3(tmp_path, capsys):
     assert err.startswith("RuntimeError: dwell refinement failed: alpha = 1.5707963267948966, ")
     assert "sin^2(alpha) = 1 is out of reach" in err
     assert "target holds 0.997" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha, ramp, share", [
+    (math.pi / 2, 3.07e-10, "0.997546"), (0.4 * math.pi, 9.82e-10, "0.888918"),
+])
+def test_out_of_reach_refine_exits_3_after_the_ramps_alone(tmp_path, capsys, monkeypatch,
+                                                          alpha, ramp, share):
+    # the messages are those of the refinement over one full evolve per trial
+    # dwell, which ran 39 and 56 evolves before raising; the ramps run once each
+    runs = []
+    for name in ("evolve", "solve_ivp"):
+        fn = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name,
+                            lambda *a, _fn=fn, _name=name, **k: runs.append(_name) or _fn(*a, **k))
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "device": dict(BASE_DEVICE, voltages_mV=[0.0, 0.05]),
+        "swap": {"pair": [0, 1], "alpha": alpha, "rise_s": ramp, "fall_s": ramp},
+    })
+    assert main(["calibrate", "--refine", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        f"RuntimeError: dwell refinement failed: alpha = {alpha}, rise = {ramp} s, "
+        f"fall = {ramp} s: sin^2(alpha) = {math.sin(alpha) ** 2:.6g} is out of reach; the swap "
+        f"angle jumps past it where the target holds {share} of the pair's population\n"
+    )
+    assert runs.count("evolve") == runs.count("solve_ivp") <= 3
     assert not (tmp_path / "out").exists()
 
 

@@ -383,8 +383,8 @@ def test_swap_schedule_without_device_map():
 
 def test_refine_solves_the_resonance_once(monkeypatch):
     # the resonance voltage does not depend on the dwell, so one solve serves
-    # every evaluation of the refinement and gives the dwell that re-solving
-    # it inside each schedule gives; 0.3 pi is in reach of dwell/16 ramps
+    # the refinement's schedules and gives the dwell that re-solving it inside
+    # each schedule gives; 0.3 pi is in reach of dwell/16 ramps
     geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
     ham = qubits.build(geom, voltages=np.array([0.0, 5e-5]))
     alpha = 0.3 * math.pi
@@ -403,13 +403,154 @@ def test_refine_solves_the_resonance_once(monkeypatch):
     monkeypatch.setattr(pulses, "resonance_voltage", counted)
     monkeypatch.setattr(pulses, "swap_schedule", per_schedule)
     re_solved = pulses.calibrate_swap(ham, (0, 1), alpha, refine=True, rise=ramp, fall=ramp)
-    assert len(calls) > 5
+    # one read of its own and one in each schedule: the longest and its time reversal
+    assert len(calls) == 3
 
     monkeypatch.setattr(pulses, "swap_schedule", swap_schedule)
     calls.clear()
     refined = pulses.calibrate_swap(ham, (0, 1), alpha, refine=True, rise=ramp, fall=ramp)
     assert calls == [(ham, 0, 1)]
     assert refined == re_solved
+
+
+@pytest.fixture(scope="module")
+def triangle():
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0), (0.5, math.sqrt(3) / 2)))
+    return qubits.build(geom, voltages=np.array([0.0, 5e-5, 2e-4]))
+
+
+def full_evolve_amplitudes(ham, dwell, rise, fall, v_peak):
+    """(a_src, a_dst) of pair (0, 1) after one full `evolve` of the swap schedule."""
+    sched = pulses.swap_schedule(ham, (0, 1), dwell, rise, fall, v_peak)
+    start = dynamics.RegisterState.state_vector("u" + "d" * (ham.n_qubits - 1))
+    spec = dynamics.EvolutionSpec(sample_times=np.array([sched.duration]))
+    psi = dynamics.evolve(ham, sched, start, spec).final_state
+    return psi[0b01], psi[0b10]
+
+
+def brentq_over_full_evolves(ham, alpha, rise, fall):
+    """The refinement's signed mismatch root-found with one full `evolve` per trial dwell."""
+    from scipy.optimize import brentq
+
+    dwell0 = pulses.calibrate_swap(ham, (0, 1), alpha)
+    v_peak = pulses.resonance_voltage(ham, 0, 1)
+    lo, hi = 0.25 * dwell0, dwell0 * (alpha + math.pi) / (2.0 * alpha)
+
+    def phase(dwell):
+        a_s, a_t = full_evolve_amplitudes(ham, dwell, rise, fall, v_peak)
+        return abs(a_s), abs(a_t), np.conj(a_s) * 1j * a_t
+
+    turn = np.exp(-1j * np.angle(phase(lo)[2]))
+
+    def mismatch(dwell):
+        a_s, a_t, z = phase(dwell)
+        return math.sin(alpha) * math.copysign(a_s, (z * turn).real) - math.cos(alpha) * a_t
+
+    return brentq(mismatch, lo, hi, xtol=1e-12 * dwell0)
+
+
+@pytest.fixture
+def integrator_runs(monkeypatch):
+    """Counts of `dynamics.evolve` calls and `dynamics.solve_ivp` runs."""
+    runs = {"evolve": 0, "solve_ivp": 0}
+    for name in runs:
+        def counted(*args, _name=name, _fn=getattr(dynamics, name), **kwargs):
+            runs[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    return runs
+
+
+@pytest.mark.parametrize("device, rise_over, fall_over", [
+    *(("detuned", *ramps) for ramps in [
+        (1 / 8, 1 / 32), (1 / 32, 1 / 4), (1 / 16, 1 / 16), (0.0, 1 / 8), (1 / 8, 0.0),
+    ]),
+    ("triangle", 1 / 8, 1 / 32), ("triangle", 0.0, 1 / 8),
+])
+def test_time_reversed_amplitudes_match_full_evolves(request, device, rise_over, fall_over):
+    # the fall's rows come from the fall run backwards, <k| U_fall = (U_rev |k>)^T,
+    # which holds for the real symmetric H(t) of a swap; the oracle propagates
+    # every dwell's whole schedule forwards (measured worst case 2.5e-11, on
+    # the triangle at (1/32, 1/4), left out: a 3-site ramp takes ~50x the
+    # right-hand-side evaluations of a 2-site one)
+    ham = request.getfixturevalue(device)
+    dwell0 = pulses.calibrate_swap(ham, (0, 1), math.pi / 2)
+    rise, fall = rise_over * dwell0, fall_over * dwell0
+    v_peak = pulses.resonance_voltage(ham, 0, 1)
+    longest = 1.5 * dwell0
+    amplitudes = pulses._swap_amplitudes(ham, (0, 1), v_peak, longest, rise, fall)
+    for dwell in np.array([0.25, 0.7, 1.1, 1.5]) * dwell0:
+        got = amplitudes(dwell)
+        want = full_evolve_amplitudes(ham, dwell, rise, fall, v_peak)
+        assert abs(got[0]) > 0.1 or abs(got[1]) > 0.1
+        assert np.abs(np.subtract(got, want)).max() < 1e-9, dwell / dwell0
+
+
+@pytest.mark.parametrize("device", ["register", "detuned", "triangle"])
+@pytest.mark.parametrize("alpha_over_pi", [0.1, 0.3, 0.4, 0.7])
+def test_sudden_refine_is_the_brentq_over_full_evolves(request, device, alpha_over_pi):
+    # with no ramps the plateau propagator is the one each full evolve builds,
+    # applied to the same start state, so every mismatch agrees bit for bit
+    ham = request.getfixturevalue(device)
+    alpha = alpha_over_pi * math.pi
+    refined = pulses.calibrate_swap(ham, (0, 1), alpha, refine=True)
+    assert refined == brentq_over_full_evolves(ham, alpha, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha_over_pi, rise_over, fall_over", [
+    (0.3, 1 / 16, 1 / 16), (0.32, 1 / 8, 1 / 32), (0.3, 1 / 32, 1 / 4), (0.42, 0.0, 1 / 8),
+    (0.42, 1 / 8, 0.0),
+])
+def test_ramped_refine_is_the_brentq_over_full_evolves(detuned, alpha_over_pi, rise_over, fall_over):
+    # the time-reversed fall moves the mismatch in its last bits only
+    # (measured: dwells within 5.8e-12 relative)
+    alpha = alpha_over_pi * math.pi
+    dwell0 = pulses.calibrate_swap(detuned, (0, 1), alpha)
+    rise, fall = rise_over * dwell0, fall_over * dwell0
+    refined = pulses.calibrate_swap(detuned, (0, 1), alpha, refine=True, rise=rise, fall=fall)
+    assert refined == pytest.approx(brentq_over_full_evolves(detuned, alpha, rise, fall), rel=1e-11)
+
+
+@pytest.mark.parametrize("device", ["register", "detuned", "triangle"])
+def test_sudden_refine_runs_no_integrator(request, integrator_runs, device):
+    ham = request.getfixturevalue(device)
+    pulses.calibrate_swap(ham, (0, 1), 0.3 * math.pi, refine=True)
+    assert integrator_runs == {"evolve": 0, "solve_ivp": 0}
+
+
+@pytest.mark.parametrize("alpha_over_pi, rise_over, fall_over, runs", [
+    (0.3, 1 / 16, 1 / 16, 2), (0.32, 1 / 8, 1 / 32, 3), (0.3, 1 / 32, 1 / 4, 3),
+    (0.42, 0.0, 1 / 8, 2), (0.42, 1 / 8, 0.0, 1),
+])
+def test_ramped_refine_runs_each_ramp_once(detuned, integrator_runs, alpha_over_pi, rise_over,
+                                          fall_over, runs):
+    # the rise from the source state, and the fall backwards from the source
+    # (unless it is the rise) and from the target
+    alpha = alpha_over_pi * math.pi
+    dwell0 = pulses.calibrate_swap(detuned, (0, 1), alpha)
+    pulses.calibrate_swap(detuned, (0, 1), alpha, refine=True,
+                          rise=rise_over * dwell0, fall=fall_over * dwell0)
+    assert integrator_runs == {"evolve": runs, "solve_ivp": runs}
+
+
+@pytest.mark.parametrize("alpha_over_pi, ramp_over, share", [
+    (0.5, 1 / 16, 0.997547), (0.4, 1 / 4, 0.888866),
+])
+def test_out_of_reach_refine_raises_after_the_ramps_alone(detuned, integrator_runs, alpha_over_pi,
+                                                          ramp_over, share):
+    # the shares are those of the refinement over full evolves, which took
+    # 39 and 56 evolves to raise here
+    alpha = alpha_over_pi * math.pi
+    ramp = ramp_over * pulses.calibrate_swap(detuned, (0, 1), alpha)
+    with pytest.raises(RuntimeError) as info:
+        pulses.calibrate_swap(detuned, (0, 1), alpha, refine=True, rise=ramp, fall=ramp)
+    assert str(info.value) == (
+        f"dwell refinement failed: alpha = {alpha}, rise = {ramp} s, fall = {ramp} s: "
+        f"sin^2(alpha) = {math.sin(alpha) ** 2:.6g} is out of reach; the swap angle jumps "
+        f"past it where the target holds {share} of the pair's population"
+    )
+    assert integrator_runs == {"evolve": 2, "solve_ivp": 2}
 
 
 @pytest.mark.parametrize("volts", [(0.0, 5e-5), (5e-5, 0.0), (0.0, -5e-5), (-5e-5, 0.0)])
