@@ -1,10 +1,13 @@
-"""Layer timings of the Stark map, the readout plan and cold CLI processes.
+"""Layer timings of the Stark map, register builds, the readout plan and cold CLI processes.
 
     python bench/layers.py [--repeats 7] [--label NAME] [--src DIR] [--out FILE]
 
 Times, in this process unless noted:
 
 - `transition_K`: one checked solve (two `eigvalsh` and the size + 5 guard);
+- `build_n2`, `build_n9`: one `qubits.build` of the 2-site pair below and of
+  a 3 x 3 grid at distinct voltages, one checked solve with eigenvectors
+  per site;
 - `stark_lookup`: one `_StarkMap.exact` at a field no earlier lookup of that
   map has seen, as every right-hand-side evaluation of a ramp is;
 - `stark_build`: the per-basis Chebyshev fit (absent where the map has none);
@@ -17,7 +20,7 @@ Times, in this process unless noted:
   `dynamics.evolve` calls and `dynamics.solve_ivp` runs counted;
 - `wkb_exponent`: one barrier exponent, states 1 and 2 at weak to strong
   reverse fields;
-- `readout_plan`: one `readout.plan` of the zero-field solution (wait
+- `readout_plan`: one `readout.plan` of the zero-field levels (wait
   1e-7 s, selectivity 1e6), with its exponent evaluations counted;
 - `moment_tables`: the uncached moment tables of the 32- and 37-state
   bases, which every process builds once;
@@ -129,6 +132,11 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         lambda _: [hydrogenic.transition_K(basis, f) for f in solve_fields],
         repeats, SOLVES), "s")
 
+    grid = qubits.DeviceGeometry(pitch=0.5e-4, sites=tuple((i % 3, i // 3) for i in range(9)))
+    grid_volts = np.linspace(0.0, 4e-4, 9)
+    for name, g, v in (("build_n2", geom, volts), ("build_n9", grid, grid_volts)):
+        layers[name] = _stats(_timed(lambda _, g=g, v=v: qubits.build(g, voltages=v), repeats), "s")
+
     fit = getattr(qubits, "_stark_fit", None)
     if fit is not None:
         layers["stark_build"] = _stats(_timed(lambda _: fit.__wrapped__(basis), repeats), "s",
@@ -199,20 +207,20 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         runs = counted(run)
         layers[name] = _stats(_timed(run, repeats), "s", **runs)
 
-    solution = hydrogenic.solve(basis, 0.0)
-    exponent_args = [(m, f) for m in (1, 2) for f in (1e-3, 0.1, 1.0, 4.0, 6.0)]
+    energies = hydrogenic.levels(basis, 0.0)
+    exponent_args = [(e, f) for e in energies[:2] for f in (1e-3, 0.1, 1.0, 4.0, 6.0)]
     layers["wkb_exponent"] = _stats(_timed(
-        lambda _: [readout.wkb_exponent(solution, m, f) for m, f in exponent_args],
+        lambda _: [readout.wkb_exponent(basis.lam, e, f) for e, f in exponent_args],
         repeats, len(exponent_args)), "s")
     exponents = []
     wkb = readout.wkb_exponent
     readout.wkb_exponent = lambda *a, **k: exponents.append(a) or wkb(*a, **k)
     try:
-        readout.plan(solution, 1e-7, 1e6)
+        readout.plan(basis.lam, energies, 1e-7, 1e6)
     finally:
         readout.wkb_exponent = wkb
     layers["readout_plan"] = _stats(_timed(
-        lambda _: [readout.plan(solution, 1e-7, 1e6) for _ in range(PLANS)],
+        lambda _: [readout.plan(basis.lam, energies, 1e-7, 1e6) for _ in range(PLANS)],
         repeats, PLANS), "s", wkb_evaluations=len(exponents))
 
     layers["moment_tables"] = _stats(_timed(

@@ -12,21 +12,21 @@ import math
 import numpy as np
 
 from helioq import dynamics, pulses, qubits, readout, units
-from helioq.hydrogenic import HydrogenicBasisSpec, solve
+from helioq.hydrogenic import HydrogenicBasisSpec, levels
 
 lam = units.image_strength(units.EPSILON_HE)
-sol = solve(HydrogenicBasisSpec(lam=lam), 0.0)
+energies = levels(HydrogenicBasisSpec(lam=lam), 0.0)
 
 print("escape rates versus reverse field:")
 for e_plus in (2.0, 4.0, 6.0, 10.0, 20.0):
-    r1 = readout.tunnel_rate(sol, 1, e_plus)
-    r2 = readout.tunnel_rate(sol, 2, e_plus)
+    r1 = readout.tunnel_rate(lam, energies[0], e_plus)
+    r2 = readout.tunnel_rate(lam, energies[1], e_plus)
     print(f"  E+ = {e_plus:5.1f} V/cm   rate(ground) = {r1:9.3e} /s"
           f"   rate(excited) = {r2:9.3e} /s")
 print()
 
 wait = 1e-6
-plan = readout.plan(sol, wait, selectivity=1e6,
+plan = readout.plan(lam, energies, wait, selectivity=1e6,
                     site_positions_cm=np.array([[0.0, 0.0], [0.5e-4, 0.0]]))
 print(f"plan for a {wait*1e6:.1f} us wait:")
 print(f"  reverse field   E+  = {plan.e_plus:.4f} V/cm")
@@ -36,7 +36,7 @@ print(f"  ground escape   t_1 = {t1}")
 print()
 
 # survival of each site from the trace of the tunneling evolution
-ham = qubits.QubitArrayHamiltonian.from_parameters(eps_K=[sol.transition_K(2)])
+ham = qubits.QubitArrayHamiltonian.from_parameters(eps_K=[energies[1] - energies[0]])
 hold = pulses.PulseSchedule(duration=wait)
 survival = []
 for bits in ("u", "d"):

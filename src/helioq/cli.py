@@ -305,7 +305,7 @@ def run_spectrum(config: dict, w: _Writer) -> None:
     fields = np.linspace(sw["e_perp_min"], sw["e_perp_max"], sw["points"])
     rows = []
     for f in fields:
-        # energies only; nu_1m is HydrogenicSolution.transition_GHz's arithmetic
+        # one `levels` per field serves every row; nu_1m is transition_K(basis, f, m) in GHz
         e = hydrogenic.levels(basis, float(f)).tolist()
         rows.extend(
             (float(f), m, e[m - 1], (e[m - 1] - e[0]) * K_TO_GHZ) for m in range(1, max_state + 1)
@@ -461,10 +461,10 @@ def run_readout(config: dict, w: _Writer) -> None:
     ro = require_block(config, "readout")
     geom = device_geometry(dev)
     basis = basis_spec(dev)
-    sol = hydrogenic.solve(basis, geom.e_perp)
+    energies = hydrogenic.levels(basis, geom.e_perp)
     pixel_cm = ro.get("pixel_um", 1.0) * 1e-4
     rplan = readout.plan(
-        sol, ro["wait_s"], ro["selectivity"],
+        basis.lam, energies, ro["wait_s"], ro["selectivity"],
         pixel_size=pixel_cm, site_positions_cm=geom.positions_cm(),
     )
     bits = ro.get("initial_bits", "u" * geom.n_sites)

@@ -17,6 +17,10 @@ three-term recurrence of SciPy's `eval_genlaguerre`, written in NumPy in
 the same order of operations, so the tables match SciPy's bit for bit
 without importing it.
 
+`_eigensystem` is the one diagonalization.  `levels` reads its checked
+energies, which the Stark map, the spectrum and the readout use;
+`qubits.build` reads the two lowest eigenvectors for the qubit dipoles.
+
 Sign convention: E_perp > 0 presses the electron toward the surface and
 raises every level, compact states least; the 1->2 spacing grows with
 field.  The 1 eV penetration barrier of the liquid is modeled as an
@@ -35,17 +39,16 @@ from .units import EVCM_K, E_SQ, HBAR, K_B, K_TO_GHZ, M_E
 __all__ = [
     "ConvergenceError",
     "HydrogenicBasisSpec",
-    "HydrogenicSolution",
     "levels",
     "rydberg_scales",
-    "solve",
     "stark_rate",
     "transition_K",
 ]
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the basis convergence or level-order check of a solve fails.
+    """Raised when the basis convergence or level-order check of
+    `_checked_eigensystem` fails.
 
     Carries the offending relative shift in `shift`.
     """
@@ -158,31 +161,6 @@ def _moment_matrix(size: int, power: int, order: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HydrogenicSolution:
-    """Stark-shifted levels and z matrix elements.
-
-    Energies are in kelvin, sorted ascending; `z_elements[i, j]` is
-    <i+1|z|j+1> (cm) between the perturbed states, each state's sign fixed
-    so its dominant zero-field component is positive.
-    """
-
-    energies: np.ndarray        # K, shape (size,)
-    z_elements: np.ndarray      # cm, shape (size, size)
-    lam: float
-
-    @property
-    def size(self) -> int:
-        return self.energies.size
-
-    def transition_K(self, m: int, n: int = 1) -> float:
-        """E_m - E_n in kelvin (1-based state labels)."""
-        return float(self.energies[m - 1] - self.energies[n - 1])
-
-    def transition_GHz(self, m: int, n: int = 1) -> float:
-        return self.transition_K(m, n) * K_TO_GHZ
-
-
 def _eigensystem(spec: HydrogenicBasisSpec, e_perp: float, size: int, vectors: bool = False):
     """Energies of the truncated Stark matrix in physical order, with the
     eigenvectors where they are read.
@@ -200,7 +178,8 @@ def _eigensystem(spec: HydrogenicBasisSpec, e_perp: float, size: int, vectors: b
     the quasi-bound levels are recovered by maximum-overlap assignment of
     the eigenvectors to the unperturbed labels (the avoided crossings with
     the spurious states are exponentially narrow at the field strengths of
-    interest, and the convergence check in `solve` guards states 1 and 2).
+    interest, and the convergence check in `_checked_eigensystem` guards
+    states 1 and 2).
     """
     rydberg_K, r_b = spec.scales
     m_idx = np.arange(1, size + 1)
@@ -219,10 +198,14 @@ def _eigensystem(spec: HydrogenicBasisSpec, e_perp: float, size: int, vectors: b
 
 
 def _checked_eigensystem(spec: HydrogenicBasisSpec, e_perp: float, vectors: bool = False):
-    """`_eigensystem` at `spec.size`, after the convergence checks of `solve`.
+    """`_eigensystem` at `spec.size`, after the convergence checks.
 
-    The size + 5 check needs energies only, so it runs `eigh` just at
-    negative fields, where the level assignment reads the eigenvectors.
+    Raises ConvergenceError if enlarging the basis by 5 shifts E_1 or E_2
+    by more than 1e-4 of the 1->2 splitting (the field is then too strong
+    for the retained basis, or the state is effectively unbound), or if the
+    low levels are not strictly ordered.  The size + 5 check needs energies
+    only, so it runs `eigh` just at negative fields, where the level
+    assignment reads the eigenvectors.
     """
     rydberg_K, _ = spec.scales
     energies, vecs, z_cm = _eigensystem(spec, e_perp, spec.size, vectors)
@@ -262,39 +245,15 @@ def _checked_eigensystem(spec: HydrogenicBasisSpec, e_perp: float, vectors: bool
 
 
 def levels(spec: HydrogenicBasisSpec, e_perp: float) -> np.ndarray:
-    """`solve(spec, e_perp).energies` (K), bit for bit: the same checks, no eigenvectors."""
+    """Energies (K) of the Stark-shifted levels in physical order, after the
+    convergence checks of `_checked_eigensystem`; no eigenvectors."""
     return _checked_eigensystem(spec, e_perp)[0]
 
 
 def transition_K(spec: HydrogenicBasisSpec, e_perp: float, m: int = 2, n: int = 1) -> float:
-    """`solve(spec, e_perp).transition_K(m, n)`, bit for bit, from the eigenvalues alone."""
+    """E_m - E_n in kelvin (1-based state labels), from `levels`."""
     energies = levels(spec, e_perp)
     return float(energies[m - 1] - energies[n - 1])
-
-
-def solve(spec: HydrogenicBasisSpec, e_perp: float = 0.0) -> HydrogenicSolution:
-    """Diagonalize the pressed image-potential problem in the truncated basis.
-
-    Raises ConvergenceError if enlarging the basis by 5 shifts E_1 or E_2
-    by more than 1e-4 relative (the field is then too strong for the
-    retained basis, or the state is effectively unbound), or if the low
-    levels are not strictly ordered.
-    """
-    energies, vecs, z_cm = _checked_eigensystem(spec, e_perp, vectors=True)
-
-    # fix the sign of each perturbed state so its dominant component is positive
-    dom = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[dom, np.arange(spec.size)])
-    vecs = vecs * signs
-
-    z_pert = vecs.T @ z_cm @ vecs
-    z_pert = 0.5 * (z_pert + z_pert.T)
-
-    return HydrogenicSolution(
-        energies=energies,
-        z_elements=z_pert,
-        lam=spec.lam,
-    )
 
 
 def stark_rate(spec: HydrogenicBasisSpec, m: int) -> float:

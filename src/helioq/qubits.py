@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hydrogenic import ConvergenceError, HydrogenicBasisSpec, solve, transition_K
+from .hydrogenic import ConvergenceError, HydrogenicBasisSpec, _checked_eigensystem, transition_K
 from .units import (
     E_SQ,
     E_SQ_K_CM,
@@ -273,7 +273,9 @@ def build(
 
     `voltages` (volts) is a scalar or one value per site.  Matrix elements
     are recomputed at each site's total pressing field, so both the qubit
-    frequencies and the couplings inherit the field dependence.
+    frequencies and the couplings inherit the field dependence: one checked
+    eigensolve per site gives E_2 - E_1 and, from the two lowest
+    eigenvectors, <1|z|1>, <2|z|2> and <1|z|2>.
     """
     if basis is None:
         basis = HydrogenicBasisSpec(lam=image_strength(EPSILON_HE))
@@ -286,11 +288,11 @@ def build(
     z22 = np.empty(n)
     z12 = np.empty(n)
     for i, f in enumerate(fields):
-        sol = solve(basis, float(f))
-        eps[i] = sol.transition_K(2)
-        z11[i] = sol.z_elements[0, 0]
-        z22[i] = sol.z_elements[1, 1]
-        z12[i] = sol.z_elements[0, 1]
+        energies, vecs, z_cm = _checked_eigensystem(basis, float(f), vectors=True)
+        # states 1 and 2, each signed so its dominant zero-field component is positive
+        low = vecs[:, :2] * np.sign(vecs[np.abs(vecs[:, :2]).argmax(axis=0), [0, 1]])
+        (z11[i], z12[i]), (_, z22[i]) = low.T @ z_cm @ low
+        eps[i] = energies[1] - energies[0]
 
     a, b = _pair_couplings(geometry, z11 - z22, z12)
     drive_coeff = EV_ERG * float(np.abs(z12).mean()) / HBAR

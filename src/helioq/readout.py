@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hydrogenic import HydrogenicSolution
 from .units import EV_ERG, E_SQ, HBAR, K_B, M_E
 
 __all__ = [
@@ -57,26 +56,22 @@ def _turning_points(lam_esq: float, force: float, energy_erg: float):
     return (z2, z1) if z2 < z1 else (z1, z2)
 
 
-def wkb_exponent(solution: HydrogenicSolution, m: int, e_plus: float) -> float:
+def wkb_exponent(lam: float, energy: float, e_plus: float) -> float:
     """Barrier-penetration exponent 2/hbar * Int sqrt(2 m_e (V - E_m)) dz.
 
-    Returns 0.0 for an over-barrier state.  V - E = F (z - z1)(z2 - z)/z gives
+    `lam` is the image strength and `energy` the level's E_m (K), for
+    instance an entry of `hydrogenic.levels`.  Returns 0.0 for an
+    over-barrier state.  V - E = F (z - z1)(z2 - z)/z gives
     W = (2/hbar) sqrt(2 m_e F z2) (2/3) [(z1 + z2) E(k) - 2 z1 K(k)], k^2 =
     1 - z1/z2 (Byrd & Friedman, Handbook of Elliptic Integrals).
     """
     if e_plus <= 0:
         raise ValueError(f"reverse field must be positive, got {e_plus}")
-    if not 1 <= m <= solution.size:
-        raise ValueError(f"state index {m} outside solution of size {solution.size}")
-    energy = solution.energies[m - 1] * K_B      # erg
     if energy >= 0:
-        raise ValueError(
-            f"state {m} is unbound (E = {solution.energies[m-1]} K); "
-            "the barrier model does not apply"
-        )
-    lam_esq = solution.lam * E_SQ
+        raise ValueError(f"level is unbound (E = {energy} K); the barrier model does not apply")
+    lam_esq = lam * E_SQ
     force = EV_ERG * e_plus                      # dyn
-    tp = _turning_points(lam_esq, force, energy)
+    tp = _turning_points(lam_esq, force, energy * K_B)
     if tp is None:
         return 0.0
     from scipy.special import ellipe, ellipk
@@ -87,17 +82,16 @@ def wkb_exponent(solution: HydrogenicSolution, m: int, e_plus: float) -> float:
     return float(2.0 * math.sqrt(2.0 * M_E * force * z2) * integral / HBAR)
 
 
-def tunnel_rate(solution: HydrogenicSolution, m: int, e_plus: float) -> float:
-    """Escape rate (s^-1) of state m under reverse field e_plus (V/cm).
+def tunnel_rate(lam: float, energy: float, e_plus: float) -> float:
+    """Escape rate (s^-1) of a level of energy E_m (K) under reverse field
+    e_plus (V/cm), for image strength `lam`.
 
     Attempt frequency |E_m|/hbar; over-barrier states escape at that
     frequency outright.  The prefactor is an order-of-magnitude choice;
     the exponent carries the state selectivity.
     """
-    energy = solution.energies[m - 1] * K_B
-    nu = abs(energy) / HBAR
-    expo = wkb_exponent(solution, m, e_plus)
-    return nu * math.exp(-expo)
+    nu = abs(energy * K_B) / HBAR
+    return nu * math.exp(-wkb_exponent(lam, energy, e_plus))
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,8 @@ class ReadoutPlan:
 
 
 def plan(
-    solution: HydrogenicSolution,
+    lam: float,
+    energies: np.ndarray,
     wait: float,
     selectivity: float,
     pixel_size: float = 1e-4,
@@ -129,8 +124,10 @@ def plan(
 ) -> ReadoutPlan:
     """Choose the reverse field: excited escape confident, ground retained.
 
-    Solves rate_2(E_+) * wait = 5 at the smallest such field (five escape
-    times inside the window), then requires rate_1 * wait <= 5/selectivity.
+    `lam` is the image strength and `energies` the levels (K) of
+    `hydrogenic.levels`, of which states 1 and 2 are read.  Solves
+    rate_2(E_+) * wait = 5 at the smallest such field (five escape times
+    inside the window), then requires rate_1 * wait <= 5/selectivity.
     Raises with the achievable frontier when no field satisfies both.
     """
     from scipy.optimize import brentq
@@ -140,17 +137,21 @@ def plan(
     if wait <= 0:
         raise ValueError(f"wait must be positive, got {wait}")
 
+    if energies[1] >= 0:
+        raise ValueError(
+            f"state 2 is unbound (E = {energies[1]} K); the barrier model does not apply"
+        )
     target = 5.0
-    nu2 = abs(solution.energies[1]) * K_B / HBAR
-    nu1 = abs(solution.energies[0]) * K_B / HBAR
+    nu2 = abs(energies[1]) * K_B / HBAR
+    nu1 = abs(energies[0]) * K_B / HBAR
 
     def excited_gap(e_plus):
         # log(rate_2 * wait / target), computed in log space: the exponent
         # reaches tens of thousands at weak fields
-        return math.log(nu2 * wait / target) - wkb_exponent(solution, 2, e_plus)
+        return math.log(nu2 * wait / target) - wkb_exponent(lam, energies[1], e_plus)
 
     # bracket: the exponent falls with field to 0 at the barrier-top field
-    hi = (solution.energies[1] * K_B) ** 2 / (4.0 * solution.lam * E_SQ * EV_ERG)
+    hi = (energies[1] * K_B) ** 2 / (4.0 * lam * E_SQ * EV_ERG)
     if excited_gap(hi) < 0:
         raise RuntimeError("no reverse field drives the excited state out in time")
     lo = 0.5 * hi
@@ -158,8 +159,8 @@ def plan(
         lo *= 0.5
     e_plus = brentq(excited_gap, lo, hi, xtol=1e-12, rtol=1e-14)
 
-    rate2 = tunnel_rate(solution, 2, e_plus)
-    log_rate1 = math.log(nu1) - wkb_exponent(solution, 1, e_plus)
+    rate2 = tunnel_rate(lam, energies[1], e_plus)
+    log_rate1 = math.log(nu1) - wkb_exponent(lam, energies[0], e_plus)
     if log_rate1 + math.log(wait) > math.log(target) - math.log(selectivity):
         rate1 = math.exp(log_rate1)
         raise RuntimeError(

@@ -12,7 +12,7 @@ import pytest
 
 from helioq import decoherence, dynamics, medium, pulses, qubits, readout, units
 from helioq.dynamics import EvolutionSpec, RegisterState, TunnelingSpec, evolve
-from helioq.hydrogenic import HydrogenicBasisSpec, rydberg_scales, solve, stark_rate
+from helioq.hydrogenic import HydrogenicBasisSpec, levels, rydberg_scales, stark_rate
 
 LAM = units.image_strength(1.057)
 OPERATING = dict(temperature=0.01, b_field=1.5, pitch=0.5e-4, lam=LAM)
@@ -35,8 +35,14 @@ def basis():
 
 
 @pytest.fixture(scope="module")
-def ground_solution(basis):
-    return solve(basis, 0.0)
+def ground_levels(basis):
+    return levels(basis, 0.0)
+
+
+@pytest.fixture(scope="module")
+def zero_field_site(basis):
+    """One site at zero pressing field: its dipoles are the unperturbed ones."""
+    return qubits.build(qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0),)), basis=basis)
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +67,10 @@ def test_c02_stark_rates(basis):
         assert abs(r2 - 1.10) / 1.10 <= 0.10
 
 
-def test_c03_dipole_heights(ground_solution):
+def test_c03_dipole_heights(zero_field_site):
     with criterion("C03", "<1|z|1> = 11.4 nm +- 2%, <2|z|2> = 45.6 nm +- 2%"):
-        z11_nm = ground_solution.z_elements[0, 0] * 1e7
-        z22_nm = ground_solution.z_elements[1, 1] * 1e7
+        z11_nm = zero_field_site.z11_cm[0] * 1e7
+        z22_nm = zero_field_site.z22_cm[0] * 1e7
         assert abs(z11_nm - 11.4) / 11.4 <= 0.02
         assert abs(z22_nm - 45.6) / 45.6 <= 0.02
 
@@ -97,9 +103,9 @@ def test_c07_confinement_scale():
         assert abs(qubits.confinement_scale(geom) - 0.3) / 0.3 <= 0.20
 
 
-def test_c08_rabi_frequency(ground_solution):
+def test_c08_rabi_frequency(zero_field_site):
     with criterion("C08", "Rabi frequency at 1 V/cm within factor 2 of 1e9 s^-1"):
-        omega = pulses.rabi_frequency(1.0, ground_solution.z_elements[0, 1])
+        omega = pulses.rabi_frequency(1.0, zero_field_site.z12_cm[0])
         assert 0.5e9 <= omega <= 2e9
 
 
@@ -234,10 +240,10 @@ def test_c16_norm_and_positivity():
         assert floor > -1e-8
 
 
-def test_c17_readout_window_and_shots(ground_solution):
+def test_c17_readout_window_and_shots(ground_levels):
     with criterion("C17", "selectivity window t_2 <= 1 us, t_1/t_2 >= 1e6; shots within 3 sigma; seeded reruns identical"):
         wait = 1e-6
-        plan = readout.plan(ground_solution, wait, 1e6)
+        plan = readout.plan(LAM, ground_levels, wait, 1e6)
         assert plan.t_2 <= 1e-6
         assert plan.t_1 / plan.t_2 >= 1e6
         # independent view of the same window: the bound-state WKB oracle
@@ -245,7 +251,7 @@ def test_c17_readout_window_and_shots(ground_solution):
         import mpmath as mp
 
         for m, t_m in ((2, plan.t_2),):
-            energy = ground_solution.energies[m - 1] * units.K_B
+            energy = ground_levels[m - 1] * units.K_B
             force = units.EV_ERG * plan.e_plus
             disc = energy**2 - 4 * LAM * units.E_SQ * force
             z1 = (-energy - math.sqrt(disc)) / (2 * force)

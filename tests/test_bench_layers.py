@@ -20,7 +20,7 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     record, layers = runs["smoke"]["record"], runs["smoke"]["layers"]
     assert set(record) == {"commit", "nproc", "blas_threads", "python", "numpy", "scipy"}
     assert set(layers) == {
-        "transition_K", "stark_build", "stark_lookup", "ramped_swap_evolve",
+        "transition_K", "build_n2", "build_n9", "stark_build", "stark_lookup", "ramped_swap_evolve",
         "refine_sudden", "refine_ramped", "refine_out_of_reach",
         "wkb_exponent", "readout_plan", "moment_tables", "cold_python_pass",
         "cold_import_cli", "cold_setup", "cold_spectrum", "cold_demo_swap",

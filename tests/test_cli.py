@@ -45,14 +45,14 @@ def test_spectrum_endpoints_match_module(tmp_path):
     # pass-through: the CSV endpoint values equal the module's exactly
     basis = hydrogenic.HydrogenicBasisSpec(lam=units.image_strength(1.057))
     for e_perp in (0.0, 50.0):
-        sol = hydrogenic.solve(basis, e_perp)
+        energies = hydrogenic.levels(basis, e_perp)
         for m in (1, 2, 3):
             row = next(
                 r for r in rows
                 if float(r[0]) == e_perp and int(r[1]) == m
             )
-            assert float(r := row[2]) == sol.energies[m - 1]
-            assert float(row[3]) == sol.transition_GHz(m)
+            assert float(row[2]) == energies[m - 1]
+            assert float(row[3]) == hydrogenic.transition_K(basis, e_perp, m) * units.K_TO_GHZ
 
 
 def test_demo_swap_full_transfer(tmp_path, capsys):
@@ -377,7 +377,7 @@ def test_spectrum_past_the_basis_fails_as_solve_does(tmp_path, capsys):
     })
     assert main(["spectrum", "--config", cfg]) == 3
     with pytest.raises(hydrogenic.ConvergenceError) as direct:
-        hydrogenic.solve(hydrogenic.HydrogenicBasisSpec(lam=units.image_strength(1.057)), 200.0)
+        hydrogenic.levels(hydrogenic.HydrogenicBasisSpec(lam=units.image_strength(1.057)), 200.0)
     assert capsys.readouterr().err == f"ConvergenceError: {direct.value}\n"
     assert not (tmp_path / "out").exists()
 

@@ -15,7 +15,6 @@ from helioq.hydrogenic import (
     HydrogenicBasisSpec,
     levels,
     rydberg_scales,
-    solve,
     stark_rate,
     transition_K,
 )
@@ -28,9 +27,15 @@ def basis():
     return HydrogenicBasisSpec(lam=LAM)
 
 
+def _register_at(basis, e_perp):
+    """A one-site register at pressing field e_perp, for its dipoles <m|z|n>."""
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0),), e_perp=e_perp)
+    return qubits.build(geom, basis=basis)
+
+
 @pytest.fixture(scope="module")
 def zero_field(basis):
-    return solve(basis, 0.0)
+    return _register_at(basis, 0.0)
 
 
 # closed-form ground and first-excited wavefunctions (x in Bohr radii)
@@ -56,36 +61,38 @@ def test_rydberg_scaling_laws():
     assert b2 == pytest.approx(b1 / 2, rel=1e-12)
 
 
-def test_zero_field_levels_are_hydrogenic(zero_field):
-    r, _ = rydberg_scales(zero_field.lam)
-    for m in range(1, zero_field.size - 5 + 1):
-        assert zero_field.energies[m - 1] == pytest.approx(-r / m**2, rel=1e-6)
+def test_zero_field_levels_are_hydrogenic(basis):
+    r, _ = rydberg_scales(LAM)
+    energies = levels(basis, 0.0)
+    for m in range(1, basis.size - 5 + 1):
+        assert energies[m - 1] == pytest.approx(-r / m**2, rel=1e-6)
 
 
-def test_transition_frequency(zero_field):
+def test_transition_frequency(basis):
     # nu_12 = (3/4) R / h
-    assert zero_field.transition_GHz(2) == pytest.approx(118.412471, rel=1e-6)
-    assert zero_field.transition_GHz(2) == pytest.approx(120.0, rel=0.05)
+    nu = transition_K(basis, 0.0) * units.K_TO_GHZ
+    assert nu == pytest.approx(118.412471, rel=1e-6)
+    assert nu == pytest.approx(120.0, rel=0.05)
 
 
 def test_diagonal_elements_against_oracle(zero_field):
-    _, r_b = rydberg_scales(zero_field.lam)
+    _, r_b = rydberg_scales(LAM)
     z11, _ = integrate.quad(lambda x: _u1(x) * x * _u1(x), 0, 60)
     z22, _ = integrate.quad(lambda x: _u2(x) * x * _u2(x), 0, 120)
-    assert zero_field.z_elements[0, 0] == pytest.approx(z11 * r_b, rel=1e-10)
-    assert zero_field.z_elements[1, 1] == pytest.approx(z22 * r_b, rel=1e-10)
+    assert zero_field.z11_cm[0] == pytest.approx(z11 * r_b, rel=1e-10)
+    assert zero_field.z22_cm[0] == pytest.approx(z22 * r_b, rel=1e-10)
     # and the closed forms: 1.5 r_B ~ 11.4 nm, 6 r_B ~ 45.6 nm
-    assert zero_field.z_elements[0, 0] == pytest.approx(1.5 * r_b, rel=1e-10)
-    assert zero_field.z_elements[1, 1] == pytest.approx(6.0 * r_b, rel=1e-10)
-    assert zero_field.z_elements[0, 0] * 1e7 == pytest.approx(11.458, abs=2e-2)
-    assert zero_field.z_elements[1, 1] * 1e7 == pytest.approx(45.832, abs=2e-2)
+    assert zero_field.z11_cm[0] == pytest.approx(1.5 * r_b, rel=1e-10)
+    assert zero_field.z22_cm[0] == pytest.approx(6.0 * r_b, rel=1e-10)
+    assert zero_field.z11_cm[0] * 1e7 == pytest.approx(11.458, abs=2e-2)
+    assert zero_field.z22_cm[0] * 1e7 == pytest.approx(45.832, abs=2e-2)
 
 
 def test_offdiagonal_element_against_oracle(zero_field):
     val, _ = integrate.quad(lambda x: _u1(x) * x * _u2(x), 0, 80)
     assert abs(val) == pytest.approx(0.5587016542708524, rel=1e-10)  # 32 sqrt(2)/81
-    assert abs(zero_field.z_elements[0, 1]) == pytest.approx(
-        abs(val) * rydberg_scales(zero_field.lam)[1], rel=1e-10
+    assert abs(zero_field.z12_cm[0]) == pytest.approx(
+        abs(val) * rydberg_scales(LAM)[1], rel=1e-10
     )
 
 
@@ -101,12 +108,13 @@ def test_wavefunctions_normalized(basis):
     assert np.abs(gram - np.eye(basis.size)).max() < 1e-8
 
 
-def test_z_matrix_symmetric(zero_field):
-    z = zero_field.z_elements
+def test_z_matrix_symmetric(basis):
+    # the moment table is the zero-field z matrix in Bohr radii
+    z = hydrogenic._moment_matrix(basis.size, 1, hydrogenic._QUAD_ORDER)
     assert np.abs(z - z.T).max() <= 1e-10 * np.abs(z).max()
 
 
-def test_stark_rates_match_quoted_values(basis):
+def test_stark_rates_match_quoted_values(basis, zero_field):
     r1 = stark_rate(basis, 1)
     r2 = stark_rate(basis, 2)
     assert r1 == pytest.approx(0.27705512, rel=1e-6)
@@ -114,9 +122,8 @@ def test_stark_rates_match_quoted_values(basis):
     # the pair responds at ~1 GHz per V/cm
     assert r2 - r1 == pytest.approx(0.83116537, rel=1e-6)
     # first-order identity: rate_m = e <m|z|m> / h
-    sol = solve(basis, 0.0)
-    for m, rate in ((1, r1), (2, r2)):
-        expect = units.EVCM_K * sol.z_elements[m - 1, m - 1] * units.K_TO_GHZ
+    for z_mm, rate in ((zero_field.z11_cm[0], r1), (zero_field.z22_cm[0], r2)):
+        expect = units.EVCM_K * z_mm * units.K_TO_GHZ
         assert rate == pytest.approx(expect, rel=1e-6)
 
 
@@ -125,8 +132,8 @@ def test_stark_rate_matches_finite_difference_oracle(basis, m):
     # symmetric differences of the solved levels at +-1e-3 and +-5e-4 V/cm,
     # Richardson-extrapolated in the step
     def central(step):
-        up = solve(basis, step).energies[m - 1]
-        dn = solve(basis, -step).energies[m - 1]
+        up = levels(basis, step)[m - 1]
+        dn = levels(basis, -step)[m - 1]
         return (up - dn) / (2.0 * step) * units.K_TO_GHZ
 
     coarse, fine = central(1e-3), central(5e-4)
@@ -145,29 +152,40 @@ def test_stark_rate_is_the_closed_form_dipole(basis):
 
 
 def test_hellmann_feynman_at_operating_field(basis):
-    # dE_m/dE_perp from finite differences equals e <m|z|m> on the
-    # Stark-perturbed states
-    e0, delta = 10.0, 0.25
-    sol = solve(basis, e0)
-    for m in (1, 2):
-        up = solve(basis, e0 + delta).energies[m - 1]
-        dn = solve(basis, e0 - delta).energies[m - 1]
-        fd = (up - dn) / (2 * delta)
-        expect = units.EVCM_K * sol.z_elements[m - 1, m - 1]
-        assert fd == pytest.approx(expect, rel=1e-4)
+    # dE_m/dE_perp of the levels, by symmetric differences at +-1e-2 and
+    # +-5e-3 V/cm Richardson-extrapolated in the step, equals e <m|z|m> of
+    # build's Stark-perturbed states
+    def central(e0, m, step):
+        up = levels(basis, e0 + step)[m - 1]
+        dn = levels(basis, e0 - step)[m - 1]
+        return (up - dn) / (2.0 * step)
+
+    for e0 in (0.5, 1.3, 5.0, 10.0, 20.0, 37.0, 60.0, 98.5, 100.0):
+        register = _register_at(basis, e0)
+        for m, z_mm in ((1, register.z11_cm[0]), (2, register.z22_cm[0])):
+            fd = (4.0 * central(e0, m, 5e-3) - central(e0, m, 1e-2)) / 3.0
+            assert fd == pytest.approx(units.EVCM_K * z_mm, rel=1e-9), (e0, m)
+
+
+def test_transition_dipole_keeps_its_sign(basis):
+    # each qubit state is signed by its dominant zero-field component, so
+    # <1|z|2> stays negative from zero field to past the Stark map's domain
+    for e0 in np.linspace(0.0, 118.0, 60):
+        z12 = _register_at(basis, float(e0)).z12_cm[0]
+        assert -4.31e-7 < z12 < -2.86e-7
 
 
 def test_stark_shift_linearity(basis):
-    base = solve(basis, 0.0)
+    base = levels(basis, 0.0)
     for m in (1, 2):
-        s1 = solve(basis, 1.0).energies[m - 1] - base.energies[m - 1]
-        s2 = solve(basis, 2.0).energies[m - 1] - base.energies[m - 1]
+        s1 = levels(basis, 1.0)[m - 1] - base[m - 1]
+        s2 = levels(basis, 2.0)[m - 1] - base[m - 1]
         assert s2 == pytest.approx(2 * s1, rel=1e-2)
 
 
 def test_transition_monotone_in_field(basis):
     fields = np.linspace(0.0, 100.0, 21)
-    nus = [solve(basis, f).transition_GHz(2) for f in fields]
+    nus = [transition_K(basis, f) for f in fields]
     assert np.all(np.diff(nus) > 0)
 
 
@@ -179,14 +197,15 @@ def test_sum_rule_quantifies_truncation():
     it as M grows, the remainder being continuum weight.  What truncation
     must deliver is stability of the bound sum.
     """
-    small = solve(HydrogenicBasisSpec(lam=LAM, size=20), 0.0)
-    _, r_b = rydberg_scales(small.lam)
-    bound_sum = float(np.sum((small.z_elements[0, :] / r_b) ** 2))
+    # at zero field the states are the basis states, whose <1|z|n> in Bohr
+    # radii is the first row of the moment table
+    small = hydrogenic._moment_matrix(20, 1, hydrogenic._QUAD_ORDER)
+    bound_sum = float(np.sum(small[0, :] ** 2))
     # frozen oracle: sum_{n<=20} |<1|z|n>|^2 from independent quadrature
     assert bound_sum == pytest.approx(2.672354865841365, rel=1e-6)
     # truncation is converged: 5 more states move the sum by < 1e-3 of total
-    big = solve(HydrogenicBasisSpec(lam=LAM, size=25), 0.0)
-    big_sum = float(np.sum((big.z_elements[0, :] / r_b) ** 2))
+    big = hydrogenic._moment_matrix(25, 1, hydrogenic._QUAD_ORDER)
+    big_sum = float(np.sum(big[0, :] ** 2))
     assert abs(big_sum - bound_sum) < 1e-3 * 3.0
     # and the continuum deficit is the known ~10.9%
     assert bound_sum / 3.0 == pytest.approx(0.89078, abs=5e-4)
@@ -194,18 +213,22 @@ def test_sum_rule_quantifies_truncation():
 
 def test_solve_rejects_overwhelming_field(basis):
     with pytest.raises(ConvergenceError):
-        solve(basis, 1e5)
+        levels(basis, 1e5)
 
 
 @pytest.mark.parametrize("e_perp", [0.0, 1.0, 37.0, 100.0, -1e-3])
 def test_transition_K_matches_solve_exactly(basis, e_perp):
-    assert transition_K(basis, e_perp) == solve(basis, e_perp).transition_K(2)
-    assert transition_K(basis, e_perp, 3, 2) == solve(basis, e_perp).transition_K(3, 2)
+    # the eigenvector-reading solve of `build` and the energies-only one agree
+    energies = levels(basis, e_perp)
+    assert transition_K(basis, e_perp) == _register_at(basis, e_perp).eps_K[0]
+    assert transition_K(basis, e_perp, 3, 2) == energies[2] - energies[1]
 
 
 def test_levels_are_solve_energies_bit_for_bit(basis):
+    # asking for the eigenvectors, as `build` does, leaves the energies' bits
     for e_perp in (-4.0, -1.0, -1e-3, 0.0, 1e-3, 2.5, 37.0, 100.0, 120.0):
-        assert np.array_equal(levels(basis, e_perp), solve(basis, e_perp).energies)
+        with_vectors = hydrogenic._checked_eigensystem(basis, e_perp, vectors=True)[0]
+        assert np.array_equal(levels(basis, e_perp), with_vectors)
 
 
 def test_transition_K_and_solve_fail_alike(basis):
@@ -213,7 +236,7 @@ def test_transition_K_and_solve_fail_alike(basis):
     with pytest.raises(ConvergenceError) as direct:
         transition_K(basis, 200.0)
     with pytest.raises(ConvergenceError) as full:
-        solve(basis, 200.0)
+        _register_at(basis, 200.0)
     assert direct.value.shift == full.value.shift
     assert direct.value.shift > 1e-4
 
@@ -222,7 +245,7 @@ def test_vanishing_negative_field_solves(basis):
     # below ~1e-289 V/cm the barrier top underflows to 0 K; the level-order
     # check must not divide by it
     assert transition_K(basis, -1e-300) == transition_K(basis, -1e-200) == 5.682902316418053
-    assert solve(basis, -1e-300).transition_K(2) == 5.682902316418053
+    assert _register_at(basis, -1e-300).eps_K[0] == 5.682902316418053
 
 
 def test_small_basis_rejected():
@@ -273,11 +296,11 @@ def test_eigenvectors_only_where_they_are_read(basis, monkeypatch):
     assert transition_K(basis, 12.5) == expected
     # above its Chebyshev domain the Stark map is the checked solve itself
     assert qubits._StarkMap(basis).exact(125.0) == transition_K(basis, 125.0)
-    # the level assignment at negative fields and solve's vectors still need it
+    # the level assignment at negative fields and build's dipoles still need it
     with pytest.raises(_EighCalled):
         transition_K(basis, -1e-3)
     with pytest.raises(_EighCalled):
-        solve(basis, 12.5)
+        _register_at(basis, 12.5)
     # inside the domain, a lookup after the map's build solves nothing
     stark = qubits._StarkMap(basis)
     stark.exact(0.0)

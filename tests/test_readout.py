@@ -12,19 +12,19 @@ import numpy as np
 import pytest
 
 from helioq import dynamics, pulses, qubits, readout, units
-from helioq.hydrogenic import HydrogenicBasisSpec, solve
+from helioq.hydrogenic import HydrogenicBasisSpec, levels
 
 LAM = units.image_strength(1.057)
 
 
 @pytest.fixture(scope="module")
-def solution():
-    return solve(HydrogenicBasisSpec(lam=LAM), 0.0)
+def energies():
+    return levels(HydrogenicBasisSpec(lam=LAM), 0.0)
 
 
-def oracle_exponent(solution, m, e_plus):
-    energy = solution.energies[m - 1] * units.K_B
-    lam_esq = solution.lam * units.E_SQ
+def oracle_exponent(level_K, e_plus):
+    energy = level_K * units.K_B
+    lam_esq = LAM * units.E_SQ
     force = units.EV_ERG * e_plus
     disc = energy**2 - 4.0 * lam_esq * force
     if disc <= 0:
@@ -41,65 +41,66 @@ def oracle_exponent(solution, m, e_plus):
     return 2.0 * float(val) / units.HBAR
 
 
-def barrier_top_field(solution, m):
+def barrier_top_field(level_K):
     """Reverse field (V/cm) at which the barrier top 2 sqrt(lam e^2 eE) meets E_m."""
-    energy = solution.energies[m - 1] * units.K_B
-    return energy**2 / (4.0 * solution.lam * units.E_SQ * units.EV_ERG)
+    energy = level_K * units.K_B
+    return energy**2 / (4.0 * LAM * units.E_SQ * units.EV_ERG)
 
 
 @pytest.mark.parametrize("m,e_plus", [
     (1, 5.0), (1, 20.0), (1, 60.0), (2, 1.0), (2, 4.0), (1, 1e-3), (2, 1e-3),
 ])
-def test_exponent_matches_independent_oracle(solution, m, e_plus):
+def test_exponent_matches_independent_oracle(energies, m, e_plus):
     # every field here has W >= 1; 1e-3 V/cm puts W near 1e5-1e6
-    ours = readout.wkb_exponent(solution, m, e_plus)
-    oracle = oracle_exponent(solution, m, e_plus)
+    ours = readout.wkb_exponent(LAM, energies[m - 1], e_plus)
+    oracle = oracle_exponent(energies[m - 1], e_plus)
     assert oracle >= 1.0
     assert ours == pytest.approx(oracle, rel=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("below", [1e-3, 1e-4, 1e-6])
-def test_exponent_matches_independent_oracle_near_barrier_top(solution, m, below):
+def test_exponent_matches_independent_oracle_near_barrier_top(energies, m, below):
     # W falls linearly in 1 - E/E_top to 0 at the top: E(k) and K(k) cancel
     # there, so the closed form is held to an absolute bound
-    e_plus = barrier_top_field(solution, m) * (1.0 - below)
-    ours = readout.wkb_exponent(solution, m, e_plus)
-    oracle = oracle_exponent(solution, m, e_plus)
+    level = energies[m - 1]
+    e_plus = barrier_top_field(level) * (1.0 - below)
+    ours = readout.wkb_exponent(LAM, level, e_plus)
+    oracle = oracle_exponent(level, e_plus)
     assert 0.0 < oracle < 0.1
     assert abs(ours - oracle) < 1e-13
-    assert readout.wkb_exponent(solution, m, barrier_top_field(solution, m) * (1.0 + below)) == 0.0
+    assert readout.wkb_exponent(LAM, level, barrier_top_field(level) * (1.0 + below)) == 0.0
 
 
-def test_exponent_monotone_in_field(solution):
+def test_exponent_monotone_in_field(energies):
     fields = np.linspace(0.5, 50.0, 25)
-    expo = [readout.wkb_exponent(solution, 1, f) for f in fields]
+    expo = [readout.wkb_exponent(LAM, energies[0], f) for f in fields]
     assert all(b < a for a, b in zip(expo, expo[1:]))
 
 
-def test_rate_vanishes_at_weak_field(solution):
+def test_rate_vanishes_at_weak_field(energies):
     # barrier width diverges as the field is removed
-    assert readout.tunnel_rate(solution, 1, 1.0) < 1e-200
-    assert readout.tunnel_rate(solution, 2, 0.2) < 1e-60
+    assert readout.tunnel_rate(LAM, energies[0], 1.0) < 1e-200
+    assert readout.tunnel_rate(LAM, energies[1], 0.2) < 1e-60
 
 
-def test_excited_always_faster_when_both_bound(solution):
+def test_excited_always_faster_when_both_bound(energies):
     for e_plus in (0.5, 1.0, 2.0, 4.0, 6.0):
-        r1 = readout.tunnel_rate(solution, 1, e_plus)
-        r2 = readout.tunnel_rate(solution, 2, e_plus)
+        r1 = readout.tunnel_rate(LAM, energies[0], e_plus)
+        r2 = readout.tunnel_rate(LAM, energies[1], e_plus)
         assert r2 > r1
 
 
-def test_over_barrier_rate_is_attempt_frequency(solution):
+def test_over_barrier_rate_is_attempt_frequency(energies):
     # the excited state clears the barrier above ~6.7 V/cm
-    nu2 = abs(solution.energies[1]) * units.K_B / units.HBAR
-    assert readout.tunnel_rate(solution, 2, 50.0) == pytest.approx(nu2, rel=1e-12)
+    nu2 = abs(energies[1]) * units.K_B / units.HBAR
+    assert readout.tunnel_rate(LAM, energies[1], 50.0) == pytest.approx(nu2, rel=1e-12)
     assert nu2 == pytest.approx(2.48e11, rel=0.01)
 
 
-def test_plan_meets_selectivity_window(solution):
+def test_plan_meets_selectivity_window(energies):
     wait = 1e-6
-    plan = readout.plan(solution, wait, 1e6)
+    plan = readout.plan(LAM, energies, wait, 1e6)
     # frozen from the oracle scan: rate_2 * wait = 5 at ~4.214 V/cm
     assert plan.e_plus == pytest.approx(4.2139556, rel=1e-6)
     assert plan.t_2 == pytest.approx(wait / 5.0, rel=1e-9)
@@ -115,37 +116,37 @@ def test_plan_brackets_below_the_starting_field():
     from scipy.optimize import brentq
 
     basis = HydrogenicBasisSpec(lam=LAM)
-    crossing = brentq(lambda f: solve(basis, f).energies[1], 20.0, 60.0)
-    weak = solve(basis, crossing - 0.5)
-    assert -0.1 < weak.energies[1] < 0.0
+    crossing = brentq(lambda f: levels(basis, f)[1], 20.0, 60.0)
+    weak = levels(basis, crossing - 0.5)
+    assert -0.1 < weak[1] < 0.0
     wait = 1e-6
-    plan = readout.plan(weak, wait, 1e6)
+    plan = readout.plan(LAM, weak, wait, 1e6)
     assert 0.0 < plan.e_plus < 1e-3
     assert plan.t_2 == pytest.approx(wait / 5.0, rel=1e-7)
     assert plan.t_2 < wait < plan.t_1
 
 
-def test_plan_raises_when_even_the_barrier_top_is_too_slow(solution):
+def test_plan_raises_when_even_the_barrier_top_is_too_slow(energies):
     # above the barrier top the excited state escapes at its attempt
     # frequency nu_2 ~ 2.5e11 / s; five escape times in a 1 ps wait need 5e12 / s
     with pytest.raises(RuntimeError, match="no reverse field drives the excited state out"):
-        readout.plan(solution, 1e-12, 1e6)
+        readout.plan(LAM, energies, 1e-12, 1e6)
 
 
-def test_plan_reports_frontier_when_unreachable(solution):
+def test_plan_reports_frontier_when_unreachable(energies):
     # a selectivity beyond the ground state's protection cannot be met:
     # at the chosen field t_1/t_2 ~ 7e104, so ask for more than that
     with pytest.raises(RuntimeError, match="frontier"):
-        readout.plan(solution, 1e-6, 1e300)
+        readout.plan(LAM, energies, 1e-6, 1e300)
 
 
-def test_plan_rejects_degenerate_selectivity(solution):
+def test_plan_rejects_degenerate_selectivity(energies):
     with pytest.raises(ValueError):
-        readout.plan(solution, 1e-6, 1.0)
+        readout.plan(LAM, energies, 1e-6, 1.0)
 
 
-def test_shot_sampling_statistics(solution):
-    plan = readout.plan(solution, 1e-6, 1e6)
+def test_shot_sampling_statistics(energies):
+    plan = readout.plan(LAM, energies, 1e-6, 1e6)
     shots = 10_000
     p_survive = 0.3
     escaped, image = readout.sample_shots([p_survive], plan, shots, seed=123)
@@ -156,16 +157,16 @@ def test_shot_sampling_statistics(solution):
     assert image[(0, 0)] == tunneled
 
 
-def test_shot_sampling_certain_escape(solution):
-    plan = readout.plan(solution, 1e-6, 1e6)
+def test_shot_sampling_certain_escape(energies):
+    plan = readout.plan(LAM, energies, 1e-6, 1e6)
     escaped, image = readout.sample_shots([0.0, 1.0], plan, 100, seed=5)
     assert escaped[:, 0].all()
     assert not escaped[:, 1].any()
     assert image[(0, 0)] == 100
 
 
-def test_shot_sampling_reproducible(solution):
-    plan = readout.plan(solution, 1e-6, 1e6)
+def test_shot_sampling_reproducible(energies):
+    plan = readout.plan(LAM, energies, 1e-6, 1e6)
     a = readout.sample_shots([0.4, 0.7], plan, 500, seed=99)
     b = readout.sample_shots([0.4, 0.7], plan, 500, seed=99)
     assert np.array_equal(a[0], b[0])
@@ -174,11 +175,11 @@ def test_shot_sampling_reproducible(solution):
     assert not np.array_equal(a[0], c[0])
 
 
-def test_shot_frequency_error_scales_inverse_sqrt(solution):
+def test_shot_frequency_error_scales_inverse_sqrt(energies):
     # aggregate frequencies converge at the 1/sqrt(shots) rate: the
     # variance of the empirical rate over seed blocks falls by ~4x when
     # the shot count quadruples
-    plan = readout.plan(solution, 1e-6, 1e6)
+    plan = readout.plan(LAM, energies, 1e-6, 1e6)
     p = 0.37
 
     def block_variance(shots):
@@ -193,10 +194,10 @@ def test_shot_frequency_error_scales_inverse_sqrt(solution):
     assert v1 / v4 == pytest.approx(4.0, rel=0.6)
 
 
-def test_pixel_aggregation(solution):
+def test_pixel_aggregation(energies):
     # two sites half a micron apart with one-micron pixels share a pixel
     positions = np.array([[0.0, 0.0], [0.5e-4, 0.0]])
-    plan = readout.plan(solution, 1e-6, 1e6, pixel_size=1e-4,
+    plan = readout.plan(LAM, energies, 1e-6, 1e6, pixel_size=1e-4,
                         site_positions_cm=positions)
     assert plan.site_pixels == ((0, 0), (0, 0))
     escaped, image = readout.sample_shots([0.0, 0.0], plan, 50, seed=1)
@@ -204,10 +205,10 @@ def test_pixel_aggregation(solution):
     assert escaped[0].sum() == 2
 
 
-def test_survival_from_trace_record_matches_shots(solution):
+def test_survival_from_trace_record_matches_shots(energies):
     # end-to-end: the tunneling evolution's trace feeds the sampler and the
     # empirical escape fraction agrees within 3 binomial sigma
-    plan = readout.plan(solution, 1e-6, 1e6)
+    plan = readout.plan(LAM, energies, 1e-6, 1e6)
     ham = qubits.QubitArrayHamiltonian.from_parameters(eps_K=[0.75 * 7.5772])
     spec = dynamics.EvolutionSpec(
         sample_times=np.array([plan.wait]),
@@ -226,18 +227,18 @@ def test_survival_from_trace_record_matches_shots(solution):
     assert abs(tunneled - shots * (1 - survival)) <= 3 * sigma
 
 
-def test_survival_validation(solution):
-    plan = readout.plan(solution, 1e-6, 1e6)
+def test_survival_validation(energies):
+    plan = readout.plan(LAM, energies, 1e-6, 1e6)
     with pytest.raises(ValueError):
         readout.sample_shots([1.2], plan, 10, seed=0)
     with pytest.raises(ValueError):
         readout.sample_shots([-0.1], plan, 10, seed=0)
 
 
-def test_plan_repeats_exactly(solution):
-    first = readout.plan(solution, 1e-6, 1e6)
+def test_plan_repeats_exactly(energies):
+    first = readout.plan(LAM, energies, 1e-6, 1e6)
     for _ in range(2):
-        again = readout.plan(solution, 1e-6, 1e6)
+        again = readout.plan(LAM, energies, 1e-6, 1e6)
         assert (again.e_plus, again.t_1, again.t_2) == (first.e_plus, first.t_1, first.t_2)
 
 
@@ -260,8 +261,8 @@ def test_vectorized_philox_matches_numpy_generators(seed, n_sites):
         assert np.array_equal(draws, philox_oracle(seed, 0, shots, n_sites))
 
 
-def test_shots_cross_the_chunk_boundary(solution):
-    plan = readout.plan(solution, 1e-6, 1e6)
+def test_shots_cross_the_chunk_boundary(energies):
+    plan = readout.plan(LAM, energies, 1e-6, 1e6)
     chunk, n_sites, seed = readout._SHOT_CHUNK, 5, 2**64 + 3
     shots = chunk + 7
     survival = np.linspace(0.2, 0.8, n_sites)
@@ -273,9 +274,9 @@ def test_shots_cross_the_chunk_boundary(solution):
     assert image == {(0, 0): int(escaped.sum())}
 
 
-def test_seed_outside_the_key_range_raises(solution):
+def test_seed_outside_the_key_range_raises(energies):
     # the key is 128 bits; NumPy's own range check is no longer on the path
-    plan = readout.plan(solution, 1e-6, 1e6)
+    plan = readout.plan(LAM, energies, 1e-6, 1e6)
     for seed in (-1, 2**128, 2**130):
         with pytest.raises(ValueError, match=r"\[0, 2\*\*128 - 1\]"):
             readout.sample_shots([0.5], plan, 10, seed)
