@@ -1,4 +1,4 @@
-"""Layer timings of the Stark map, register builds, the readout plan and cold CLI processes.
+"""Layer timings of the Stark map, register builds, density-matrix steps, readout, artifact text and cold CLI processes.
 
     python bench/layers.py [--repeats 7] [--label NAME] [--src DIR] [--out FILE]
 
@@ -18,10 +18,23 @@ Times, in this process unless noted:
   0.3 pi with ramps of a sixteenth of the sudden dwell, and at pi/2 with
   such ramps, which raises that sin^2(alpha) is out of reach; each with its
   `dynamics.evolve` calls and `dynamics.solve_ivp` runs counted;
+- `dm_rhs_n3`, `dm_rhs_n4`, `dm_rhs_n5`: one density-matrix right-hand side
+  (H(t) and `_Liouvillian.apply`) on the falling piece of a triangle-envelope
+  pi pulse on n zero-voltage sites, with the decoherence budget and
+  tunneling on, as in perfbench's open-system-readout evolves;
+- `dm_triangle_evolve_n4`: that pulse's whole `evolve` at n = 4, two DOP853
+  pieces, with its integrator runs and right-hand-side evaluations (`nfev`);
+- `dump_json_dm_n5`: `cli.dump_json` of that evolve's result document at
+  n = 5 (4 samples of a 32 x 32 density matrix);
 - `wkb_exponent`: one barrier exponent, states 1 and 2 at weak to strong
   reverse fields;
 - `readout_plan`: one `readout.plan` of the zero-field levels (wait
   1e-7 s, selectivity 1e6), with its exponent evaluations counted;
+- `sample_shots`: 4000 shots of 8 sites, half of them excited;
+- `dump_json_readout`: `cli.dump_json` of the `readout` document of those
+  shots, as `run_readout` passes it;
+- `load_config`: one `cli.load_config` of a readout config, schema
+  validator built;
 - `moment_tables`: the uncached moment tables of the 32- and 37-state
   bases, which every process builds once;
 - in fresh interpreters (wall time and `ru_maxrss`), beside `python -c pass`:
@@ -57,6 +70,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LOOKUPS = 200              # distinct fields per lookup repeat
 SOLVES = 20                # checked solves per transition_K repeat
 PLANS = 20                 # readout plans per repeat
+RHS_EVALS = 500            # density-matrix right-hand sides per repeat
 
 
 def _stats(samples: list[float], unit: str, **extra) -> dict:
@@ -118,7 +132,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     import numpy as np
     import scipy
 
-    from helioq import dynamics, hydrogenic, pulses, qubits, readout, units
+    from helioq import cli, dynamics, hydrogenic, pulses, qubits, readout, units
 
     basis = hydrogenic.HydrogenicBasisSpec(lam=units.image_strength(units.EPSILON_HE))
     geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0)))
@@ -207,6 +221,60 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         runs = counted(run)
         layers[name] = _stats(_timed(run, repeats), "s", **runs)
 
+    def dm_job(n: int) -> dict:
+        """A triangle-envelope pi pulse on n zero-voltage sites, budget on, tunneling from the apex."""
+        duration = 2 * math.pi / 6.4838e8   # at 1 V/cm and the zero-field drive coefficient
+        return {
+            "device": {"d_um": 1.0, "sites": [[i % 3, i // 3] for i in range(n)],
+                       "B_T": 1.5, "T_K": 0.01, "voltages_mV": [0.0] * n},
+            "noise": {"s_v": 5e-10},
+            "schedule": {"duration_s": duration, "microwave": [{
+                "freq_GHz": 0.75 * basis.scales[0] * units.K_TO_GHZ, "amp_V_per_cm": 1.0,
+                "phase": 0.7, "envelope": [[0.0, 0.0], [duration / 2, 1.0], [duration, 0.0]]}]},
+            "initial": {"bits": "u" + "d" * (n - 1), "mode": "density-matrix"},
+            "evolution": {"sample_count": 4, "use_budget": True,
+                          "tunneling": {"t_f_s": duration / 2, "t_up_s": duration}},
+        }
+
+    def dm_evolve(n: int):
+        """(ham, schedule, initial, spec) of `dm_job(n)`, read as `cli.run_evolve` reads it."""
+        config = dm_job(n)
+        sched = pulses.PulseSchedule.from_dict(config["schedule"])
+        initial = dynamics.RegisterState.density_matrix(config["initial"]["bits"])
+        return cli._build_register(config), sched, initial, cli._evolution_spec(config, sched.duration)
+
+    for n in (3, 4, 5):
+        ham_n, sched_n, _, spec_n = dm_evolve(n)
+        system = dynamics._System(ham_n, sched_n, spec_n)
+        liou = dynamics._Liouvillian(system, spec_n.budget, spec_n.tunneling)
+        ta, tb = 0.5 * sched_n.duration, sched_n.duration
+        h_at = system.dense_h_on(ta, tb)
+        g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = (g @ g.conj().T / np.vdot(g, g)).reshape(-1)   # a random density matrix
+        times = np.linspace(ta, tb, RHS_EVALS)
+        layers[f"dm_rhs_n{n}"] = _stats(_timed(
+            lambda _, h_at=h_at, liou=liou, rho=rho: [liou.apply(h_at(t), rho, True) for t in times],
+            repeats, RHS_EVALS), "s")
+
+    nfev = []
+    ivp = dynamics.solve_ivp
+
+    def counted_ivp(*args, **kwargs):
+        sol = ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    dm_n4 = dm_evolve(4)
+    dynamics.solve_ivp = counted_ivp
+    try:
+        dynamics.evolve(*dm_n4)
+    finally:
+        dynamics.solve_ivp = ivp
+    layers["dm_triangle_evolve_n4"] = _stats(_timed(lambda _: dynamics.evolve(*dm_n4), repeats), "s",
+                                             integrator_runs=len(nfev), nfev=sum(nfev))
+    dm_doc = {"result": dynamics.evolve(*dm_evolve(5)).to_json_dict()}
+    layers["dump_json_dm_n5"] = _stats(_timed(lambda _: cli.dump_json(dm_doc), repeats), "s")
+
     energies = hydrogenic.levels(basis, 0.0)
     exponent_args = [(e, f) for e in energies[:2] for f in (1e-3, 0.1, 1.0, 4.0, 6.0)]
     layers["wkb_exponent"] = _stats(_timed(
@@ -222,6 +290,32 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     layers["readout_plan"] = _stats(_timed(
         lambda _: [readout.plan(basis.lam, energies, 1e-7, 1e6) for _ in range(PLANS)],
         repeats, PLANS), "s", wkb_evaluations=len(exponents))
+
+    readout_config = {
+        "seed": 3,
+        "device": {"d_um": 1.0, "sites": [[i % 3, i // 3] for i in range(8)], "B_T": 1.5,
+                   "T_K": 0.01, "voltages_mV": [0.0] * 8},
+        "readout": {"wait_s": 1e-7, "selectivity": 1e6, "shots": 4000, "initial_bits": "ud" * 4},
+    }
+    geom8 = cli.device_geometry(readout_config["device"])
+    plan8 = readout.plan(basis.lam, energies, 1e-7, 1e6, pixel_size=1e-4,
+                         site_positions_cm=geom8.positions_cm())
+    survival = [math.exp(-1e-7 / plan8.t_2), 1.0] * 4
+    layers["sample_shots"] = _stats(_timed(
+        lambda _: readout.sample_shots(survival, plan8, 4000, 3), repeats), "s")
+
+    class Capture:
+        """The `_Writer` calls of one `run_*`: keeps the JSON payload, drops the CSV."""
+
+        def csv(self, *args, **kwargs):
+            pass
+
+        def json(self, payload):
+            self.payload = payload
+
+    capture = Capture()
+    cli.run_readout(readout_config, capture)
+    layers["dump_json_readout"] = _stats(_timed(lambda _: cli.dump_json(capture.payload), repeats), "s")
 
     layers["moment_tables"] = _stats(_timed(
         lambda _: [hydrogenic._moment_matrix.__wrapped__(size, 1, max(96, size + 8))
@@ -248,6 +342,9 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     for name, config in configs.items():
         cfg[name] = workdir / f"{name}.json"
         cfg[name].write_text(json.dumps({"output_dir": str(workdir / "out"), **config}))
+
+    cli.load_config(str(cfg["readout"]), [])   # builds the schema validator, once per process
+    layers["load_config"] = _stats(_timed(lambda _: cli.load_config(str(cfg["readout"]), []), repeats), "s")
 
     def helioq(sub: str, name: str) -> list[str]:
         return [sys.executable, "-m", "helioq", sub, "--config", str(cfg[name])]

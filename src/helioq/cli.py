@@ -86,9 +86,20 @@ def _rows(a: np.ndarray, indent: int):
     fmt = kinds.get(a.dtype.kind)  # tolist() gives Python bools, ints and floats
     if fmt and a.ndim == 1:
         return map(fmt, a.tolist())
-    if fmt and a.ndim == 2 and a.shape[1] <= 16:
-        return ("[" + ", ".join(map(fmt, r)) + "]" for r in a.tolist())
-    return (dump_json(r, indent) for r in a)
+    if not (fmt and a.ndim == 2 and a.shape[1] <= 16):
+        return (dump_json(r, indent) for r in a)
+    if a.dtype.kind == "f" and len(a) and np.isfinite(a).all():
+        # one '%.17g' template over the block, a line per row ('%.17g' % x is
+        # format(x, '.17g')); inf and NaN take _format_float below
+        block = "\n".join(["[" + ", ".join(["%.17g"] * a.shape[1]) + "]"] * len(a))
+        return (block % tuple(a.reshape(-1).tolist())).split("\n")
+    if a.dtype.kind == "b":
+        # each distinct row is written once; a row's bits, read as a number, name it
+        code = a @ (1 << np.arange(a.shape[1]))
+        _, first, which = np.unique(code, return_index=True, return_inverse=True)
+        text = ["[" + ", ".join(map(fmt, r)) + "]" for r in a[first].tolist()]
+        return map(text.__getitem__, which.tolist())
+    return ("[" + ", ".join(map(fmt, r)) + "]" for r in a.tolist())
 
 
 def dump_json(obj, indent: int = 0) -> str:

@@ -34,8 +34,10 @@ sparse Liouvillian -i(H (x) I - I (x) H^T) + D, D the loss channels, whose
 exponential expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
 2011) applies from sample to sample.  Other pieces take one DOP853 run,
 read by its dense output (Hairer, Norsett & Wanner, Solving ODEs I).  For
-a density matrix it integrates -i(H rho - (H rho)^dagger) + D, one product,
-with H = A + t B built once per piece where linear in t (rwa, voltages held).
+a density matrix each evaluation is one pass: one dense product X = H rho,
+with H = A + t B built once per piece where linear in t (rwa, voltages
+held), the commutator -i(X - X^dagger) written into one fresh array, and
+D vec(rho) added into that array by SciPy's CSR kernel.
 
 SciPy loads on first use, so importing this module costs NumPy alone:
 `scipy.sparse` when an evolve builds its CSR matrices, `scipy.sparse.linalg`
@@ -367,7 +369,7 @@ class _System:
 class _Liouvillian:
     """Density-matrix generator -i[H(t), .] + D, less {G, .} once tunneling is on.
 
-    Only D and D - {G, .} are stored, as CSR and as `_one_per_row` terms.
+    Only D and D - {G, .} are stored, as complex CSR and as `_one_per_row` terms.
     On row-major vec(rho), op (x) I acts as op @ rho and I (x) op^T as
     rho @ op.  D holds relaxation sqrt(1/T1) s- (jumps as index flips, and
     decay) and dephasing sqrt(2/T2_eff) sz/2, which alone decays coherences
@@ -389,9 +391,13 @@ class _Liouvillian:
         # without tunneling, escape takes forever and G vanishes
         t_up = math.inf if tunneling is None else tunneling.t_up
         g = sum((idx >> q) & 1 for q in range(sys.n)) / (2.0 * t_up)
-        # both indexed by the piece's tunneling flag
+        # both indexed by the piece's tunneling flag; complex like rho, so
+        # the kernel below reads D as stored, with no cast per evaluation
         self.decay = (decay, decay - (g[:, None] + g[None, :]))
-        self.dissipator = tuple(_one_per_row([(0, d), *self.jumps], dim, dim) for d in self.decay)
+        self.dissipator = tuple(_one_per_row([(0, d + 0j), *self.jumps], dim, dim) for d in self.decay)
+        from scipy.sparse._sparsetools import csr_matvec  # out += D @ y, what D @ y runs
+
+        self.matvec = csr_matvec
 
     def constant(self, t, tunneling: bool):
         """(L', r) with L(t) = L' + diag(r), the two commuting.
@@ -415,9 +421,16 @@ class _Liouvillian:
         return op, -1j * w * (e[:, None] - e[None, :]).ravel()
 
     def apply(self, h, y, tunneling: bool) -> np.ndarray:
-        """L(t) @ y for the dense H(t); rho is Hermitian, so rho H is (H rho)^dagger."""
-        hr = h @ y.reshape(h.shape)
-        return (-1j * (hr - hr.conj().T)).reshape(-1) + self.dissipator[tunneling] @ y
+        """L(t) @ y for the dense H(t); rho is Hermitian, so rho H is (H rho)^dagger.
+
+        The result is a fresh array on every call: DOP853 keeps the last one.
+        """
+        x = h @ y.reshape(h.shape)
+        out = np.subtract(x, x.conj().T, order="C")  # C order: the kernel adds into its memory
+        out *= -1j
+        d = self.dissipator[tunneling]
+        self.matvec(y.size, y.size, d.indptr, d.indices, d.data, y, out.reshape(-1))
+        return out.reshape(-1)
 
 
 def evolve(

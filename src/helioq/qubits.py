@@ -274,8 +274,8 @@ def build(
     `voltages` (volts) is a scalar or one value per site.  Matrix elements
     are recomputed at each site's total pressing field, so both the qubit
     frequencies and the couplings inherit the field dependence: one checked
-    eigensolve per site gives E_2 - E_1 and, from the two lowest
-    eigenvectors, <1|z|1>, <2|z|2> and <1|z|2>.
+    eigensolve per distinct site field gives E_2 - E_1 and, from the two
+    lowest eigenvectors, <1|z|1>, <2|z|2> and <1|z|2>.
     """
     if basis is None:
         basis = HydrogenicBasisSpec(lam=image_strength(EPSILON_HE))
@@ -283,16 +283,17 @@ def build(
     v = np.broadcast_to(np.asarray(voltages, dtype=float), (n,)).copy()
     fields = np.asarray(site_field(geometry, v), dtype=float).reshape(n)
 
-    eps = np.empty(n)
-    z11 = np.empty(n)
-    z22 = np.empty(n)
-    z12 = np.empty(n)
-    for i, f in enumerate(fields):
-        energies, vecs, z_cm = _checked_eigensystem(basis, float(f), vectors=True)
+    # the distinct fields in site order, so a failing solve names the first site's field
+    distinct = {f: k for k, f in enumerate(dict.fromkeys(fields.tolist()))}
+    eps, z11, z22, z12 = np.empty((4, len(distinct)))
+    for f, k in distinct.items():
+        energies, vecs, z_cm = _checked_eigensystem(basis, f, vectors=True)
         # states 1 and 2, each signed so its dominant zero-field component is positive
         low = vecs[:, :2] * np.sign(vecs[np.abs(vecs[:, :2]).argmax(axis=0), [0, 1]])
-        (z11[i], z12[i]), (_, z22[i]) = low.T @ z_cm @ low
-        eps[i] = energies[1] - energies[0]
+        (z11[k], z12[k]), (_, z22[k]) = low.T @ z_cm @ low
+        eps[k] = energies[1] - energies[0]
+    site = [distinct[f] for f in fields.tolist()]
+    eps, z11, z22, z12 = eps[site], z11[site], z22[site], z12[site]
 
     a, b = _pair_couplings(geometry, z11 - z22, z12)
     drive_coeff = EV_ERG * float(np.abs(z12).mean()) / HBAR

@@ -22,7 +22,9 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert set(layers) == {
         "transition_K", "build_n2", "build_n9", "stark_build", "stark_lookup", "ramped_swap_evolve",
         "refine_sudden", "refine_ramped", "refine_out_of_reach",
-        "wkb_exponent", "readout_plan", "moment_tables", "cold_python_pass",
+        "dm_rhs_n3", "dm_rhs_n4", "dm_rhs_n5", "dm_triangle_evolve_n4", "dump_json_dm_n5",
+        "wkb_exponent", "readout_plan", "sample_shots", "dump_json_readout", "load_config",
+        "moment_tables", "cold_python_pass",
         "cold_import_cli", "cold_setup", "cold_spectrum", "cold_demo_swap",
         "cold_demo_swap_sudden", "cold_evolve_dm", "cold_readout",
     }
@@ -35,4 +37,7 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     for name in ("refine_ramped", "refine_out_of_reach"):
         assert 0 < layers[name]["integrator_runs"] <= 3
     assert layers["readout_plan"]["wkb_evaluations"] > 0
+    # the triangle's rise and fall, tunneling switched on at the apex between them
+    assert layers["dm_triangle_evolve_n4"]["integrator_runs"] == 2
+    assert layers["dm_triangle_evolve_n4"]["nfev"] > 100
     assert all(v["peak_rss_mib"]["value"] > 0 for k, v in layers.items() if k.startswith("cold_"))

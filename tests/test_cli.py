@@ -907,14 +907,28 @@ def test_dump_json_matches_the_recursive_serializer(doc):
     assert cli.dump_json(doc) == dump_json(doc)
 
 
-@pytest.mark.parametrize("shape", [(0, 2), (0, 3, 2), (2, 0, 2), (2, 0), (1, 17)])
+_EDGE_BLOCKS = {
+    "extreme-doubles": np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                                 [0.0, -5e-324, -1.7976931348623157e308]]),
+    "one-inf": np.array([[0.1, 1 / 3], [np.inf, 2.0]]),   # writes null, element by element
+    "16-columns": np.linspace(-1.0, 1.0, 48).reshape(3, 16) / 3,   # one row per line
+    "17-columns": np.linspace(-1.0, 1.0, 51).reshape(3, 17) / 3,   # one value per line
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (0, 3, 2), (2, 0, 2), (2, 0), (1, 17), *_EDGE_BLOCKS])
 def test_dump_json_writes_empty_and_wide_float_arrays_as_their_lists(shape):
-    # the row-by-row path's edges, which the strategy above seldom draws
-    doc = {"a": np.arange(math.prod(shape), dtype=float).reshape(shape)}
+    # the row-by-row path's edges, which the strategy above seldom draws: a shape
+    # of np.arange values, or the name of one of the blocks above
+    if isinstance(shape, str):
+        doc = {"a": _EDGE_BLOCKS[shape]}
+    else:
+        doc = {"a": np.arange(math.prod(shape), dtype=float).reshape(shape)}
     assert cli.dump_json(doc) == dump_json(doc)
 
 
-@pytest.mark.parametrize("sites,shots", [(1, 1), (1, 40), (4, 300), (16, 40), (17, 1), (17, 40)])
+@pytest.mark.parametrize("sites,shots", [(1, 1), (1, 40), (4, 300), (8, 4000), (16, 40), (17, 1),
+                                         (17, 40)])
 def test_readout_log_matches_the_recursive_serializer(tmp_path, monkeypatch, sites, shots):
     # 17 sites cross the 16-value inline limit: each shot's row goes one value per line
     from helioq import readout

@@ -981,7 +981,7 @@ def ramped_drive(ham, phase):
 
 @pytest.mark.parametrize("phase", [0.0, math.pi / 2], ids=["phase-0", "phase-pi/2"])
 @pytest.mark.parametrize("tunneling", [False, True], ids=["tunneling-off", "tunneling-on"])
-@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
 def test_linear_piece_rhs_matches_the_two_product_form(n, tunneling, phase):
     ham = coupled_register(n, seed=n)
     spec = EvolutionSpec(sample_times=[T_SEG], budget=loss_budget(3 * T_SEG, 2 * T_SEG),
@@ -997,6 +997,29 @@ def test_linear_piece_rhs_matches_the_two_product_form(n, tunneling, phase):
         expect += liou.dissipator[tunneling] @ rho.reshape(-1)
         applied = liou.apply(h_at(t), rho.reshape(-1), tunneling)
         assert np.abs(applied - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("tunneling", [False, True], ids=["tunneling-off", "tunneling-on"])
+def test_density_matrix_rhs_is_a_fresh_array_and_leaves_y_alone(tunneling):
+    # DOP853 keeps the last right-hand side as its f: a reused buffer would overwrite it
+    n = 3
+    ham = coupled_register(n, seed=n)
+    spec = EvolutionSpec(sample_times=[T_SEG], budget=loss_budget(3 * T_SEG, 2 * T_SEG),
+                         tunneling=TunnelingSpec(0.0, 4 * T_SEG))
+    sys = dynamics._System(ham, ramped_drive(ham, 0.3), spec)
+    liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
+    h = sys.dense_h(0.6 * T_SEG)
+    y = random_density_matrix(2**n, seed=1).reshape(-1)
+    y_before, h_before = y.copy(), h.copy()
+    first = liou.apply(h, y, tunneling)
+    first_before = first.copy()
+    second = liou.apply(h, y, tunneling)
+    liou.apply(h, random_density_matrix(2**n, seed=2).reshape(-1), tunneling)
+    assert np.array_equal(y, y_before) and np.array_equal(h, h_before)
+    assert np.array_equal(first, first_before) and np.array_equal(first, second)
+    assert first.shape == y.shape and first.flags.c_contiguous
+    for a, b in ((first, second), (first, y), (second, y), (first, h)):
+        assert not np.shares_memory(a, b)
 
 
 def test_moving_voltages_and_lab_drives_read_dense_h(device_pair):

@@ -145,6 +145,29 @@ def test_build_deterministic(pair_geometry):
     )
 
 
+@pytest.mark.parametrize("volts_mV,solves", [
+    ([0.0] * 5, 1), ([0.0, 0.1, 0.0, 0.1, 0.2], 3), ([0.0, 0.05, 0.1, 0.15, 0.2], 5),
+])
+def test_build_solves_each_distinct_site_field_once(monkeypatch, volts_mV, solves):
+    grid = qubits.DeviceGeometry(pitch=0.5e-4, sites=tuple((i % 3, i // 3) for i in range(5)))
+    fields = []
+    checked = qubits._checked_eigensystem
+
+    def counted(spec, e_perp, vectors=False):
+        fields.append(e_perp)
+        return checked(spec, e_perp, vectors)
+
+    monkeypatch.setattr(qubits, "_checked_eigensystem", counted)
+    volts = np.array(volts_mV) * 1e-3
+    ham = qubits.build(grid, voltages=volts)
+    assert len(fields) == solves == len(set(fields))
+    # each site reads what a one-site build at its own voltage solves
+    for i, v in enumerate(volts):
+        alone = qubits.build(qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0),)), voltages=v)
+        for name in ("eps_K", "z11_cm", "z22_cm", "z12_cm"):
+            assert getattr(ham, name)[i] == getattr(alone, name)[0]
+
+
 def test_stark_map_memory_is_bounded(pair_geometry):
     # a map holds one fixed coefficient series, shared by every map of its
     # basis, that no number of lookups grows; the per-basis cache of those
