@@ -22,8 +22,12 @@ Times, in this process unless noted:
   (H(t) and `_Liouvillian.apply`) on the falling piece of a triangle-envelope
   pi pulse on n zero-voltage sites, with the decoherence budget and
   tunneling on, as in perfbench's open-system-readout evolves;
-- `dm_triangle_evolve_n4`: that pulse's whole `evolve` at n = 4, two DOP853
-  pieces, with its integrator runs and right-hand-side evaluations (`nfev`);
+- `dm_triangle_evolve_n4`: that pulse's whole `evolve` at n = 4, two pieces,
+  with its Taylor steps and terms (`taylor_steps`, `taylor_terms`) and any
+  DOP853 runs and right-hand-side evaluations (`integrator_runs`, `nfev`);
+- `dm_constant_evolve_n5`: the same pulse with a constant envelope at n = 5,
+  counted alike, and `dm_constant_evolve_n8`, that pulse's `python -m helioq
+  evolve` at n = 8 in a fresh interpreter, with its `ru_maxrss`;
 - `dump_json_dm_n5`: `cli.dump_json` of that evolve's result document at
   n = 5 (4 samples of a 32 x 32 density matrix);
 - `wkb_exponent`: one barrier exponent, states 1 and 2 at weak to strong
@@ -46,11 +50,13 @@ Times, in this process unless noted:
   `cold_readout` (4 sites, 4000 shots).
 
 Each value is the minimum of `--repeats` repeats, stored with the repeat
-count, median and maximum.  The run is stored under `--label` in `--out`
-(default `BENCH_stark_map.json` at the repository root), beside the runs of
-other labels already there, with its run record: commit, nproc, BLAS
-threads and the Python, NumPy and SciPy versions.  `--src` times the package
-of another checkout's `src/`; pair runs only when they come from one host.
+count, median and maximum.  The repeats run round-robin, one of each layer
+in turn, so a burst of load from other processes hits every layer alike.
+The run is stored under `--label` in `--out` (default `BENCH_stark_map.json`
+at the repository root), beside the runs of other labels already there,
+with its run record: commit, nproc, BLAS threads and the Python, NumPy and
+SciPy versions.  `--src` times the package of another checkout's `src/`;
+pair runs only when they come from one host.
 """
 from __future__ import annotations
 
@@ -78,14 +84,14 @@ def _stats(samples: list[float], unit: str, **extra) -> dict:
             "median": statistics.median(samples), "max": max(samples), **extra}
 
 
-def _timed(fn, repeats: int, per: int = 1, setup=None) -> list[float]:
-    out = []
-    for _ in range(repeats):
+def _timed(fn, per: int = 1, setup=None):
+    """A repeat of fn(setup()): its wall time (s) over `per`."""
+    def repeat() -> float:
         arg = setup() if setup else None
         t0 = time.perf_counter()
         fn(arg)
-        out.append((time.perf_counter() - t0) / per)
-    return out
+        return (time.perf_counter() - t0) / per
+    return repeat
 
 
 # runs argv once and prints its wall time, ru_maxrss (KiB) and exit code; a
@@ -98,18 +104,17 @@ print(time.perf_counter() - t0, usage.ru_maxrss, os.waitstatus_to_exitcode(statu
 """
 
 
-def _cold(argv: list[str], src: Path, repeats: int) -> tuple[list[float], list[float]]:
-    """Wall time (s) and peak RSS (MiB) of `argv` in fresh interpreters."""
+def _cold(argv: list[str], src: Path):
+    """A repeat of `argv` in a fresh interpreter: its wall time (s) and peak RSS (MiB)."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    walls, rss = [], []
-    for _ in range(repeats):
+
+    def repeat() -> tuple[float, float]:
         out = subprocess.run([sys.executable, "-c", _LAUNCH, *argv], env=env,
                              capture_output=True, text=True, check=True).stdout.split()
         if out[2] != "0":
             raise RuntimeError(f"{argv} exited {out[2]}")
-        walls.append(float(out[0]))
-        rss.append(int(out[1]) / 1024.0)
-    return walls, rss
+        return float(out[0]), int(out[1]) / 1024.0
+    return repeat
 
 
 def _blas_threads() -> dict:
@@ -139,27 +144,26 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     volts = np.array([0.0, 5e-5])
     ham = qubits.build(geom, voltages=volts)     # fills the moment tables
     rng = np.random.default_rng(0)
-    layers = {}
+    plan, extras = {}, {}   # layer -> one repeat, and the counts stored beside its times
 
     solve_fields = rng.uniform(0.0, 2.0, SOLVES)
-    layers["transition_K"] = _stats(_timed(
-        lambda _: [hydrogenic.transition_K(basis, f) for f in solve_fields],
-        repeats, SOLVES), "s")
+    plan["transition_K"] = _timed(
+        lambda _: [hydrogenic.transition_K(basis, f) for f in solve_fields], SOLVES)
 
     grid = qubits.DeviceGeometry(pitch=0.5e-4, sites=tuple((i % 3, i // 3) for i in range(9)))
     grid_volts = np.linspace(0.0, 4e-4, 9)
     for name, g, v in (("build_n2", geom, volts), ("build_n9", grid, grid_volts)):
-        layers[name] = _stats(_timed(lambda _, g=g, v=v: qubits.build(g, voltages=v), repeats), "s")
+        plan[name] = _timed(lambda _, g=g, v=v: qubits.build(g, voltages=v))
 
     fit = getattr(qubits, "_stark_fit", None)
     if fit is not None:
-        layers["stark_build"] = _stats(_timed(lambda _: fit.__wrapped__(basis), repeats), "s",
-                                       terms=len(fit(basis)))
+        plan["stark_build"] = _timed(lambda _: fit.__wrapped__(basis))
+        extras["stark_build"] = {"terms": len(fit(basis))}
     qubits._StarkMap(basis).exact(1.0)   # a map with a shared fit builds it here
     lookup_fields = rng.uniform(0.0, 2.0, LOOKUPS)
-    layers["stark_lookup"] = _stats(_timed(
+    plan["stark_lookup"] = _timed(
         lambda stark: [stark.exact(f) for f in lookup_fields],
-        repeats, LOOKUPS, setup=lambda: qubits._StarkMap(basis)), "s")
+        LOOKUPS, setup=lambda: qubits._StarkMap(basis))
 
     dwell = pulses.calibrate_swap(ham, (0, 1), math.pi / 2)
     ramp = dwell / 8
@@ -180,8 +184,8 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         evolve_once(fresh())
     finally:
         qubits._StarkMap.exact = exact
-    layers["ramped_swap_evolve"] = _stats(_timed(evolve_once, repeats, setup=fresh), "s",
-                                          stark_lookups=len(lookups))
+    plan["ramped_swap_evolve"] = _timed(evolve_once, setup=fresh)
+    extras["ramped_swap_evolve"] = {"stark_lookups": len(lookups)}
 
     def counted(fn) -> dict:
         """`dynamics.evolve` calls and `dynamics.solve_ivp` runs of one fn(None)."""
@@ -218,27 +222,28 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         ("refine_ramped", refine(0.3 * math.pi, 1 / 16)),
         ("refine_out_of_reach", refine(math.pi / 2, 1 / 16, in_reach=False)),
     ):
-        runs = counted(run)
-        layers[name] = _stats(_timed(run, repeats), "s", **runs)
+        extras[name] = counted(run)
+        plan[name] = _timed(run)
 
-    def dm_job(n: int) -> dict:
-        """A triangle-envelope pi pulse on n zero-voltage sites, budget on, tunneling from the apex."""
+    def dm_job(n: int, envelope: bool = True) -> dict:
+        """A pi pulse, triangle or constant, on n zero-voltage sites; budget on, tunneling from halfway."""
         duration = 2 * math.pi / 6.4838e8   # at 1 V/cm and the zero-field drive coefficient
+        drive = {"freq_GHz": 0.75 * basis.scales[0] * units.K_TO_GHZ, "amp_V_per_cm": 1.0, "phase": 0.7}
+        if envelope:
+            drive["envelope"] = [[0.0, 0.0], [duration / 2, 1.0], [duration, 0.0]]
         return {
             "device": {"d_um": 1.0, "sites": [[i % 3, i // 3] for i in range(n)],
                        "B_T": 1.5, "T_K": 0.01, "voltages_mV": [0.0] * n},
             "noise": {"s_v": 5e-10},
-            "schedule": {"duration_s": duration, "microwave": [{
-                "freq_GHz": 0.75 * basis.scales[0] * units.K_TO_GHZ, "amp_V_per_cm": 1.0,
-                "phase": 0.7, "envelope": [[0.0, 0.0], [duration / 2, 1.0], [duration, 0.0]]}]},
+            "schedule": {"duration_s": duration, "microwave": [drive]},
             "initial": {"bits": "u" + "d" * (n - 1), "mode": "density-matrix"},
             "evolution": {"sample_count": 4, "use_budget": True,
                           "tunneling": {"t_f_s": duration / 2, "t_up_s": duration}},
         }
 
-    def dm_evolve(n: int):
+    def dm_evolve(n: int, envelope: bool = True):
         """(ham, schedule, initial, spec) of `dm_job(n)`, read as `cli.run_evolve` reads it."""
-        config = dm_job(n)
+        config = dm_job(n, envelope)
         sched = pulses.PulseSchedule.from_dict(config["schedule"])
         initial = dynamics.RegisterState.density_matrix(config["initial"]["bits"])
         return cli._build_register(config), sched, initial, cli._evolution_spec(config, sched.duration)
@@ -248,38 +253,59 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         system = dynamics._System(ham_n, sched_n, spec_n)
         liou = dynamics._Liouvillian(system, spec_n.budget, spec_n.tunneling)
         ta, tb = 0.5 * sched_n.duration, sched_n.duration
-        h_at = system.dense_h_on(ta, tb)
+        if hasattr(system, "linear_h"):
+            a, b, _ = system.linear_h(ta, tb)
+            h_at = (lambda t, a=a, b=b, tm=0.5 * (ta + tb): a + (t - tm) * b)
+        else:   # a checkout from before the Taylor steps
+            h_at = system.dense_h_on(ta, tb)
         g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         rho = (g @ g.conj().T / np.vdot(g, g)).reshape(-1)   # a random density matrix
         times = np.linspace(ta, tb, RHS_EVALS)
-        layers[f"dm_rhs_n{n}"] = _stats(_timed(
+        plan[f"dm_rhs_n{n}"] = _timed(
             lambda _, h_at=h_at, liou=liou, rho=rho: [liou.apply(h_at(t), rho, True) for t in times],
-            repeats, RHS_EVALS), "s")
+            RHS_EVALS)
 
-    nfev = []
-    ivp = dynamics.solve_ivp
+    def dm_counts(args) -> dict:
+        """Taylor steps and terms, DOP853 runs and evaluations, of one `evolve(*args)`."""
+        counts = {"series": 0, "apply": 0, "nfev": []}
+        originals = {name: getattr(dynamics._Liouvillian, name, None) for name in ("series", "apply")}
+        ivp = dynamics.solve_ivp
 
-    def counted_ivp(*args, **kwargs):
-        sol = ivp(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
+        def counted_ivp(*a, **k):
+            sol = ivp(*a, **k)
+            counts["nfev"].append(sol.nfev)
+            return sol
 
-    dm_n4 = dm_evolve(4)
-    dynamics.solve_ivp = counted_ivp
-    try:
-        dynamics.evolve(*dm_n4)
-    finally:
-        dynamics.solve_ivp = ivp
-    layers["dm_triangle_evolve_n4"] = _stats(_timed(lambda _: dynamics.evolve(*dm_n4), repeats), "s",
-                                             integrator_runs=len(nfev), nfev=sum(nfev))
+        for name, original in originals.items():
+            if original is not None:
+                def count(*a, _name=name, _fn=original, **k):
+                    counts[_name] += 1
+                    return _fn(*a, **k)
+                setattr(dynamics._Liouvillian, name, count)
+        dynamics.solve_ivp = counted_ivp
+        try:
+            dynamics.evolve(*args)
+        finally:
+            dynamics.solve_ivp = ivp
+            for name, original in originals.items():
+                if original is not None:
+                    setattr(dynamics._Liouvillian, name, original)
+        taylor = originals["series"] is not None   # else every apply is a DOP853 evaluation
+        return {"taylor_steps": counts["series"], "taylor_terms": counts["apply"] if taylor else 0,
+                "integrator_runs": len(counts["nfev"]), "nfev": sum(counts["nfev"])}
+
+    for name, args in (("dm_triangle_evolve_n4", dm_evolve(4)),
+                       ("dm_constant_evolve_n5", dm_evolve(5, envelope=False))):
+        extras[name] = dm_counts(args)
+        plan[name] = _timed(lambda _, args=args: dynamics.evolve(*args))
     dm_doc = {"result": dynamics.evolve(*dm_evolve(5)).to_json_dict()}
-    layers["dump_json_dm_n5"] = _stats(_timed(lambda _: cli.dump_json(dm_doc), repeats), "s")
+    plan["dump_json_dm_n5"] = _timed(lambda _: cli.dump_json(dm_doc))
 
     energies = hydrogenic.levels(basis, 0.0)
     exponent_args = [(e, f) for e in energies[:2] for f in (1e-3, 0.1, 1.0, 4.0, 6.0)]
-    layers["wkb_exponent"] = _stats(_timed(
+    plan["wkb_exponent"] = _timed(
         lambda _: [readout.wkb_exponent(basis.lam, e, f) for e, f in exponent_args],
-        repeats, len(exponent_args)), "s")
+        len(exponent_args))
     exponents = []
     wkb = readout.wkb_exponent
     readout.wkb_exponent = lambda *a, **k: exponents.append(a) or wkb(*a, **k)
@@ -287,9 +313,9 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         readout.plan(basis.lam, energies, 1e-7, 1e6)
     finally:
         readout.wkb_exponent = wkb
-    layers["readout_plan"] = _stats(_timed(
-        lambda _: [readout.plan(basis.lam, energies, 1e-7, 1e6) for _ in range(PLANS)],
-        repeats, PLANS), "s", wkb_evaluations=len(exponents))
+    plan["readout_plan"] = _timed(
+        lambda _: [readout.plan(basis.lam, energies, 1e-7, 1e6) for _ in range(PLANS)], PLANS)
+    extras["readout_plan"] = {"wkb_evaluations": len(exponents)}
 
     readout_config = {
         "seed": 3,
@@ -301,8 +327,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     plan8 = readout.plan(basis.lam, energies, 1e-7, 1e6, pixel_size=1e-4,
                          site_positions_cm=geom8.positions_cm())
     survival = [math.exp(-1e-7 / plan8.t_2), 1.0] * 4
-    layers["sample_shots"] = _stats(_timed(
-        lambda _: readout.sample_shots(survival, plan8, 4000, 3), repeats), "s")
+    plan["sample_shots"] = _timed(lambda _: readout.sample_shots(survival, plan8, 4000, 3))
 
     class Capture:
         """The `_Writer` calls of one `run_*`: keeps the JSON payload, drops the CSV."""
@@ -315,11 +340,11 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
 
     capture = Capture()
     cli.run_readout(readout_config, capture)
-    layers["dump_json_readout"] = _stats(_timed(lambda _: cli.dump_json(capture.payload), repeats), "s")
+    plan["dump_json_readout"] = _timed(lambda _: cli.dump_json(capture.payload))
 
-    layers["moment_tables"] = _stats(_timed(
+    plan["moment_tables"] = _timed(
         lambda _: [hydrogenic._moment_matrix.__wrapped__(size, 1, max(96, size + 8))
-                   for size in (32, 37)], repeats), "s")
+                   for size in (32, 37)])
 
     device = {"d_um": 0.5, "sites": [[0, 0], [1, 0]], "B_T": 1.5, "T_K": 0.01,
               "voltages_mV": [0.0, 0.05]}
@@ -332,6 +357,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         "evolve_dm": {"device": device, "schedule": {"duration_s": 4 * dwell},
                       "initial": {"bits": "ud", "mode": "density-matrix"},
                       "evolution": {"sample_count": 5, "use_budget": True}},
+        "evolve_dm_n8": dm_job(8, envelope=False),
         "readout": {"seed": 3,
                     "device": {**device, "sites": [[i, 0] for i in range(4)],
                                "voltages_mV": [0.0] * 4},
@@ -344,7 +370,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         cfg[name].write_text(json.dumps({"output_dir": str(workdir / "out"), **config}))
 
     cli.load_config(str(cfg["readout"]), [])   # builds the schema validator, once per process
-    layers["load_config"] = _stats(_timed(lambda _: cli.load_config(str(cfg["readout"]), []), repeats), "s")
+    plan["load_config"] = _timed(lambda _: cli.load_config(str(cfg["readout"]), []))
 
     def helioq(sub: str, name: str) -> list[str]:
         return [sys.executable, "-m", "helioq", sub, "--config", str(cfg[name])]
@@ -358,10 +384,22 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         ("cold_demo_swap", helioq("demo-swap", "demo_swap")),
         ("cold_demo_swap_sudden", helioq("demo-swap", "demo_swap_sudden")),
         ("cold_evolve_dm", helioq("evolve", "evolve_dm")),
+        ("dm_constant_evolve_n8", helioq("evolve", "evolve_dm_n8")),
         ("cold_readout", helioq("readout", "readout")),
     ):
-        walls, rss = _cold(argv, src, repeats)
-        layers[name] = _stats(walls, "s", peak_rss_mib=_stats(rss, "MiB"))
+        plan[name] = _cold(argv, src)
+
+    samples = {name: [] for name in plan}
+    for _ in range(repeats):
+        for name, repeat in plan.items():
+            samples[name].append(repeat())
+    layers = {}
+    for name, values in samples.items():
+        if isinstance(values[0], tuple):   # a fresh interpreter's wall time and peak RSS
+            walls, rss = zip(*values)
+            layers[name] = _stats(list(walls), "s", peak_rss_mib=_stats(list(rss), "MiB"))
+        else:
+            layers[name] = _stats(values, "s", **extras.get(name, {}))
 
     return {
         "record": {

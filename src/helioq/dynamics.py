@@ -28,22 +28,17 @@ Optional loss channels:
 
 The timeline is cut into pieces at the schedule breakpoints and t_f, so
 each piece has one slope per channel and one tunneling state; samples are
-read from one propagation per piece.  A constant piece builds its operator
-once: the eigendecomposition of H when closed, or, when dissipative, the
-sparse Liouvillian -i(H (x) I - I (x) H^T) + D, D the loss channels, whose
-exponential expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-2011) applies from sample to sample.  Other pieces take one DOP853 run,
-read by its dense output (Hairer, Norsett & Wanner, Solving ODEs I).  For
-a density matrix each evaluation is one pass: one dense product X = H rho,
-with H = A + t B built once per piece where linear in t (rwa, voltages
-held), the commutator -i(X - X^dagger) written into one fresh array, and
-D vec(rho) added into that array by SciPy's CSR kernel.
+read from one propagation per piece.  A closed constant piece takes the
+eigendecomposition of H.  A density-matrix piece with H(t) = A + (t - tm) B
+(constant, or rwa with voltages held) takes a truncated Taylor series of
+-i[H(t), .] + D, D the loss channels (Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 2011), each term one right-hand side: X = H rho, -i(X - X^dagger) in one
+fresh array, and D vec(rho) added by SciPy's CSR kernel.  Other pieces take
+one DOP853 run, read by its dense output (Hairer, Norsett & Wanner, ODEs I).
 
-SciPy loads on first use, so importing this module costs NumPy alone:
-`scipy.sparse` when an evolve builds its CSR matrices, `scipy.sparse.linalg`
-for a dissipative constant piece and `scipy.integrate` for a DOP853 piece.
-`dynamics.solve_ivp` wraps SciPy's and is the one name to patch to count or
-fail integrator runs.
+SciPy loads on first use (`scipy.sparse` for CSR matrices, `scipy.integrate`
+for DOP853), so importing this module costs NumPy alone.  `dynamics.solve_ivp`
+wraps SciPy's and is the one name to patch to count or fail integrator runs.
 """
 from __future__ import annotations
 
@@ -69,6 +64,8 @@ _STATE_VECTOR_MAX = 16
 _DENSITY_MATRIX_MAX = 8
 # largest Hilbert dimension for dense eigendecomposition of constant pieces
 _EXACT_DIM_MAX = 1024
+_TAYLOR_THETA = 10.0  # bound on ||dt L||_1 per Taylor step, chosen by measurement
+_TAYLOR_TERMS_MAX = 100  # theta^k/k! falls below 2^-53 by k = 53
 
 
 def basis_index(bits: str) -> int:
@@ -357,80 +354,109 @@ class _System:
             h.reshape(-1)[self.at[k]] += c * self.h[k].data
         return h
 
-    def dense_h_on(self, ta: float, tb: float):
-        """t -> dense H(t) on (ta, tb), one axpy A + (t - tm) B where linear: rwa, voltages held."""
+    def linear_h(self, ta: float, tb: float):
+        """(A, B, w), H(t) - w N = A + (t - tm) B on (ta, tb), if constant (B None) or rwa, voltages held.
+
+        w, the mean qubit frequency, is 0 unless the drive is off: N = sum_n sz_n/2 then commutes with H.
+        """
         p, q, tm = ta + 0.25 * (tb - ta), ta + 0.75 * (tb - ta), 0.5 * (ta + tb)
-        if self.spec.frame == "lab" or not self.voltages_hold(p, q):
-            return self.dense_h
-        a, b = self.dense_h(tm), (self.dense_h(q) - self.dense_h(p)) / (q - p)
-        return lambda t: a + (t - tm) * b
+        if self.constant_on(ta, tb):
+            w = 0.0 if any(self.drive_xy(tm)) else float(np.mean(self.eps_rad(tm)))
+            return self.dense_h(tm, w), None, w
+        if self.spec.frame == "rwa" and self.voltages_hold(p, q):
+            return self.dense_h(tm), (self.dense_h(q) - self.dense_h(p)) / (q - p), 0.0
 
 
 class _Liouvillian:
     """Density-matrix generator -i[H(t), .] + D, less {G, .} once tunneling is on.
 
-    Only D and D - {G, .} are stored, as complex CSR and as `_one_per_row` terms.
-    On row-major vec(rho), op (x) I acts as op @ rho and I (x) op^T as
-    rho @ op.  D holds relaxation sqrt(1/T1) s- (jumps as index flips, and
-    decay) and dephasing sqrt(2/T2_eff) sz/2, which alone decays coherences
-    as exp(-t/T2_eff); G = sum_n P_up_n/(2 t_up) is the readout tunneling drain.
+    Stores only D and D - {G, .}, complex CSR on row-major vec(rho); H comes dense to each call.
+    D holds relaxation sqrt(1/T1) s- (jumps as index flips, and decay) and dephasing
+    sqrt(2/T2_eff) sz/2, alone decaying coherences as exp(-t/T2_eff); G = sum_n P_up_n/(2 t_up).
     """
 
     def __init__(self, sys: _System, budget: DecoherenceBudget | None,
                  tunneling: TunnelingSpec | None):
         dim, idx = sys.dim, np.arange(sys.dim)
         self.sys = sys
-        self.jumps, decay = [], np.zeros((dim, dim))
+        jumps, decay = [], np.zeros((dim, dim))
         if budget is not None:
             g1, gphi = 1.0 / budget.t1_s, 1.0 / budget.t2_eff_s
             for q in range(sys.n):
                 occ = (idx >> q) & 1
-                self.jumps.append(((1 << q) * (dim + 1), g1 * np.outer(1 - occ, 1 - occ)))
+                jumps.append(((1 << q) * (dim + 1), g1 * np.outer(1 - occ, 1 - occ)))
                 decay -= 0.5 * g1 * (occ[:, None] + occ[None, :])
                 decay -= gphi * (occ[:, None] != occ[None, :])
         # without tunneling, escape takes forever and G vanishes
         t_up = math.inf if tunneling is None else tunneling.t_up
         g = sum((idx >> q) & 1 for q in range(sys.n)) / (2.0 * t_up)
-        # both indexed by the piece's tunneling flag; complex like rho, so
-        # the kernel below reads D as stored, with no cast per evaluation
-        self.decay = (decay, decay - (g[:, None] + g[None, :]))
-        self.dissipator = tuple(_one_per_row([(0, d + 0j), *self.jumps], dim, dim) for d in self.decay)
+        # complex like rho, so the kernel below reads D as stored, with no cast per evaluation
+        self.dissipator = tuple(_one_per_row([(0, d + 0j), *jumps], dim, dim)
+                                for d in (decay, decay - (g[:, None] + g[None, :])))
         from scipy.sparse._sparsetools import csr_matvec  # out += D @ y, what D @ y runs
 
         self.matvec = csr_matvec
 
-    def constant(self, t, tunneling: bool):
-        """(L', r) with L(t) = L' + diag(r), the two commuting.
-
-        With the drive off, r = -i w (N_a - N_b) splits off the mean qubit
-        frequency w on the total excitation N = sum_n sz_n/2, which commutes
-        with the rest of L.  expm_multiply's step count grows with the norm,
-        so an idle lab-frame register then costs what a detuned one does.
-        Each flip m of H puts -i H[a, a ^ m] and -i (0 - H[b ^ m, b]) in row (a, b),
-        its zeros signed as in the sparse sum -i(H (x) I - I (x) H^T) + D.
-        """
-        w = 0.0 if any(self.sys.drive_xy(t)) else float(np.mean(self.sys.eps_rad(t)))
-        h, dim, n = self.sys.dense_h(t, w), self.sys.dim, self.sys.n
-        idx, hd = np.arange(dim), h.diagonal()
-        terms = [(0, -1j * (hd[:, None] - hd[None, :]) + self.decay[tunneling]), *self.jumps]
-        for m in sorted(set(np.bitwise_xor(*np.nonzero(h)).tolist()) - {0}):
-            terms += [(m << n, -1j * h[idx, idx ^ m][:, None]), (m, -1j * (0 - h[idx ^ m, idx]))]
-        op = _one_per_row(terms, dim, dim)
-        op.sort_indices()
-        e = 0.5 * self.sys.zpat.sum(axis=0)
-        return op, -1j * w * (e[:, None] - e[None, :]).ravel()
-
-    def apply(self, h, y, tunneling: bool) -> np.ndarray:
-        """L(t) @ y for the dense H(t); rho is Hermitian, so rho H is (H rho)^dagger.
+    def apply(self, h, y, tunneling: bool, b=None, y1=None) -> np.ndarray:
+        """L(t) @ y for the dense H(t), plus -i[B, y1] if B is given; rho H is (H rho)^dagger.
 
         The result is a fresh array on every call: DOP853 keeps the last one.
         """
         x = h @ y.reshape(h.shape)
+        if b is not None:
+            x += b @ y1.reshape(h.shape)
         out = np.subtract(x, x.conj().T, order="C")  # C order: the kernel adds into its memory
         out *= -1j
         d = self.dissipator[tunneling]
         self.matvec(y.size, y.size, d.indptr, d.indices, d.data, y, out.reshape(-1))
         return out.reshape(-1)
+
+    def series(self, h0, b, y, dt: float, tunneling: bool, at, piece):
+        """One step: rho(t0 + s dt) = sum_k c_k s^k at each fraction s in `at`, and the whole sum.
+
+        L(t0 + tau) = L0 + tau L1, L0 = -i[H(t0), .] + D, L1 = -i[B, .], b = dt B or None: c_0 = y,
+        (k + 1) c_{k+1} = dt (L0 c_k + dt L1 c_{k-1}), summed until two terms in a row fall below
+        2^-53 of the sum (expm_multiply's test); raises if they never do.
+        """
+        prev, term, total, inner = None, y, y, [y] * len(at)
+        small = reach = np.abs(y).max()  # reach >= the sum's norm, read only once the test may pass
+        for k in range(1, _TAYLOR_TERMS_MAX):
+            prev, term = term, self.apply(h0, term, tunneling, *(() if prev is None else (b, prev)))
+            term *= dt / k
+            total, inner = total + term, [p + s**k * term for p, s in zip(inner, at)]
+            last, small = small, np.abs(term).max()
+            tail, reach = 2.0**53 * (last + small), reach + small
+            if tail <= reach and tail <= np.abs(total).max() < math.inf:
+                return inner, total
+        raise RuntimeError(f"Taylor series did not converge on [{piece[0]}, {piece[1]}] in "
+                           f"density-matrix mode with tunneling {'on' if tunneling else 'off'}")
+
+    def taylor(self, ta: float, tb: float, a, b, w: float, tunneling: bool):
+        """Propagation (state at ta, sorted times in (ta, tb]) -> states for H(t) - w N = A + (t - tm) B.
+
+        Equal steps keep ||dt L||_1 <= theta, ||L||_1 <= 2 max(||H(ta)||_1, ||H(tb)||_1) + ||D||_1 being
+        convex in t; samples read their step's polynomial (its sum at the end), so they do not move the
+        steps.  N commutes with L and returns as the phase exp(-i w (N_a - N_b)(t - ta)).
+        """
+        ends = [a] if b is None else [a + f * (tb - ta) * b for f in (-0.5, 0.5)]
+        dnorm = abs(self.dissipator[tunneling]).sum(axis=0).max()
+        bound = 2 * max(np.abs(h).sum(axis=0).max() for h in ends) + dnorm
+        steps = max(1, math.ceil(bound * (tb - ta) / _TAYLOR_THETA))
+        dt, tm, e = (tb - ta) / steps, 0.5 * (ta + tb), 0.5 * self.sys.zpat.sum(axis=0)
+        db, rate = None if b is None else dt * b, -1j * w * (e[:, None] - e[None, :]).ravel()
+
+        def propagate(state, times):
+            y, out, times = state.reshape(-1), [], np.asarray(times)
+            for j in range(steps):
+                t0, t1 = ta + j * dt, tb if j == steps - 1 else ta + (j + 1) * dt
+                now = times[(t0 < times) & (times <= t1)]
+                h0 = a if b is None else a + (t0 - tm) * b
+                inner, y = self.series(h0, db, y, dt, tunneling, (now[now < t1] - t0) / dt, (ta, tb))
+                out += [(rho * np.exp((t - ta) * rate) if w else rho).reshape(state.shape)
+                        for t, rho in zip(now, [*inner, y])]
+            return out
+
+        return propagate
 
 
 def evolve(
@@ -509,41 +535,25 @@ def evolve(
 
 def _propagator(sys, liou, ta, tb, tunneling, rtol):
     """Propagation (state at ta, sorted times in (ta, tb]) -> states at those times."""
-    tm = 0.5 * (ta + tb)
-    dissipative = liou is not None and (sys.spec.budget is not None or tunneling)
-    if sys.constant_on(ta, tb):
-        if not dissipative and sys.dim <= _EXACT_DIM_MAX:
-            w, v = np.linalg.eigh(sys.dense_h(tm))
-            vh = v.conj().T
+    closed = liou is None or (sys.spec.budget is None and not tunneling)
+    if closed and sys.dim <= _EXACT_DIM_MAX and sys.constant_on(ta, tb):
+        w, v = np.linalg.eigh(sys.dense_h(0.5 * (ta + tb)))
+        vh = v.conj().T
 
-            def unitary(state, times):
-                # every sample from the start state, through the one eigenbasis
-                phases = (np.exp(-1j * w * (t - ta)) for t in times)
-                if state.ndim == 1:
-                    c = vh @ state
-                    return [v @ (p * c) for p in phases]
-                return [u @ state @ u.conj().T for u in (v @ np.diag(p) @ vh for p in phases)]
+        def unitary(state, times):
+            # every sample from the start state, through the one eigenbasis
+            phases = (np.exp(-1j * w * (t - ta)) for t in times)
+            if state.ndim == 1:
+                c = vh @ state
+                return [v @ (p * c) for p in phases]
+            return [u @ state @ u.conj().T for u in (v @ np.diag(p) @ vh for p in phases)]
 
-            return unitary
-        if dissipative:
-            from scipy.sparse.linalg import expm_multiply
-
-            op, rate = liou.constant(tm, tunneling)
-
-            def exponential(state, times):
-                # expm_multiply's cost grows with dt ||L||, so it steps sample to sample
-                out = [state]
-                for dt in np.diff(times, prepend=ta):
-                    rho = expm_multiply(dt * op, out[-1].reshape(-1)) * np.exp(dt * rate)
-                    out.append(rho.reshape(state.shape))
-                return out[1:]
-
-            return exponential
-
-    h_at = None if liou is None else sys.dense_h_on(ta, tb)
+        return unitary
+    if liou is not None and (linear := sys.linear_h(ta, tb)) is not None:
+        return liou.taylor(ta, tb, *linear, tunneling)
 
     def rhs(t, y):
-        return -1j * sys.apply_h(t, y) if liou is None else liou.apply(h_at(t), y, tunneling)
+        return -1j * sys.apply_h(t, y) if liou is None else liou.apply(sys.dense_h(t), y, tunneling)
 
     return lambda state, times: _propagate_ivp(rhs, state, ta, times, rtol, tunneling)
 

@@ -514,8 +514,12 @@ def test_sparse_generator_matches_explicit_lindblad(n, tunneling, drive):
 
     applied = liou.apply(h, rho.reshape(-1), tunneling).reshape(dim, dim)
     assert np.abs(applied - expect).max() <= 1e-13 * scale
-    op, rate = liou.constant(t, tunneling)
-    split = (op @ rho.reshape(-1) + rate * rho.reshape(-1)).reshape(dim, dim)
+    # the constant piece splits w N, N = sum_n sz_n/2, off H once the drive is off
+    a, b, w = sys.linear_h(0.0, T_SEG)
+    assert b is None and (w == 0.0) == drive
+    e = 0.5 * sys.zpat.sum(axis=0)
+    split = liou.apply(a, rho.reshape(-1), tunneling).reshape(dim, dim)
+    split += -1j * w * (e[:, None] - e[None, :]) * rho
     assert np.abs(split - expect).max() <= 1e-13 * scale
 
 
@@ -789,9 +793,9 @@ def test_dissipative_constant_piece_builds_one_generator(monkeypatch):
     ham, sched, spec = segment_setup(2, True, True)
     spec = EvolutionSpec(sample_times=np.linspace(0.0, T_SEG, 6), budget=spec.budget,
                          tunneling=spec.tunneling)
-    constant = count_calls(monkeypatch, dynamics._Liouvillian, "constant")
+    setup = count_calls(monkeypatch, dynamics._Liouvillian, "taylor")
     evolve(ham, sched, RegisterState.density_matrix("ud"), spec)
-    assert len(constant) == 1
+    assert len(setup) == 1
 
 
 def test_integrator_failure_names_segment_mode_and_rtol(monkeypatch):
@@ -801,7 +805,8 @@ def test_integrator_failure_names_segment_mode_and_rtol(monkeypatch):
     monkeypatch.setattr(dynamics, "solve_ivp", failing)
     ham = single_qubit()
     sched = drive_schedule(T_SEG, 10.0, 1e9, ham.drive_coeff, envelope=((0.0, 0.0), (T_SEG, 1.0)))
-    spec = EvolutionSpec(sample_times=[0.5 * T_SEG, T_SEG], rtol=1e-12,
+    # a lab-frame drive is not linear in t, so the density matrix runs DOP853
+    spec = EvolutionSpec(sample_times=[0.5 * T_SEG, T_SEG], frame="lab", rtol=1e-12,
                          tunneling=TunnelingSpec(0.0, T_SEG))
     with pytest.raises(RuntimeError) as err:
         evolve(ham, sched, RegisterState.density_matrix("u"), spec)
@@ -885,6 +890,9 @@ def test_evaluations_do_not_track_the_sample_count(monkeypatch, mode):
         return sol
 
     monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    # density matrices: Taylor steps and terms, the grid fixed by the piece alone
+    steps = count_calls(monkeypatch, dynamics._Liouvillian, "series")
+    terms = count_calls(monkeypatch, dynamics._Liouvillian, "apply")
     dm = mode == "density-matrix"
     n = 2 if dm else 3
     ham, sched = driven_register(n, TRIANGLE)
@@ -892,14 +900,20 @@ def test_evaluations_do_not_track_the_sample_count(monkeypatch, mode):
     counts = []
     for count in (4, 101):
         nfev.clear()
+        steps.clear()
+        terms.clear()
         evolve(ham, sched, initial, EvolutionSpec(
             sample_times=np.linspace(0.0, T_SEG, count),
             budget=loss_budget(3 * T_SEG, 2 * T_SEG) if dm else None,
             tunneling=TunnelingSpec(0.25 * T_SEG, 4 * T_SEG) if dm else None,
         ))
-        counts.append(sum(nfev))
-    assert len(nfev) == (3 if dm else 2)
-    assert counts[1] <= 1.5 * counts[0]
+        counts.append((len(steps), len(terms)) if dm else sum(nfev))
+    if dm:
+        assert nfev == [] and counts[0][0] >= 3
+        assert counts[1] == counts[0]
+    else:
+        assert len(nfev) == 2
+        assert counts[1] <= 1.5 * counts[0]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -988,14 +1002,20 @@ def test_linear_piece_rhs_matches_the_two_product_form(n, tunneling, phase):
                          tunneling=TunnelingSpec(0.0, 4 * T_SEG))
     sys = dynamics._System(ham, ramped_drive(ham, phase), spec)
     liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
-    h_at = sys.dense_h_on(0.5 * T_SEG, T_SEG)
-    assert h_at != sys.dense_h
+    a, b, w = sys.linear_h(0.5 * T_SEG, T_SEG)
+    assert b is not None and w == 0.0
     rho = random_density_matrix(2**n, seed=n)
+    # a Taylor term adds -i[B, rho1] for the coefficient before it
+    rho1 = random_density_matrix(2**n, seed=n + 1)
     for t in T_SEG * np.array([0.5, 0.57, 0.75, 0.93, 1.0]):
         h = sys.dense_h(t)
         expect = (-1j * (h @ rho - rho @ h)).reshape(-1)
         expect += liou.dissipator[tunneling] @ rho.reshape(-1)
-        applied = liou.apply(h_at(t), rho.reshape(-1), tunneling)
+        applied = liou.apply(a + (t - 0.75 * T_SEG) * b, rho.reshape(-1), tunneling)
+        assert np.abs(applied - expect).max() <= 1e-13 * np.abs(expect).max()
+        expect += (-1j * (b @ rho1 - rho1 @ b)).reshape(-1) * T_SEG
+        applied = liou.apply(a + (t - 0.75 * T_SEG) * b, rho.reshape(-1), tunneling,
+                             T_SEG * b, rho1.reshape(-1))
         assert np.abs(applied - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
@@ -1029,7 +1049,7 @@ def test_moving_voltages_and_lab_drives_read_dense_h(device_pair):
     for sched, frame, linear in ((ramp, "rwa", False), (held, "rwa", True),
                                  (ramped_drive(device_pair, 0.0), "lab", False)):
         sys = dynamics._System(device_pair, sched, EvolutionSpec([T_SEG], frame=frame))
-        assert (sys.dense_h_on(0.0, T_SEG) != sys.dense_h) == linear
+        assert (sys.linear_h(0.0, T_SEG) is not None) == linear
 
 
 @pytest.mark.parametrize("n,tunneling", [(3, False), (4, True)])
@@ -1042,9 +1062,50 @@ def test_ramped_density_matrix_matches_the_per_evaluation_path(monkeypatch, n, t
     )
     initial = RegisterState("density-matrix", n, random_density_matrix(2**n, seed=4))
     linear = evolve(ham, ramped_drive(ham, 0.4), initial, spec)
-    monkeypatch.setattr(dynamics._System, "dense_h_on", lambda self, ta, tb: self.dense_h)
+    monkeypatch.setattr(dynamics._System, "linear_h", lambda self, ta, tb: None)
     general = evolve(ham, ramped_drive(ham, 0.4), initial, spec)
     assert np.abs(linear.states - general.states).max() <= 10 * spec.rtol
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_taylor_pieces_match_dop853_at_its_floor(monkeypatch, n):
+    # DOP853 at its floor, rtol 3e-14, is the reference; a drive detuned by
+    # 30/T_SEG makes ||L T|| large, where DOP853 at rtol 1e-11 lands 2.5-3.5e-12 away
+    ham = coupled_register(n, seed=5)
+    carrier = ham.eps_K[0] * units.K_TO_GHZ + 30.0 / (2 * math.pi * 1e9 * T_SEG)
+    sched = pulses.PulseSchedule(
+        duration=T_SEG, microwave=(pulses.MicrowaveChannel(carrier, 0.6, 0.4, TRIANGLE),),
+    )
+    spec = EvolutionSpec(
+        sample_times=np.linspace(0.0, T_SEG, 5), rtol=1e-11,
+        budget=loss_budget(3 * T_SEG, 2 * T_SEG), tunneling=TunnelingSpec(0.5 * T_SEG, 2 * T_SEG),
+    )
+    initial = RegisterState.density_matrix("u" + "d" * (n - 1))
+    taylor = evolve(ham, sched, initial, spec)
+    monkeypatch.setattr(dynamics._System, "linear_h", lambda self, ta, tb: None)
+    floor = evolve(ham, sched, initial, spec)
+    assert np.abs(taylor.states[-1] - initial.data).max() > 0.1
+    assert np.abs(taylor.states - floor.states).max() <= 1e-12
+
+
+@pytest.mark.parametrize("envelope,tunneling", [((), True), (TRIANGLE, False)],
+                         ids=["constant-tunneling-on", "triangle-tunneling-off"])
+def test_taylor_terms_that_never_fall_off_raise(monkeypatch, envelope, tunneling):
+    terms = count_calls(monkeypatch, dynamics._Liouvillian, "apply")
+    ham, sched = driven_register(2, envelope)
+    spec = EvolutionSpec(sample_times=[T_SEG], budget=loss_budget(3 * T_SEG, 2 * T_SEG),
+                         tunneling=TunnelingSpec(0.0, 4 * T_SEG) if tunneling else None)
+    rho = random_density_matrix(4, seed=1)
+    rho[1, 2] = np.nan
+    with pytest.raises(RuntimeError) as err:
+        evolve(ham, sched, RegisterState("density-matrix", 2, rho), spec)
+    end = 0.5 * T_SEG if envelope else T_SEG
+    assert str(err.value) == (
+        f"Taylor series did not converge on [0.0, {end}] in density-matrix mode "
+        f"with tunneling {'on' if tunneling else 'off'}"
+    )
+    # one step's terms, then the raise
+    assert len(terms) == dynamics._TAYLOR_TERMS_MAX - 1
 
 
 def test_linear_pieces_build_h_a_fixed_number_of_times(monkeypatch):
@@ -1064,6 +1125,6 @@ def test_linear_pieces_build_h_a_fixed_number_of_times(monkeypatch):
         sample_times=[T_SEG], budget=loss_budget(3 * T_SEG, 2 * T_SEG),
         tunneling=TunnelingSpec(0.5 * T_SEG, 2 * T_SEG),
     ))
-    # two DOP853 pieces, each reading H at its midpoint and two interior points
-    assert len(nfev) == 2 and min(nfev) > 100
+    # two Taylor pieces, each reading H at its midpoint and two interior points
+    assert nfev == []
     assert len(dense_h) == len(drive_xy) == 6
