@@ -13,11 +13,15 @@ Times, in this process unless noted:
 - `stark_build`: the per-basis Chebyshev fit (absent where the map has none);
 - `ramped_swap_evolve`: one 2-site swap `evolve` with rise = fall = dwell/8,
   on a freshly built register, with its Stark lookups counted;
+- `ramped_swap_evolve_n3`: that swap of sites 0 and 1 with a third site,
+  on an equilateral triangle at [0, 0.05, 0.2] mV, built once, with its
+  `dynamics.solve_ivp` right-hand-side evaluations counted (`nfev`);
 - `refine_sudden`, `refine_ramped`, `refine_out_of_reach`: one
-  `calibrate_swap(refine=True)` on that register, sudden at 0.3 pi, at
+  `calibrate_swap(refine=True)` on the 2-site register, sudden at 0.3 pi, at
   0.3 pi with ramps of a sixteenth of the sudden dwell, and at pi/2 with
-  such ramps, which raises that sin^2(alpha) is out of reach; each with its
-  `dynamics.evolve` calls and `dynamics.solve_ivp` runs counted;
+  such ramps, which raises that sin^2(alpha) is out of reach, and
+  `refine_ramped_n3`, the ramped one on the triangle; each with its
+  `dynamics.evolve` calls, `dynamics.solve_ivp` runs and their evaluations counted;
 - `dm_rhs_n3`, `dm_rhs_n4`, `dm_rhs_n5`: one density-matrix right-hand side
   (H(t) and `_Liouvillian.apply`) on the falling piece of a triangle-envelope
   pi pulse on n zero-voltage sites, with the decoherence budget and
@@ -188,22 +192,37 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     extras["ramped_swap_evolve"] = {"stark_lookups": len(lookups)}
 
     def counted(fn) -> dict:
-        """`dynamics.evolve` calls and `dynamics.solve_ivp` runs of one fn(None)."""
-        runs = {"evolve": 0, "solve_ivp": 0}
-        originals = {name: getattr(dynamics, name) for name in runs}
+        """`dynamics.evolve` calls, `dynamics.solve_ivp` runs and their evaluations, of one fn(None)."""
+        runs = {"evolve": 0, "solve_ivp": 0, "nfev": 0}
+        originals = {name: getattr(dynamics, name) for name in ("evolve", "solve_ivp")}
         for name, original in originals.items():
             def count(*args, _name=name, _fn=original, **kwargs):
                 runs[_name] += 1
-                return _fn(*args, **kwargs)
+                out = _fn(*args, **kwargs)
+                runs["nfev"] += out.nfev if _name == "solve_ivp" else 0
+                return out
             setattr(dynamics, name, count)
         try:
             fn(None)
         finally:
             for name, original in originals.items():
                 setattr(dynamics, name, original)
-        return {"evolves": runs["evolve"], "integrator_runs": runs["solve_ivp"]}
+        return {"evolves": runs["evolve"], "integrator_runs": runs["solve_ivp"], "nfev": runs["nfev"]}
 
-    def refine(alpha, ramp_fraction, in_reach=True):
+    triangle = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0), (0.5, math.sqrt(3) / 2)))
+    ham3 = qubits.build(triangle, voltages=np.array([0.0, 5e-5, 2e-4]))
+    dwell3 = pulses.calibrate_swap(ham3, (0, 1), math.pi / 2)
+    sched3 = pulses.swap_schedule(ham3, (0, 1), dwell3, dwell3 / 8, dwell3 / 8)
+    start3 = dynamics.RegisterState.state_vector("udd")
+    spec3 = dynamics.EvolutionSpec(sample_times=np.array([sched3.duration]))
+
+    def evolve_n3(_):
+        dynamics.evolve(ham3, sched3, start3, spec3)
+
+    extras["ramped_swap_evolve_n3"] = counted(evolve_n3)
+    plan["ramped_swap_evolve_n3"] = _timed(evolve_n3)
+
+    def refine(alpha, ramp_fraction, in_reach=True, ham=ham):
         ramp = ramp_fraction * pulses.calibrate_swap(ham, (0, 1), alpha)
 
         def run(_):
@@ -221,6 +240,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         ("refine_sudden", refine(0.3 * math.pi, 0.0)),
         ("refine_ramped", refine(0.3 * math.pi, 1 / 16)),
         ("refine_out_of_reach", refine(math.pi / 2, 1 / 16, in_reach=False)),
+        ("refine_ramped_n3", refine(0.3 * math.pi, 1 / 16, ham=ham3)),
     ):
         extras[name] = counted(run)
         plan[name] = _timed(run)
@@ -253,8 +273,10 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         system = dynamics._System(ham_n, sched_n, spec_n)
         liou = dynamics._Liouvillian(system, spec_n.budget, spec_n.tunneling)
         ta, tb = 0.5 * sched_n.duration, sched_n.duration
-        if hasattr(system, "linear_h"):
-            a, b, _ = system.linear_h(ta, tb)
+        linear = (system.piece(ta, tb, True) if hasattr(system, "piece")
+                  else system.linear_h(ta, tb) if hasattr(system, "linear_h") else None)   # linear_h before `piece`
+        if linear is not None:
+            a, b, _ = linear
             h_at = (lambda t, a=a, b=b, tm=0.5 * (ta + tb): a + (t - tm) * b)
         else:   # a checkout from before the Taylor steps
             h_at = system.dense_h_on(ta, tb)

@@ -28,13 +28,16 @@ Optional loss channels:
 
 The timeline is cut into pieces at the schedule breakpoints and t_f, so
 each piece has one slope per channel and one tunneling state; samples are
-read from one propagation per piece.  A closed constant piece takes the
-eigendecomposition of H.  A density-matrix piece with H(t) = A + (t - tm) B
-(constant, or rwa with voltages held) takes a truncated Taylor series of
--i[H(t), .] + D, D the loss channels (Al-Mohy & Higham, SIAM J. Sci. Comput.
-33, 2011), each term one right-hand side: X = H rho, -i(X - X^dagger) in one
-fresh array, and D vec(rho) added by SciPy's CSR kernel.  Other pieces take
-one DOP853 run, read by its dense output (Hairer, Norsett & Wanner, ODEs I).
+read from one propagation per piece.  With no drive on, N = sum_n sz_n/2
+commutes with H and the loss channels, so every path propagates H - w N, w
+the mean qubit frequency, and w N returns as one exact phase per sample.
+A closed constant piece takes the eigendecomposition of H.  A density-matrix
+piece with H(t) = A + (t - tm) B (constant, or rwa with voltages held) takes
+a truncated Taylor series of -i[H(t), .] + D, D the loss channels (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 2011), each term one right-hand side:
+X = H rho, -i(X - X^dagger) in one fresh array, and D vec(rho) added by
+SciPy's CSR kernel.  Other pieces take one DOP853 run, read by its dense
+output (Hairer, Norsett & Wanner, ODEs I).
 
 SciPy loads on first use (`scipy.sparse` for CSR matrices, `scipy.integrate`
 for DOP853), so importing this module costs NumPy alone.  `dynamics.solve_ivp`
@@ -135,9 +138,9 @@ class TunnelingSpec:
     t_up: float
 
     def __post_init__(self):
-        if self.t_f < 0:
+        if not self.t_f >= 0:  # `not >=` and `not >`: NaN fails them too
             raise ValueError(f"t_f must be nonnegative, got {self.t_f}")
-        if self.t_up <= 0:
+        if not self.t_up > 0:
             raise ValueError(f"t_up must be positive, got {self.t_up}")
 
 
@@ -155,11 +158,11 @@ class EvolutionSpec:
         times = np.atleast_1d(np.asarray(self.sample_times, dtype=float))
         if times.size == 0:
             raise ValueError("at least one sample time is required")
-        if np.any(np.diff(times) < 0) or times[0] < 0:
+        if not (np.all(np.diff(times) >= 0) and times[0] >= 0):
             raise ValueError("sample times must be sorted and nonnegative")
         if self.frame not in ("rwa", "lab"):
             raise ValueError(f"frame must be 'rwa' or 'lab', got {self.frame!r}")
-        if self.rtol <= 0:
+        if not self.rtol > 0:
             raise ValueError(f"rtol must be positive, got {self.rtol}")
         object.__setattr__(self, "sample_times", times)
 
@@ -313,23 +316,28 @@ class _System:
                 fx += omega * math.cos(w * t + ch.phase)
         return fx, fy
 
-    def voltages_hold(self, p: float, q: float) -> bool:
-        """True when no voltage moves on the piece holding interior points p, q."""
-        return all(self.schedule.voltage_at(s, p) == self.schedule.voltage_at(s, q) for s in self.tuning)
+    def piece(self, ta: float, tb: float, dm: bool):
+        """(A, B, w) with H(t) - w N = A + (t - tm) B on (ta, tb), N = sum_n sz_n/2 the excitation.
 
-    def constant_on(self, ta: float, tb: float) -> bool:
-        """True when every coefficient is constant on (ta, tb).
-
-        Channels are linear between breakpoints, so equal values at two
-        interior points imply zero slope; a lab-frame drive is constant
-        only when its amplitude vanishes there.
+        Channels are linear between breakpoints, so two interior points p, q
+        tell every slope.  B is None when H is constant; A is None when H is
+        not linear in t (a voltage moves, or a lab-frame drive is on) or no
+        path reads it dense (eigh takes up to _EXACT_DIM_MAX rows, a slope only
+        Taylor steps on a density matrix, `dm`).  w, the mean qubit frequency at
+        tm, is 0 unless no drive is on: N then commutes with H and every loss channel.
         """
-        p, q = ta + 0.25 * (tb - ta), ta + 0.75 * (tb - ta)
-        return self.voltages_hold(p, q) and all(
-            ch.envelope_at(p) == ch.envelope_at(q)
-            and (self.spec.frame == "rwa" or ch.amp_V_per_cm * ch.envelope_at(p) == 0.0)
-            for ch in self.schedule.microwave
-        )
+        p, q, tm = ta + 0.25 * (tb - ta), ta + 0.75 * (tb - ta), 0.5 * (ta + tb)
+        # amplitude x envelope, not drive_xy: lab-frame cosines can sum to 0 at p or q
+        f = [(ch.amp_V_per_cm * ch.envelope_at(p), ch.amp_V_per_cm * ch.envelope_at(q))
+             for ch in self.schedule.microwave]
+        idle, constant = not any(fp or fq for fp, fq in f), all(fp == fq for fp, fq in f)
+        w = float(np.mean(self.eps_rad(tm))) if idle else 0.0
+        moving = any(self.schedule.voltage_at(s, p) != self.schedule.voltage_at(s, q) for s in self.tuning)
+        dense = self.dim <= _EXACT_DIM_MAX if constant else dm
+        if moving or not (idle or self.spec.frame == "rwa") or not dense:
+            return None, None, w
+        a = self.dense_h(tm, w)
+        return (a, None, w) if constant else (a, (self.dense_h(q) - self.dense_h(p)) / (q - p), w)
 
     # -- operator application -------------------------------------------------
 
@@ -341,30 +349,19 @@ class _System:
         """(c_k(t), k) for the H_k whose coefficient is nonzero."""
         return [(c, k) for k, c in enumerate((1.0, *self.drive_xy(t))) if c != 0.0]
 
-    def apply_h(self, t, psi) -> np.ndarray:
-        out = self.z(t) * psi
+    def apply_h(self, t, psi, w: float = 0.0) -> np.ndarray:
+        """(H(t) - w N) psi."""
+        out = self.z(t, w) * psi
         for c, k in self._weighted(t):
             out += c * (self.h[k] @ psi)
         return out
 
     def dense_h(self, t, w: float = 0.0) -> np.ndarray:
-        """H(t) as a dense matrix, less w sum_n sz_n/2."""
+        """H(t) - w N as a dense matrix."""
         h = np.diag(self.z(t, w).astype(complex))
         for c, k in self._weighted(t):
             h.reshape(-1)[self.at[k]] += c * self.h[k].data
         return h
-
-    def linear_h(self, ta: float, tb: float):
-        """(A, B, w), H(t) - w N = A + (t - tm) B on (ta, tb), if constant (B None) or rwa, voltages held.
-
-        w, the mean qubit frequency, is 0 unless the drive is off: N = sum_n sz_n/2 then commutes with H.
-        """
-        p, q, tm = ta + 0.25 * (tb - ta), ta + 0.75 * (tb - ta), 0.5 * (ta + tb)
-        if self.constant_on(ta, tb):
-            w = 0.0 if any(self.drive_xy(tm)) else float(np.mean(self.eps_rad(tm)))
-            return self.dense_h(tm, w), None, w
-        if self.spec.frame == "rwa" and self.voltages_hold(p, q):
-            return self.dense_h(tm), (self.dense_h(q) - self.dense_h(p)) / (q - p), 0.0
 
 
 class _Liouvillian:
@@ -378,7 +375,6 @@ class _Liouvillian:
     def __init__(self, sys: _System, budget: DecoherenceBudget | None,
                  tunneling: TunnelingSpec | None):
         dim, idx = sys.dim, np.arange(sys.dim)
-        self.sys = sys
         jumps, decay = [], np.zeros((dim, dim))
         if budget is not None:
             g1, gphi = 1.0 / budget.t1_s, 1.0 / budget.t2_eff_s
@@ -431,19 +427,18 @@ class _Liouvillian:
         raise RuntimeError(f"Taylor series did not converge on [{piece[0]}, {piece[1]}] in "
                            f"density-matrix mode with tunneling {'on' if tunneling else 'off'}")
 
-    def taylor(self, ta: float, tb: float, a, b, w: float, tunneling: bool):
-        """Propagation (state at ta, sorted times in (ta, tb]) -> states for H(t) - w N = A + (t - tm) B.
+    def taylor(self, ta: float, tb: float, a, b, tunneling: bool):
+        """Propagation (state at ta, sorted times in (ta, tb]) -> states for H(t) = A + (t - tm) B.
 
         Equal steps keep ||dt L||_1 <= theta, ||L||_1 <= 2 max(||H(ta)||_1, ||H(tb)||_1) + ||D||_1 being
-        convex in t; samples read their step's polynomial (its sum at the end), so they do not move the
-        steps.  N commutes with L and returns as the phase exp(-i w (N_a - N_b)(t - ta)).
+        convex in t; samples read their step's polynomial (its sum at the end) and do not move the steps.
         """
         ends = [a] if b is None else [a + f * (tb - ta) * b for f in (-0.5, 0.5)]
         dnorm = abs(self.dissipator[tunneling]).sum(axis=0).max()
         bound = 2 * max(np.abs(h).sum(axis=0).max() for h in ends) + dnorm
         steps = max(1, math.ceil(bound * (tb - ta) / _TAYLOR_THETA))
-        dt, tm, e = (tb - ta) / steps, 0.5 * (ta + tb), 0.5 * self.sys.zpat.sum(axis=0)
-        db, rate = None if b is None else dt * b, -1j * w * (e[:, None] - e[None, :]).ravel()
+        dt, tm = (tb - ta) / steps, 0.5 * (ta + tb)
+        db = None if b is None else dt * b
 
         def propagate(state, times):
             y, out, times = state.reshape(-1), [], np.asarray(times)
@@ -452,8 +447,7 @@ class _Liouvillian:
                 now = times[(t0 < times) & (times <= t1)]
                 h0 = a if b is None else a + (t0 - tm) * b
                 inner, y = self.series(h0, db, y, dt, tunneling, (now[now < t1] - t0) / dt, (ta, tb))
-                out += [(rho * np.exp((t - ta) * rate) if w else rho).reshape(state.shape)
-                        for t, rho in zip(now, [*inner, y])]
+                out += [rho.reshape(state.shape) for rho in [*inner, y][:len(now)]]
             return out
 
         return propagate
@@ -534,28 +528,34 @@ def evolve(
 
 
 def _propagator(sys, liou, ta, tb, tunneling, rtol):
-    """Propagation (state at ta, sorted times in (ta, tb]) -> states at those times."""
+    """Propagation (state at ta, sorted times in (ta, tb]) -> states; each path runs H - w N of `piece`."""
+    a, b, w = sys.piece(ta, tb, liou is not None)
     closed = liou is None or (sys.spec.budget is None and not tunneling)
-    if closed and sys.dim <= _EXACT_DIM_MAX and sys.constant_on(ta, tb):
-        w, v = np.linalg.eigh(sys.dense_h(0.5 * (ta + tb)))
+    if closed and a is not None and b is None:
+        lam, v = np.linalg.eigh(a)
         vh = v.conj().T
 
-        def unitary(state, times):
+        def propagate(state, times):
             # every sample from the start state, through the one eigenbasis
-            phases = (np.exp(-1j * w * (t - ta)) for t in times)
+            phases = (np.exp(-1j * lam * (t - ta)) for t in times)
             if state.ndim == 1:
                 c = vh @ state
                 return [v @ (p * c) for p in phases]
             return [u @ state @ u.conj().T for u in (v @ np.diag(p) @ vh for p in phases)]
+    elif liou is not None and a is not None:
+        propagate = liou.taylor(ta, tb, a, b, tunneling)
+    else:
+        def rhs(t, y):
+            return -1j * sys.apply_h(t, y, w) if liou is None else liou.apply(sys.dense_h(t, w), y, tunneling)
 
-        return unitary
-    if liou is not None and (linear := sys.linear_h(ta, tb)) is not None:
-        return liou.taylor(ta, tb, *linear, tunneling)
-
-    def rhs(t, y):
-        return -1j * sys.apply_h(t, y) if liou is None else liou.apply(sys.dense_h(t), y, tunneling)
-
-    return lambda state, times: _propagate_ivp(rhs, state, ta, times, rtol, tunneling)
+        def propagate(state, times):
+            return _propagate_ivp(rhs, state, ta, times, rtol, tunneling)
+    if not w:
+        return propagate
+    # N commutes with H and the loss channels: exp(-i w N (t - ta)), or (N_a - N_b) on a density matrix
+    e = 0.5 * sys.zpat.sum(axis=0)
+    rate = -1j * w * (e if liou is None else e[:, None] - e[None, :])
+    return lambda state, times: [s * np.exp((t - ta) * rate) for t, s in zip(times, propagate(state, times))]
 
 
 def piece_propagator(hamiltonian, schedule, ta, tb):

@@ -21,7 +21,8 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert set(record) == {"commit", "nproc", "blas_threads", "python", "numpy", "scipy"}
     assert set(layers) == {
         "transition_K", "build_n2", "build_n9", "stark_build", "stark_lookup", "ramped_swap_evolve",
-        "refine_sudden", "refine_ramped", "refine_out_of_reach",
+        "ramped_swap_evolve_n3", "refine_sudden", "refine_ramped", "refine_out_of_reach",
+        "refine_ramped_n3",
         "dm_rhs_n3", "dm_rhs_n4", "dm_rhs_n5", "dm_triangle_evolve_n4", "dm_constant_evolve_n5",
         "dm_constant_evolve_n8", "dump_json_dm_n5",
         "wkb_exponent", "readout_plan", "sample_shots", "dump_json_readout", "load_config",
@@ -35,8 +36,11 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert layers["stark_build"]["terms"] > 0
     assert layers["ramped_swap_evolve"]["stark_lookups"] > 0
     assert layers["refine_sudden"]["integrator_runs"] == layers["refine_sudden"]["evolves"] == 0
-    for name in ("refine_ramped", "refine_out_of_reach"):
+    for name in ("refine_ramped", "refine_out_of_reach", "refine_ramped_n3"):
         assert 0 < layers[name]["integrator_runs"] <= 3
+    # the 3-site swap's two ramps, the mean qubit frequency split off
+    assert layers["ramped_swap_evolve_n3"]["integrator_runs"] == 2
+    assert 0 < layers["ramped_swap_evolve_n3"]["nfev"] < 1000
     assert layers["readout_plan"]["wkb_evaluations"] > 0
     # the triangle's rise and fall, tunneling switched on at the apex between
     # them, and the constant pulse's two halves: Taylor steps, no DOP853

@@ -339,6 +339,21 @@ def test_budget_on_a_state_vector_is_an_error():
         )
 
 
+def test_nan_specs_fail_at_construction():
+    # NaN passes every `<` and `<=`: it would run DOP853 without end, never tunnel, or
+    # fail inside the Taylor step count
+    for field, make in (
+        ("rtol", lambda x: EvolutionSpec(sample_times=[1e-8], rtol=x)),
+        ("sample times", lambda x: EvolutionSpec(sample_times=[x])),
+        ("t_f", lambda x: TunnelingSpec(t_f=x, t_up=1e-7)),
+        ("t_up", lambda x: TunnelingSpec(t_f=0.0, t_up=x)),
+    ):
+        with pytest.raises(ValueError, match=field):
+            make(math.nan)
+    # an infinite escape time, no escape, stays allowed
+    assert TunnelingSpec(t_f=0.0, t_up=math.inf).t_up == math.inf
+
+
 def test_rwa_requires_single_carrier():
     ham = single_qubit()
     sched = pulses.PulseSchedule(
@@ -515,7 +530,7 @@ def test_sparse_generator_matches_explicit_lindblad(n, tunneling, drive):
     applied = liou.apply(h, rho.reshape(-1), tunneling).reshape(dim, dim)
     assert np.abs(applied - expect).max() <= 1e-13 * scale
     # the constant piece splits w N, N = sum_n sz_n/2, off H once the drive is off
-    a, b, w = sys.linear_h(0.0, T_SEG)
+    a, b, w = sys.piece(0.0, T_SEG, True)
     assert b is None and (w == 0.0) == drive
     e = 0.5 * sys.zpat.sum(axis=0)
     split = liou.apply(a, rho.reshape(-1), tunneling).reshape(dim, dim)
@@ -694,6 +709,73 @@ def test_density_matrix_matches_state_vector_without_loss():
     psi /= np.linalg.norm(psi)
     vec = evolve(ham, sched, RegisterState("state-vector", n, psi), spec)
     dm = evolve(ham, sched, RegisterState("density-matrix", n, np.outer(psi, psi.conj())), spec)
+    for psi_t, rho_t in zip(vec.states, dm.states):
+        assert np.abs(rho_t - np.outer(psi_t, psi_t.conj())).max() <= 10 * rtol
+
+
+def triangle_swap():
+    """0.5 um sites on an equilateral triangle at [0, 0.05, 0.2] mV, pair (0, 1) swapped with dwell/8 ramps."""
+    geom = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0), (0.5, math.sqrt(3) / 2)))
+    ham = qubits.build(geom, voltages=np.array([0.0, 5e-5, 2e-4]))
+    dwell = pulses.calibrate_swap(ham, (0, 1), math.pi / 2)
+    sched = pulses.swap_schedule(ham, (0, 1), dwell, dwell / 8, dwell / 8)
+    # a sample inside and at the end of the rise, the plateau and the fall
+    ends = sched.breakpoints()
+    return ham, sched, np.sort(np.concatenate([0.5 * (ends[:-1] + ends[1:]), ends[1:]]))
+
+
+def counted_evaluations(monkeypatch):
+    nfev = []
+    original = dynamics.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    return nfev
+
+
+def test_idle_ramp_on_three_sites_splits_off_the_excitation_phase(monkeypatch):
+    from scipy.linalg import expm
+
+    ham, sched, times = triangle_swap()
+    spec = EvolutionSpec(sample_times=times)
+    psi = RegisterState.state_vector("udd").data
+    nfev = counted_evaluations(monkeypatch)
+    res = evolve(ham, sched, RegisterState("state-vector", 3, psi), spec)
+    # DOP853 on H(t) itself resolves exp(-i w N t) step by step: 22276 evaluations
+    assert 0 < sum(nfev) < 1000
+
+    # no split: DOP853 at its floor on the ramps, the exponential of H on the plateau
+    sys = dynamics._System(ham, sched, spec)
+    ends, expect = sched.breakpoints(), []
+    for k, (ta, tb) in enumerate(zip(ends[:-1], ends[1:])):
+        now = times[(ta < times) & (times <= tb)]
+        if k == 1:
+            h = sys.dense_h(0.5 * (ta + tb))
+            expect += [expm(-1j * h * (t - ta)) @ psi for t in now]
+        else:
+            expect += list(dynamics._propagate_ivp(
+                lambda t, y: -1j * sys.apply_h(t, y), psi, ta, now, 3e-14, False))
+        psi = expect[-1]
+    assert np.abs(res.states - expect).max() <= 10 * max(spec.rtol * 1e-3, 3e-14)
+
+
+def test_idle_ramp_density_matrix_matches_state_vector(monkeypatch):
+    # DOP853 on the moving voltage, split like the state vector; no loss
+    ham, sched, times = triangle_swap()
+    rtol = 1e-10
+    spec = EvolutionSpec(sample_times=times, rtol=rtol)
+    rng = np.random.default_rng(9)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi /= np.linalg.norm(psi)
+    vec = evolve(ham, sched, RegisterState("state-vector", 3, psi), spec)
+    nfev = counted_evaluations(monkeypatch)
+    dm = evolve(ham, sched, RegisterState("density-matrix", 3, np.outer(psi, psi.conj())), spec)
+    # unsplit, the two ramps took 187972 evaluations
+    assert len(nfev) == 2 and sum(nfev) < 5000
     for psi_t, rho_t in zip(vec.states, dm.states):
         assert np.abs(rho_t - np.outer(psi_t, psi_t.conj())).max() <= 10 * rtol
 
@@ -881,15 +963,7 @@ def test_one_integration_per_piece_matches_chained_restarts():
 
 @pytest.mark.parametrize("mode", ["state-vector", "density-matrix"])
 def test_evaluations_do_not_track_the_sample_count(monkeypatch, mode):
-    nfev = []
-    original = dynamics.solve_ivp
-
-    def counted(*args, **kwargs):
-        sol = original(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    nfev = counted_evaluations(monkeypatch)
     # density matrices: Taylor steps and terms, the grid fixed by the piece alone
     steps = count_calls(monkeypatch, dynamics._Liouvillian, "series")
     terms = count_calls(monkeypatch, dynamics._Liouvillian, "apply")
@@ -1002,7 +1076,7 @@ def test_linear_piece_rhs_matches_the_two_product_form(n, tunneling, phase):
                          tunneling=TunnelingSpec(0.0, 4 * T_SEG))
     sys = dynamics._System(ham, ramped_drive(ham, phase), spec)
     liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
-    a, b, w = sys.linear_h(0.5 * T_SEG, T_SEG)
+    a, b, w = sys.piece(0.5 * T_SEG, T_SEG, True)
     assert b is not None and w == 0.0
     rho = random_density_matrix(2**n, seed=n)
     # a Taylor term adds -i[B, rho1] for the coefficient before it
@@ -1049,7 +1123,10 @@ def test_moving_voltages_and_lab_drives_read_dense_h(device_pair):
     for sched, frame, linear in ((ramp, "rwa", False), (held, "rwa", True),
                                  (ramped_drive(device_pair, 0.0), "lab", False)):
         sys = dynamics._System(device_pair, sched, EvolutionSpec([T_SEG], frame=frame))
-        assert (sys.linear_h(0.0, T_SEG) is not None) == linear
+        a, _, w = sys.piece(0.0, T_SEG, True)
+        assert (a is not None) == linear
+        # the mean qubit frequency splits off wherever no drive is on, a moving voltage too
+        assert (w != 0.0) == (not sched.microwave)
 
 
 @pytest.mark.parametrize("n,tunneling", [(3, False), (4, True)])
@@ -1062,7 +1139,8 @@ def test_ramped_density_matrix_matches_the_per_evaluation_path(monkeypatch, n, t
     )
     initial = RegisterState("density-matrix", n, random_density_matrix(2**n, seed=4))
     linear = evolve(ham, ramped_drive(ham, 0.4), initial, spec)
-    monkeypatch.setattr(dynamics._System, "linear_h", lambda self, ta, tb: None)
+    piece = dynamics._System.piece
+    monkeypatch.setattr(dynamics._System, "piece", lambda self, ta, tb, dm: (None, None, piece(self, ta, tb, dm)[2]))
     general = evolve(ham, ramped_drive(ham, 0.4), initial, spec)
     assert np.abs(linear.states - general.states).max() <= 10 * spec.rtol
 
@@ -1082,7 +1160,8 @@ def test_taylor_pieces_match_dop853_at_its_floor(monkeypatch, n):
     )
     initial = RegisterState.density_matrix("u" + "d" * (n - 1))
     taylor = evolve(ham, sched, initial, spec)
-    monkeypatch.setattr(dynamics._System, "linear_h", lambda self, ta, tb: None)
+    piece = dynamics._System.piece
+    monkeypatch.setattr(dynamics._System, "piece", lambda self, ta, tb, dm: (None, None, piece(self, ta, tb, dm)[2]))
     floor = evolve(ham, sched, initial, spec)
     assert np.abs(taylor.states[-1] - initial.data).max() > 0.1
     assert np.abs(taylor.states - floor.states).max() <= 1e-12
@@ -1109,22 +1188,20 @@ def test_taylor_terms_that_never_fall_off_raise(monkeypatch, envelope, tunneling
 
 
 def test_linear_pieces_build_h_a_fixed_number_of_times(monkeypatch):
-    nfev = []
-    original = dynamics.solve_ivp
-
-    def counted(*args, **kwargs):
-        sol = original(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    nfev = counted_evaluations(monkeypatch)
     dense_h = count_calls(monkeypatch, dynamics._System, "dense_h")
     drive_xy = count_calls(monkeypatch, dynamics._System, "drive_xy")
+    piece = count_calls(monkeypatch, dynamics._System, "piece")
     ham = coupled_register(3, seed=1)
-    evolve(ham, ramped_drive(ham, 0.4), RegisterState.density_matrix("udd"), EvolutionSpec(
-        sample_times=[T_SEG], budget=loss_budget(3 * T_SEG, 2 * T_SEG),
-        tunneling=TunnelingSpec(0.5 * T_SEG, 2 * T_SEG),
-    ))
-    # two Taylor pieces, each reading H at its midpoint and two interior points
-    assert nfev == []
-    assert len(dense_h) == len(drive_xy) == 6
+    for samples in ([T_SEG], np.linspace(0.0, T_SEG, 9)):
+        evolve(ham, ramped_drive(ham, 0.4), RegisterState.density_matrix("udd"), EvolutionSpec(
+            sample_times=samples, budget=loss_budget(3 * T_SEG, 2 * T_SEG),
+            tunneling=TunnelingSpec(0.5 * T_SEG, 2 * T_SEG),
+        ))
+        # two Taylor pieces, each reading H at its midpoint and two interior points, whatever the samples
+        assert nfev == []
+        assert len(piece) == 2 and len(dense_h) == len(drive_xy) == 6
+        del piece[:], dense_h[:], drive_xy[:]
+    # a state vector takes DOP853 on apply_h there, and no piece builds it a dense H
+    evolve(ham, ramped_drive(ham, 0.4), RegisterState.state_vector("udd"), EvolutionSpec([T_SEG]))
+    assert len(piece) == len(nfev) == 2 and dense_h == []
