@@ -236,7 +236,9 @@ class _System:
     `h[k]` is H_k as CSR: H_0 the sz-sz diagonal and each exchange pair,
     H_1 = H_X the X_n flips and H_2 = H_Y the Y_n flips (the one complex
     H_k), the last two only with a microwave channel, without which f_x and
-    f_y vanish.  `at[k]` holds H_k's entries' flat indices into the dense H.
+    f_y vanish.  `rows[k]` holds the flat offset, into the dense H, of the row
+    of each of H_k's entries; their columns are read from H_k's own `indices`,
+    which SciPy sorts in place, with `data`, on `abs` or `sort_indices`.
     """
 
     def __init__(self, ham: QubitArrayHamiltonian, schedule: PulseSchedule, spec: EvolutionSpec):
@@ -263,7 +265,7 @@ class _System:
             flips = [1 << n for n in range(self.n)]
             self.h.append(_one_per_row([(f, 1.0) for f in flips], self.dim))
             self.h.append(_one_per_row([(f, -1j * z) for f, z in zip(flips, self.zpat)], self.dim))
-        self.at = [np.repeat(idx * self.dim, np.diff(m.indptr)) + m.indices for m in self.h]
+        self.rows = [np.repeat(idx * self.dim, np.diff(m.indptr)) for m in self.h]
 
         # transition frequencies vs time (rad/s); channels that never leave
         # zero are inert and do not require a Stark map
@@ -360,7 +362,7 @@ class _System:
         """H(t) - w N as a dense matrix."""
         h = np.diag(self.z(t, w).astype(complex))
         for c, k in self._weighted(t):
-            h.reshape(-1)[self.at[k]] += c * self.h[k].data
+            h.reshape(-1)[self.rows[k] + self.h[k].indices] += c * self.h[k].data
         return h
 
 

@@ -652,6 +652,11 @@ def test_hamiltonian_matches_pauli_kron_oracle(n, frame, exchange, phase):
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     applied = sys.apply_h(t, psi)
     assert np.abs(applied - expect @ psi).max() <= 1e-13 * np.abs(expect @ psi).max()
+    # `abs` and `sort_indices` reorder an H_k's indices and data in place
+    for h_k in sys.h:
+        abs(h_k)
+        h_k.sort_indices()
+    assert np.abs(sys.dense_h(t) - expect).max() <= 1e-13 * scale_h
 
 
 def test_apply_h_matches_dense_h_at_nine_qubits():
