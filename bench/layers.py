@@ -1,4 +1,4 @@
-"""Layer timings of the Stark map, register builds, density-matrix steps, readout, artifact text and cold CLI processes.
+"""Layer timings of the Stark map, register builds, Taylor steps, readout, artifact text and cold CLI processes.
 
     python bench/layers.py [--repeats 7] [--label NAME] [--src DIR] [--out FILE]
 
@@ -14,23 +14,29 @@ Times, in this process unless noted:
 - `ramped_swap_evolve`: one 2-site swap `evolve` with rise = fall = dwell/8,
   on a freshly built register, with its Stark lookups counted;
 - `ramped_swap_evolve_n3`: that swap of sites 0 and 1 with a third site,
-  on an equilateral triangle at [0, 0.05, 0.2] mV, built once, with its
-  `dynamics.solve_ivp` right-hand-side evaluations counted (`nfev`);
+  on an equilateral triangle at [0, 0.05, 0.2] mV, built once;
 - `refine_sudden`, `refine_ramped`, `refine_out_of_reach`: one
   `calibrate_swap(refine=True)` on the 2-site register, sudden at 0.3 pi, at
   0.3 pi with ramps of a sixteenth of the sudden dwell, and at pi/2 with
   such ramps, which raises that sin^2(alpha) is out of reach, and
   `refine_ramped_n3`, the ramped one on the triangle; each with its
-  `dynamics.evolve` calls, `dynamics.solve_ivp` runs and their evaluations counted;
+  `dynamics.evolve` calls counted;
+- `sv_triangle_n6` to `sv_triangle_n10`: one state-vector `evolve` of n
+  coupled qubits under a triangle-envelope drive resonant with qubit 0 (two
+  pieces linear in t), 5 samples; at n = 8 and 9 also the largest distance
+  of its states from DOP853 at its floor (rtol 3e-14, `dop853_deviation`);
+- `sv_constant_n6` to `sv_constant_n10`: that register under a constant
+  drive, one closed constant piece, every one of its 9 samples read, on
+  whichever path `evolve` takes; and, where the checkout has Taylor steps for
+  state vectors, `constant_eigh_n*` and `constant_taylor_n*`, the same
+  evolve on each path, the crossover that sets `dynamics._EXACT_DIM_MAX`;
 - `dm_rhs_n3`, `dm_rhs_n4`, `dm_rhs_n5`: one density-matrix right-hand side
   (H(t) and `_Liouvillian.apply`) on the falling piece of a triangle-envelope
   pi pulse on n zero-voltage sites, with the decoherence budget and
   tunneling on, as in perfbench's open-system-readout evolves;
-- `dm_triangle_evolve_n4`: that pulse's whole `evolve` at n = 4, two pieces,
-  with its Taylor steps and terms (`taylor_steps`, `taylor_terms`) and any
-  DOP853 runs and right-hand-side evaluations (`integrator_runs`, `nfev`);
+- `dm_triangle_evolve_n4`: that pulse's whole `evolve` at n = 4, two pieces;
 - `dm_constant_evolve_n5`: the same pulse with a constant envelope at n = 5,
-  counted alike, and `dm_constant_evolve_n8`, that pulse's `python -m helioq
+  and `dm_constant_evolve_n8`, that pulse's `python -m helioq
   evolve` at n = 8 in a fresh interpreter, with its `ru_maxrss`;
 - `dump_json_dm_n5`: `cli.dump_json` of that evolve's result document at
   n = 5 (4 samples of a 32 x 32 density matrix);
@@ -52,6 +58,11 @@ Times, in this process unless noted:
   above), `cold_demo_swap_sudden`, `cold_evolve_dm` (a 2-site density
   matrix under a constant pulse with the decoherence budget) and
   `cold_readout` (4 sites, 4000 shots).
+
+Every in-process evolve layer also stores, where the checkout has the
+module-level Taylor stepper, one record per piece that takes Taylor steps
+(`pieces`): its steps, their terms and the largest Chebyshev degree P of
+its steps' fits (0 where H is linear in t, which fits nothing).
 
 Each value is the minimum of `--repeats` repeats, stored with the repeat
 count, median and maximum.  The repeats run round-robin, one of each layer
@@ -192,23 +203,47 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     extras["ramped_swap_evolve"] = {"stark_lookups": len(lookups)}
 
     def counted(fn) -> dict:
-        """`dynamics.evolve` calls, `dynamics.solve_ivp` runs and their evaluations, of one fn(None)."""
-        runs = {"evolve": 0, "solve_ivp": 0, "nfev": 0}
-        originals = {name: getattr(dynamics, name) for name in ("evolve", "solve_ivp")}
-        for name, original in originals.items():
-            def count(*args, _name=name, _fn=original, **kwargs):
-                runs[_name] += 1
-                out = _fn(*args, **kwargs)
-                runs["nfev"] += out.nfev if _name == "solve_ivp" else 0
-                return out
-            setattr(dynamics, name, count)
+        """`dynamics.evolve` calls of one fn(None), and each Taylor piece's steps, terms and fit degree."""
+        runs, pieces = [0], []
+        patched = {"evolve": dynamics.evolve}
+        for name in ("_taylor", "_series", "_fit"):
+            if hasattr(dynamics, name):
+                patched[name] = getattr(dynamics, name)
+
+        def evolve(*a, **k):
+            runs[0] += 1
+            return patched["evolve"](*a, **k)
+
+        def taylor(*a, **k):
+            pieces.append({"steps": 0, "terms": 0, "degree": {}})
+            return patched["_taylor"](*a, **k)
+
+        def series(apply, *a):
+            def term(*b):
+                pieces[-1]["terms"] += 1
+                return apply(*b)
+            pieces[-1]["steps"] += 1
+            return patched["_series"](term, *a)
+
+        def fit(*a):   # (sys, t0, dt, w): the degrees of the fits at each step length
+            v = patched["_fit"](*a)
+            degrees = pieces[-1]["degree"]
+            degrees[a[2]] = max(degrees.get(a[2], 0), -1 if v is None else len(v) - 1)
+            return v
+
+        hooks = {"evolve": evolve, "_taylor": taylor, "_series": series, "_fit": fit}
+        for name in patched:
+            setattr(dynamics, name, hooks[name])
         try:
             fn(None)
         finally:
-            for name, original in originals.items():
+            for name, original in patched.items():
                 setattr(dynamics, name, original)
-        return {"evolves": runs["evolve"], "integrator_runs": runs["solve_ivp"], "nfev": runs["nfev"]}
+        for piece in pieces:   # the fits of the steps the piece took
+            piece["degree"] = piece["degree"][min(piece["degree"])] if piece["degree"] else 0
+        return {"evolves": runs[0], **({"pieces": pieces} if "_series" in patched else {})}
 
+    extras["ramped_swap_evolve"].update(counted(lambda _: evolve_once(fresh())))
     triangle = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0), (0.5, math.sqrt(3) / 2)))
     ham3 = qubits.build(triangle, voltages=np.array([0.0, 5e-5, 2e-4]))
     dwell3 = pulses.calibrate_swap(ham3, (0, 1), math.pi / 2)
@@ -273,7 +308,8 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         system = dynamics._System(ham_n, sched_n, spec_n)
         liou = dynamics._Liouvillian(system, spec_n.budget, spec_n.tunneling)
         ta, tb = 0.5 * sched_n.duration, sched_n.duration
-        linear = (system.piece(ta, tb, True) if hasattr(system, "piece")
+        stepper = hasattr(dynamics, "_series")   # `apply` sums a list of H_j, `piece` takes an op
+        linear = (system.piece(ta, tb, system.dense if stepper else True) if hasattr(system, "piece")
                   else system.linear_h(ta, tb) if hasattr(system, "linear_h") else None)   # linear_h before `piece`
         if linear is not None:
             a, b, _ = linear
@@ -283,45 +319,70 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         rho = (g @ g.conj().T / np.vdot(g, g)).reshape(-1)   # a random density matrix
         times = np.linspace(ta, tb, RHS_EVALS)
+        rhs = ((lambda h, y, liou=liou: liou.apply([h], [y], True)) if stepper
+               else (lambda h, y, liou=liou: liou.apply(h, y, True)))
         plan[f"dm_rhs_n{n}"] = _timed(
-            lambda _, h_at=h_at, liou=liou, rho=rho: [liou.apply(h_at(t), rho, True) for t in times],
-            RHS_EVALS)
-
-    def dm_counts(args) -> dict:
-        """Taylor steps and terms, DOP853 runs and evaluations, of one `evolve(*args)`."""
-        counts = {"series": 0, "apply": 0, "nfev": []}
-        originals = {name: getattr(dynamics._Liouvillian, name, None) for name in ("series", "apply")}
-        ivp = dynamics.solve_ivp
-
-        def counted_ivp(*a, **k):
-            sol = ivp(*a, **k)
-            counts["nfev"].append(sol.nfev)
-            return sol
-
-        for name, original in originals.items():
-            if original is not None:
-                def count(*a, _name=name, _fn=original, **k):
-                    counts[_name] += 1
-                    return _fn(*a, **k)
-                setattr(dynamics._Liouvillian, name, count)
-        dynamics.solve_ivp = counted_ivp
-        try:
-            dynamics.evolve(*args)
-        finally:
-            dynamics.solve_ivp = ivp
-            for name, original in originals.items():
-                if original is not None:
-                    setattr(dynamics._Liouvillian, name, original)
-        taylor = originals["series"] is not None   # else every apply is a DOP853 evaluation
-        return {"taylor_steps": counts["series"], "taylor_terms": counts["apply"] if taylor else 0,
-                "integrator_runs": len(counts["nfev"]), "nfev": sum(counts["nfev"])}
+            lambda _, h_at=h_at, rhs=rhs, rho=rho: [rhs(h_at(t), rho) for t in times], RHS_EVALS)
 
     for name, args in (("dm_triangle_evolve_n4", dm_evolve(4)),
                        ("dm_constant_evolve_n5", dm_evolve(5, envelope=False))):
-        extras[name] = dm_counts(args)
+        extras[name] = counted(lambda _, args=args: dynamics.evolve(*args))
         plan[name] = _timed(lambda _, args=args: dynamics.evolve(*args))
     dm_doc = {"result": dynamics.evolve(*dm_evolve(5)).to_json_dict()}
     plan["dump_json_dm_n5"] = _timed(lambda _: cli.dump_json(dm_doc))
+
+    def sv_register(n: int, envelope) -> tuple:
+        """(ham, schedule, initial, spec): n coupled qubits, detunings and couplings of ~1/T, under one
+        drive resonant with qubit 0 over T = 20 ns, the first qubit excited."""
+        t_seg, scale = 2e-8, 1.0 / (2e-8 * units.K_TO_RAD_PER_S)
+        gen = np.random.default_rng(n)
+        eps = 1.0 + gen.uniform(-1.0, 1.0, n) * scale
+        a = np.triu(gen.uniform(0.0, 1.0, (n, n)) * scale, 1)
+        b = np.triu(gen.uniform(0.0, 2.0, (n, n)) * scale, 1)
+        ham_n = qubits.QubitArrayHamiltonian.from_parameters(eps_K=eps, a_K=a + a.T, b_K=b + b.T,
+                                                             drive_coeff=1e9)
+        drive = pulses.MicrowaveChannel(eps[0] * units.K_TO_GHZ, 0.15, 0.4, envelope(t_seg))
+        count = 5 if envelope(t_seg) else 9
+        return (ham_n, pulses.PulseSchedule(duration=t_seg, microwave=(drive,)),
+                dynamics.RegisterState.state_vector("u" + "d" * (n - 1)),
+                dynamics.EvolutionSpec(sample_times=np.linspace(0.0, t_seg, count)))
+
+    def dop853_deviation(ham_n, sched_n, initial, spec_n) -> float:
+        """Largest distance of `evolve`'s states from DOP853 at its floor, piece by piece."""
+        from scipy.integrate import solve_ivp
+
+        system = dynamics._System(ham_n, sched_n, spec_n)
+        dense = getattr(system, "dense_h", None) or (lambda t: system.dense(system.coefficients(t)))
+        samples, state, expect = spec_n.sample_times, initial.data, [initial.data]
+        ends = [0.0, *sorted(t for t in sched_n.breakpoints() if 0 < t < samples[-1]), samples[-1]]
+        for ta, tb in zip(ends[:-1], ends[1:]):
+            times = np.unique(np.append(samples[(ta < samples) & (samples <= tb)], tb))
+            sol = solve_ivp(lambda t, y: -1j * (dense(t) @ y), (ta, tb), state, method="DOP853",
+                            rtol=3e-14, atol=3e-16, t_eval=times)
+            expect += [y for t, y in zip(times, sol.y.T) if t in samples]
+            state = sol.y[:, -1]
+        return float(np.abs(dynamics.evolve(ham_n, sched_n, initial, spec_n).states - expect).max())
+
+    def triangle(t_seg):
+        return ((0.0, 0.0), (0.5 * t_seg, 1.0), (t_seg, 0.0))
+
+    for n in range(6, 11):
+        for kind, envelope in (("triangle", triangle), ("constant", lambda t_seg: ())):
+            args = sv_register(n, envelope)
+            name = f"sv_{kind}_n{n}"
+            extras[name] = counted(lambda _, args=args: dynamics.evolve(*args))
+            if kind == "triangle" and n in (8, 9):
+                extras[name]["dop853_deviation"] = dop853_deviation(*args)
+            plan[name] = _timed(lambda _, args=args: dynamics.evolve(*args))
+        if hasattr(dynamics, "_series"):
+            for path, cap in (("eigh", 1 << 20), ("taylor", 0)):
+                def pinned(_, args=sv_register(n, lambda t_seg: ()), cap=cap):
+                    saved, dynamics._EXACT_DIM_MAX = dynamics._EXACT_DIM_MAX, cap
+                    try:
+                        dynamics.evolve(*args)
+                    finally:
+                        dynamics._EXACT_DIM_MAX = saved
+                plan[f"constant_{path}_n{n}"] = _timed(pinned)
 
     energies = hydrogenic.levels(basis, 0.0)
     exponent_args = [(e, f) for e in energies[:2] for f in (1e-3, 0.1, 1.0, 4.0, 6.0)]

@@ -430,7 +430,6 @@ def _evolution_spec(config: dict, duration: float) -> dynamics.EvolutionSpec:
     return dynamics.EvolutionSpec(
         sample_times=samples,
         frame=ev.get("frame", "rwa"),
-        rtol=ev.get("rtol", 1e-8),
         budget=budget_obj,
         tunneling=tun,
     )

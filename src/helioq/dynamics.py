@@ -15,8 +15,6 @@ area Omega T = pi inverts the qubit.
 Each evolve call writes H(t) = diag(z(t)) + H_0 + f_x(t) H_X + f_y(t) H_Y
 once, each H_k one CSR matrix with its zeros dropped: H_0 the sz-sz
 diagonal and every exchange pair, H_X = sum_n X_n and H_Y = sum_n Y_n.
-The state-vector product sums c_k (H_k @ psi), and the dense matrix, the
-one form of H a density matrix sees, adds each H_k's stored entries.
 
 Optional loss channels:
 - per-qubit relaxation at rate 1/T1 (lowering operator) and pure dephasing
@@ -31,17 +29,15 @@ each piece has one slope per channel and one tunneling state; samples are
 read from one propagation per piece.  With no drive on, N = sum_n sz_n/2
 commutes with H and the loss channels, so every path propagates H - w N, w
 the mean qubit frequency, and w N returns as one exact phase per sample.
-A closed constant piece takes the eigendecomposition of H.  A density-matrix
-piece with H(t) = A + (t - tm) B (constant, or rwa with voltages held) takes
-a truncated Taylor series of -i[H(t), .] + D, D the loss channels (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 2011), each term one right-hand side:
-X = H rho, -i(X - X^dagger) in one fresh array, and D vec(rho) added by
-SciPy's CSR kernel.  Other pieces take one DOP853 run, read by its dense
-output (Hairer, Norsett & Wanner, ODEs I).
+A small closed constant piece takes the eigendecomposition of H; every
+other piece, truncated Taylor steps (Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 2011) on H(t0 + s dt) = sum_j s^j H_j (Jorba & Zou, Exp. Math. 14,
+2005): (k + 1) c_{k+1} = -i dt sum_j H_j c_{k-j}, on a density matrix the
+commutator, plus the loss channels D at j = 0.  The H_j are A + (t0 - tm) B
+and dt B where H is linear in t, else each step's Chebyshev fit of eps and f.
 
-SciPy loads on first use (`scipy.sparse` for CSR matrices, `scipy.integrate`
-for DOP853), so importing this module costs NumPy alone.  `dynamics.solve_ivp`
-wraps SciPy's and is the one name to patch to count or fail integrator runs.
+SciPy loads on first use (`scipy.sparse` for CSR matrices and their kernel),
+so importing this module costs NumPy alone.
 """
 from __future__ import annotations
 
@@ -52,7 +48,7 @@ import numpy as np
 
 from .decoherence import DecoherenceBudget
 from .pulses import PulseSchedule
-from .qubits import QubitArrayHamiltonian
+from .qubits import QubitArrayHamiltonian, _chop
 from .units import K_TO_RAD_PER_S
 
 __all__ = [
@@ -65,10 +61,16 @@ __all__ = [
 
 _STATE_VECTOR_MAX = 16
 _DENSITY_MATRIX_MAX = 8
-# largest Hilbert dimension for dense eigendecomposition of constant pieces
-_EXACT_DIM_MAX = 1024
+# largest Hilbert dimension at which a closed constant piece takes eigh: Taylor steps overtake it
+# from 128 on (bench/layers.py, `constant_eigh_n*` against `constant_taylor_n*`)
+_EXACT_DIM_MAX = 64
 _TAYLOR_THETA = 10.0  # bound on ||dt L||_1 per Taylor step, chosen by measurement
 _TAYLOR_TERMS_MAX = 100  # theta^k/k! falls below 2^-53 by k = 53
+_FIT_DEGREE = 24  # a step's Chebyshev samples: `_chop` sees up to 16 terms level off
+_FIT_TERMS = 16  # at most: T_15(1 - 2s) reaches 3e11 on the disk |s| <= 1 the Taylor terms read
+# column k: T_k(1 - 2s) in monomials of s, (-4)^j k (k + j - 1)! / ((k - j)! (2j)!) at s^j, exact integers
+_MONOMIALS = np.array([[(-4) ** j * k * math.comb(k + j, 2 * j) // (k + j) if k else int(j == 0)
+                        for k in range(_FIT_DEGREE + 1)] for j in range(_FIT_DEGREE + 1)], dtype=float)
 
 
 def basis_index(bits: str) -> int:
@@ -146,11 +148,10 @@ class TunnelingSpec:
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """Frame, tolerance, sample times, and optional loss channels."""
+    """Frame, sample times, and optional loss channels."""
 
     sample_times: np.ndarray
     frame: str = "rwa"
-    rtol: float = 1e-8
     budget: DecoherenceBudget | None = None
     tunneling: TunnelingSpec | None = None
 
@@ -162,8 +163,6 @@ class EvolutionSpec:
             raise ValueError("sample times must be sorted and nonnegative")
         if self.frame not in ("rwa", "lab"):
             raise ValueError(f"frame must be 'rwa' or 'lab', got {self.frame!r}")
-        if not self.rtol > 0:
-            raise ValueError(f"rtol must be positive, got {self.rtol}")
         object.__setattr__(self, "sample_times", times)
 
 
@@ -233,12 +232,9 @@ def _one_per_row(terms, *shape):
 class _System:
     """H(t) = diag(z(t)) + sum_k c_k(t) H_k of one evolve call, (c_k) = (1, f_x, f_y).
 
-    `h[k]` is H_k as CSR: H_0 the sz-sz diagonal and each exchange pair,
-    H_1 = H_X the X_n flips and H_2 = H_Y the Y_n flips (the one complex
-    H_k), the last two only with a microwave channel, without which f_x and
-    f_y vanish.  `rows[k]` holds the flat offset, into the dense H, of the row
-    of each of H_k's entries; their columns are read from H_k's own `indices`,
-    which SciPy sorts in place, with `data`, on `abs` or `sort_indices`.
+    `h[k]` is H_k as complex CSR: H_0 the sz-sz diagonal and each exchange pair, H_X the X_n and
+    H_Y the Y_n flips, these two only with a microwave channel.  `rows[k]` holds each entry's row
+    offset in the dense H; columns come from H_k's own `indices`, which `abs` reorders in place.
     """
 
     def __init__(self, ham: QubitArrayHamiltonian, schedule: PulseSchedule, spec: EvolutionSpec):
@@ -250,7 +246,7 @@ class _System:
 
         a_rad = ham.a_K * K_TO_RAD_PER_S
         b_rad = ham.b_K * K_TO_RAD_PER_S
-        szsz = np.zeros(self.dim)
+        szsz = np.zeros(self.dim, complex)  # complex like psi, as the kernel below reads H_k
         static = [(0, szsz)]
         # uncoupled pairs add only zeros, which the CSR build drops
         for i in range(self.n):
@@ -263,9 +259,13 @@ class _System:
         # H_X and H_Y exist only when a microwave channel can fill them
         if schedule.microwave:
             flips = [1 << n for n in range(self.n)]
-            self.h.append(_one_per_row([(f, 1.0) for f in flips], self.dim))
+            self.h.append(_one_per_row([(f, 1.0 + 0j) for f in flips], self.dim))
             self.h.append(_one_per_row([(f, -1j * z) for f, z in zip(flips, self.zpat)], self.dim))
         self.rows = [np.repeat(idx * self.dim, np.diff(m.indptr)) for m in self.h]
+        self.norms = [abs(m).sum(axis=0).max() for m in self.h]  # ||H_k||_1
+        from scipy.sparse._sparsetools import csr_matvec  # out += H_k @ psi, what H_k @ psi runs
+
+        self.matvec = csr_matvec
 
         # transition frequencies vs time (rad/s); channels that never leave
         # zero are inert and do not require a Stark map
@@ -318,16 +318,13 @@ class _System:
                 fx += omega * math.cos(w * t + ch.phase)
         return fx, fy
 
-    def piece(self, ta: float, tb: float, dm: bool):
-        """(A, B, w) with H(t) - w N = A + (t - tm) B on (ta, tb), N = sum_n sz_n/2 the excitation.
+    def piece(self, ta: float, tb: float, op):
+        """(A, B, w) with H(t) - w N = op(A + (t - tm) B) on (ta, tb), N = sum_n sz_n/2 the excitation.
 
-        Channels are linear between breakpoints, so two interior points p, q
-        tell every slope.  B is None when H is constant; A is None when H is
-        not linear in t (a voltage moves, or a lab-frame drive is on) or no
-        path reads it dense (eigh takes up to _EXACT_DIM_MAX rows, a slope only
-        Taylor steps on a density matrix, `dm`).  w, the mean qubit frequency at
-        tm, is 0 unless no drive is on: N then commutes with H and every loss channel.
-        """
+        Channels are linear between breakpoints, so interior points p, q tell every slope.  B is None
+        when H is constant; A and B are None when H is not linear in t (a voltage moves, or a lab-frame
+        drive is on).  w, the mean qubit frequency at tm, is 0 unless no drive is on: N then commutes
+        with H and every loss channel."""
         p, q, tm = ta + 0.25 * (tb - ta), ta + 0.75 * (tb - ta), 0.5 * (ta + tb)
         # amplitude x envelope, not drive_xy: lab-frame cosines can sum to 0 at p or q
         f = [(ch.amp_V_per_cm * ch.envelope_at(p), ch.amp_V_per_cm * ch.envelope_at(q))
@@ -335,34 +332,32 @@ class _System:
         idle, constant = not any(fp or fq for fp, fq in f), all(fp == fq for fp, fq in f)
         w = float(np.mean(self.eps_rad(tm))) if idle else 0.0
         moving = any(self.schedule.voltage_at(s, p) != self.schedule.voltage_at(s, q) for s in self.tuning)
-        dense = self.dim <= _EXACT_DIM_MAX if constant else dm
-        if moving or not (idle or self.spec.frame == "rwa") or not dense:
+        if moving or not (idle or self.spec.frame == "rwa"):
             return None, None, w
-        a = self.dense_h(tm, w)
-        return (a, None, w) if constant else (a, (self.dense_h(q) - self.dense_h(p)) / (q - p), w)
+        a = op(self.coefficients(tm, w))
+        return a, None if constant else (op(self.coefficients(q)) - op(self.coefficients(p))) / (q - p), w
 
     # -- operator application -------------------------------------------------
 
-    def z(self, t, w: float = 0.0) -> np.ndarray:
-        """The time-dependent diagonal sum_n (eps_n(t) - w) sz_n/2."""
-        return 0.5 * ((self.eps_rad(t) - w) @ self.zpat)
+    def coefficients(self, t, w: float = 0.0) -> np.ndarray:
+        """H(t) - w N as one vector: diagonal sum_n (eps_n(t) - w) sz_n/2, then (c_k) = (1, f_x, f_y)."""
+        return np.concatenate((0.5 * ((self.eps_rad(t) - w) @ self.zpat), (1.0, *self.drive_xy(t))))
 
-    def _weighted(self, t):
-        """(c_k(t), k) for the H_k whose coefficient is nonzero."""
-        return [(c, k) for k, c in enumerate((1.0, *self.drive_xy(t))) if c != 0.0]
-
-    def apply_h(self, t, psi, w: float = 0.0) -> np.ndarray:
-        """(H(t) - w N) psi."""
-        out = self.z(t, w) * psi
-        for c, k in self._weighted(t):
-            out += c * (self.h[k] @ psi)
+    def apply(self, hs, cs) -> np.ndarray:
+        """sum_j H_j c_j for coefficient vectors H_j: one product for the diagonals, one per H_k."""
+        v, c = np.asarray(hs)[:len(cs)], np.array(cs)
+        out = np.einsum("jd,jd->d", v[:, :self.dim], c)
+        for k, m in enumerate(self.h):
+            if (f := v[:, self.dim + k]).any():
+                self.matvec(self.dim, self.dim, m.indptr, m.indices, m.data, f @ c, out)
         return out
 
-    def dense_h(self, t, w: float = 0.0) -> np.ndarray:
-        """H(t) - w N as a dense matrix."""
-        h = np.diag(self.z(t, w).astype(complex))
-        for c, k in self._weighted(t):
-            h.reshape(-1)[self.rows[k] + self.h[k].indices] += c * self.h[k].data
+    def dense(self, v) -> np.ndarray:
+        """The dense matrix of coefficient vector v."""
+        h = np.diag(v[:self.dim].astype(complex))
+        for k, m in enumerate(self.h):
+            if c := v[self.dim + k]:
+                h.reshape(-1)[self.rows[k] + m.indices] += c * m.data
         return h
 
 
@@ -391,68 +386,16 @@ class _Liouvillian:
         # complex like rho, so the kernel below reads D as stored, with no cast per evaluation
         self.dissipator = tuple(_one_per_row([(0, d + 0j), *jumps], dim, dim)
                                 for d in (decay, decay - (g[:, None] + g[None, :])))
-        from scipy.sparse._sparsetools import csr_matvec  # out += D @ y, what D @ y runs
+        self.matvec = sys.matvec  # out += D @ y
 
-        self.matvec = csr_matvec
-
-    def apply(self, h, y, tunneling: bool, b=None, y1=None) -> np.ndarray:
-        """L(t) @ y for the dense H(t), plus -i[B, y1] if B is given; rho H is (H rho)^dagger.
-
-        The result is a fresh array on every call: DOP853 keeps the last one.
-        """
-        x = h @ y.reshape(h.shape)
-        if b is not None:
-            x += b @ y1.reshape(h.shape)
+    def apply(self, hs, ys, tunneling: bool) -> np.ndarray:
+        """sum_j -i[H_j, y_j] for dense H_j, plus D y_0, in a fresh array (a step keeps earlier terms)."""
+        x = sum((h @ y.reshape(h.shape) for h, y in zip(hs[1:], ys[1:])), hs[0] @ ys[0].reshape(hs[0].shape))
         out = np.subtract(x, x.conj().T, order="C")  # C order: the kernel adds into its memory
         out *= -1j
         d = self.dissipator[tunneling]
-        self.matvec(y.size, y.size, d.indptr, d.indices, d.data, y, out.reshape(-1))
+        self.matvec(ys[0].size, ys[0].size, d.indptr, d.indices, d.data, ys[0], out.reshape(-1))
         return out.reshape(-1)
-
-    def series(self, h0, b, y, dt: float, tunneling: bool, at, piece):
-        """One step: rho(t0 + s dt) = sum_k c_k s^k at each fraction s in `at`, and the whole sum.
-
-        L(t0 + tau) = L0 + tau L1, L0 = -i[H(t0), .] + D, L1 = -i[B, .], b = dt B or None: c_0 = y,
-        (k + 1) c_{k+1} = dt (L0 c_k + dt L1 c_{k-1}), summed until two terms in a row fall below
-        2^-53 of the sum (expm_multiply's test); raises if they never do.
-        """
-        prev, term, total, inner = None, y, y, [y] * len(at)
-        small = reach = np.abs(y).max()  # reach >= the sum's norm, read only once the test may pass
-        for k in range(1, _TAYLOR_TERMS_MAX):
-            prev, term = term, self.apply(h0, term, tunneling, *(() if prev is None else (b, prev)))
-            term *= dt / k
-            total, inner = total + term, [p + s**k * term for p, s in zip(inner, at)]
-            last, small = small, np.abs(term).max()
-            tail, reach = 2.0**53 * (last + small), reach + small
-            if tail <= reach and tail <= np.abs(total).max() < math.inf:
-                return inner, total
-        raise RuntimeError(f"Taylor series did not converge on [{piece[0]}, {piece[1]}] in "
-                           f"density-matrix mode with tunneling {'on' if tunneling else 'off'}")
-
-    def taylor(self, ta: float, tb: float, a, b, tunneling: bool):
-        """Propagation (state at ta, sorted times in (ta, tb]) -> states for H(t) = A + (t - tm) B.
-
-        Equal steps keep ||dt L||_1 <= theta, ||L||_1 <= 2 max(||H(ta)||_1, ||H(tb)||_1) + ||D||_1 being
-        convex in t; samples read their step's polynomial (its sum at the end) and do not move the steps.
-        """
-        ends = [a] if b is None else [a + f * (tb - ta) * b for f in (-0.5, 0.5)]
-        dnorm = abs(self.dissipator[tunneling]).sum(axis=0).max()
-        bound = 2 * max(np.abs(h).sum(axis=0).max() for h in ends) + dnorm
-        steps = max(1, math.ceil(bound * (tb - ta) / _TAYLOR_THETA))
-        dt, tm = (tb - ta) / steps, 0.5 * (ta + tb)
-        db = None if b is None else dt * b
-
-        def propagate(state, times):
-            y, out, times = state.reshape(-1), [], np.asarray(times)
-            for j in range(steps):
-                t0, t1 = ta + j * dt, tb if j == steps - 1 else ta + (j + 1) * dt
-                now = times[(t0 < times) & (times <= t1)]
-                h0 = a if b is None else a + (t0 - tm) * b
-                inner, y = self.series(h0, db, y, dt, tunneling, (now[now < t1] - t0) / dt, (ta, tb))
-                out += [rho.reshape(state.shape) for rho in [*inner, y][:len(now)]]
-            return out
-
-        return propagate
 
 
 def evolve(
@@ -464,8 +407,8 @@ def evolve(
     """Integrate the register from t = 0 through the schedule.
 
     Sample times must be covered by the schedule duration.  Tunneling and
-    a budget require density-matrix mode.  Raises if the integrator cannot
-    reach its error target.
+    a budget require density-matrix mode.  Raises RuntimeError if a Taylor
+    step's terms never fall below the sum's roundoff.
     """
     n = hamiltonian.n_qubits
     if initial.n_qubits != n:
@@ -495,7 +438,6 @@ def evolve(
     bounds = sorted(
         {0.0, t_end} | {float(t) for t in (*schedule.breakpoints(), t_f) if 0.0 < t < t_end}
     )
-    ir = max(spec.rtol * 1e-3, 3e-14)
 
     samples = spec.sample_times
     state = np.array(initial.data, dtype=complex)
@@ -506,7 +448,7 @@ def evolve(
         j = int(np.searchsorted(samples, tb, side="right"))
         # the piece's samples in (ta, tb] and tb itself, repeats read once
         times, at = np.unique(np.append(samples[k:j], tb), return_inverse=True)
-        states = _propagator(sys, liou, ta, tb, ta >= t_f, ir)(state, times)
+        states = _propagator(sys, liou, ta, tb, ta >= t_f)(state, times)
         out_states.extend(states[i] for i in at[:-1])
         state, k = states[-1], j
 
@@ -529,12 +471,12 @@ def evolve(
     )
 
 
-def _propagator(sys, liou, ta, tb, tunneling, rtol):
+def _propagator(sys, liou, ta, tb, tunneling):
     """Propagation (state at ta, sorted times in (ta, tb]) -> states; each path runs H - w N of `piece`."""
-    a, b, w = sys.piece(ta, tb, liou is not None)
+    a, b, w = sys.piece(ta, tb, (lambda v: v) if liou is None else sys.dense)
     closed = liou is None or (sys.spec.budget is None and not tunneling)
-    if closed and a is not None and b is None:
-        lam, v = np.linalg.eigh(a)
+    if closed and a is not None and b is None and sys.dim <= _EXACT_DIM_MAX:
+        lam, v = np.linalg.eigh(sys.dense(a) if a.ndim == 1 else a)
         vh = v.conj().T
 
         def propagate(state, times):
@@ -544,14 +486,8 @@ def _propagator(sys, liou, ta, tb, tunneling, rtol):
                 c = vh @ state
                 return [v @ (p * c) for p in phases]
             return [u @ state @ u.conj().T for u in (v @ np.diag(p) @ vh for p in phases)]
-    elif liou is not None and a is not None:
-        propagate = liou.taylor(ta, tb, a, b, tunneling)
     else:
-        def rhs(t, y):
-            return -1j * sys.apply_h(t, y, w) if liou is None else liou.apply(sys.dense_h(t, w), y, tunneling)
-
-        def propagate(state, times):
-            return _propagate_ivp(rhs, state, ta, times, rtol, tunneling)
+        propagate = _taylor(sys, liou, ta, tb, tunneling, w, a, b)
     if not w:
         return propagate
     # N commutes with H and the loss channels: exp(-i w N (t - ta)), or (N_a - N_b) on a density matrix
@@ -562,28 +498,90 @@ def _propagator(sys, liou, ta, tb, tunneling, rtol):
 
 def piece_propagator(hamiltonian, schedule, ta, tb):
     """`evolve`'s closed propagation (state at ta, sorted times in (ta, tb]) -> states on (ta, tb)."""
-    spec = EvolutionSpec(sample_times=np.array([tb]))
-    return _propagator(_System(hamiltonian, schedule, spec), None, ta, tb, False, spec.rtol * 1e-3)
+    return _propagator(_System(hamiltonian, schedule, EvolutionSpec(sample_times=[tb])), None, ta, tb, False)
 
 
-def solve_ivp(*args, **kwargs):
-    """`scipy.integrate.solve_ivp`, imported on first use; the one patch point for the integrator."""
-    from scipy.integrate import solve_ivp
+def _fit(sys, t0, dt, w):
+    """Coefficient vectors V_j with H(t0 + s dt) - w N = sum_j s^j V_j, None where they need a shorter step.
 
-    return solve_ivp(*args, **kwargs)
+    eps (lab frame, as its samples round) and f at _FIT_DEGREE + 1 extreme points give Chebyshev
+    series in x = 1 - 2s, each cut by `qubits._chop` at a tolerance admitting t's own rounding,
+    |f'| |t| 2^-52 (Chebfun's hscale), and turned into monomials in s by one fixed matrix."""
+    t = t0 + dt * (0.5 - 0.5 * np.cos(np.pi * np.arange(_FIT_DEGREE + 1) / _FIT_DEGREE))  # x = 1 - 2s
+    vals = np.array([[*sys.eps_rad(ti), *sys.drive_xy(ti)] for ti in t])
+    vals[:, :sys.n] += sys.carrier_rad
+    c = np.fft.rfft(np.concatenate((vals, vals[-2:0:-1])), axis=0).real / _FIT_DEGREE
+    c[[0, -1]] /= 2
+    slope = (np.abs(np.diff(vals, axis=0)) / np.maximum(np.diff(t), 1e-300)[:, None]).max(axis=0)
+    tol = 2.0**-52 * np.maximum(1.0, abs(t[-1]) * slope / np.maximum(np.abs(vals).max(axis=0), 1e-300))
+    keep = [_chop(ci, tc) if ci.any() else 0 for ci, tc in zip(c.T, tol)]
+    for ci, tc, k in zip(c.T, tol, keep):  # each series ends by its last term above tol
+        ci[min(k, np.flatnonzero(np.abs(ci) >= tc * np.abs(ci).max()).max(initial=len(c)) + 1):] = 0.0
+    mono = (_MONOMIALS @ c)[:np.flatnonzero(c.any(axis=1)).max() + 1]
+    # more than _FIT_TERMS terms halve the step, unless H's spread over it is below roundoff (a sliver)
+    if len(mono) > _FIT_TERMS and dt * np.ptp(vals, axis=0) @ np.r_[[0.5] * sys.n, sys.n, sys.n] > 2.0**-53:
+        return None
+    mono[0, :sys.n] -= sys.carrier_rad + w  # then the diagonal, H_0's coefficient (1 at j = 0) and f
+    return np.hstack((0.5 * (mono[:, :sys.n] @ sys.zpat), np.eye(len(mono), 1), mono[:, sys.n:]))
 
 
-def _propagate_ivp(rhs, state, ta, times, rtol, tunneling):
-    """One DOP853 run from ta, read at `times`; a density matrix runs as its row-major vector."""
-    tb = float(times[-1])
-    sol = solve_ivp(
-        rhs, (ta, tb), state.reshape(-1), method="DOP853",
-        rtol=rtol, atol=rtol * 1e-2, t_eval=times,
-    )
-    if not sol.success:
-        mode = "state-vector" if state.ndim == 1 else "density-matrix"
-        raise RuntimeError(
-            f"integrator failed on [{ta}, {tb}] in {mode} mode with tunneling "
-            f"{'on' if tunneling else 'off'} at rtol={rtol}: {sol.message}"
-        )
-    return sol.y.T.reshape(-1, *state.shape)
+def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
+    """Propagation (state at ta, sorted times in (ta, tb]) -> states by truncated Taylor steps.
+
+    On each equal step t0 + s dt, H(t) - w N = sum_j s^j H_j: A + (t0 - tm) B and dt B where H is
+    linear in t, else the step's `_fit`.  Steps keep ||dt L||_1 <= theta, ||L||_1 = ||H||_1 on a state
+    vector and 2 ||H||_1 + ||D||_1 on a density matrix, ||H||_1 at the ends of a linear piece (convex
+    in t), or summed over a fit's terms, a bound on the disk |s| <= 1 the Taylor terms read.  Samples
+    read their step's polynomial (its sum at the end) and do not move the steps."""
+    dm = liou is not None
+    dnorm = abs(liou.dissipator[tunneling]).sum(axis=0).max() if dm else 0.0
+
+    def norm(v):  # a bound on ||H||_1 for coefficient vector v
+        return np.abs(v[:sys.dim]).max() + sum(abs(c) * hk for c, hk in zip(v[sys.dim:], sys.norms))
+    if a is not None:
+        ends = [a] if b is None else [a + f * (tb - ta) * b for f in (-0.5, 0.5)]
+        size = (lambda h: np.abs(h).sum(axis=0).max()) if dm else norm
+        steps = max(1, math.ceil(((1 + dm) * max(size(h) for h in ends) + dnorm) * (tb - ta) / _TAYLOR_THETA))
+    else:
+        steps, fits = 1, [_fit(sys, ta, tb - ta, w)]
+        while any(v is None or ((1 + dm) * sum(map(norm, v)) + dnorm) * (tb - ta) > steps * _TAYLOR_THETA
+                  for v in fits):
+            steps *= 2
+            fits = [_fit(sys, ta + j * (tb - ta) / steps, (tb - ta) / steps, w) for j in range(steps)]
+    dt, tm = (tb - ta) / steps, 0.5 * (ta + tb)
+    db = None if b is None else dt * b
+    where = (f"on [{ta}, {tb}] in {'density-matrix' if dm else 'state-vector'} mode "
+             f"with tunneling {'on' if tunneling else 'off'}")
+    apply, scale = ((lambda hs, cs: liou.apply(hs, cs, tunneling)), dt) if dm else (sys.apply, -1j * dt)
+
+    def propagate(state, times):
+        y, out, times = state.reshape(-1), [], np.asarray(times)
+        for j in range(steps):
+            t0, t1 = ta + j * dt, tb if j == steps - 1 else ta + (j + 1) * dt
+            now = times[(t0 < times) & (times <= t1)]
+            if a is None:
+                hs = [sys.dense(v) for v in fits[j]] if dm else fits[j]
+            else:
+                hs = [a] if b is None else [a + (t0 - tm) * b, db]
+            inner, y = _series(apply, hs, y, scale, (now[now < t1] - t0) / dt, where)
+            out += [s.reshape(state.shape) for s in [*inner, y][:len(now)]]
+        return out
+
+    return propagate
+
+
+def _series(apply, hs, y, scale, at, where):
+    """One Taylor step: y(s) = sum_k c_k s^k at each fraction s in `at`, and the whole sum; c_0 = y,
+    (k + 1) c_{k+1} = scale apply(hs, [c_k, ...]) until two terms fall below 2^-53 of the sum, else raises."""
+    cs, total, inner = [y], y, [y] * len(at)
+    small = reach = np.abs(y).max()  # reach >= the sum's norm, read only once the test may pass
+    for k in range(1, _TAYLOR_TERMS_MAX):
+        term = apply(hs, cs)
+        term *= scale / k
+        cs = [term, *cs[:len(hs) - 1]]
+        total, inner = total + term, [p + s**k * term for p, s in zip(inner, at)]
+        last, small = small, np.abs(term).max()
+        tail, reach = 2.0**53 * (last + small), reach + small
+        if tail <= reach and tail <= np.abs(total).max() < math.inf:
+            return inner, total
+    raise RuntimeError(f"Taylor series did not converge {where}")

@@ -289,7 +289,7 @@ def test_c18_rwa_validated_against_lab_frame():
         for frame in ("rwa", "lab"):
             res = evolve(
                 ham, sched, RegisterState.state_vector("d"),
-                EvolutionSpec(sample_times=times, frame=frame, rtol=1e-6),
+                EvolutionSpec(sample_times=times, frame=frame),
             )
             pops[frame] = res.population("u")
         assert np.abs(pops["rwa"] - pops["lab"]).max() < 1e-3

@@ -25,6 +25,8 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
         "refine_ramped_n3",
         "dm_rhs_n3", "dm_rhs_n4", "dm_rhs_n5", "dm_triangle_evolve_n4", "dm_constant_evolve_n5",
         "dm_constant_evolve_n8", "dump_json_dm_n5",
+        *(f"{kind}_n{n}" for n in range(6, 11)
+          for kind in ("sv_triangle", "sv_constant", "constant_eigh", "constant_taylor")),
         "wkb_exponent", "readout_plan", "sample_shots", "dump_json_readout", "load_config",
         "moment_tables", "cold_python_pass",
         "cold_import_cli", "cold_setup", "cold_spectrum", "cold_demo_swap",
@@ -35,17 +37,21 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
         assert 0 < value["value"] == value["median"] == value["max"]
     assert layers["stark_build"]["terms"] > 0
     assert layers["ramped_swap_evolve"]["stark_lookups"] > 0
-    assert layers["refine_sudden"]["integrator_runs"] == layers["refine_sudden"]["evolves"] == 0
-    for name in ("refine_ramped", "refine_out_of_reach", "refine_ramped_n3"):
-        assert 0 < layers[name]["integrator_runs"] <= 3
-    # the 3-site swap's two ramps, the mean qubit frequency split off
-    assert layers["ramped_swap_evolve_n3"]["integrator_runs"] == 2
-    assert 0 < layers["ramped_swap_evolve_n3"]["nfev"] < 1000
+    assert layers["refine_sudden"]["evolves"] == 0 and layers["refine_sudden"]["pieces"] == []
+    # each ramp one Taylor piece on its steps' Chebyshev fits; the plateau is eigh
+    for name in ("refine_ramped", "refine_out_of_reach", "refine_ramped_n3", "ramped_swap_evolve",
+                 "ramped_swap_evolve_n3"):
+        assert 0 < layers[name]["evolves"] == len(layers[name]["pieces"]) / (2 if "swap" in name else 1) <= 3
+        assert all(0 < p["degree"] and 0 < p["steps"] < p["terms"] for p in layers[name]["pieces"])
+    # the mean qubit frequency split off, the 3-site ramps take few terms
+    assert sum(p["terms"] for p in layers["ramped_swap_evolve_n3"]["pieces"]) < 1000
     assert layers["readout_plan"]["wkb_evaluations"] > 0
     # the triangle's rise and fall, tunneling switched on at the apex between
-    # them, and the constant pulse's two halves: Taylor steps, no DOP853
-    for name in ("dm_triangle_evolve_n4", "dm_constant_evolve_n5"):
-        assert layers[name]["integrator_runs"] == layers[name]["nfev"] == 0
-        assert 2 <= layers[name]["taylor_steps"] < layers[name]["taylor_terms"]
+    # them, and the constant pulse's two halves: linear in t, no fit
+    for name in ("dm_triangle_evolve_n4", "dm_constant_evolve_n5", "sv_triangle_n8"):
+        assert [p["degree"] for p in layers[name]["pieces"]] == [0, 0]
+        assert all(1 <= p["steps"] < p["terms"] for p in layers[name]["pieces"])
+    for n in (8, 9):
+        assert layers[f"sv_triangle_n{n}"]["dop853_deviation"] <= 1e-12
     fresh = [k for k in layers if k.startswith("cold_")] + ["dm_constant_evolve_n8"]
     assert all(layers[k]["peak_rss_mib"]["value"] > 0 for k in fresh)

@@ -1,7 +1,6 @@
 """Tests for the batch front door: exit codes, outputs, determinism."""
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,39 +307,41 @@ def test_evolve_csv_echoes_overrides(tmp_path):
         "initial": {"bits": "u"},
         "evolution": {"sample_count": 3},
     })
-    assert main(["evolve", "--config", cfg, "--set", "evolution.rtol=1e-9"]) == 0
+    assert main(["evolve", "--config", cfg, "--set", "evolution.sample_count=4"]) == 0
     header = next((tmp_path / "out").glob("evolve_*.csv")).read_text().splitlines()[0]
     doc = json.loads(next((tmp_path / "out").glob("evolve_*.json")).read_text())
     assert header == (
         f"# config_hash={doc['config_hash']} artifact_version={doc['artifact_version']}"
-        " overrides=evolution.rtol=1e-9"
+        " overrides=evolution.sample_count=4"
     )
 
 
 def test_evolve_integrator_failure_exit_code(tmp_path, monkeypatch, capsys):
     from helioq import dynamics
 
-    def failing(*args, **kwargs):
-        return SimpleNamespace(success=False, message="Required step size is less than spacing")
-
-    monkeypatch.setattr(dynamics, "solve_ivp", failing)
-    cfg = write_config(tmp_path, {
-        "output_dir": str(tmp_path / "out"),
-        "device": {"d_um": 0.5, "sites": [[0, 0]], "B_T": 1.5, "T_K": 0.01},
-        "schedule": {
-            "duration_s": 1e-9,
-            "microwave": [{"freq_GHz": 100.0, "amp_V_per_cm": 0.1,
-                           "envelope": [[0.0, 0.0], [1e-9, 1.0]]}],
-        },
-        "initial": {"bits": "u", "mode": "density-matrix"},
-        # a lab-frame drive is not linear in t, so the density matrix runs DOP853
-        "evolution": {"sample_times_s": [1e-9], "frame": "lab",
-                      "tunneling": {"t_f_s": 0.0, "t_up_s": 2e-7}},
-    })
-    assert main(["evolve", "--config", cfg]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("RuntimeError: integrator failed on [0.0, 1e-09] in density-matrix")
-    assert "tunneling on" in err
+    # two terms cannot reach the sum's roundoff: every Taylor step fails
+    monkeypatch.setattr(dynamics, "_TAYLOR_TERMS_MAX", 2)
+    for mode, tunneling in (("density-matrix", "on"), ("state-vector", "off")):
+        evolution = {"sample_times_s": [1e-9], "frame": "lab"}
+        if mode == "density-matrix":
+            evolution["tunneling"] = {"t_f_s": 0.0, "t_up_s": 2e-7}
+        cfg = write_config(tmp_path, {
+            "output_dir": str(tmp_path / "out"),
+            "device": {"d_um": 0.5, "sites": [[0, 0]], "B_T": 1.5, "T_K": 0.01},
+            "schedule": {
+                "duration_s": 1e-9,
+                "microwave": [{"freq_GHz": 100.0, "amp_V_per_cm": 0.1,
+                               "envelope": [[0.0, 0.0], [1e-9, 1.0]]}],
+            },
+            "initial": {"bits": "u", "mode": mode},
+            # a lab-frame drive is not linear in t: Taylor steps on each step's fit
+            "evolution": evolution,
+        })
+        assert main(["evolve", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            f"RuntimeError: Taylor series did not converge on [0.0, 1e-09] in {mode} mode "
+            f"with tunneling {tunneling}\n"
+        )
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -500,7 +501,7 @@ def test_out_of_reach_refine_exits_3_after_the_ramps_alone(tmp_path, capsys, mon
     # the messages are those of the refinement over one full evolve per trial
     # dwell, which ran 39 and 56 evolves before raising; the ramps run once each
     runs = []
-    for name in ("evolve", "solve_ivp"):
+    for name in ("evolve", "_taylor"):
         fn = getattr(dynamics, name)
         monkeypatch.setattr(dynamics, name,
                             lambda *a, _fn=fn, _name=name, **k: runs.append(_name) or _fn(*a, **k))
@@ -515,7 +516,7 @@ def test_out_of_reach_refine_exits_3_after_the_ramps_alone(tmp_path, capsys, mon
         f"fall = {ramp} s: sin^2(alpha) = {math.sin(alpha) ** 2:.6g} is out of reach; the swap "
         f"angle jumps past it where the target holds {share} of the pair's population\n"
     )
-    assert runs.count("evolve") == runs.count("solve_ivp") <= 3
+    assert runs.count("evolve") == runs.count("_taylor") <= 3
     assert not (tmp_path / "out").exists()
 
 
@@ -652,7 +653,7 @@ EVOLVE_CONFIG = {
 
 
 @pytest.mark.parametrize("override", [
-    "evolution.rtol=NaN",
+    "evolution.t_end_s=NaN",
     "device.d_um=NaN",
     "device.E_perp=Infinity",
     "device.E_perp=-Infinity",
@@ -1020,7 +1021,7 @@ def test_evolve_artifacts_match_the_result_serializers(tmp_path, monkeypatch):
     cases = {
         "state-vector": ({"d_um": 0.5, "sites": [[0, 0]], "B_T": 1.5, "T_K": 0.01},
                          "d", 5, []),
-        "density-matrix": (dict(BASE_DEVICE), "ud", 3, ["evolution.rtol=1e-9"]),
+        "density-matrix": (dict(BASE_DEVICE), "ud", 3, ["evolution.t_end_s=1e-9"]),
     }
     for mode, (device, bits, count, overrides) in cases.items():
         out = tmp_path / mode

@@ -107,7 +107,6 @@ CASES = {
     "initial.bits": ("evolve", EVOLVE, "du"),
     "initial.mode": ("evolve", EVOLVE, "density-matrix"),
     "evolution.frame": ("evolve", EVOLVE, "lab"),
-    "evolution.rtol": ("evolve", EVOLVE, 1e-6),
     "evolution.sample_times_s": ("evolve", EVOLVE_AT, [5e-10, 1e-9]),
     "evolution.sample_count": ("evolve", EVOLVE, 4),
     "evolution.t_end_s": ("evolve", EVOLVE, 5e-10),

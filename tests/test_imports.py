@@ -63,14 +63,14 @@ def test_import_config_and_spectrum_load_no_scipy(tmp_path):
         "initial": {"bits": "ud", "mode": "density-matrix"},
         "evolution": {"sample_count": 3, "use_budget": True},
     }, "scipy.sparse", "scipy.sparse.linalg"),
-    # an enveloped drive: one DOP853 piece through scipy.integrate.solve_ivp
+    # an enveloped drive: Taylor steps on a slope, with no ODE integrator
     ("evolve", {
         "device": {"d_um": 0.5, "sites": [[0, 0]], "B_T": 1.5, "T_K": 0.01},
         "schedule": {"duration_s": 1e-9, "microwave": [
             {"freq_GHz": 100.0, "amp_V_per_cm": 0.1, "envelope": [[0.0, 0.0], [1e-9, 1.0]]}]},
         "initial": {"bits": "u"},
         "evolution": {"sample_times_s": [1e-9]},
-    }, "scipy.integrate", None),
+    }, "scipy.sparse", "scipy.integrate"),
     # the plan's brentq and the elliptic integrals of its exponent
     ("readout", {
         "seed": 11,

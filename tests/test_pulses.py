@@ -455,8 +455,8 @@ def brentq_over_full_evolves(ham, alpha, rise, fall):
 
 @pytest.fixture
 def integrator_runs(monkeypatch):
-    """Counts of `dynamics.evolve` calls and `dynamics.solve_ivp` runs."""
-    runs = {"evolve": 0, "solve_ivp": 0}
+    """Counts of `dynamics.evolve` calls and of the pieces that take Taylor steps (`dynamics._taylor`)."""
+    runs = {"evolve": 0, "_taylor": 0}
     for name in runs:
         def counted(*args, _name=name, _fn=getattr(dynamics, name), **kwargs):
             runs[_name] += 1
@@ -520,7 +520,7 @@ def test_ramped_refine_is_the_brentq_over_full_evolves(detuned, alpha_over_pi, r
 def test_sudden_refine_runs_no_integrator(request, integrator_runs, device):
     ham = request.getfixturevalue(device)
     pulses.calibrate_swap(ham, (0, 1), 0.3 * math.pi, refine=True)
-    assert integrator_runs == {"evolve": 0, "solve_ivp": 0}
+    assert integrator_runs == {"evolve": 0, "_taylor": 0}
 
 
 @pytest.mark.parametrize("alpha_over_pi, rise_over, fall_over, runs", [
@@ -535,7 +535,7 @@ def test_ramped_refine_runs_each_ramp_once(detuned, integrator_runs, alpha_over_
     dwell0 = pulses.calibrate_swap(detuned, (0, 1), alpha)
     pulses.calibrate_swap(detuned, (0, 1), alpha, refine=True,
                           rise=rise_over * dwell0, fall=fall_over * dwell0)
-    assert integrator_runs == {"evolve": runs, "solve_ivp": runs}
+    assert integrator_runs == {"evolve": runs, "_taylor": runs}
 
 
 @pytest.mark.parametrize("alpha_over_pi, ramp_over, share", [
@@ -554,7 +554,7 @@ def test_out_of_reach_refine_raises_after_the_ramps_alone(detuned, integrator_ru
         f"sin^2(alpha) = {math.sin(alpha) ** 2:.6g} is out of reach; the swap angle jumps "
         f"past it where the target holds {share} of the pair's population"
     )
-    assert integrator_runs == {"evolve": 2, "solve_ivp": 2}
+    assert integrator_runs == {"evolve": 2, "_taylor": 2}
 
 
 @pytest.mark.parametrize("volts", [(0.0, 5e-5), (5e-5, 0.0), (0.0, -5e-5), (-5e-5, 0.0)])
