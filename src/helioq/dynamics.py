@@ -232,8 +232,8 @@ def _one_per_row(terms, *shape):
 class _System:
     """H(t) = diag(z(t)) + sum_k c_k(t) H_k of one evolve call, (c_k) = (1, f_x, f_y).
 
-    `h[k]` is H_k as complex CSR: H_0 the sz-sz diagonal and each exchange pair, H_X the X_n and
-    H_Y the Y_n flips, these two only with a microwave channel.  `rows[k]` holds each entry's row
+    `h[k]` is H_k as complex CSR (H_0 the sz-sz diagonal and exchange pairs; H_X and H_Y the X_n
+    and Y_n flips, with a microwave channel only), `norms[k]` its 1-norm, `rows[k]` each entry's row
     offset in the dense H; columns come from H_k's own `indices`, which `abs` reorders in place.
     """
 
@@ -262,7 +262,7 @@ class _System:
             self.h.append(_one_per_row([(f, 1.0 + 0j) for f in flips], self.dim))
             self.h.append(_one_per_row([(f, -1j * z) for f, z in zip(flips, self.zpat)], self.dim))
         self.rows = [np.repeat(idx * self.dim, np.diff(m.indptr)) for m in self.h]
-        self.norms = [abs(m).sum(axis=0).max() for m in self.h]  # ||H_k||_1
+        self.norms = [np.bincount(m.indices, abs(m.data), minlength=self.dim).max() for m in self.h]
         from scipy.sparse._sparsetools import csr_matvec  # out += H_k @ psi, what H_k @ psi runs
 
         self.matvec = csr_matvec

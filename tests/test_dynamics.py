@@ -1194,6 +1194,57 @@ def test_taylor_pieces_match_dop853_at_its_floor(n):
     assert np.abs(taylor.states - np.array(floor)).max() <= 1e-12
 
 
+def swap_case(sites, volts, over, mode="state-vector"):
+    """A swap of sites 0 and 1 with ramps of dwell/over, sampled inside and at the end of each piece."""
+    ham = qubits.build(qubits.DeviceGeometry(pitch=0.5e-4, sites=sites), voltages=np.array(volts))
+    dwell = pulses.calibrate_swap(ham, (0, 1), math.pi / 2)
+    sched = pulses.swap_schedule(ham, (0, 1), dwell, dwell / over, dwell / over)
+    ends = sched.breakpoints()
+    spec = EvolutionSpec(sample_times=np.sort(np.concatenate([0.5 * (ends[:-1] + ends[1:]), ends[1:]])))
+    rng = np.random.default_rng(over)
+    psi = rng.normal(size=2 ** len(sites)) + 1j * rng.normal(size=2 ** len(sites))
+    psi /= np.linalg.norm(psi)
+    initial = RegisterState("state-vector", len(sites), psi)
+    if mode == "density-matrix":
+        initial = RegisterState("density-matrix", len(sites), np.outer(psi, psi.conj()))
+    return ham, sched, initial, spec
+
+
+def driven_case(n, frame):
+    """`driven_register` under its TRIANGLE drive; the lab frame at a 1 GHz-scale carrier."""
+    ham, sched = driven_register(n, TRIANGLE)
+    if frame == "lab":
+        ham = coupled_register(n, seed=3, eps_K=0.05)
+        carrier = ham.eps_K[0] * units.K_TO_GHZ
+        sched = pulses.PulseSchedule(
+            duration=T_SEG, microwave=(pulses.MicrowaveChannel(carrier, 0.05, 0.3, TRIANGLE),))
+    return ham, sched, RegisterState.state_vector("u" + "d" * (n - 1)), EvolutionSpec(
+        sample_times=np.linspace(0.0, T_SEG, 5), frame=frame)
+
+
+PAIR = ((0, 0), (1, 0)), (0.0, 5e-5)
+TRIPLE = ((0, 0), (1, 0), (0.5, math.sqrt(3) / 2)), (0.0, 5e-5, 2e-4)
+CROSS_PATH_CASES = {
+    # moving voltages: each step's Chebyshev fit, the plateau between them eigh
+    **{f"ramp-n{len(sites)}-dwell-over-{over}": lambda sites=sites, volts=volts, over=over:
+       swap_case(sites, volts, over) for sites, volts in (PAIR, TRIPLE) for over in (16, 8, 4)},
+    # a triangle drive: two pieces linear in t
+    "triangle-state-vector-n6": lambda: driven_case(6, "rwa"),
+    "triangle-state-vector-n7": lambda: driven_case(7, "rwa"),
+    # a lab-frame cosine, fitted step by step
+    "lab-frame-drive": lambda: driven_case(2, "lab"),
+    "density-matrix-moving-voltage": lambda: swap_case(*PAIR, 8, "density-matrix"),
+}
+
+
+@pytest.mark.parametrize("case", CROSS_PATH_CASES)
+def test_every_taylor_path_matches_dop853_at_its_floor(case):
+    ham, sched, initial, spec = CROSS_PATH_CASES[case]()
+    res = evolve(ham, sched, initial, spec)
+    assert np.abs(res.states[-1] - res.states[0]).max() > 0.1
+    assert np.abs(res.states - dop853_evolve(ham, sched, initial, spec)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("envelope,tunneling", [((), True), (TRIANGLE, False)],
                          ids=["constant-tunneling-on", "triangle-tunneling-off"])
 def test_taylor_terms_that_never_fall_off_raise(monkeypatch, envelope, tunneling):
