@@ -390,7 +390,9 @@ class _Liouvillian:
 
     def apply(self, hs, ys, tunneling: bool) -> np.ndarray:
         """sum_j -i[H_j, y_j] for dense H_j, plus D y_0, in a fresh array (a step keeps earlier terms)."""
-        x = sum((h @ y.reshape(h.shape) for h, y in zip(hs[1:], ys[1:])), hs[0] @ ys[0].reshape(hs[0].shape))
+        x = hs[0] @ ys[0].reshape(hs[0].shape)
+        for h, y in zip(hs[1:], ys[1:]):
+            x += h @ y.reshape(h.shape)
         out = np.subtract(x, x.conj().T, order="C")  # C order: the kernel adds into its memory
         out *= -1j
         d = self.dissipator[tunneling]
@@ -559,10 +561,8 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
         for j in range(steps):
             t0, t1 = ta + j * dt, tb if j == steps - 1 else ta + (j + 1) * dt
             now = times[(t0 < times) & (times <= t1)]
-            if a is None:
-                hs = [sys.dense(v) for v in fits[j]] if dm else fits[j]
-            else:
-                hs = [a] if b is None else [a + (t0 - tm) * b, db]
+            hs = fits[j] if a is None else [a] if b is None else [a + (t0 - tm) * b, db]
+            hs = [sys.dense(v) for v in hs] if dm and a is None else hs  # a fit's H_j come as vectors
             inner, y = _series(apply, hs, y, scale, (now[now < t1] - t0) / dt, where)
             out += [s.reshape(state.shape) for s in [*inner, y][:len(now)]]
         return out
