@@ -319,12 +319,12 @@ class _System:
         return fx, fy
 
     def piece(self, ta: float, tb: float, op):
-        """(A, B, w) with H(t) - w N = op(A + (t - tm) B) on (ta, tb), N = sum_n sz_n/2 the excitation.
+        """(A, B, w) with H(t) - w N = A + (t - tm) B on (ta, tb), N = sum_n sz_n/2 the excitation.
 
-        Channels are linear between breakpoints, so interior points p, q tell every slope.  B is None
-        when H is constant; A and B are None when H is not linear in t (a voltage moves, or a lab-frame
-        drive is on).  w, the mean qubit frequency at tm, is 0 unless no drive is on: N then commutes
-        with H and every loss channel."""
+        A and B are `op` of coefficient vectors; channels are linear between breakpoints, so interior
+        points p, q tell every slope.  B is None when H is constant; A and B are None when H is not
+        linear in t (a voltage moves, or a lab-frame drive is on).  w, the mean qubit frequency at tm,
+        is 0 unless no drive is on: N then commutes with H and every loss channel."""
         p, q, tm = ta + 0.25 * (tb - ta), ta + 0.75 * (tb - ta), 0.5 * (ta + tb)
         # amplitude x envelope, not drive_xy: lab-frame cosines can sum to 0 at p or q
         f = [(ch.amp_V_per_cm * ch.envelope_at(p), ch.amp_V_per_cm * ch.envelope_at(q))
