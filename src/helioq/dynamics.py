@@ -61,8 +61,7 @@ __all__ = [
 
 _STATE_VECTOR_MAX = 16
 _DENSITY_MATRIX_MAX = 8
-# largest Hilbert dimension at which a closed constant piece takes eigh: Taylor steps overtake it
-# from 128 on (bench/layers.py, `constant_eigh_n*` against `constant_taylor_n*`)
+# largest dimension at which a closed constant piece takes eigh: Taylor overtakes it at 128 (bench/layers.py)
 _EXACT_DIM_MAX = 64
 _TAYLOR_THETA = 10.0  # bound on ||dt L||_1 per Taylor step, chosen by measurement
 _TAYLOR_TERMS_MAX = 100  # theta^k/k! falls below 2^-53 by k = 53
@@ -504,7 +503,7 @@ def piece_propagator(hamiltonian, schedule, ta, tb):
 
 
 def _fit(sys, t0, dt, w):
-    """Coefficient vectors V_j with H(t0 + s dt) - w N = sum_j s^j V_j, None where they need a shorter step.
+    """Rows m_j of (eps - w, f) with H(t0 + s dt) - w N = sum_j s^j H(m_j), or None for a shorter step.
 
     eps (lab frame, as its samples round) and f at _FIT_DEGREE + 1 extreme points give Chebyshev
     series in x = 1 - 2s, each cut by `qubits._chop` at a tolerance admitting t's own rounding,
@@ -519,12 +518,11 @@ def _fit(sys, t0, dt, w):
     keep = [_chop(ci, tc) if ci.any() else 0 for ci, tc in zip(c.T, tol)]
     for ci, tc, k in zip(c.T, tol, keep):  # each series ends by its last term above tol
         ci[min(k, np.flatnonzero(np.abs(ci) >= tc * np.abs(ci).max()).max(initial=len(c)) + 1):] = 0.0
-    mono = (_MONOMIALS @ c)[:np.flatnonzero(c.any(axis=1)).max() + 1]
+    c[0, :sys.n] -= sys.carrier_rad + w  # T_0 = 1: the constant term alone
+    mono = (_MONOMIALS @ c)[:np.flatnonzero(c.any(axis=1)).max(initial=0) + 1]
     # more than _FIT_TERMS terms halve the step, unless H's spread over it is below roundoff (a sliver)
-    if len(mono) > _FIT_TERMS and dt * np.ptp(vals, axis=0) @ np.r_[[0.5] * sys.n, sys.n, sys.n] > 2.0**-53:
-        return None
-    mono[0, :sys.n] -= sys.carrier_rad + w  # then the diagonal, H_0's coefficient (1 at j = 0) and f
-    return np.hstack((0.5 * (mono[:, :sys.n] @ sys.zpat), np.eye(len(mono), 1), mono[:, sys.n:]))
+    spread = dt * np.ptp(vals, axis=0) @ np.r_[[0.5] * sys.n, sys.n, sys.n]
+    return None if len(mono) > _FIT_TERMS and spread > 2.0**-53 else mono
 
 
 def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
@@ -540,18 +538,20 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
 
     def norm(v):  # a bound on ||H||_1 for coefficient vector v
         return np.abs(v[:sys.dim]).max() + sum(abs(c) * hk for c, hk in zip(v[sys.dim:], sys.norms))
+
+    def poly(m):  # the coefficient vectors H(m_j) of a fit's rows, H_0 in row 0 only
+        return np.hstack((0.5 * (m[:, :sys.n] @ sys.zpat), np.eye(len(m), 1), m[:, sys.n:]))
     if a is not None:
         ends = [a] if b is None else [a + f * (tb - ta) * b for f in (-0.5, 0.5)]
         size = (lambda h: np.abs(h).sum(axis=0).max()) if dm else norm
         steps = max(1, math.ceil(((1 + dm) * max(size(h) for h in ends) + dnorm) * (tb - ta) / _TAYLOR_THETA))
     else:
         steps, fits = 1, [_fit(sys, ta, tb - ta, w)]
-        while any(v is None or ((1 + dm) * sum(map(norm, v)) + dnorm) * (tb - ta) > steps * _TAYLOR_THETA
-                  for v in fits):
+        while any(m is None or ((1 + dm) * sum(map(norm, poly(m))) + dnorm) * (tb - ta)
+                  > _TAYLOR_THETA * steps for m in fits):
             steps *= 2
             fits = [_fit(sys, ta + j * (tb - ta) / steps, (tb - ta) / steps, w) for j in range(steps)]
     dt, tm = (tb - ta) / steps, 0.5 * (ta + tb)
-    db = None if b is None else dt * b
     where = (f"on [{ta}, {tb}] in {'density-matrix' if dm else 'state-vector'} mode "
              f"with tunneling {'on' if tunneling else 'off'}")
     apply, scale = ((lambda hs, cs: liou.apply(hs, cs, tunneling)), dt) if dm else (sys.apply, -1j * dt)
@@ -561,7 +561,7 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
         for j in range(steps):
             t0, t1 = ta + j * dt, tb if j == steps - 1 else ta + (j + 1) * dt
             now = times[(t0 < times) & (times <= t1)]
-            hs = fits[j] if a is None else [a] if b is None else [a + (t0 - tm) * b, db]
+            hs = poly(fits[j]) if a is None else [a] if b is None else [a + (t0 - tm) * b, dt * b]
             hs = [sys.dense(v) for v in hs] if dm and a is None else hs  # a fit's H_j come as vectors
             inner, y = _series(apply, hs, y, scale, (now[now < t1] - t0) / dt, where)
             out += [s.reshape(state.shape) for s in [*inner, y][:len(now)]]
