@@ -35,7 +35,7 @@ MEDIUM = {"medium": {
     "boundary": {"n_min": 1e7, "n_max": 1e9, "points": 4, "gamma_melt": 130.0},
 }}
 SWAP = {"device": DEVICE, "swap": {"pair": [0, 1], "alpha": math.pi / 4}}
-# a ramped voltage and a ramped drive, so the integrator (and its rtol) runs
+# a ramped voltage and a ramped drive, so each step's Chebyshev fit and Taylor terms run
 EVOLVE = {
     "device": DEVICE,
     "schedule": {
