@@ -280,6 +280,21 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         extras[name] = counted(run)
         plan[name] = _timed(run)
 
+    for n in (7, 8, 9):   # the triangle and a row of sites detuned 0.1 mV apart
+        row = qubits.DeviceGeometry(pitch=0.5e-4, sites=(*triangle.sites, *((k, 3) for k in range(n - 3))))
+        run = refine(0.3 * math.pi, 1 / 16, ham=qubits.build(
+            row, voltages=np.array([0.0, 5e-5, *(2e-4 + 1e-4 * np.arange(n - 2))])))
+        extras[f"refine_ramped_n{n}"] = counted(run)
+        plan[f"refine_ramped_n{n}"] = _timed(run)
+        if hasattr(dynamics, "_REREAD_DIM_MAX"):   # the plateau by Taylor steps instead of eigh
+            def taylor_plateau(_, run=run):
+                saved, dynamics._REREAD_DIM_MAX = dynamics._REREAD_DIM_MAX, 0
+                try:
+                    run(None)
+                finally:
+                    dynamics._REREAD_DIM_MAX = saved
+            plan[f"refine_taylor_n{n}"] = _timed(taylor_plateau)
+
     def dm_job(n: int, envelope: bool = True) -> dict:
         """A pi pulse, triangle or constant, on n zero-voltage sites; budget on, tunneling from halfway."""
         duration = 2 * math.pi / 6.4838e8   # at 1 V/cm and the zero-field drive coefficient
@@ -308,18 +323,15 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         system = dynamics._System(ham_n, sched_n, spec_n)
         liou = dynamics._Liouvillian(system, spec_n.budget, spec_n.tunneling)
         ta, tb = 0.5 * sched_n.duration, sched_n.duration
-        stepper = hasattr(dynamics, "_series")   # `apply` sums a list of H_j, `piece` takes an op
-        linear = (system.piece(ta, tb, system.dense if stepper else True) if hasattr(system, "piece")
-                  else system.linear_h(ta, tb) if hasattr(system, "linear_h") else None)   # linear_h before `piece`
-        if linear is not None:
-            a, b, _ = linear
-            h_at = (lambda t, a=a, b=b, tm=0.5 * (ta + tb): a + (t - tm) * b)
-        else:   # a checkout from before the Taylor steps
-            h_at = system.dense_h_on(ta, tb)
+        stepper = hasattr(dynamics, "_series")   # `piece` gives coefficient vectors, `apply` takes H rho
+        a, b, _ = system.piece(ta, tb) if stepper else system.piece(ta, tb, True)
+        if stepper:
+            a, b = system.dense(a), system.dense(b)
+        h_at = (lambda t, a=a, b=b, tm=0.5 * (ta + tb): a + (t - tm) * b)
         g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         rho = (g @ g.conj().T / np.vdot(g, g)).reshape(-1)   # a random density matrix
         times = np.linspace(ta, tb, RHS_EVALS)
-        rhs = ((lambda h, y, liou=liou: liou.apply([h], [y], True)) if stepper
+        rhs = ((lambda h, y, liou=liou: liou.apply(h @ y.reshape(h.shape), y, True)) if stepper
                else (lambda h, y, liou=liou: liou.apply(h, y, True)))
         plan[f"dm_rhs_n{n}"] = _timed(
             lambda _, h_at=h_at, rhs=rhs, rho=rho: [rhs(h_at(t), rho) for t in times], RHS_EVALS)
@@ -328,6 +340,12 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
                        ("dm_constant_evolve_n5", dm_evolve(5, envelope=False))):
         extras[name] = counted(lambda _, args=args: dynamics.evolve(*args))
         plan[name] = _timed(lambda _, args=args: dynamics.evolve(*args))
+    budget = dm_evolve(3)[3].budget
+    for n, h, swap, bits in ((2, ham, sched, "ud"), (3, ham3, sched3, "udd")):
+        args = (h, swap, dynamics.RegisterState.density_matrix(bits),
+                dynamics.EvolutionSpec(sample_times=np.linspace(0.0, swap.duration, 5), budget=budget))
+        extras[f"dm_swap_evolve_n{n}"] = counted(lambda _, args=args: dynamics.evolve(*args))
+        plan[f"dm_swap_evolve_n{n}"] = _timed(lambda _, args=args: dynamics.evolve(*args))
     dm_doc = {"result": dynamics.evolve(*dm_evolve(5)).to_json_dict()}
     plan["dump_json_dm_n5"] = _timed(lambda _: cli.dump_json(dm_doc))
 
@@ -383,6 +401,20 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
                     finally:
                         dynamics._EXACT_DIM_MAX = saved
                 plan[f"constant_{path}_n{n}"] = _timed(pinned)
+        if hasattr(dynamics, "_taylor") and n in (7, 8):   # a closed density matrix on each path
+            ham_n, sched_n, _, spec_n = sv_register(n, lambda t_seg: ())
+            rho = dynamics.RegisterState.density_matrix("u" + "d" * (n - 1))
+
+            def dm_eigh(_, args=(ham_n, sched_n, rho, spec_n)):
+                dynamics.evolve(*args)
+
+            def dm_taylor(_, ham_n=ham_n, sched_n=sched_n, spec_n=spec_n, rho=rho):
+                system, t_seg = dynamics._System(ham_n, sched_n, spec_n), sched_n.duration
+                a, b, w = system.piece(0.0, t_seg)
+                liou = dynamics._Liouvillian(system, None, None)
+                dynamics._taylor(system, liou, 0.0, t_seg, False, w, a, b)(rho.data, spec_n.sample_times[1:])
+            plan[f"dm_closed_eigh_n{n}"] = _timed(dm_eigh)
+            plan[f"dm_closed_taylor_n{n}"] = _timed(dm_taylor)
 
     energies = hydrogenic.levels(basis, 0.0)
     exponent_args = [(e, f) for e in energies[:2] for f in (1e-3, 0.1, 1.0, 4.0, 6.0)]

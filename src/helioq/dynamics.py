@@ -29,12 +29,13 @@ each piece has one slope per channel and one tunneling state; samples are
 read from one propagation per piece.  With no drive on, N = sum_n sz_n/2
 commutes with H and the loss channels, so every path propagates H - w N, w
 the mean qubit frequency, and w N returns as one exact phase per sample.
-A small closed constant piece takes the eigendecomposition of H; every
-other piece, truncated Taylor steps (Al-Mohy & Higham, SIAM J. Sci. Comput.
-33, 2011) on H(t0 + s dt) = sum_j s^j H_j (Jorba & Zou, Exp. Math. 14,
-2005): (k + 1) c_{k+1} = -i dt sum_j H_j c_{k-j}, on a density matrix the
-commutator, plus the loss channels D at j = 0.  The H_j are A + (t0 - tm) B
-and dt B where H is linear in t, else each step's Chebyshev fit of eps and f.
+A closed constant piece takes the eigendecomposition of H (a state vector
+up to _EXACT_DIM_MAX states); every other piece, truncated Taylor steps
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011) on H(t0 + s dt) =
+sum_j s^j H_j (Jorba & Zou, Exp. Math. 14, 2005): (k + 1) c_{k+1} =
+-i dt sum_j H_j c_{k-j}, on a density matrix the commutator, plus the loss
+channels D at j = 0.  The H_j are A + (t0 - tm) B and dt B where H is
+linear in t, else each step's Chebyshev fit of eps and f.
 
 SciPy loads on first use (`scipy.sparse` for CSR matrices and their kernel),
 so importing this module costs NumPy alone.
@@ -61,8 +62,9 @@ __all__ = [
 
 _STATE_VECTOR_MAX = 16
 _DENSITY_MATRIX_MAX = 8
-# largest dimension at which a closed constant piece takes eigh: Taylor overtakes it at 128 (bench/layers.py)
+# largest state vector a closed constant piece takes eigh for: read once, Taylor overtakes it at 128
 _EXACT_DIM_MAX = 64
+_REREAD_DIM_MAX = 1024  # read many times, as `piece_propagator` is: 9-24x at 7-9 qubits (bench/layers.py)
 _TAYLOR_THETA = 10.0  # bound on ||dt L||_1 per Taylor step, chosen by measurement
 _TAYLOR_TERMS_MAX = 100  # theta^k/k! falls below 2^-53 by k = 53
 _FIT_DEGREE = 24  # a step's Chebyshev samples: `_chop` sees up to 16 terms level off
@@ -231,9 +233,11 @@ def _one_per_row(terms, *shape):
 class _System:
     """H(t) = diag(z(t)) + sum_k c_k(t) H_k of one evolve call, (c_k) = (1, f_x, f_y).
 
-    `h[k]` is H_k as complex CSR (H_0 the sz-sz diagonal and exchange pairs; H_X and H_Y the X_n
-    and Y_n flips, with a microwave channel only), `norms[k]` its 1-norm, `rows[k]` each entry's row
-    offset in the dense H; columns come from H_k's own `indices`, which `abs` reorders in place.
+    `h[k]` is H_k as complex CSR: H_0 the sz-sz diagonal and each exchange
+    pair, H_1 = H_X the X_n flips and H_2 = H_Y the Y_n flips, the last two
+    only with a microwave channel, without which f_x and f_y vanish.
+    `norms[k]` is H_k's 1-norm and `rows[k]` its entries' row offsets into
+    the dense H; the columns are H_k's own `indices`, which `abs` sorts in place.
     """
 
     def __init__(self, ham: QubitArrayHamiltonian, schedule: PulseSchedule, spec: EvolutionSpec):
@@ -262,9 +266,10 @@ class _System:
             self.h.append(_one_per_row([(f, -1j * z) for f, z in zip(flips, self.zpat)], self.dim))
         self.rows = [np.repeat(idx * self.dim, np.diff(m.indptr)) for m in self.h]
         self.norms = [np.bincount(m.indices, abs(m.data), minlength=self.dim).max() for m in self.h]
-        from scipy.sparse._sparsetools import csr_matvec  # out += H_k @ psi, what H_k @ psi runs
+        # out += H_k @ x, what H_k @ x runs, for a vector x and for a row-major matrix x
+        from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
-        self.matvec = csr_matvec
+        self.matvec, self.matvecs = csr_matvec, csr_matvecs
 
         # transition frequencies vs time (rad/s); channels that never leave
         # zero are inert and do not require a Stark map
@@ -317,13 +322,15 @@ class _System:
                 fx += omega * math.cos(w * t + ch.phase)
         return fx, fy
 
-    def piece(self, ta: float, tb: float, op):
+    def piece(self, ta: float, tb: float):
         """(A, B, w) with H(t) - w N = A + (t - tm) B on (ta, tb), N = sum_n sz_n/2 the excitation.
 
-        A and B are `op` of coefficient vectors; channels are linear between breakpoints, so interior
-        points p, q tell every slope.  B is None when H is constant; A and B are None when H is not
-        linear in t (a voltage moves, or a lab-frame drive is on).  w, the mean qubit frequency at tm,
-        is 0 unless no drive is on: N then commutes with H and every loss channel."""
+        A and B are coefficient vectors.  Channels are linear between
+        breakpoints, so two interior points p, q tell every slope.  B is None
+        when H is constant; A is None when H is not linear in t (a voltage
+        moves, or a lab-frame drive is on).  w, the mean qubit frequency at tm,
+        is 0 unless no drive is on: N then commutes with H and every loss channel.
+        """
         p, q, tm = ta + 0.25 * (tb - ta), ta + 0.75 * (tb - ta), 0.5 * (ta + tb)
         # amplitude x envelope, not drive_xy: lab-frame cosines can sum to 0 at p or q
         f = [(ch.amp_V_per_cm * ch.envelope_at(p), ch.amp_V_per_cm * ch.envelope_at(q))
@@ -333,8 +340,8 @@ class _System:
         moving = any(self.schedule.voltage_at(s, p) != self.schedule.voltage_at(s, q) for s in self.tuning)
         if moving or not (idle or self.spec.frame == "rwa"):
             return None, None, w
-        a = op(self.coefficients(tm, w))
-        return a, None if constant else (op(self.coefficients(q)) - op(self.coefficients(p))) / (q - p), w
+        a = self.coefficients(tm, w)
+        return a, None if constant else (self.coefficients(q) - self.coefficients(p)) / (q - p), w
 
     # -- operator application -------------------------------------------------
 
@@ -343,13 +350,16 @@ class _System:
         return np.concatenate((0.5 * ((self.eps_rad(t) - w) @ self.zpat), (1.0, *self.drive_xy(t))))
 
     def apply(self, hs, cs) -> np.ndarray:
-        """sum_j H_j c_j for coefficient vectors H_j: one product for the diagonals, one per H_k."""
+        """sum_j H_j c_j for coefficient vectors H_j and flat c_j (vectors or row-major matrices):
+        one product for the diagonals, then one per H_k, on sum_j f_kj c_j."""
         v, c = np.asarray(hs)[:len(cs)], np.array(cs)
-        out = np.einsum("jd,jd->d", v[:, :self.dim], c)
+        out = np.einsum("jd,jde->de", v[:, :self.dim], c.reshape(len(c), self.dim, -1))
+        # a matrix's kernel runs one axpy per entry: slower on a vector than csr_matvec
+        kernel, cols = (self.matvec, ()) if out.shape[1] == 1 else (self.matvecs, out.shape[1:])
         for k, m in enumerate(self.h):
             if (f := v[:, self.dim + k]).any():
-                self.matvec(self.dim, self.dim, m.indptr, m.indices, m.data, f @ c, out)
-        return out
+                kernel(self.dim, self.dim, *cols, m.indptr, m.indices, m.data, f @ c, out)
+        return out.reshape(-1)
 
     def dense(self, v) -> np.ndarray:
         """The dense matrix of coefficient vector v."""
@@ -363,7 +373,7 @@ class _System:
 class _Liouvillian:
     """Density-matrix generator -i[H(t), .] + D, less {G, .} once tunneling is on.
 
-    Stores only D and D - {G, .}, complex CSR on row-major vec(rho); H comes dense to each call.
+    Stores only D and D - {G, .}, complex CSR on row-major vec(rho); H rho comes to each call.
     D holds relaxation sqrt(1/T1) s- (jumps as index flips, and decay) and dephasing
     sqrt(2/T2_eff) sz/2, alone decaying coherences as exp(-t/T2_eff); G = sum_n P_up_n/(2 t_up).
     """
@@ -385,17 +395,16 @@ class _Liouvillian:
         # complex like rho, so the kernel below reads D as stored, with no cast per evaluation
         self.dissipator = tuple(_one_per_row([(0, d + 0j), *jumps], dim, dim)
                                 for d in (decay, decay - (g[:, None] + g[None, :])))
-        self.matvec = sys.matvec  # out += D @ y
+        self.matvec, self.shape = sys.matvec, (dim, dim)  # out += D @ y
 
-    def apply(self, hs, ys, tunneling: bool) -> np.ndarray:
-        """sum_j -i[H_j, y_j] for dense H_j, plus D y_0, in a fresh array (a step keeps earlier terms)."""
-        x = hs[0] @ ys[0].reshape(hs[0].shape)
-        for h, y in zip(hs[1:], ys[1:]):
-            x += h @ y.reshape(h.shape)
+    def apply(self, x, y, tunneling: bool) -> np.ndarray:
+        """-i (x - x^dagger) + D y in a fresh array (a step keeps earlier terms), x = sum_j H_j c_j,
+        y = c_0; the c_j are Hermitian, so c_j H_j = (H_j c_j)^dagger."""
+        x = x.reshape(self.shape)
         out = np.subtract(x, x.conj().T, order="C")  # C order: the kernel adds into its memory
         out *= -1j
         d = self.dissipator[tunneling]
-        self.matvec(ys[0].size, ys[0].size, d.indptr, d.indices, d.data, ys[0], out.reshape(-1))
+        self.matvec(y.size, y.size, d.indptr, d.indices, d.data, y, out.reshape(-1))
         return out.reshape(-1)
 
 
@@ -472,12 +481,17 @@ def evolve(
     )
 
 
-def _propagator(sys, liou, ta, tb, tunneling):
-    """Propagation (state at ta, sorted times in (ta, tb]) -> states; each path runs H - w N of `piece`."""
-    a, b, w = sys.piece(ta, tb, (lambda v: v) if liou is None else sys.dense)
+def _propagator(sys, liou, ta, tb, tunneling, reread=False):
+    """Propagation (state at ta, sorted times in (ta, tb]) -> states; each path runs H - w N of `piece`.
+
+    A closed constant piece takes eigh on a density matrix (eigh reads a sample by three products,
+    Taylor a term by one), or on a state vector up to _EXACT_DIM_MAX, or `reread` _REREAD_DIM_MAX, rows.
+    """
+    a, b, w = sys.piece(ta, tb)
     closed = liou is None or (sys.spec.budget is None and not tunneling)
-    if closed and a is not None and b is None and sys.dim <= _EXACT_DIM_MAX:
-        lam, v = np.linalg.eigh(sys.dense(a) if a.ndim == 1 else a)
+    cap = _REREAD_DIM_MAX if reread else _EXACT_DIM_MAX
+    if closed and a is not None and b is None and (liou is not None or sys.dim <= cap):
+        lam, v = np.linalg.eigh(sys.dense(a))
         vh = v.conj().T
 
         def propagate(state, times):
@@ -498,16 +512,19 @@ def _propagator(sys, liou, ta, tb, tunneling):
 
 
 def piece_propagator(hamiltonian, schedule, ta, tb):
-    """`evolve`'s closed propagation (state at ta, sorted times in (ta, tb]) -> states on (ta, tb)."""
-    return _propagator(_System(hamiltonian, schedule, EvolutionSpec(sample_times=[tb])), None, ta, tb, False)
+    """`evolve`'s closed propagation (state at ta, sorted times in (ta, tb]) -> states, read many times."""
+    sys = _System(hamiltonian, schedule, EvolutionSpec(sample_times=[tb]))
+    return _propagator(sys, None, ta, tb, False, reread=True)
 
 
 def _fit(sys, t0, dt, w):
     """Rows m_j of (eps - w, f) with H(t0 + s dt) - w N = sum_j s^j H(m_j), or None for a shorter step.
 
-    eps (lab frame, as its samples round) and f at _FIT_DEGREE + 1 extreme points give Chebyshev
-    series in x = 1 - 2s, each cut by `qubits._chop` at a tolerance admitting t's own rounding,
-    |f'| |t| 2^-52 (Chebfun's hscale), and turned into monomials in s by one fixed matrix."""
+    eps (lab frame, as its samples round) and f at _FIT_DEGREE + 1 extreme points give
+    Chebyshev series in x = 1 - 2s, each cut by `qubits._chop` at a tolerance admitting t's
+    own rounding, |f'| |t| 2^-52 (Chebfun's hscale), and turned into monomials in s by one
+    fixed matrix.
+    """
     t = t0 + dt * (0.5 - 0.5 * np.cos(np.pi * np.arange(_FIT_DEGREE + 1) / _FIT_DEGREE))  # x = 1 - 2s
     vals = np.array([[*sys.eps_rad(ti), *sys.drive_xy(ti)] for ti in t])
     vals[:, :sys.n] += sys.carrier_rad
@@ -528,11 +545,12 @@ def _fit(sys, t0, dt, w):
 def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
     """Propagation (state at ta, sorted times in (ta, tb]) -> states by truncated Taylor steps.
 
-    On each equal step t0 + s dt, H(t) - w N = sum_j s^j H_j: A + (t0 - tm) B and dt B where H is
-    linear in t, else the step's `_fit`.  Steps keep ||dt L||_1 <= theta, ||L||_1 = ||H||_1 on a state
-    vector and 2 ||H||_1 + ||D||_1 on a density matrix, ||H||_1 at the ends of a linear piece (convex
-    in t), or summed over a fit's terms, a bound on the disk |s| <= 1 the Taylor terms read.  Samples
-    read their step's polynomial (its sum at the end) and do not move the steps."""
+    On each equal step t0 + s dt, H(t) - w N = sum_j s^j H_j: A + (t0 - tm) B and dt B where H
+    is linear in t, else the step's `_fit`.  Steps keep ||dt L||_1 <= theta, ||L||_1 = ||H||_1 on
+    a state vector and 2 ||H||_1 + ||D||_1 on a density matrix, ||H||_1 at the ends of a linear
+    piece (convex in t), or summed over a fit's terms, a bound on the disk |s| <= 1 the Taylor
+    terms read.  Samples read their step's polynomial (its sum at the end) and do not move the steps.
+    """
     dm = liou is not None
     dnorm = abs(liou.dissipator[tunneling]).sum(axis=0).max() if dm else 0.0
 
@@ -541,10 +559,20 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
 
     def poly(m):  # the coefficient vectors H(m_j) of a fit's rows, H_0 in row 0 only
         return np.hstack((0.5 * (m[:, :sys.n] @ sys.zpat), np.eye(len(m), 1), m[:, sys.n:]))
+
+    product, size = sys.apply, norm
+    if dm and a is not None:  # dense A and B: one product per H_j, not per H_k, and ||H||_1 exactly
+        a, b = sys.dense(a), None if b is None else sys.dense(b)
+        size = lambda h: np.abs(h).sum(axis=0).max()
+
+        def product(hs, cs):
+            x = hs[0] @ cs[0].reshape(hs[0].shape)
+            for h, c in zip(hs[1:], cs[1:]):
+                x += h @ c.reshape(h.shape)
+            return x
     if a is not None:
         ends = [a] if b is None else [a + f * (tb - ta) * b for f in (-0.5, 0.5)]
-        size = (lambda h: np.abs(h).sum(axis=0).max()) if dm else norm
-        steps = max(1, math.ceil(((1 + dm) * max(size(h) for h in ends) + dnorm) * (tb - ta) / _TAYLOR_THETA))
+        steps = max(1, math.ceil(((1 + dm) * max(map(size, ends)) + dnorm) * (tb - ta) / _TAYLOR_THETA))
     else:
         steps, fits = 1, [_fit(sys, ta, tb - ta, w)]
         while any(m is None or ((1 + dm) * sum(map(norm, poly(m))) + dnorm) * (tb - ta)
@@ -554,7 +582,8 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
     dt, tm = (tb - ta) / steps, 0.5 * (ta + tb)
     where = (f"on [{ta}, {tb}] in {'density-matrix' if dm else 'state-vector'} mode "
              f"with tunneling {'on' if tunneling else 'off'}")
-    apply, scale = ((lambda hs, cs: liou.apply(hs, cs, tunneling)), dt) if dm else (sys.apply, -1j * dt)
+    apply, scale = (product, -1j * dt) if not dm else (
+        (lambda hs, cs: liou.apply(product(hs, cs), cs[0], tunneling)), dt)
 
     def propagate(state, times):
         y, out, times = state.reshape(-1), [], np.asarray(times)
@@ -562,7 +591,6 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
             t0, t1 = ta + j * dt, tb if j == steps - 1 else ta + (j + 1) * dt
             now = times[(t0 < times) & (times <= t1)]
             hs = poly(fits[j]) if a is None else [a] if b is None else [a + (t0 - tm) * b, dt * b]
-            hs = [sys.dense(v) for v in hs] if dm and a is None else hs  # a fit's H_j come as vectors
             inner, y = _series(apply, hs, y, scale, (now[now < t1] - t0) / dt, where)
             out += [s.reshape(state.shape) for s in [*inner, y][:len(now)]]
         return out
@@ -571,8 +599,11 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
 
 
 def _series(apply, hs, y, scale, at, where):
-    """One Taylor step: y(s) = sum_k c_k s^k at each fraction s in `at`, and the whole sum; c_0 = y,
-    (k + 1) c_{k+1} = scale apply(hs, [c_k, ...]) until two terms fall below 2^-53 of the sum, else raises."""
+    """One Taylor step: y(s) = sum_k c_k s^k at each fraction s in `at`, and the whole sum.
+
+    c_0 = y and (k + 1) c_{k+1} = scale apply(hs, [c_k, c_{k-1}, ...]), summed until two terms
+    in a row fall below 2^-53 of the sum (expm_multiply's test); raises if they never do.
+    """
     cs, total, inner = [y], y, [y] * len(at)
     small = reach = np.abs(y).max()  # reach >= the sum's norm, read only once the test may pass
     for k in range(1, _TAYLOR_TERMS_MAX):

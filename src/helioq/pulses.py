@@ -266,7 +266,8 @@ _REACH_TOL = 1e-8
 
 def _swap_amplitudes(hamiltonian, pair, v_peak, longest, rise, fall):
     """dwell -> (a_src, a_dst) after the swap schedule, for dwells up to `longest`; the rise,
-    the plateau's `eigh` and the fall's two rows run once (see `_refine_dwell`)."""
+    the plateau's `eigh` (Taylor steps past 10 qubits) and the fall's two rows run once
+    (see `_refine_dwell`)."""
     from . import dynamics
 
     fwd = swap_schedule(hamiltonian, pair, longest, rise, fall, v_peak)

@@ -22,11 +22,12 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert set(layers) == {
         "transition_K", "build_n2", "build_n9", "stark_build", "stark_lookup", "ramped_swap_evolve",
         "ramped_swap_evolve_n3", "refine_sudden", "refine_ramped", "refine_out_of_reach",
-        "refine_ramped_n3",
+        "refine_ramped_n3", *(f"refine_{path}_n{n}" for n in (7, 8, 9) for path in ("ramped", "taylor")),
         "dm_rhs_n3", "dm_rhs_n4", "dm_rhs_n5", "dm_triangle_evolve_n4", "dm_constant_evolve_n5",
-        "dm_constant_evolve_n8", "dump_json_dm_n5",
+        "dm_swap_evolve_n2", "dm_swap_evolve_n3", "dm_constant_evolve_n8", "dump_json_dm_n5",
         *(f"{kind}_n{n}" for n in range(6, 11)
           for kind in ("sv_triangle", "sv_constant", "constant_eigh", "constant_taylor")),
+        *(f"dm_closed_{path}_n{n}" for n in (7, 8) for path in ("eigh", "taylor")),
         "wkb_exponent", "readout_plan", "sample_shots", "dump_json_readout", "load_config",
         "moment_tables", "cold_python_pass",
         "cold_import_cli", "cold_setup", "cold_spectrum", "cold_demo_swap",
@@ -39,8 +40,8 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert layers["ramped_swap_evolve"]["stark_lookups"] > 0
     assert layers["refine_sudden"]["evolves"] == 0 and layers["refine_sudden"]["pieces"] == []
     # each ramp one Taylor piece on its steps' Chebyshev fits; the plateau is eigh
-    for name in ("refine_ramped", "refine_out_of_reach", "refine_ramped_n3", "ramped_swap_evolve",
-                 "ramped_swap_evolve_n3"):
+    for name in ("refine_ramped", "refine_out_of_reach", "refine_ramped_n3", "refine_ramped_n7",
+                 "refine_ramped_n8", "refine_ramped_n9", "ramped_swap_evolve", "ramped_swap_evolve_n3"):
         assert 0 < layers[name]["evolves"] == len(layers[name]["pieces"]) / (2 if "swap" in name else 1) <= 3
         assert all(0 < p["degree"] and 0 < p["steps"] < p["terms"] for p in layers[name]["pieces"])
     # the mean qubit frequency split off, the 3-site ramps take few terms
@@ -53,5 +54,8 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
         assert all(1 <= p["steps"] < p["terms"] for p in layers[name]["pieces"])
     for n in (8, 9):
         assert layers[f"sv_triangle_n{n}"]["dop853_deviation"] <= 1e-12
+    # a density matrix under the swap: fitted ramps around a plateau that, with loss on, is linear in t
+    for n in (2, 3):
+        assert [p["degree"] > 0 for p in layers[f"dm_swap_evolve_n{n}"]["pieces"]] == [True, False, True]
     fresh = [k for k in layers if k.startswith("cold_")] + ["dm_constant_evolve_n8"]
     assert all(layers[k]["peak_rss_mib"]["value"] > 0 for k in fresh)

@@ -401,7 +401,7 @@ def dop853(sys, state, ta, times, liou=None, tunneling=False, w=0.0):
             return -1j * (dense_h(sys, t, w) @ y)
     else:
         def rhs(t, y):
-            return liou.apply([dense_h(sys, t, w)], [y], tunneling)
+            return liou.apply(dense_h(sys, t, w) @ y.reshape(state.shape), y, tunneling)
     times = np.asarray(times, dtype=float)
     sol = solve_ivp(rhs, (ta, times[-1]), state.reshape(-1), method="DOP853",
                     rtol=3e-14, atol=3e-16, t_eval=times)
@@ -559,13 +559,13 @@ def test_sparse_generator_matches_explicit_lindblad(n, tunneling, drive):
         expect += op @ rho @ op.conj().T - 0.5 * (ld @ rho + rho @ ld)
     scale = np.abs(expect).max()
 
-    applied = liou.apply([h], [rho.reshape(-1)], tunneling).reshape(dim, dim)
+    applied = liou.apply(h @ rho, rho.reshape(-1), tunneling).reshape(dim, dim)
     assert np.abs(applied - expect).max() <= 1e-13 * scale
     # the constant piece splits w N, N = sum_n sz_n/2, off H once the drive is off
-    a, b, w = sys.piece(0.0, T_SEG, sys.dense)
+    a, b, w = sys.piece(0.0, T_SEG)
     assert b is None and (w == 0.0) == drive
     e = 0.5 * sys.zpat.sum(axis=0)
-    split = liou.apply([a], [rho.reshape(-1)], tunneling).reshape(dim, dim)
+    split = liou.apply(sys.dense(a) @ rho, rho.reshape(-1), tunneling).reshape(dim, dim)
     split += -1j * w * (e[:, None] - e[None, :]) * rho
     assert np.abs(split - expect).max() <= 1e-13 * scale
 
@@ -710,6 +710,12 @@ def test_apply_h_matches_dense_h_at_nine_qubits():
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     expect = dense_h(sys, t) @ psi
     assert np.abs(sys.apply([sys.coefficients(t)], [psi]) - expect).max() <= 1e-13 * np.abs(expect).max()
+    # a density matrix's step: sum_j H_j c_j over row-major matrices c_j, H_j three coefficient vectors
+    hs = [sys.coefficients(t), sys.coefficients(0.8 * T_SEG), sys.coefficients(0.1 * T_SEG) - 1e9]
+    cs = [rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n)) for _ in hs]
+    expect = sum(sys.dense(h) @ c for h, c in zip(hs, cs))
+    applied = sys.apply(hs, [c.reshape(-1) for c in cs]).reshape(2**n, 2**n)
+    assert np.abs(applied - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_unitary_eigh_matches_ivp_on_constant_segment():
@@ -1099,8 +1105,9 @@ def test_linear_piece_rhs_matches_the_two_product_form(n, tunneling, phase):
                          tunneling=TunnelingSpec(0.0, 4 * T_SEG))
     sys = dynamics._System(ham, ramped_drive(ham, phase), spec)
     liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
-    a, b, w = sys.piece(0.5 * T_SEG, T_SEG, sys.dense)
+    a, b, w = sys.piece(0.5 * T_SEG, T_SEG)
     assert b is not None and w == 0.0
+    a, b = sys.dense(a), sys.dense(b)
     rho = random_density_matrix(2**n, seed=n)
     # a Taylor term adds -i[B, rho1] for the coefficient before it
     rho1 = random_density_matrix(2**n, seed=n + 1)
@@ -1108,11 +1115,11 @@ def test_linear_piece_rhs_matches_the_two_product_form(n, tunneling, phase):
         h = dense_h(sys, t)
         expect = (-1j * (h @ rho - rho @ h)).reshape(-1)
         expect += liou.dissipator[tunneling] @ rho.reshape(-1)
-        applied = liou.apply([a + (t - 0.75 * T_SEG) * b], [rho.reshape(-1)], tunneling)
+        applied = liou.apply((a + (t - 0.75 * T_SEG) * b) @ rho, rho.reshape(-1), tunneling)
         assert np.abs(applied - expect).max() <= 1e-13 * np.abs(expect).max()
         expect += (-1j * (b @ rho1 - rho1 @ b)).reshape(-1) * T_SEG
-        applied = liou.apply([a + (t - 0.75 * T_SEG) * b, T_SEG * b],
-                             [rho.reshape(-1), rho1.reshape(-1)], tunneling)
+        applied = liou.apply((a + (t - 0.75 * T_SEG) * b) @ rho + T_SEG * b @ rho1,
+                             rho.reshape(-1), tunneling)
         assert np.abs(applied - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
@@ -1128,10 +1135,11 @@ def test_density_matrix_rhs_is_a_fresh_array_and_leaves_y_alone(tunneling):
     h = dense_h(sys, 0.6 * T_SEG)
     y = random_density_matrix(2**n, seed=1).reshape(-1)
     y_before, h_before = y.copy(), h.copy()
-    first = liou.apply([h], [y], tunneling)
+    first = liou.apply(h @ y.reshape(h.shape), y, tunneling)
     first_before = first.copy()
-    second = liou.apply([h], [y], tunneling)
-    liou.apply([h], [random_density_matrix(2**n, seed=2).reshape(-1)], tunneling)
+    second = liou.apply(h @ y.reshape(h.shape), y, tunneling)
+    other = random_density_matrix(2**n, seed=2)
+    liou.apply(h @ other, other.reshape(-1), tunneling)
     assert np.array_equal(y, y_before) and np.array_equal(h, h_before)
     assert np.array_equal(first, first_before) and np.array_equal(first, second)
     assert first.shape == y.shape and first.flags.c_contiguous
@@ -1146,7 +1154,7 @@ def test_moving_voltages_and_lab_drives_read_dense_h(device_pair):
     for sched, frame, linear in ((ramp, "rwa", False), (held, "rwa", True),
                                  (ramped_drive(device_pair, 0.0), "lab", False)):
         sys = dynamics._System(device_pair, sched, EvolutionSpec([T_SEG], frame=frame))
-        a, _, w = sys.piece(0.0, T_SEG, sys.dense)
+        a, _, w = sys.piece(0.0, T_SEG)
         assert (a is not None) == linear
         # the mean qubit frequency splits off wherever no drive is on, a moving voltage too
         assert (w != 0.0) == (not sched.microwave)
@@ -1164,7 +1172,7 @@ def test_ramped_density_matrix_matches_the_per_evaluation_path(monkeypatch, n, t
     linear = evolve(ham, ramped_drive(ham, 0.4), initial, spec)
     # the per-step Chebyshev fit of a piece not linear in t
     piece = dynamics._System.piece
-    monkeypatch.setattr(dynamics._System, "piece", lambda self, ta, tb, op: (None, None, piece(self, ta, tb, op)[2]))
+    monkeypatch.setattr(dynamics._System, "piece", lambda self, ta, tb: (None, None, piece(self, ta, tb)[2]))
     general = evolve(ham, ramped_drive(ham, 0.4), initial, spec)
     assert np.abs(linear.states - general.states).max() <= 1e-8
 
@@ -1265,6 +1273,24 @@ def test_taylor_terms_that_never_fall_off_raise(monkeypatch, envelope, tunneling
     assert len(terms) == dynamics._TAYLOR_TERMS_MAX - 1
 
 
+def test_eigh_keeps_closed_density_matrices_and_the_reread_plateau(monkeypatch):
+    # one closed constant piece of 7 qubits, past _EXACT_DIM_MAX: a state vector read once takes
+    # Taylor steps, a density matrix and `piece_propagator` (read once per refine trial) take eigh
+    taylor = count_calls(monkeypatch, dynamics, "_taylor")
+    n = 7
+    assert 2**n > dynamics._EXACT_DIM_MAX
+    ham, sched = driven_register(n, ())
+    spec = EvolutionSpec(sample_times=np.linspace(0.0, T_SEG, 3))
+    by_vector = evolve(ham, sched, RegisterState.state_vector("u" + "d" * (n - 1)), spec)
+    assert len(taylor) == 1
+    by_matrix = evolve(ham, sched, RegisterState.density_matrix("u" + "d" * (n - 1)), spec)
+    plateau = dynamics.piece_propagator(ham, sched, 0.0, T_SEG)(by_vector.states[0], spec.sample_times[1:])
+    assert len(taylor) == 1
+    psi = by_vector.states
+    assert np.abs(by_matrix.states - np.einsum("ti,tj->tij", psi, psi.conj())).max() <= 1e-12
+    assert np.abs(np.array(plateau) - psi[1:]).max() <= 1e-12
+
+
 def test_linear_pieces_build_h_a_fixed_number_of_times(monkeypatch):
     dense = count_calls(monkeypatch, dynamics._System, "dense")
     drive_xy = count_calls(monkeypatch, dynamics._System, "drive_xy")
@@ -1275,8 +1301,9 @@ def test_linear_pieces_build_h_a_fixed_number_of_times(monkeypatch):
             sample_times=samples, budget=loss_budget(3 * T_SEG, 2 * T_SEG),
             tunneling=TunnelingSpec(0.5 * T_SEG, 2 * T_SEG),
         ))
-        # two Taylor pieces, each reading H at its midpoint and two interior points, whatever the samples
-        assert len(piece) == 2 and len(dense) == len(drive_xy) == 6
+        # two Taylor pieces, each reading H at its midpoint and two interior points and making
+        # A and B dense once, whatever the samples
+        assert len(piece) == 2 and len(drive_xy) == 6 and len(dense) == 4
         del piece[:], dense[:], drive_xy[:]
     # a state vector takes Taylor steps on coefficient vectors there, and no piece builds it a dense H
     evolve(ham, ramped_drive(ham, 0.4), RegisterState.state_vector("udd"), EvolutionSpec([T_SEG]))
