@@ -565,10 +565,10 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
         a, b = sys.dense(a), None if b is None else sys.dense(b)
         size = lambda h: np.abs(h).sum(axis=0).max()
 
-        def product(hs, cs):
+        def product(hs, cs):  # H_0 c_0, plus H_1 c_1 on a slope
             x = hs[0] @ cs[0].reshape(hs[0].shape)
-            for h, c in zip(hs[1:], cs[1:]):
-                x += h @ c.reshape(h.shape)
+            if len(cs) > 1:
+                x += hs[1] @ cs[1].reshape(hs[1].shape)
             return x
     if a is not None:
         ends = [a] if b is None else [a + f * (tb - ta) * b for f in (-0.5, 0.5)]
