@@ -64,7 +64,7 @@ _STATE_VECTOR_MAX = 16
 _DENSITY_MATRIX_MAX = 8
 # largest state vector a closed constant piece takes eigh for: read once, Taylor overtakes it at 128
 _EXACT_DIM_MAX = 64
-_REREAD_DIM_MAX = 1024  # read many times, as `piece_propagator` is: 9-24x at 7-9 qubits (bench/layers.py)
+_REREAD_DIM_MAX = 1024  # read many times, as `piece_propagator` is: 6-21x at 7-9 qubits (bench/layers.py)
 _TAYLOR_THETA = 10.0  # bound on ||dt L||_1 per Taylor step, chosen by measurement
 _TAYLOR_TERMS_MAX = 100  # theta^k/k! falls below 2^-53 by k = 53
 _FIT_DEGREE = 24  # a step's Chebyshev samples: `_chop` sees up to 16 terms level off
