@@ -56,8 +56,9 @@ Times, in this process unless noted:
   one `load_config`, what perfbench's `setup_s` times), and `python -m
   helioq` for `cold_spectrum` (40 fields), `cold_demo_swap` (the ramps
   above), `cold_demo_swap_sudden`, `cold_evolve_dm` (a 2-site density
-  matrix under a constant pulse with the decoherence budget) and
-  `cold_readout` (4 sites, 4000 shots).
+  matrix under a constant pulse with the decoherence budget),
+  `cold_readout` (4 sites, 4000 shots) and `cold_calibrate_refine`
+  (`calibrate --refine` of `refine_ramped`'s swap).
 
 Every in-process evolve layer also stores, where the checkout has the
 module-level Taylor stepper, one record per piece that takes Taylor steps
@@ -464,11 +465,14 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     device = {"d_um": 0.5, "sites": [[0, 0], [1, 0]], "B_T": 1.5, "T_K": 0.01,
               "voltages_mV": [0.0, 0.05]}
     sudden = {"pair": [0, 1], "alpha": math.pi / 2}
+    refine_ramp = pulses.calibrate_swap(ham, (0, 1), 0.3 * math.pi) / 16   # as `refine_ramped`'s
     configs = {
         "spectrum": {"device": device,
                      "spectrum": {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 40}},
         "demo_swap": {"device": device, "swap": {**sudden, "rise_s": ramp, "fall_s": ramp}},
         "demo_swap_sudden": {"device": device, "swap": sudden},
+        "calibrate_refine": {"device": device, "swap": {
+            "pair": [0, 1], "alpha": 0.3 * math.pi, "rise_s": refine_ramp, "fall_s": refine_ramp}},
         "evolve_dm": {"device": device, "schedule": {"duration_s": 4 * dwell},
                       "initial": {"bits": "ud", "mode": "density-matrix"},
                       "evolution": {"sample_count": 5, "use_budget": True}},
@@ -501,6 +505,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         ("cold_evolve_dm", helioq("evolve", "evolve_dm")),
         ("dm_constant_evolve_n8", helioq("evolve", "evolve_dm_n8")),
         ("cold_readout", helioq("readout", "readout")),
+        ("cold_calibrate_refine", [*helioq("calibrate", "calibrate_refine"), "--refine"]),
     ):
         plan[name] = _cold(argv, src)
 

@@ -24,6 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from .qubits import QubitArrayHamiltonian
+from .readout import _brentq
 from .units import EV_ERG, HBAR, K_B
 
 __all__ = [
@@ -50,6 +51,13 @@ def _check_points(points, hi, name, unit_interval=False):
     return tuple(pts)
 
 
+def _check_finite(channel, *names):
+    for name in names:
+        value = getattr(channel, name)
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValueError(f"{type(channel).__name__}.{name} must be finite, got {value}")
+
+
 def _interp(points, t: float, default: float) -> float:
     """`np.interp` over (time, value) breakpoints, bit for bit: held values
     outside, a repeated time's last value; `default` where there are none."""
@@ -73,6 +81,9 @@ class VoltageChannel:
     site: int
     points: tuple[tuple[float, float], ...]
 
+    def __post_init__(self):
+        _check_finite(self, "points")
+
     def value_at(self, t):
         return _interp(self.points, t, 0.0)
 
@@ -89,6 +100,9 @@ class MicrowaveChannel:
     amp_V_per_cm: float
     phase: float = 0.0
     envelope: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self):
+        _check_finite(self, "freq_GHz", "amp_V_per_cm", "phase", "envelope")
 
     def envelope_at(self, t):
         return _interp(self.envelope, t, 1.0)
@@ -298,8 +312,6 @@ def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
     product of exp(-i H dt) factors reverses their order: <k| U_fall =
     (U_rev |k>)^T, U_rev the fall run backwards, a rise of length `fall`.
     """
-    from scipy.optimize import brentq
-
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"refine supports 0 < alpha < pi, got alpha = {alpha}")
     lo, hi = 0.25 * dwell0, dwell0 * (alpha + math.pi) / (2.0 * alpha)
@@ -325,7 +337,7 @@ def _refine_dwell(hamiltonian, pair, alpha, dwell0, rise, fall):
             f"dwell refinement failed: alpha = {alpha}, rise = {rise} s, fall = {fall} s: "
             f"the swap angle does not cross alpha on [{lo}, {hi}] s"
         )
-    dwell = brentq(mismatch, lo, hi, xtol=1e-12 * dwell0)
+    dwell = _brentq(mismatch, lo, hi, xtol=1e-12 * dwell0)
     a_s, a_t, _ = amplitudes(dwell)
     share = a_t**2 / (a_s**2 + a_t**2)
     if abs(share - math.sin(alpha) ** 2) > _REACH_TOL:

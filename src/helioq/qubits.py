@@ -147,6 +147,9 @@ class QubitArrayHamiltonian:
         n = eps.size
         a = np.asarray(self.a_K, dtype=float).reshape(n, n)
         b = np.asarray(self.b_K, dtype=float).reshape(n, n)
+        for name, x in (("eps_K", eps), ("a_K", a), ("b_K", b), ("drive_coeff", self.drive_coeff)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} must be finite, got {x}")
         for name, m in (("a_K", a), ("b_K", b)):
             if not np.allclose(m, m.T, rtol=0, atol=1e-300 + 1e-12 * np.abs(m).max(initial=0)):
                 raise ValueError(f"{name} must be symmetric")

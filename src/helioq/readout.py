@@ -56,6 +56,51 @@ def _turning_points(lam_esq: float, force: float, energy_erg: float):
     return (z2, z1) if z2 < z1 else (z1, z2)
 
 
+def _ellipke(m: float) -> tuple[float, float]:
+    """K(m) and E(m), 0 <= m < 1, by the arithmetic-geometric mean (Abramowitz & Stegun
+    17.6); it stops on the term c_n^2 that E takes off, as a - b can stall one ulp apart."""
+    a, b, c2, w, e_over_k = 1.0, math.sqrt(1.0 - m), m, 0.5, 1.0 - 0.5 * m
+    while c2 > 2.0**-53 * a * a:
+        a, b, c2, w = 0.5 * (a + b), math.sqrt(a * b), 0.25 * (a - b) ** 2, 2.0 * w
+        e_over_k -= w * c2
+    return math.pi / (2.0 * a), math.pi / (2.0 * a) * e_over_k
+
+
+def _brentq(f, xa: float, xb: float, xtol=2e-12, rtol=4 * 2.0**-52, maxiter=100) -> float:
+    """Root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4): the steps and tests of
+    SciPy's brentq.c in its order of operations, so the roots are the same doubles."""
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f({xa}) = {fpre} and f({xb}) = {fcur} must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf   # bisect, unless an interpolated step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:   # inverse quadratic
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                if den := dblk * dpre * (fblk - fpre):
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations on [{xa}, {xb}]")
+
+
 def wkb_exponent(lam: float, energy: float, e_plus: float) -> float:
     """Barrier-penetration exponent 2/hbar * Int sqrt(2 m_e (V - E_m)) dz.
 
@@ -74,11 +119,9 @@ def wkb_exponent(lam: float, energy: float, e_plus: float) -> float:
     tp = _turning_points(lam_esq, force, energy * K_B)
     if tp is None:
         return 0.0
-    from scipy.special import ellipe, ellipk
-
     z1, z2 = tp
-    k2 = 1.0 - z1 / z2
-    integral = (2.0 / 3.0) * ((z1 + z2) * ellipe(k2) - 2.0 * z1 * ellipk(k2))
+    ellipk, ellipe = _ellipke(1.0 - z1 / z2)
+    integral = (2.0 / 3.0) * ((z1 + z2) * ellipe - 2.0 * z1 * ellipk)
     return float(2.0 * math.sqrt(2.0 * M_E * force * z2) * integral / HBAR)
 
 
@@ -130,8 +173,6 @@ def plan(
     inside the window), then requires rate_1 * wait <= 5/selectivity.
     Raises with the achievable frontier when no field satisfies both.
     """
-    from scipy.optimize import brentq
-
     if selectivity <= 1:
         raise ValueError(f"selectivity must exceed 1, got {selectivity}")
     if wait <= 0:
@@ -157,7 +198,7 @@ def plan(
     lo = 0.5 * hi
     while excited_gap(lo) > 0:
         lo *= 0.5
-    e_plus = brentq(excited_gap, lo, hi, xtol=1e-12, rtol=1e-14)
+    e_plus = _brentq(excited_gap, lo, hi, xtol=1e-12, rtol=1e-14)
 
     rate2 = tunnel_rate(lam, energies[1], e_plus)
     log_rate1 = math.log(nu1) - wkb_exponent(lam, energies[0], e_plus)

@@ -31,7 +31,7 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
         "wkb_exponent", "readout_plan", "sample_shots", "dump_json_readout", "load_config",
         "moment_tables", "cold_python_pass",
         "cold_import_cli", "cold_setup", "cold_spectrum", "cold_demo_swap",
-        "cold_demo_swap_sudden", "cold_evolve_dm", "cold_readout",
+        "cold_demo_swap_sudden", "cold_evolve_dm", "cold_readout", "cold_calibrate_refine",
     }
     for value in layers.values():
         assert value["repeats"] == 1

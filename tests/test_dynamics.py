@@ -282,6 +282,34 @@ def test_self_convergence_in_tolerance():
     assert np.abs(res.populations - expect).max() < 1e-8
 
 
+@pytest.mark.parametrize("frame", ["rwa", "lab"])
+@pytest.mark.parametrize("field, bad", [
+    ("amp_V_per_cm", math.nan), ("freq_GHz", math.inf), ("phase", math.nan),
+    ("envelope", ((0.0, 0.0), (math.nan, 1.0))), ("points", ((0.0, 0.0), (1e-9, math.nan))),
+    ("eps_K", math.nan), ("drive_coeff", -math.inf),
+])
+def test_non_finite_channel_or_register_is_named_before_evolve(frame, field, bad):
+    # a NaN drive once reached math.ceil in a linear piece's step count (rwa)
+    # or an unnamed Taylor non-convergence (lab); now construction names it
+    def run():
+        mw = {"freq_GHz": 10.0, "amp_V_per_cm": 1.0, "phase": 0.0, "envelope": ()}
+        reg = {"eps_K": 10.0 / units.K_TO_GHZ, "drive_coeff": 1e9}
+        mw.update({field: bad} if field in mw else {})
+        reg.update({field: bad} if field in reg else {})
+        points = bad if field == "points" else ((0.0, 0.0), (1e-9, 1e-3))
+        ham = qubits.QubitArrayHamiltonian.from_parameters(reg["eps_K"], drive_coeff=reg["drive_coeff"])
+        sched = pulses.PulseSchedule(
+            duration=1e-9,
+            voltage_channels=(pulses.VoltageChannel(0, points),),
+            microwave=(pulses.MicrowaveChannel(**mw),),
+        )
+        return evolve(ham, sched, RegisterState.state_vector("d"),
+                      EvolutionSpec(sample_times=[1e-9], frame=frame))
+
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        run()
+
+
 def test_lab_frame_matches_rwa_at_weak_drive():
     # carrier-to-Rabi ratio 1e3: the desk-scale stand-in for the real
     # hundred-gigahertz carrier

@@ -35,12 +35,13 @@ print(json.dumps({"code": code, "before": before, "after": after}))
 """
 
 
-def _cold(tmp_path, subcommand, payload):
+def _cold(tmp_path, command, payload):
+    subcommand, *flags = command.split()
     cfg = tmp_path / f"{subcommand}.json"
     cfg.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **payload}))
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", _RUN, str(cfg), subcommand, "--config", str(cfg)],
+        [sys.executable, "-c", _RUN, str(cfg), subcommand, "--config", str(cfg), *flags],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     )
     return json.loads(out.stdout.splitlines()[-1])
@@ -71,17 +72,25 @@ def test_import_config_and_spectrum_load_no_scipy(tmp_path):
         "initial": {"bits": "u"},
         "evolution": {"sample_times_s": [1e-9]},
     }, "scipy.sparse", "scipy.integrate"),
-    # the plan's brentq and the elliptic integrals of its exponent
+    # the plan's root find and its exponent's elliptic integrals: no SciPy at all
     ("readout", {
         "seed": 11,
         "device": DEVICE,
         "readout": {"wait_s": 1e-6, "selectivity": 1e6, "pixel_um": 1.0,
                     "shots": 400, "initial_bits": "ud"},
-    }, "scipy.special", None),
-], ids=["evolve-constant-density-matrix", "evolve-enveloped", "readout"])
+    }, None, None),
+    # ramps and the plateau's sparse operators, root-found without scipy.optimize
+    ("calibrate --refine", {
+        "device": DEVICE,
+        "swap": {"pair": [0, 1], "alpha": 0.3 * 3.141592653589793, "rise_s": 1e-10, "fall_s": 1e-10},
+    }, "scipy.sparse", "scipy.optimize"),
+], ids=["evolve-constant-density-matrix", "evolve-enveloped", "readout", "calibrate-refine"])
 def test_cold_subcommands_import_what_they_use(tmp_path, subcommand, payload, loads, skips):
     run = _cold(tmp_path, subcommand, payload)
     assert run["code"] == 0
     assert run["before"] == []
-    assert loads in run["after"]
-    assert skips not in run["after"]
+    if loads is None:
+        assert run["after"] == []
+    else:
+        assert loads in run["after"]
+        assert skips not in run["after"]

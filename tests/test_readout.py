@@ -72,6 +72,71 @@ def test_exponent_matches_independent_oracle_near_barrier_top(energies, m, below
     assert readout.wkb_exponent(LAM, level, barrier_top_field(level) * (1.0 + below)) == 0.0
 
 
+def test_complete_elliptic_integrals_match_mpmath():
+    # the AGM's E(m) loses most near m = 1, where 1 - sum 2^(n-1) c_n^2 cancels
+    # (measured: 5.0e-16 for K, 3.3e-15 for E, over this grid)
+    grid = np.concatenate([
+        np.linspace(0.0, 1.0 - 1e-15, 801),
+        1.0 - np.logspace(-1, -15, 57),
+        np.logspace(-300, -1, 24),
+    ])
+    for m in grid.tolist():
+        k, e = readout._ellipke(m)
+        with mp.workdps(30):
+            assert k == pytest.approx(float(mp.ellipk(m)), rel=1e-14, abs=0), m
+            assert e == pytest.approx(float(mp.ellipe(m)), rel=1e-14, abs=0), m
+
+
+_ROOT_FUNCTIONS = [
+    lambda x: x**3 - 2.0 * x - 5.0,
+    lambda x: math.cos(x) - x,
+    lambda x: math.exp(x) - 3.0,
+    lambda x: 1e-3 * math.atan(x - 0.3),
+    lambda x: (x - 1.0) ** 5 + 1e-9 * x,
+    lambda x: math.tanh(50.0 * (x - 0.7)),
+    lambda x: math.sin(3.0 * x) + 0.1,
+    lambda x: 1e-200 * (x - 0.1234567),
+]
+
+
+@pytest.mark.parametrize("scale, tolerances", [
+    (1.0, {}),                                # SciPy's defaults: xtol 2e-12, rtol 4 eps
+    (1.0, {"xtol": 1e-12, "rtol": 1e-14}),    # `plan`'s reverse field
+    (1e-9, {"xtol": 1e-12 * 1e-9}),           # `pulses._refine_dwell`: 1e-12 of a ns dwell
+    (1.0, {"xtol": 5e-324}),                  # as tight as the doubles allow
+], ids=["defaults", "plan", "refine", "tightest"])
+def test_brentq_port_returns_scipys_roots(scale, tolerances):
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(2024)
+    compared = 0
+    for trial in range(400):
+        g = _ROOT_FUNCTIONS[trial % len(_ROOT_FUNCTIONS)]
+        a, b = (scale * rng.uniform(-3.0, 3.0, 2)).tolist()
+
+        def f(x):
+            return g(x / scale)
+
+        if f(a) * f(b) >= 0:
+            continue
+        assert readout._brentq(f, a, b, **tolerances) == brentq(f, a, b, **tolerances), (trial, a, b)
+        compared += 1
+    assert compared > 150
+
+
+def test_brentq_port_raises_as_scipy_does():
+    from scipy.optimize import brentq
+
+    for solver in (readout._brentq, brentq):
+        with pytest.raises(ValueError, match="different signs"):
+            solver(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(RuntimeError, match="converge"):
+            solver(lambda x: math.cos(x) - x, 0.0, 1.0, maxiter=3)
+        # an endpoint on a root is returned before the signs are compared
+        assert solver(lambda x: x * x - 1.0, 1.0, 5.0) == 1.0
+        assert solver(lambda x: x * x - 1.0, -3.0, -1.0) == -1.0
+
+
 def test_exponent_monotone_in_field(energies):
     fields = np.linspace(0.5, 50.0, 25)
     expo = [readout.wkb_exponent(LAM, energies[0], f) for f in fields]
