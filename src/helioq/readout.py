@@ -50,16 +50,15 @@ def _turning_points(lam_esq: float, force: float, energy_erg: float):
     disc = energy_erg**2 - 4.0 * lam_esq * force
     if disc <= 0.0:
         return None
-    root = math.sqrt(disc)
-    z1 = (-energy_erg - root) / (2.0 * force)
-    z2 = (-energy_erg + root) / (2.0 * force)
-    return (z2, z1) if z2 < z1 else (z1, z2)
+    z2 = (-energy_erg + math.sqrt(disc)) / (2.0 * force)
+    return lam_esq / (force * z2), z2     # z1 z2 = lam_esq / force: z1 without cancellation
 
 
-def _ellipke(m: float) -> tuple[float, float]:
-    """K(m) and E(m), 0 <= m < 1, by the arithmetic-geometric mean (Abramowitz & Stegun
-    17.6); it stops on the term c_n^2 that E takes off, as a - b can stall one ulp apart."""
-    a, b, c2, w, e_over_k = 1.0, math.sqrt(1.0 - m), m, 0.5, 1.0 - 0.5 * m
+def _ellipke(m1: float) -> tuple[float, float]:
+    """K(m) and E(m) at m = 1 - m1, 0 < m1 <= 1, by the arithmetic-geometric mean
+    (Abramowitz & Stegun 17.6).  The complementary m1 keeps the digits of an m near 1;
+    the loop stops on the term c_n^2 that E takes off, as a - b can stall one ulp apart."""
+    a, b, c2, w, e_over_k = 1.0, math.sqrt(m1), 1.0 - m1, 0.5, 0.5 + 0.5 * m1
     while c2 > 2.0**-53 * a * a:
         a, b, c2, w = 0.5 * (a + b), math.sqrt(a * b), 0.25 * (a - b) ** 2, 2.0 * w
         e_over_k -= w * c2
@@ -120,7 +119,7 @@ def wkb_exponent(lam: float, energy: float, e_plus: float) -> float:
     if tp is None:
         return 0.0
     z1, z2 = tp
-    ellipk, ellipe = _ellipke(1.0 - z1 / z2)
+    ellipk, ellipe = _ellipke(z1 / z2)
     integral = (2.0 / 3.0) * ((z1 + z2) * ellipe - 2.0 * z1 * ellipk)
     return float(2.0 * math.sqrt(2.0 * M_E * force * z2) * integral / HBAR)
 

@@ -72,19 +72,28 @@ def test_exponent_matches_independent_oracle_near_barrier_top(energies, m, below
     assert readout.wkb_exponent(LAM, level, barrier_top_field(level) * (1.0 + below)) == 0.0
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("e_plus", [1e-10, 1e-14, 1e-18])
+def test_exponent_at_weak_field_is_the_triangular_barriers(energies, m, e_plus):
+    # far below the barrier top z1/z2 -> 0 and W -> (4/3) sqrt(2 m_e) |E|^(3/2) / (hbar e E_+);
+    # below ~1e-13 V/cm, k^2 = 1 - z1/z2 rounds to 1, so the exponent takes z1/z2 itself
+    level = abs(energies[m - 1]) * units.K_B
+    limit = 4.0 / 3.0 * math.sqrt(2.0 * units.M_E) * level**1.5 / (units.HBAR * units.EV_ERG * e_plus)
+    assert readout.wkb_exponent(LAM, energies[m - 1], e_plus) == pytest.approx(limit, rel=1e-8)
+
+
 def test_complete_elliptic_integrals_match_mpmath():
-    # the AGM's E(m) loses most near m = 1, where 1 - sum 2^(n-1) c_n^2 cancels
-    # (measured: 5.0e-16 for K, 3.3e-15 for E, over this grid)
-    grid = np.concatenate([
-        np.linspace(0.0, 1.0 - 1e-15, 801),
-        1.0 - np.logspace(-1, -15, 57),
-        np.logspace(-300, -1, 24),
-    ])
-    for m in grid.tolist():
-        k, e = readout._ellipke(m)
-        with mp.workdps(30):
-            assert k == pytest.approx(float(mp.ellipk(m)), rel=1e-14, abs=0), m
-            assert e == pytest.approx(float(mp.ellipe(m)), rel=1e-14, abs=0), m
+    # K(m) and E(m) at m = 1 - m1, from the complementary m1 = z1/z2 of the
+    # exponent: m in [0, 1 - 1e-15], and on to m1 = 1e-300; E loses most near
+    # m = 1, where 1 - sum 2^(n-1) c_n^2 cancels (measured: 4.8e-16 for K,
+    # 3.8e-15 for E)
+    grid = np.concatenate([np.linspace(1e-15, 1.0, 801), np.logspace(-300, -1, 100)])
+    for m1 in grid.tolist():
+        k, e = readout._ellipke(m1)
+        with mp.workdps(340):   # 1 - m1 exact to the last digit of m1
+            m = 1 - mp.mpf(m1)
+            assert k == pytest.approx(float(mp.ellipk(m)), rel=1e-14, abs=0), m1
+            assert e == pytest.approx(float(mp.ellipe(m)), rel=1e-14, abs=0), m1
 
 
 _ROOT_FUNCTIONS = [
