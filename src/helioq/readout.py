@@ -115,7 +115,7 @@ def wkb_exponent(lam: float, energy: float, e_plus: float) -> float:
         raise ValueError(f"level is unbound (E = {energy} K); the barrier model does not apply")
     lam_esq = lam * E_SQ
     force = EV_ERG * e_plus                      # dyn
-    tp = _turning_points(lam_esq, force, energy * K_B)
+    tp = _turning_points(lam_esq, force, float(energy) * K_B)  # a float: NumPy scalars slow the AGM
     if tp is None:
         return 0.0
     z1, z2 = tp
