@@ -290,24 +290,19 @@ def test_self_convergence_in_tolerance():
 ])
 def test_non_finite_channel_or_register_is_named_before_evolve(frame, field, bad):
     # a NaN drive once reached math.ceil in a linear piece's step count (rwa)
-    # or an unnamed Taylor non-convergence (lab); now construction names it
-    def run():
-        mw = {"freq_GHz": 10.0, "amp_V_per_cm": 1.0, "phase": 0.0, "envelope": ()}
-        reg = {"eps_K": 10.0 / units.K_TO_GHZ, "drive_coeff": 1e9}
-        mw.update({field: bad} if field in mw else {})
-        reg.update({field: bad} if field in reg else {})
-        points = bad if field == "points" else ((0.0, 0.0), (1e-9, 1e-3))
-        ham = qubits.QubitArrayHamiltonian.from_parameters(reg["eps_K"], drive_coeff=reg["drive_coeff"])
+    # or an unnamed Taylor non-convergence (lab); construction now names it
+    values = {"freq_GHz": 10.0, "amp_V_per_cm": 1.0, "phase": 0.0, "envelope": (),
+              "points": ((0.0, 0.0), (1e-9, 0.0)), "eps_K": 10.0 / units.K_TO_GHZ, "drive_coeff": 1e9}
+    values[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ham = qubits.QubitArrayHamiltonian.from_parameters(values["eps_K"], drive_coeff=values["drive_coeff"])
         sched = pulses.PulseSchedule(
             duration=1e-9,
-            voltage_channels=(pulses.VoltageChannel(0, points),),
-            microwave=(pulses.MicrowaveChannel(**mw),),
+            voltage_channels=(pulses.VoltageChannel(0, values["points"]),),
+            microwave=(pulses.MicrowaveChannel(
+                values["freq_GHz"], values["amp_V_per_cm"], values["phase"], values["envelope"]),),
         )
-        return evolve(ham, sched, RegisterState.state_vector("d"),
-                      EvolutionSpec(sample_times=[1e-9], frame=frame))
-
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        run()
+        evolve(ham, sched, RegisterState.state_vector("d"), EvolutionSpec(sample_times=[1e-9], frame=frame))
 
 
 def test_lab_frame_matches_rwa_at_weak_drive():
