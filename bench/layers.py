@@ -10,7 +10,7 @@ Times, in this process unless noted:
   per site;
 - `stark_lookup`: one `_StarkMap.exact` at a field no earlier lookup of that
   map has seen, as every right-hand-side evaluation of a ramp is;
-- `stark_build`: the per-basis Chebyshev fit (absent where the map has none);
+- `stark_build`: the per-basis Chebyshev fit;
 - `ramped_swap_evolve`: one 2-site swap `evolve` with rise = fall = dwell/8,
   on a freshly built register, with its Stark lookups counted;
 - `ramped_swap_evolve_n3`: that swap of sites 0 and 1 with a third site,
@@ -27,9 +27,9 @@ Times, in this process unless noted:
   of its states from DOP853 at its floor (rtol 3e-14, `dop853_deviation`);
 - `sv_constant_n6` to `sv_constant_n10`: that register under a constant
   drive, one closed constant piece, every one of its 9 samples read, on
-  whichever path `evolve` takes; and, where the checkout has Taylor steps for
-  state vectors, `constant_eigh_n*` and `constant_taylor_n*`, the same
-  evolve on each path, the crossover that sets `dynamics._EXACT_DIM_MAX`;
+  whichever path `evolve` takes; and `constant_eigh_n*` and
+  `constant_taylor_n*`, the same evolve on each path, the crossover that
+  sets `dynamics._EXACT_DIM_MAX`;
 - `dm_rhs_n3`, `dm_rhs_n4`, `dm_rhs_n5`: one density-matrix right-hand side
   (H(t) and `_Liouvillian.apply`) on the falling piece of a triangle-envelope
   pi pulse on n zero-voltage sites, with the decoherence budget and
@@ -60,10 +60,9 @@ Times, in this process unless noted:
   `cold_readout` (4 sites, 4000 shots) and `cold_calibrate_refine`
   (`calibrate --refine` of `refine_ramped`'s swap).
 
-Every in-process evolve layer also stores, where the checkout has the
-module-level Taylor stepper, one record per piece that takes Taylor steps
-(`pieces`): its steps, their terms and the largest Chebyshev degree P of
-its steps' fits (0 where H is linear in t, which fits nothing).
+Every in-process evolve layer also stores one record per piece that takes
+Taylor steps (`pieces`): its steps, their terms and the largest Chebyshev
+degree P of its steps' fits (0 where H is linear in t, which fits nothing).
 
 Each value is the minimum of `--repeats` repeats, stored with the repeat
 count, median and maximum.  The repeats run round-robin, one of each layer
@@ -71,8 +70,10 @@ in turn, so a burst of load from other processes hits every layer alike.
 The run is stored under `--label` in `--out` (default `BENCH_stark_map.json`
 at the repository root), beside the runs of other labels already there,
 with its run record: commit, nproc, BLAS threads and the Python, NumPy and
-SciPy versions.  `--src` times the package of another checkout's `src/`;
-pair runs only when they come from one host.
+SciPy versions.  `--src` times the package of another checkout's `src/`,
+which needs the module-level Taylor stepper and the eigh refine plateau
+(`dynamics._taylor`, `_series`, `_fit`, `_REREAD_DIM_MAX`; commit deb88a4
+or later); pair runs only when they come from one host.
 """
 from __future__ import annotations
 
@@ -171,10 +172,9 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     for name, g, v in (("build_n2", geom, volts), ("build_n9", grid, grid_volts)):
         plan[name] = _timed(lambda _, g=g, v=v: qubits.build(g, voltages=v))
 
-    fit = getattr(qubits, "_stark_fit", None)
-    if fit is not None:
-        plan["stark_build"] = _timed(lambda _: fit.__wrapped__(basis))
-        extras["stark_build"] = {"terms": len(fit(basis))}
+    fit = qubits._stark_fit
+    plan["stark_build"] = _timed(lambda _: fit.__wrapped__(basis))
+    extras["stark_build"] = {"terms": len(fit(basis))}
     qubits._StarkMap(basis).exact(1.0)   # a map with a shared fit builds it here
     lookup_fields = rng.uniform(0.0, 2.0, LOOKUPS)
     plan["stark_lookup"] = _timed(
@@ -206,10 +206,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     def counted(fn) -> dict:
         """`dynamics.evolve` calls of one fn(None), and each Taylor piece's steps, terms and fit degree."""
         runs, pieces = [0], []
-        patched = {"evolve": dynamics.evolve}
-        for name in ("_taylor", "_series", "_fit"):
-            if hasattr(dynamics, name):
-                patched[name] = getattr(dynamics, name)
+        patched = {name: getattr(dynamics, name) for name in ("evolve", "_taylor", "_series", "_fit")}
 
         def evolve(*a, **k):
             runs[0] += 1
@@ -242,7 +239,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
                 setattr(dynamics, name, original)
         for piece in pieces:   # the fits of the steps the piece took
             piece["degree"] = piece["degree"][min(piece["degree"])] if piece["degree"] else 0
-        return {"evolves": runs[0], **({"pieces": pieces} if "_series" in patched else {})}
+        return {"evolves": runs[0], "pieces": pieces}
 
     extras["ramped_swap_evolve"].update(counted(lambda _: evolve_once(fresh())))
     triangle = qubits.DeviceGeometry(pitch=0.5e-4, sites=((0, 0), (1, 0), (0.5, math.sqrt(3) / 2)))
@@ -287,14 +284,14 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
             row, voltages=np.array([0.0, 5e-5, *(2e-4 + 1e-4 * np.arange(n - 2))])))
         extras[f"refine_ramped_n{n}"] = counted(run)
         plan[f"refine_ramped_n{n}"] = _timed(run)
-        if hasattr(dynamics, "_REREAD_DIM_MAX"):   # the plateau by Taylor steps instead of eigh
-            def taylor_plateau(_, run=run):
-                saved, dynamics._REREAD_DIM_MAX = dynamics._REREAD_DIM_MAX, 0
-                try:
-                    run(None)
-                finally:
-                    dynamics._REREAD_DIM_MAX = saved
-            plan[f"refine_taylor_n{n}"] = _timed(taylor_plateau)
+
+        def taylor_plateau(_, run=run):   # the plateau by Taylor steps instead of eigh
+            saved, dynamics._REREAD_DIM_MAX = dynamics._REREAD_DIM_MAX, 0
+            try:
+                run(None)
+            finally:
+                dynamics._REREAD_DIM_MAX = saved
+        plan[f"refine_taylor_n{n}"] = _timed(taylor_plateau)
 
     def dm_job(n: int, envelope: bool = True) -> dict:
         """A pi pulse, triangle or constant, on n zero-voltage sites; budget on, tunneling from halfway."""
@@ -324,16 +321,13 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         system = dynamics._System(ham_n, sched_n, spec_n)
         liou = dynamics._Liouvillian(system, spec_n.budget, spec_n.tunneling)
         ta, tb = 0.5 * sched_n.duration, sched_n.duration
-        stepper = hasattr(dynamics, "_series")   # `piece` gives coefficient vectors, `apply` takes H rho
-        a, b, _ = system.piece(ta, tb) if stepper else system.piece(ta, tb, True)
-        if stepper:
-            a, b = system.dense(a), system.dense(b)
+        a, b, _ = system.piece(ta, tb)   # coefficient vectors; `apply` takes H rho
+        a, b = system.dense(a), system.dense(b)
         h_at = (lambda t, a=a, b=b, tm=0.5 * (ta + tb): a + (t - tm) * b)
         g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         rho = (g @ g.conj().T / np.vdot(g, g)).reshape(-1)   # a random density matrix
         times = np.linspace(ta, tb, RHS_EVALS)
-        rhs = ((lambda h, y, liou=liou: liou.apply(h @ y.reshape(h.shape), y, True)) if stepper
-               else (lambda h, y, liou=liou: liou.apply(h, y, True)))
+        rhs = (lambda h, y, liou=liou: liou.apply(h @ y.reshape(h.shape), y, True))
         plan[f"dm_rhs_n{n}"] = _timed(
             lambda _, h_at=h_at, rhs=rhs, rho=rho: [rhs(h_at(t), rho) for t in times], RHS_EVALS)
 
@@ -371,13 +365,15 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         from scipy.integrate import solve_ivp
 
         system = dynamics._System(ham_n, sched_n, spec_n)
-        dense = getattr(system, "dense_h", None) or (lambda t: system.dense(system.coefficients(t)))
+
+        def rhs(t, y):
+            return -1j * (system.dense(system.coefficients(t)) @ y)
+
         samples, state, expect = spec_n.sample_times, initial.data, [initial.data]
         ends = [0.0, *sorted(t for t in sched_n.breakpoints() if 0 < t < samples[-1]), samples[-1]]
         for ta, tb in zip(ends[:-1], ends[1:]):
             times = np.unique(np.append(samples[(ta < samples) & (samples <= tb)], tb))
-            sol = solve_ivp(lambda t, y: -1j * (dense(t) @ y), (ta, tb), state, method="DOP853",
-                            rtol=3e-14, atol=3e-16, t_eval=times)
+            sol = solve_ivp(rhs, (ta, tb), state, method="DOP853", rtol=3e-14, atol=3e-16, t_eval=times)
             expect += [y for t, y in zip(times, sol.y.T) if t in samples]
             state = sol.y[:, -1]
         return float(np.abs(dynamics.evolve(ham_n, sched_n, initial, spec_n).states - expect).max())
@@ -393,16 +389,15 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
             if kind == "triangle" and n in (8, 9):
                 extras[name]["dop853_deviation"] = dop853_deviation(*args)
             plan[name] = _timed(lambda _, args=args: dynamics.evolve(*args))
-        if hasattr(dynamics, "_series"):
-            for path, cap in (("eigh", 1 << 20), ("taylor", 0)):
-                def pinned(_, args=sv_register(n, lambda t_seg: ()), cap=cap):
-                    saved, dynamics._EXACT_DIM_MAX = dynamics._EXACT_DIM_MAX, cap
-                    try:
-                        dynamics.evolve(*args)
-                    finally:
-                        dynamics._EXACT_DIM_MAX = saved
-                plan[f"constant_{path}_n{n}"] = _timed(pinned)
-        if hasattr(dynamics, "_taylor") and n in (7, 8):   # a closed density matrix on each path
+        for path, cap in (("eigh", 1 << 20), ("taylor", 0)):
+            def pinned(_, args=sv_register(n, lambda t_seg: ()), cap=cap):
+                saved, dynamics._EXACT_DIM_MAX = dynamics._EXACT_DIM_MAX, cap
+                try:
+                    dynamics.evolve(*args)
+                finally:
+                    dynamics._EXACT_DIM_MAX = saved
+            plan[f"constant_{path}_n{n}"] = _timed(pinned)
+        if n in (7, 8):   # a closed density matrix on each path
             ham_n, sched_n, _, spec_n = sv_register(n, lambda t_seg: ())
             rho = dynamics.RegisterState.density_matrix("u" + "d" * (n - 1))
 

@@ -18,12 +18,10 @@ within the wait window while the ground electron effectively never does.
 
 Shot sampling is a per-site Bernoulli draw on 1 - survival(wait), done for
 all shots at once: `sample_shots` returns a (shots, sites) bool array and
-the pixel histogram.  Shot k is NumPy's Generator(Philox(key=seed,
-counter=k << 128)).random(n_sites): Philox4x64-10 (Salmon et al., SC'11)
-keyed by the 128-bit seed, whose j-th block of four 64-bit words comes from
-the counter (k << 128) + j + 1; the words go to the sites in order, a word
-u gives the double (u >> 11) * 2**-53, and site n escapes when that double
-is >= survival[n].
+the pixel histogram.  Shot k reads doubles k * n_sites to k * n_sites +
+n_sites - 1 of one stream of NumPy's Generator(Philox(key=seed)).random,
+Philox4x64-10 (Salmon et al., SC'11) keyed by the 128-bit seed; site n
+escapes when its double is >= survival[n].
 """
 from __future__ import annotations
 
@@ -42,7 +40,7 @@ __all__ = [
     "wkb_exponent",
 ]
 
-RNG_ALGORITHM = "philox4x64 (numpy), key = seed, counter block = shot << 128"
+RNG_ALGORITHM = "philox4x64 (numpy), key = seed, one stream: shot k = doubles [k*sites, (k+1)*sites)"
 
 
 def _turning_points(lam_esq: float, force: float, energy_erg: float):
@@ -115,13 +113,15 @@ def wkb_exponent(lam: float, energy: float, e_plus: float) -> float:
         raise ValueError(f"level is unbound (E = {energy} K); the barrier model does not apply")
     lam_esq = lam * E_SQ
     force = EV_ERG * e_plus                      # dyn
+    if force == 0.0:   # underflows below ~1e-312 V/cm; the exponent overflows below ~6e-306
+        return math.inf
     tp = _turning_points(lam_esq, force, float(energy) * K_B)  # a float: NumPy scalars slow the AGM
     if tp is None:
         return 0.0
     z1, z2 = tp
     ellipk, ellipe = _ellipke(z1 / z2)
     integral = (2.0 / 3.0) * ((z1 + z2) * ellipe - 2.0 * z1 * ellipk)
-    return float(2.0 * math.sqrt(2.0 * M_E * force * z2) * integral / HBAR)
+    return float(2.0 * math.sqrt(2.0 * M_E * (force * z2)) * integral / HBAR)  # F z2 ~ |E|: no underflow
 
 
 def tunnel_rate(lam: float, energy: float, e_plus: float) -> float:
@@ -230,37 +230,6 @@ def plan(
 
 
 _SHOT_CHUNK = 1 << 16          # shots drawn per pass; bounds the temporaries
-_M64 = (1 << 64) - 1
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high words of the 128-bit products a * m, from 32-bit halves."""
-    lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-    a_lo, a_hi = a & lo32, a >> s32
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
-    mid = (ll >> s32) + (lh & lo32) + (hl & lo32)
-    hi = a_hi * m_hi + (lh >> s32) + (hl >> s32) + (mid >> s32)
-    return a * np.uint64(m), hi
-
-
-def _uniforms(seed: int, first: int, stop: int, n: int) -> np.ndarray:
-    """Philox4x64-10 doubles of shots first..stop-1, n per shot: see the module."""
-    blocks = -(-n // 4)
-    shape = (stop - first, blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c2 = np.broadcast_to(np.arange(first, stop, dtype=np.uint64)[:, None], shape)
-    c1 = c3 = np.zeros(shape, dtype=np.uint64)
-    k0, k1 = seed & _M64, seed >> 64
-    for _ in range(10):
-        lo0, hi0 = _mulhilo(c0, _PHILOX_M[0])
-        lo1, hi1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-        k0, k1 = (k0 + _PHILOX_W[0]) & _M64, (k1 + _PHILOX_W[1]) & _M64
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(shape[0], 4 * blocks)[:, :n]
-    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def sample_shots(
@@ -273,7 +242,7 @@ def sample_shots(
 
     Returns `(escaped, image)`: the (shots, n_sites) bool array of escapes
     and the aggregate pixel histogram {pixel: count}, without empty pixels.
-    Deterministic in (seed, shot index); see RNG_ALGORITHM.
+    Deterministic in (seed, shot index, site count); see RNG_ALGORITHM.
     """
     p_survive = np.asarray(survival, dtype=float)
     if np.any((p_survive < 0) | (p_survive > 1)):
@@ -286,10 +255,11 @@ def sample_shots(
         raise ValueError(
             f"plan maps {len(pixels)} sites, got {n_sites} survival probabilities"
         )
+    gen = np.random.Generator(np.random.Philox(key=int(seed)))
     escaped = np.empty((shots, n_sites), dtype=bool)
-    for first in range(0, shots, _SHOT_CHUNK):
+    for first in range(0, shots, _SHOT_CHUNK):   # each draw continues the stream
         stop = min(first + _SHOT_CHUNK, shots)
-        escaped[first:stop] = _uniforms(int(seed), first, stop, n_sites) >= p_survive
+        escaped[first:stop] = gen.random((stop - first, n_sites)) >= p_survive
     image: dict = {}
     for px, count in zip(pixels, escaped.sum(axis=0).tolist()):
         if count:
