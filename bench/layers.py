@@ -58,7 +58,8 @@ Times, in this process unless noted:
   above), `cold_demo_swap_sudden`, `cold_evolve_dm` (a 2-site density
   matrix under a constant pulse with the decoherence budget),
   `cold_readout` (4 sites, 4000 shots) and `cold_calibrate_refine`
-  (`calibrate --refine` of `refine_ramped`'s swap).
+  (`calibrate --refine` of `refine_ramped`'s swap); and
+  `cold_sv_triangle_n14`, `sv_triangle_n*`'s evolve at 14 qubits.
 
 Every in-process evolve layer also stores one record per piece that takes
 Taylor steps (`pieces`): its steps, their terms and the largest Chebyshev
@@ -69,8 +70,10 @@ count, median and maximum.  The repeats run round-robin, one of each layer
 in turn, so a burst of load from other processes hits every layer alike.
 The run is stored under `--label` in `--out` (default `BENCH_stark_map.json`
 at the repository root), beside the runs of other labels already there,
-with its run record: commit, nproc, BLAS threads and the Python, NumPy and
-SciPy versions.  `--src` times the package of another checkout's `src/`,
+with its run record: commit, `source_sha256` (a digest of the timed
+`helioq/*.py`, which tells apart trees without git, such as `git archive`
+copies), nproc, BLAS threads and the Python, NumPy and SciPy versions.
+`--src` times the package of another checkout's `src/`,
 which needs the module-level Taylor stepper and the eigh refine plateau
 (`dynamics._taylor`, `_series`, `_fit`, `_REREAD_DIM_MAX`; commit deb88a4
 or later); pair runs only when they come from one host.
@@ -78,6 +81,7 @@ or later); pair runs only when they come from one host.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -139,6 +143,15 @@ def _blas_threads() -> dict:
     return {k: os.environ.get(k) for k in keys}
 
 
+def _source_digest(src: Path) -> str:
+    """sha256 (16 hex digits) of `src`'s helioq/*.py, names and bytes, as perfbench's `source_sha256`."""
+    h = hashlib.sha256()
+    for p in sorted((src / "helioq").glob("*.py")):
+        h.update(p.relative_to(src).as_posix().encode())
+        h.update(p.read_bytes())
+    return h.hexdigest()[:16]
+
+
 def _commit(src: Path) -> str:
     try:
         return subprocess.run(
@@ -147,6 +160,39 @@ def _commit(src: Path) -> str:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+
+
+def sv_register(n: int, envelope) -> tuple:
+    """(ham, schedule, initial, spec): n coupled qubits, detunings and couplings of ~1/T, under one
+    drive resonant with qubit 0 over T = 20 ns, the first qubit excited."""
+    import numpy as np
+    from helioq import dynamics, pulses, qubits, units
+
+    t_seg, scale = 2e-8, 1.0 / (2e-8 * units.K_TO_RAD_PER_S)
+    gen = np.random.default_rng(n)
+    eps = 1.0 + gen.uniform(-1.0, 1.0, n) * scale
+    a = np.triu(gen.uniform(0.0, 1.0, (n, n)) * scale, 1)
+    b = np.triu(gen.uniform(0.0, 2.0, (n, n)) * scale, 1)
+    ham_n = qubits.QubitArrayHamiltonian.from_parameters(eps_K=eps, a_K=a + a.T, b_K=b + b.T,
+                                                         drive_coeff=1e9)
+    drive = pulses.MicrowaveChannel(eps[0] * units.K_TO_GHZ, 0.15, 0.4, envelope(t_seg))
+    count = 5 if envelope(t_seg) else 9
+    return (ham_n, pulses.PulseSchedule(duration=t_seg, microwave=(drive,)),
+            dynamics.RegisterState.state_vector("u" + "d" * (n - 1)),
+            dynamics.EvolutionSpec(sample_times=np.linspace(0.0, t_seg, count)))
+
+
+def triangle_envelope(t_seg):
+    return ((0.0, 0.0), (0.5 * t_seg, 1.0), (t_seg, 0.0))
+
+
+# `sv_triangle_n*`'s evolve at n = argv[1], alone in an interpreter
+_SV_TRIANGLE = f"""import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from layers import sv_register, triangle_envelope
+from helioq import dynamics
+dynamics.evolve(*sv_register(int(sys.argv[1]), triangle_envelope))
+"""
 
 
 def measure(src: Path, repeats: int, workdir: Path) -> dict:
@@ -344,22 +390,6 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     dm_doc = {"result": dynamics.evolve(*dm_evolve(5)).to_json_dict()}
     plan["dump_json_dm_n5"] = _timed(lambda _: cli.dump_json(dm_doc))
 
-    def sv_register(n: int, envelope) -> tuple:
-        """(ham, schedule, initial, spec): n coupled qubits, detunings and couplings of ~1/T, under one
-        drive resonant with qubit 0 over T = 20 ns, the first qubit excited."""
-        t_seg, scale = 2e-8, 1.0 / (2e-8 * units.K_TO_RAD_PER_S)
-        gen = np.random.default_rng(n)
-        eps = 1.0 + gen.uniform(-1.0, 1.0, n) * scale
-        a = np.triu(gen.uniform(0.0, 1.0, (n, n)) * scale, 1)
-        b = np.triu(gen.uniform(0.0, 2.0, (n, n)) * scale, 1)
-        ham_n = qubits.QubitArrayHamiltonian.from_parameters(eps_K=eps, a_K=a + a.T, b_K=b + b.T,
-                                                             drive_coeff=1e9)
-        drive = pulses.MicrowaveChannel(eps[0] * units.K_TO_GHZ, 0.15, 0.4, envelope(t_seg))
-        count = 5 if envelope(t_seg) else 9
-        return (ham_n, pulses.PulseSchedule(duration=t_seg, microwave=(drive,)),
-                dynamics.RegisterState.state_vector("u" + "d" * (n - 1)),
-                dynamics.EvolutionSpec(sample_times=np.linspace(0.0, t_seg, count)))
-
     def dop853_deviation(ham_n, sched_n, initial, spec_n) -> float:
         """Largest distance of `evolve`'s states from DOP853 at its floor, piece by piece."""
         from scipy.integrate import solve_ivp
@@ -378,11 +408,8 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
             state = sol.y[:, -1]
         return float(np.abs(dynamics.evolve(ham_n, sched_n, initial, spec_n).states - expect).max())
 
-    def triangle(t_seg):
-        return ((0.0, 0.0), (0.5 * t_seg, 1.0), (t_seg, 0.0))
-
     for n in range(6, 11):
-        for kind, envelope in (("triangle", triangle), ("constant", lambda t_seg: ())):
+        for kind, envelope in (("triangle", triangle_envelope), ("constant", lambda t_seg: ())):
             args = sv_register(n, envelope)
             name = f"sv_{kind}_n{n}"
             extras[name] = counted(lambda _, args=args: dynamics.evolve(*args))
@@ -501,6 +528,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         ("dm_constant_evolve_n8", helioq("evolve", "evolve_dm_n8")),
         ("cold_readout", helioq("readout", "readout")),
         ("cold_calibrate_refine", [*helioq("calibrate", "calibrate_refine"), "--refine"]),
+        ("cold_sv_triangle_n14", [sys.executable, "-c", _SV_TRIANGLE, "14"]),
     ):
         plan[name] = _cold(argv, src)
 
@@ -519,6 +547,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     return {
         "record": {
             "commit": _commit(src),
+            "source_sha256": _source_digest(src),
             "nproc": os.cpu_count(),
             "blas_threads": _blas_threads(),
             "python": platform.python_version(),

@@ -13,8 +13,11 @@ drive becomes (Omega/2)(cos(phi) sx + sin(phi) sy), so a resonant pulse of
 area Omega T = pi inverts the qubit.
 
 Each evolve call writes H(t) = diag(z(t)) + H_0 + f_x(t) H_X + f_y(t) H_Y
-once, each H_k one CSR matrix with its zeros dropped: H_0 the sz-sz
-diagonal and every exchange pair, H_X = sum_n X_n and H_Y = sum_n Y_n.
+once, each H_k the nonzeros of its flip terms, entries vals[i] at (i, i ^ m)
+for a bit mask m (`_Flips`): H_0 the sz-sz diagonal and every exchange pair,
+H_X = sum_n X_n and H_Y = sum_n Y_n.  The loss channels below are flip terms
+too.  Products add each row's entries in the order of its terms, by NumPy
+gathers and one sum per row, or by `np.add.at`.
 
 Optional loss channels:
 - per-qubit relaxation at rate 1/T1 (lowering operator) and pure dephasing
@@ -37,8 +40,7 @@ sum_j s^j H_j (Jorba & Zou, Exp. Math. 14, 2005): (k + 1) c_{k+1} =
 channels D at j = 0.  The H_j are A + (t0 - tm) B and dt B where H is
 linear in t, else each step's Chebyshev fit of eps and f.
 
-SciPy loads on first use (`scipy.sparse` for CSR matrices and their kernel),
-so importing this module costs NumPy alone.
+This module runs on NumPy alone.
 """
 from __future__ import annotations
 
@@ -64,6 +66,7 @@ _STATE_VECTOR_MAX = 16
 _DENSITY_MATRIX_MAX = 8
 # largest state vector a closed constant piece takes eigh for: read once, Taylor overtakes it at 128
 _EXACT_DIM_MAX = 64
+_ROW_BLOCK = 1 << 12  # rows of a `_Flips` block, and elements of each term an `apply` block holds
 _REREAD_DIM_MAX = 1024  # read many times, as `piece_propagator` is: 6-21x at 7-9 qubits (bench/layers.py)
 _TAYLOR_THETA = 10.0  # bound on ||dt L||_1 per Taylor step, chosen by measurement
 _TAYLOR_TERMS_MAX = 100  # theta^k/k! falls below 2^-53 by k = 53
@@ -210,34 +213,85 @@ class EvolutionResult:
 # --- operator assembly -----------------------------------------------------
 
 
-def _one_per_row(terms, *shape):
-    """sum of terms (m, vals), each holding vals[i] at (i, i ^ m), as CSR.
+class _Flips:
+    """sum of terms (m, vals), each holding vals[i] at (i, i ^ m), stored row by row as levels.
 
-    Rows are indexed by `shape`, (dim,) or (dim, dim) for a superoperator, each
-    vals broadcast to it; the masks m are distinct.  Only nonzeros are stored.
+    Rows are indexed by `shape`, (dim,) or (dim, dim) for a superoperator, each vals broadcast to it;
+    the masks m are distinct.  Level k holds each row's k-th nonzero in term order, and a row with
+    fewer nonzeros than the longest holds a pad there, 0 at its own column.  The rows come in blocks
+    of B = min(rows, _ROW_BLOCK): row b B + o keeps its k-th entry's column in `cols[b, k, o]` and its
+    value in `vals[b, k, o]`, so a block's levels are contiguous.
     """
-    from scipy.sparse import csr_matrix
 
-    vals = [np.broadcast_to(v, shape) for _, v in terms]
-    rows = np.arange(math.prod(shape), dtype=np.int32).reshape(shape[0], -1)
-    indptr = np.append(np.int32(0), np.cumsum(sum(v != 0 for v in vals), dtype=np.int32))
-    data, cols = np.empty(indptr[-1], np.result_type(*vals)), np.empty(indptr[-1], np.int32)
-    step = max(1, 4096 // rows.shape[1])  # rows per block
-    for lo in range(0, len(rows), step):
-        block, r = np.stack([v[lo:lo + step].ravel() for v in vals], 1), rows[lo:lo + step]
-        at, keep = slice(indptr[r[0, 0]], indptr[r[-1, -1] + 1]), block != 0
-        data[at], cols[at] = block[keep], (r.reshape(-1, 1) ^ [m for m, _ in terms])[keep]
-    return csr_matrix((data, cols, indptr), shape=(rows.size,) * 2)
+    def __init__(self, terms, *shape):
+        vals = [np.broadcast_to(v, shape).reshape(-1) for _, v in terms]
+        masks = np.array([m for m, _ in terms], dtype=np.intp).reshape(-1, 1)
+        size = math.prod(shape)
+        levels = int(sum((v != 0 for v in vals), np.zeros(size, int)).max(initial=0))
+        span = min(size, _ROW_BLOCK)
+        rows = np.arange(size).reshape(-1, 1, span)
+        self.cols = np.repeat(rows, levels, axis=1)
+        self.vals = np.zeros(self.cols.shape, complex)
+        for r, cols, out in zip(rows[:, 0], self.cols, self.vals):
+            block = np.array([v[r[0]:r[-1] + 1] for v in vals], complex).reshape(-1, span)
+            keep = block != 0
+            at = np.cumsum(keep, axis=0)[keep] - 1, np.broadcast_to(r - r[0], keep.shape)[keep]
+            cols[at], out[at] = (r ^ masks)[keep], block[keep]
+
+    def rows(self, lo: int, hi: int):
+        """(cols, vals) of rows lo to hi - 1, which lie in one block, by level."""
+        b, o = divmod(lo, self.cols.shape[2])
+        return self.cols[b, :, o:o + hi - lo], self.vals[b, :, o:o + hi - lo]
+
+    def nonzeros(self):
+        """(rows, cols, vals) of the nonzeros in row order, term order within a row."""
+        b, o, k = np.nonzero(self.vals.transpose(0, 2, 1))
+        return b * self.cols.shape[2] + o, self.cols[b, k, o], self.vals[b, k, o]
+
+    def norm(self) -> float:
+        """The 1-norm, each column summed in row order."""
+        cols, vals = (a.transpose(0, 2, 1).reshape(-1) for a in (self.cols, self.vals))
+        return np.bincount(cols, np.abs(vals)).max(initial=0.0)
+
+
+def _combine(f, c):
+    """f @ c, the sum_j f_j c_j of real f and complex rows c_j, or None where f vanishes.
+
+    Where f_j vanishes for j > 0 (H_0's coefficient does in every evolve call), f_0 c_0, and c_0
+    itself at f_0 = 1: f @ c bit for bit, but for the sign of a zero, which no sum from +0 reads.
+    """
+    head, *rest = f.tolist()
+    if any(rest):
+        return f @ c
+    if head:
+        return c[0] if head == 1.0 else head * c[0]
+    return None
+
+
+def _rows_sum(d, c, ops):
+    """Row by row, one sum from +0 of the products d_j c_j, then of each (cols, vals, x) in turn:
+    its levels, vals times the rows of x at cols.
+
+    Each row adds its terms in that order, the sum a CSR product in term order takes after the
+    diagonal products; a sum from +0 never reads -0, so a pad's product, +-0, leaves it as it is.
+    """
+    terms = np.empty((len(c) + sum(len(cols) for cols, _, _ in ops), *c.shape[1:]), complex)
+    np.multiply(d, c, out=terms[:len(c)])
+    at = len(c)
+    for cols, vals, x in ops:
+        part = terms[at:at + len(cols)]
+        x.take(cols, 0, part, "wrap")
+        np.multiply(part, vals if x.ndim == 1 else vals[..., None], out=part)
+        at += len(cols)
+    return np.add.reduce(terms, 0, None, None, False, 0j)  # from +0, in order down axis 0
 
 
 class _System:
     """H(t) = diag(z(t)) + sum_k c_k(t) H_k of one evolve call, (c_k) = (1, f_x, f_y).
 
-    `h[k]` is H_k as complex CSR: H_0 the sz-sz diagonal and each exchange
-    pair, H_1 = H_X the X_n flips and H_2 = H_Y the Y_n flips, the last two
-    only with a microwave channel, without which f_x and f_y vanish.
-    `norms[k]` is H_k's 1-norm and `rows[k]` its entries' row offsets into
-    the dense H; the columns are H_k's own `indices`, which `abs` sorts in place.
+    `h[k]` is H_k as `_Flips`: H_0 the sz-sz diagonal and each exchange pair, H_1 = H_X the X_n
+    flips and H_2 = H_Y the Y_n flips, the last two only with a microwave channel, without which
+    f_x and f_y vanish.  `norms[k]` is H_k's 1-norm.
     """
 
     def __init__(self, ham: QubitArrayHamiltonian, schedule: PulseSchedule, spec: EvolutionSpec):
@@ -249,27 +303,22 @@ class _System:
 
         a_rad = ham.a_K * K_TO_RAD_PER_S
         b_rad = ham.b_K * K_TO_RAD_PER_S
-        szsz = np.zeros(self.dim, complex)  # complex like psi, as the kernel below reads H_k
+        szsz = np.zeros(self.dim)
         static = [(0, szsz)]
-        # uncoupled pairs add only zeros, which the CSR build drops
+        # uncoupled pairs add only zeros, which `_Flips` does not store
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 szsz += 0.25 * a_rad[i, j] * self.zpat[i] * self.zpat[j]
                 # s+_i s-_j + s-_i s+_j couples rows whose bits i, j differ
                 hop = np.where(self.zpat[i] != self.zpat[j], 0.5 * b_rad[i, j], 0.0)
                 static.append((1 << i | 1 << j, hop))
-        self.h = [_one_per_row(static, self.dim)]
+        self.h = [_Flips(static, self.dim)]
         # H_X and H_Y exist only when a microwave channel can fill them
         if schedule.microwave:
             flips = [1 << n for n in range(self.n)]
-            self.h.append(_one_per_row([(f, 1.0 + 0j) for f in flips], self.dim))
-            self.h.append(_one_per_row([(f, -1j * z) for f, z in zip(flips, self.zpat)], self.dim))
-        self.rows = [np.repeat(idx * self.dim, np.diff(m.indptr)) for m in self.h]
-        self.norms = [np.bincount(m.indices, abs(m.data), minlength=self.dim).max() for m in self.h]
-        # out += H_k @ x, what H_k @ x runs, for a vector x and for a row-major matrix x
-        from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
-
-        self.matvec, self.matvecs = csr_matvec, csr_matvecs
+            self.h.append(_Flips([(f, 1.0) for f in flips], self.dim))
+            self.h.append(_Flips([(f, -1j * z) for f, z in zip(flips, self.zpat)], self.dim))
+        self.norms = [m.norm() for m in self.h]
 
         # transition frequencies vs time (rad/s); channels that never leave
         # zero are inert and do not require a Stark map
@@ -350,32 +399,42 @@ class _System:
         return np.concatenate((0.5 * ((self.eps_rad(t) - w) @ self.zpat), (1.0, *self.drive_xy(t))))
 
     def apply(self, hs, cs) -> np.ndarray:
-        """sum_j H_j c_j for coefficient vectors H_j and flat c_j (vectors or row-major matrices):
-        one product for the diagonals, then one per H_k, on sum_j f_kj c_j."""
+        """sum_j H_j c_j for coefficient vectors H_j and flat c_j (vectors or row-major matrices).
+
+        `_rows_sum` of the diagonals and of each H_k on sum_j f_kj c_j, H_k left out where f_k
+        vanishes, over blocks of _ROW_BLOCK elements of each term (of 2 rows at least: a
+        reduction over one element sums pairwise, not in order).
+        """
         v, c = np.asarray(hs)[:len(cs)], np.array(cs)
-        out = np.einsum("jd,jde->de", v[:, :self.dim], c.reshape(len(c), self.dim, -1))
-        # a matrix's kernel runs one axpy per entry: slower on a vector than csr_matvec
-        kernel, cols = (self.matvec, ()) if out.shape[1] == 1 else (self.matvecs, out.shape[1:])
-        for k, m in enumerate(self.h):
-            if (f := v[:, self.dim + k]).any():
-                kernel(self.dim, self.dim, *cols, m.indptr, m.indices, m.data, f @ c, out)
-        return out.reshape(-1)
+        ops = [(m, x) for k, m in enumerate(self.h) if (x := _combine(v[:, self.dim + k], c)) is not None]
+        d, width = v[:, :self.dim].astype(complex), c.shape[1] // self.dim
+        if width == 1 and self.dim <= _ROW_BLOCK:  # a vector in one block
+            return _rows_sum(d, c, [(m.cols[0], m.vals[0], x) for m, x in ops])
+        if width > 1:  # a matrix: its rows are the entries gathered
+            c, d = c.reshape(len(c), self.dim, width), d[..., None]
+            ops = [(m, x.reshape(self.dim, width)) for m, x in ops]
+        step = max(2, _ROW_BLOCK // width)
+        return np.concatenate([_rows_sum(d[:, lo:lo + step], c[:, lo:lo + step],
+                                         [(*m.rows(lo, lo + step), x) for m, x in ops])
+                               for lo in range(0, self.dim, step)]).reshape(-1)
 
     def dense(self, v) -> np.ndarray:
         """The dense matrix of coefficient vector v."""
         h = np.diag(v[:self.dim].astype(complex))
         for k, m in enumerate(self.h):
             if c := v[self.dim + k]:
-                h.reshape(-1)[self.rows[k] + m.indices] += c * m.data
+                rows, cols, vals = m.nonzeros()
+                h.reshape(-1)[rows * self.dim + cols] += c * vals
         return h
 
 
 class _Liouvillian:
     """Density-matrix generator -i[H(t), .] + D, less {G, .} once tunneling is on.
 
-    Stores only D and D - {G, .}, complex CSR on row-major vec(rho); H rho comes to each call.
-    D holds relaxation sqrt(1/T1) s- (jumps as index flips, and decay) and dephasing
-    sqrt(2/T2_eff) sz/2, alone decaying coherences as exp(-t/T2_eff); G = sum_n P_up_n/(2 t_up).
+    Stores only D and D - {G, .}, each the `_Flips.nonzeros` of its terms on row-major vec(rho),
+    with `norms` their 1-norms; H rho comes to each call.  D holds relaxation sqrt(1/T1) s- (jumps
+    as index flips, and decay) and dephasing sqrt(2/T2_eff) sz/2, alone decaying coherences as
+    exp(-t/T2_eff); G = sum_n P_up_n/(2 t_up).
     """
 
     def __init__(self, sys: _System, budget: DecoherenceBudget | None,
@@ -392,20 +451,20 @@ class _Liouvillian:
         # without tunneling, escape takes forever and G vanishes
         t_up = math.inf if tunneling is None else tunneling.t_up
         g = sum((idx >> q) & 1 for q in range(sys.n)) / (2.0 * t_up)
-        # complex like rho, so the kernel below reads D as stored, with no cast per evaluation
-        self.dissipator = tuple(_one_per_row([(0, d + 0j), *jumps], dim, dim)
-                                for d in (decay, decay - (g[:, None] + g[None, :])))
-        self.matvec, self.shape = sys.matvec, (dim, dim)  # out += D @ y
+        ds = [_Flips([(0, d), *jumps], dim, dim) for d in (decay, decay - (g[:, None] + g[None, :]))]
+        self.dissipator, self.norms = [d.nonzeros() for d in ds], [d.norm() for d in ds]
+        self.shape = (dim, dim)
 
     def apply(self, x, y, tunneling: bool) -> np.ndarray:
         """-i (x - x^dagger) + D y in a fresh array (a step keeps earlier terms), x = sum_j H_j c_j,
-        y = c_0; the c_j are Hermitian, so c_j H_j = (H_j c_j)^dagger."""
+        y = c_0; the c_j are Hermitian, so c_j H_j = (H_j c_j)^dagger.  `np.add.at` adds D's
+        entries of each row in order, after the commutator, as a CSR kernel does."""
         x = x.reshape(self.shape)
-        out = np.subtract(x, x.conj().T, order="C")  # C order: the kernel adds into its memory
+        out = np.subtract(x, x.conj().T, order="C").reshape(-1)  # C order: a view of its memory
         out *= -1j
-        d = self.dissipator[tunneling]
-        self.matvec(y.size, y.size, d.indptr, d.indices, d.data, y, out.reshape(-1))
-        return out.reshape(-1)
+        rows, cols, vals = self.dissipator[tunneling]
+        np.add.at(out, rows, vals * y[cols])
+        return out
 
 
 def evolve(
@@ -552,7 +611,7 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
     terms read.  Samples read their step's polynomial (its sum at the end) and do not move the steps.
     """
     dm = liou is not None
-    dnorm = abs(liou.dissipator[tunneling]).sum(axis=0).max() if dm else 0.0
+    dnorm = liou.norms[tunneling] if dm else 0.0
 
     def norm(v):  # a bound on ||H||_1 for coefficient vector v
         return np.abs(v[:sys.dim]).max() + sum(abs(c) * hk for c, hk in zip(v[sys.dim:], sys.norms))

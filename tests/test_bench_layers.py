@@ -18,7 +18,8 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     runs = json.loads(out.read_text())["runs"]
     assert set(runs) == {"earlier", "smoke"}
     record, layers = runs["smoke"]["record"], runs["smoke"]["layers"]
-    assert set(record) == {"commit", "nproc", "blas_threads", "python", "numpy", "scipy"}
+    assert set(record) == {"commit", "source_sha256", "nproc", "blas_threads", "python", "numpy", "scipy"}
+    assert len(record["source_sha256"]) == 16
     assert set(layers) == {
         "transition_K", "build_n2", "build_n9", "stark_build", "stark_lookup", "ramped_swap_evolve",
         "ramped_swap_evolve_n3", "refine_sudden", "refine_ramped", "refine_out_of_reach",
@@ -32,6 +33,7 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
         "moment_tables", "cold_python_pass",
         "cold_import_cli", "cold_setup", "cold_spectrum", "cold_demo_swap",
         "cold_demo_swap_sudden", "cold_evolve_dm", "cold_readout", "cold_calibrate_refine",
+        "cold_sv_triangle_n14",
     }
     for value in layers.values():
         assert value["repeats"] == 1

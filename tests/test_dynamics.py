@@ -695,23 +695,33 @@ def test_hamiltonian_matches_pauli_kron_oracle(n, frame, exchange, phase):
     expect = kron_hamiltonian(ham, channel, frame, t)
     scale_h = np.abs(expect).max()
     assert np.abs(dense_h(sys, t) - expect).max() <= 1e-13 * scale_h
-    # no H_k stores a zero (uncoupled pairs and equal-bit rows add none)
-    assert all(np.all(h_k.data != 0.0) for h_k in sys.h)
+    # each H_k stores its nonzeros and no other value, but for pads after a row's last:
+    # no level of pads alone, and as many stored nonzeros as the oracle's H_k holds
+    oracles = [sum((0.25 * ham.a_K[q, r] * K_RAD * pauli_op(n, {q: "Z", r: "Z"})
+                    + 0.25 * ham.b_K[q, r] * K_RAD * (pauli_op(n, {q: "X", r: "X"}) + pauli_op(n, {q: "Y", r: "Y"}))
+                    for q in range(n) for r in range(q + 1, n)), np.zeros((2**n, 2**n))),
+               sum(pauli_op(n, {q: "X"}) for q in range(n)), sum(pauli_op(n, {q: "Y"}) for q in range(n))]
+    for h_k, oracle in zip(sys.h, oracles):
+        live = h_k.vals != 0  # (block, level, row)
+        assert np.all(live[:, :-1] >= live[:, 1:]) and np.all(live.any(axis=(0, 2)))
+        assert live.sum() == np.count_nonzero(np.abs(oracle) > 1e-13 * scale_h)
+        rows, cols, vals = h_k.nonzeros()
+        stored = np.zeros((2**n, 2**n), complex)
+        stored[rows, cols] = vals
+        assert np.abs(stored - oracle).max() <= 1e-13 * max(1.0, np.abs(oracle).max())
     # dense_h adds each H_k's stored entries by flat index: equal to the dense sum
     for w in (0.0, 1e9):
         dense = np.diag(sys.coefficients(t, w)[:2**n])
         for c, h_k in zip((1.0, *sys.drive_xy(t)), sys.h):
-            dense = dense + c * h_k.toarray()
+            rows, cols, vals = h_k.nonzeros()
+            h_k_dense = np.zeros((2**n, 2**n), complex)
+            h_k_dense[rows, cols] = vals
+            dense = dense + c * h_k_dense
         assert np.array_equal(dense_h(sys, t, w), dense)
 
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     applied = sys.apply([sys.coefficients(t)], [psi])
     assert np.abs(applied - expect @ psi).max() <= 1e-13 * np.abs(expect @ psi).max()
-    # `abs` and `sort_indices` reorder an H_k's indices and data in place
-    for h_k in sys.h:
-        abs(h_k)
-        h_k.sort_indices()
-    assert np.abs(dense_h(sys, t) - expect).max() <= 1e-13 * scale_h
 
 
 def test_apply_h_matches_dense_h_at_nine_qubits():
@@ -1134,10 +1144,15 @@ def test_linear_piece_rhs_matches_the_two_product_form(n, tunneling, phase):
     rho = random_density_matrix(2**n, seed=n)
     # a Taylor term adds -i[B, rho1] for the coefficient before it
     rho1 = random_density_matrix(2**n, seed=n + 1)
+    # D rho in Lindblad form, from the dense collapse operators and drain
+    ops, drain = dense_lindblad_terms(n, spec.budget, 4 * T_SEG if tunneling else None)
+    dissipated = -(drain @ rho + rho @ drain)
+    for op in ops:
+        ld = op.conj().T @ op
+        dissipated += op @ rho @ op.conj().T - 0.5 * (ld @ rho + rho @ ld)
     for t in T_SEG * np.array([0.5, 0.57, 0.75, 0.93, 1.0]):
         h = dense_h(sys, t)
-        expect = (-1j * (h @ rho - rho @ h)).reshape(-1)
-        expect += liou.dissipator[tunneling] @ rho.reshape(-1)
+        expect = (-1j * (h @ rho - rho @ h) + dissipated).reshape(-1)
         applied = liou.apply((a + (t - 0.75 * T_SEG) * b) @ rho, rho.reshape(-1), tunneling)
         assert np.abs(applied - expect).max() <= 1e-13 * np.abs(expect).max()
         expect += (-1j * (b @ rho1 - rho1 @ b)).reshape(-1) * T_SEG
@@ -1331,3 +1346,118 @@ def test_linear_pieces_build_h_a_fixed_number_of_times(monkeypatch):
     # a state vector takes Taylor steps on coefficient vectors there, and no piece builds it a dense H
     evolve(ham, ramped_drive(ham, 0.4), RegisterState.state_vector("udd"), EvolutionSpec([T_SEG]))
     assert len(piece) == len(drive_xy) // 3 == 2 and dense == []
+
+
+# --- the flip-term products against scipy.sparse's CSR kernels, bit for bit ---
+
+
+def csr_of_terms(terms, size):
+    """SciPy CSR of sum of terms (m, vals), vals[i] at (i, i ^ m): zeros dropped, each row's
+    entries in term order, as the kernels add them."""
+    from scipy.sparse import csr_matrix
+
+    idx = np.arange(size)
+    data = np.concatenate([np.broadcast_to(v, (size,)).astype(complex) for _, v in terms])
+    rows, cols = np.tile(idx, len(terms)), np.concatenate([idx ^ m for m, _ in terms])
+    keep = np.flatnonzero(data != 0)
+    order = keep[np.argsort(rows[keep], kind="stable")]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=size))))
+    return csr_matrix((data[order], cols[order].astype(np.int32), indptr.astype(np.int32)),
+                      shape=(size, size))
+
+
+def register_terms(ham, drive):
+    """(H_0, H_X, H_Y) as flip terms, from the documented register Hamiltonian."""
+    n, dim = ham.n_qubits, 2**ham.n_qubits
+    z = 2.0 * ((np.arange(dim)[None, :] >> np.arange(n)[:, None]) & 1) - 1.0
+    szsz, hops = np.zeros(dim), []
+    for i in range(n):
+        for j in range(i + 1, n):
+            szsz = szsz + 0.25 * ham.a_K[i, j] * K_RAD * z[i] * z[j]
+            hops.append((1 << i | 1 << j, np.where(z[i] != z[j], 0.5 * ham.b_K[i, j] * K_RAD, 0.0)))
+    ops = [[(0, szsz), *hops]]
+    if drive:
+        ops += [[(1 << q, 1.0) for q in range(n)], [(1 << q, -1j * z[q]) for q in range(n)]]
+    return ops
+
+
+def with_zeros(a, rng):
+    """a with a fifth of its real and imaginary parts set to +0 or -0."""
+    parts = a.view(float).copy()
+    hit = rng.random(parts.shape) < 0.2
+    parts[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return parts.view(complex)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the operators' own row blocks, and blocks of 8 rows: several blocks from 4 qubits on
+ROW_BLOCKS = pytest.mark.parametrize("row_block", [dynamics._ROW_BLOCK, 8], ids=["blocks", "blocks-of-8"])
+
+
+@ROW_BLOCKS
+@pytest.mark.parametrize("drive", [True, False], ids=["drive-on", "drive-off"])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_flip_products_equal_csr_kernels(monkeypatch, n, drive, row_block):
+    # SciPy's csr_matvec and csr_matvecs add each row's entries in order, after the diagonal
+    # products einsum sums from +0: the products must be the same bits, signed zeros included
+    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+
+    monkeypatch.setattr(dynamics, "_ROW_BLOCK", row_block)
+    dim = 2**n
+    ham = coupled_register(n, seed=n)
+    sched = ramped_drive(ham, 0.4) if drive else pulses.PulseSchedule(duration=T_SEG)
+    sys = dynamics._System(ham, sched, EvolutionSpec(sample_times=[T_SEG]))
+    csrs = [csr_of_terms(terms, dim) for terms in register_terms(ham, drive)]
+    assert len(sys.h) == len(csrs)
+    for h_k, m, norm in zip(sys.h, csrs, sys.norms):
+        assert norm == np.bincount(m.indices, abs(m.data), minlength=dim).max()
+    rng = np.random.default_rng(n)
+    coeffs = [sys.coefficients(t) for t in T_SEG * np.array([0.6, 0.7, 0.9])]
+    # H_Y left out of the first coefficient vector, the drive out of the last
+    coeffs[0][dim + 2:] = 0.0
+    coeffs[-1][dim + 1:] = 0.0
+    for cols in (1, dim):
+        for hs in ([coeffs[0]], coeffs[:2], coeffs, [coeffs[-1]]):
+            cs = [with_zeros(rng.normal(size=dim * cols) + 1j * rng.normal(size=dim * cols), rng)
+                  for _ in hs]
+            v, c = np.asarray(hs), np.array(cs)
+            expect = np.einsum("jd,jde->de", v[:, :dim], c.reshape(len(c), dim, -1))
+            kernel, shape = (csr_matvec, ()) if cols == 1 else (csr_matvecs, (cols,))
+            for k, m in enumerate(csrs):
+                if (f := v[:, dim + k]).any():
+                    kernel(dim, dim, *shape, m.indptr, m.indices, m.data, f @ c, expect)
+            assert same_bits(sys.apply(hs, cs), expect.reshape(-1))
+
+
+@ROW_BLOCKS
+@pytest.mark.parametrize("tunneling", [True, False], ids=["tunneling-on", "tunneling-off"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dissipator_products_equal_csr_kernel(monkeypatch, n, tunneling, row_block):
+    from scipy.sparse._sparsetools import csr_matvec
+
+    monkeypatch.setattr(dynamics, "_ROW_BLOCK", row_block)
+    dim = 2**n
+    ham, sched, spec = segment_setup(n, True, True, seed=n)
+    sys = dynamics._System(ham, sched, spec)
+    liou = dynamics._Liouvillian(sys, spec.budget, spec.tunneling)
+    # D from its documented channels: jumps at both indices, then decay and the drain
+    idx = np.arange(dim)
+    g1, gphi = 1.0 / spec.budget.t1_s, 1.0 / spec.budget.t2_eff_s
+    occ = (idx[None, :] >> np.arange(n)[:, None]) & 1
+    decay = sum(-0.5 * g1 * (o[:, None] + o[None, :]) - gphi * (o[:, None] != o[None, :]) for o in occ)
+    drain = occ.sum(axis=0) / (2.0 * spec.tunneling.t_up) if tunneling else np.zeros(dim)
+    terms = [(0, (decay - (drain[:, None] + drain[None, :])).reshape(-1)),
+             *(((1 << q) * (dim + 1), (g1 * np.outer(1 - o, 1 - o)).reshape(-1)) for q, o in enumerate(occ))]
+    d = csr_of_terms(terms, dim * dim)
+    assert liou.norms[tunneling] == abs(d).sum(axis=0).max()
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = with_zeros(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), rng)
+        y = with_zeros(rng.normal(size=dim * dim) + 1j * rng.normal(size=dim * dim), rng)
+        expect = np.subtract(x, x.conj().T, order="C")
+        expect *= -1j
+        csr_matvec(dim * dim, dim * dim, d.indptr, d.indices, d.data, y, expect.reshape(-1))
+        assert same_bits(liou.apply(x, y, tunneling), expect.reshape(-1))

@@ -55,15 +55,14 @@ def test_import_config_and_spectrum_load_no_scipy(tmp_path):
     assert run == {"code": 0, "before": [], "after": []}
 
 
-@pytest.mark.parametrize("subcommand, payload, loads, skips", [
-    # a constant dissipative piece: the Taylor steps read scipy.sparse's CSR
-    # kernel, not scipy.sparse.linalg
+@pytest.mark.parametrize("subcommand, payload", [
+    # a constant dissipative piece: Taylor steps on NumPy products
     ("evolve", {
         "device": DEVICE,
         "schedule": {"duration_s": 1e-8},
         "initial": {"bits": "ud", "mode": "density-matrix"},
         "evolution": {"sample_count": 3, "use_budget": True},
-    }, "scipy.sparse", "scipy.sparse.linalg"),
+    }),
     # an enveloped drive: Taylor steps on a slope, with no ODE integrator
     ("evolve", {
         "device": {"d_um": 0.5, "sites": [[0, 0]], "B_T": 1.5, "T_K": 0.01},
@@ -71,26 +70,24 @@ def test_import_config_and_spectrum_load_no_scipy(tmp_path):
             {"freq_GHz": 100.0, "amp_V_per_cm": 0.1, "envelope": [[0.0, 0.0], [1e-9, 1.0]]}]},
         "initial": {"bits": "u"},
         "evolution": {"sample_times_s": [1e-9]},
-    }, "scipy.sparse", "scipy.integrate"),
-    # the plan's root find and its exponent's elliptic integrals: no SciPy at all
+    }),
+    # the plan's root find and its exponent's elliptic integrals
     ("readout", {
         "seed": 11,
         "device": DEVICE,
         "readout": {"wait_s": 1e-6, "selectivity": 1e6, "pixel_um": 1.0,
                     "shots": 400, "initial_bits": "ud"},
-    }, None, None),
-    # ramps and the plateau's sparse operators, root-found without scipy.optimize
+    }),
+    # ramps and the plateau's operators, root-found by the package's own bracketing
     ("calibrate --refine", {
         "device": DEVICE,
         "swap": {"pair": [0, 1], "alpha": 0.3 * 3.141592653589793, "rise_s": 1e-10, "fall_s": 1e-10},
-    }, "scipy.sparse", "scipy.optimize"),
-], ids=["evolve-constant-density-matrix", "evolve-enveloped", "readout", "calibrate-refine"])
-def test_cold_subcommands_import_what_they_use(tmp_path, subcommand, payload, loads, skips):
-    run = _cold(tmp_path, subcommand, payload)
-    assert run["code"] == 0
-    assert run["before"] == []
-    if loads is None:
-        assert run["after"] == []
-    else:
-        assert loads in run["after"]
-        assert skips not in run["after"]
+    }),
+    # a ramped swap: Taylor steps through the Stark map's moving voltage
+    ("demo-swap", {
+        "device": DEVICE,
+        "swap": {"pair": [0, 1], "alpha": 3.141592653589793 / 2, "rise_s": 1e-10, "fall_s": 1e-10},
+    }),
+], ids=["evolve-constant-density-matrix", "evolve-enveloped", "readout", "calibrate-refine", "demo-swap-ramped"])
+def test_cold_subcommands_import_what_they_use(tmp_path, subcommand, payload):
+    assert _cold(tmp_path, subcommand, payload) == {"code": 0, "before": [], "after": []}
