@@ -66,7 +66,9 @@ _STATE_VECTOR_MAX = 16
 _DENSITY_MATRIX_MAX = 8
 # largest state vector a closed constant piece takes eigh for: read once, Taylor overtakes it at 128
 _EXACT_DIM_MAX = 64
-_ROW_BLOCK = 1 << 12  # rows of a `_Flips` block, and elements of each term an `apply` block holds
+# rows of a `_Flips` block, and elements of each term an `apply` block holds: a 14-qubit triangle-envelope
+# evolve peaks at 107 MiB here and at 113 MiB with 1 << 12, as fast (bench/layers.py cold_sv_triangle_n14)
+_ROW_BLOCK = 1 << 10
 _REREAD_DIM_MAX = 1024  # read many times, as `piece_propagator` is: 6-21x at 7-9 qubits (bench/layers.py)
 _TAYLOR_THETA = 10.0  # bound on ||dt L||_1 per Taylor step, chosen by measurement
 _TAYLOR_TERMS_MAX = 100  # theta^k/k! falls below 2^-53 by k = 53
