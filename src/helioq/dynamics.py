@@ -215,30 +215,46 @@ class EvolutionResult:
 # --- operator assembly -----------------------------------------------------
 
 
-class _Flips:
-    """sum of terms (m, vals), each holding vals[i] at (i, i ^ m), stored row by row as levels.
+def _nonzeros(terms, *shape):
+    """The nonzeros of sum of terms (m, vals), each holding vals[i] at (i, i ^ m), _ROW_BLOCK rows at a
+    time: (rows, cols, vals, places) in row order and term order within a row, places counting each
+    row's entries from 0.
 
     Rows are indexed by `shape`, (dim,) or (dim, dim) for a superoperator, each vals broadcast to it;
-    the masks m are distinct.  Level k holds each row's k-th nonzero in term order, and a row with
-    fewer nonzeros than the longest holds a pad there, 0 at its own column.  The rows come in blocks
-    of B = min(rows, _ROW_BLOCK): row b B + o keeps its k-th entry's column in `cols[b, k, o]` and its
-    value in `vals[b, k, o]`, so a block's levels are contiguous.
+    the masks m are distinct.
+    """
+    vals = [np.broadcast_to(v, shape).reshape(-1) for _, v in terms]
+    masks = np.array([m for m, _ in terms], dtype=np.intp)
+    for lo in range(0, math.prod(shape), _ROW_BLOCK):
+        block = np.array([v[lo:lo + _ROW_BLOCK] for v in vals], complex).reshape(len(vals), -1).T
+        keep = block != 0
+        rows, k = np.nonzero(keep)
+        rows += lo
+        yield rows, rows ^ masks[k], block[keep], np.cumsum(keep, axis=1)[keep] - 1
+
+
+def _norm(cols, vals) -> float:
+    """The 1-norm of entries vals at columns cols, each column summed in the order given."""
+    return np.bincount(cols, np.abs(vals)).max(initial=0.0)
+
+
+class _Flips:
+    """`_nonzeros` of terms on dim rows, stored by level for gathers.
+
+    Level k holds each row's k-th nonzero, and a row with fewer than the longest holds a pad there,
+    0 at its own column.  The rows come in blocks of B = min(dim, _ROW_BLOCK): row b B + o keeps its
+    k-th entry's column in `cols[b, k, o]` and its value in `vals[b, k, o]`, so a block's levels are
+    contiguous.
     """
 
-    def __init__(self, terms, *shape):
-        vals = [np.broadcast_to(v, shape).reshape(-1) for _, v in terms]
-        masks = np.array([m for m, _ in terms], dtype=np.intp).reshape(-1, 1)
-        size = math.prod(shape)
-        levels = int(sum((v != 0 for v in vals), np.zeros(size, int)).max(initial=0))
-        span = min(size, _ROW_BLOCK)
-        rows = np.arange(size).reshape(-1, 1, span)
-        self.cols = np.repeat(rows, levels, axis=1)
+    def __init__(self, terms, dim: int):
+        levels = int(sum((np.broadcast_to(v, dim) != 0 for _, v in terms), np.zeros(dim, int)).max(initial=0))
+        span = min(dim, _ROW_BLOCK)
+        self.cols = np.repeat(np.arange(dim).reshape(-1, 1, span), levels, axis=1)
         self.vals = np.zeros(self.cols.shape, complex)
-        for r, cols, out in zip(rows[:, 0], self.cols, self.vals):
-            block = np.array([v[r[0]:r[-1] + 1] for v in vals], complex).reshape(-1, span)
-            keep = block != 0
-            at = np.cumsum(keep, axis=0)[keep] - 1, np.broadcast_to(r - r[0], keep.shape)[keep]
-            cols[at], out[at] = (r ^ masks)[keep], block[keep]
+        for rows, cols, vals, places in _nonzeros(terms, dim):
+            b, o = np.divmod(rows, span)
+            self.cols[b, places, o], self.vals[b, places, o] = cols, vals
 
     def rows(self, lo: int, hi: int):
         """(cols, vals) of rows lo to hi - 1, which lie in one block, by level."""
@@ -252,8 +268,7 @@ class _Flips:
 
     def norm(self) -> float:
         """The 1-norm, each column summed in row order."""
-        cols, vals = (a.transpose(0, 2, 1).reshape(-1) for a in (self.cols, self.vals))
-        return np.bincount(cols, np.abs(vals)).max(initial=0.0)
+        return _norm(*(a.transpose(0, 2, 1).reshape(-1) for a in (self.cols, self.vals)))
 
 
 def _combine(f, c):
@@ -433,8 +448,8 @@ class _System:
 class _Liouvillian:
     """Density-matrix generator -i[H(t), .] + D, less {G, .} once tunneling is on.
 
-    Stores only D and D - {G, .}, each the `_Flips.nonzeros` of its terms on row-major vec(rho),
-    with `norms` their 1-norms; H rho comes to each call.  D holds relaxation sqrt(1/T1) s- (jumps
+    Stores only D and D - {G, .}, each the `_nonzeros` of its terms on row-major vec(rho), with
+    `norms` their 1-norms; H rho comes to each call.  D holds relaxation sqrt(1/T1) s- (jumps
     as index flips, and decay) and dephasing sqrt(2/T2_eff) sz/2, alone decaying coherences as
     exp(-t/T2_eff); G = sum_n P_up_n/(2 t_up).
     """
@@ -453,9 +468,11 @@ class _Liouvillian:
         # without tunneling, escape takes forever and G vanishes
         t_up = math.inf if tunneling is None else tunneling.t_up
         g = sum((idx >> q) & 1 for q in range(sys.n)) / (2.0 * t_up)
-        ds = [_Flips([(0, d), *jumps], dim, dim) for d in (decay, decay - (g[:, None] + g[None, :]))]
-        self.dissipator, self.norms = [d.nonzeros() for d in ds], [d.norm() for d in ds]
-        self.shape = (dim, dim)
+        self.dissipator, self.norms, self.shape = [], [], (dim, dim)
+        for d in (decay, decay - (g[:, None] + g[None, :])):
+            rows, cols, vals, _ = map(np.concatenate, zip(*_nonzeros([(0, d), *jumps], dim, dim)))
+            self.dissipator.append((rows, cols, vals))
+            self.norms.append(_norm(cols, vals))
 
     def apply(self, x, y, tunneling: bool) -> np.ndarray:
         """-i (x - x^dagger) + D y in a fresh array (a step keeps earlier terms), x = sum_j H_j c_j,

@@ -1412,15 +1412,16 @@ def test_flip_products_equal_csr_kernels(monkeypatch, n, drive, row_block):
     sys = dynamics._System(ham, sched, EvolutionSpec(sample_times=[T_SEG]))
     csrs = [csr_of_terms(terms, dim) for terms in register_terms(ham, drive)]
     assert len(sys.h) == len(csrs)
-    for h_k, m, norm in zip(sys.h, csrs, sys.norms):
+    for m, norm in zip(csrs, sys.norms):
         assert norm == np.bincount(m.indices, abs(m.data), minlength=dim).max()
     rng = np.random.default_rng(n)
     coeffs = [sys.coefficients(t) for t in T_SEG * np.array([0.6, 0.7, 0.9])]
-    # H_Y left out of the first coefficient vector, the drive out of the last
+    # H_Y left out of the first coefficient vector, the drive out of the last; a slope's H_0 is 0
     coeffs[0][dim + 2:] = 0.0
     coeffs[-1][dim + 1:] = 0.0
+    slope = [coeffs[1], coeffs[2] - coeffs[1]]
     for cols in (1, dim):
-        for hs in ([coeffs[0]], coeffs[:2], coeffs, [coeffs[-1]]):
+        for hs in ([coeffs[0]], coeffs[:2], coeffs, [coeffs[-1]], slope):
             cs = [with_zeros(rng.normal(size=dim * cols) + 1j * rng.normal(size=dim * cols), rng)
                   for _ in hs]
             v, c = np.asarray(hs), np.array(cs)
