@@ -217,20 +217,20 @@ class EvolutionResult:
 
 def _nonzeros(terms, *shape):
     """The nonzeros of sum of terms (m, vals), each holding vals[i] at (i, i ^ m), _ROW_BLOCK rows at a
-    time: (rows, cols, vals, places) in row order and term order within a row, places counting each
-    row's entries from 0.
+    time: (rows, cols, vals, places) term by term, places counting each row's entries from 0 in term
+    order.
 
     Rows are indexed by `shape`, (dim,) or (dim, dim) for a superoperator, each vals broadcast to it;
     the masks m are distinct.
     """
     vals = [np.broadcast_to(v, shape).reshape(-1) for _, v in terms]
-    masks = np.array([m for m, _ in terms], dtype=np.intp)
+    masks = np.array([m for m, _ in terms], dtype=np.intp).reshape(-1, 1)
     for lo in range(0, math.prod(shape), _ROW_BLOCK):
-        block = np.array([v[lo:lo + _ROW_BLOCK] for v in vals], complex).reshape(len(vals), -1).T
+        rows = np.arange(lo, min(lo + _ROW_BLOCK, math.prod(shape)))
+        block = np.array([v[rows[0]:rows[-1] + 1] for v in vals], complex).reshape(-1, rows.size)
         keep = block != 0
-        rows, k = np.nonzero(keep)
-        rows += lo
-        yield rows, rows ^ masks[k], block[keep], np.cumsum(keep, axis=1)[keep] - 1
+        yield (np.broadcast_to(rows, keep.shape)[keep], (rows ^ masks)[keep], block[keep],
+               np.cumsum(keep, axis=0)[keep] - 1)
 
 
 def _norm(cols, vals) -> float:
@@ -252,9 +252,9 @@ class _Flips:
         span = min(dim, _ROW_BLOCK)
         self.cols = np.repeat(np.arange(dim).reshape(-1, 1, span), levels, axis=1)
         self.vals = np.zeros(self.cols.shape, complex)
-        for rows, cols, vals, places in _nonzeros(terms, dim):
-            b, o = np.divmod(rows, span)
-            self.cols[b, places, o], self.vals[b, places, o] = cols, vals
+        for block, (rows, cols, vals, places) in enumerate(_nonzeros(terms, dim)):  # one per block
+            at = places, rows - block * span
+            self.cols[block][at], self.vals[block][at] = cols, vals
 
     def rows(self, lo: int, hi: int):
         """(cols, vals) of rows lo to hi - 1, which lie in one block, by level."""
@@ -471,8 +471,9 @@ class _Liouvillian:
         self.dissipator, self.norms, self.shape = [], [], (dim, dim)
         for d in (decay, decay - (g[:, None] + g[None, :])):
             rows, cols, vals, _ = map(np.concatenate, zip(*_nonzeros([(0, d), *jumps], dim, dim)))
-            self.dissipator.append((rows, cols, vals))
-            self.norms.append(_norm(cols, vals))
+            order = np.argsort(rows, kind="stable")  # row order, term order within a row
+            self.dissipator.append((rows[order], cols[order], vals[order]))
+            self.norms.append(_norm(cols[order], vals[order]))
 
     def apply(self, x, y, tunneling: bool) -> np.ndarray:
         """-i (x - x^dagger) + D y in a fresh array (a step keeps earlier terms), x = sum_j H_j c_j,
