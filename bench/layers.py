@@ -47,8 +47,8 @@ Times, in this process unless noted:
 - `sample_shots`: 4000 shots of 8 sites, half of them excited;
 - `dump_json_readout`: `cli.dump_json` of the `readout` document of those
   shots, as `run_readout` passes it;
-- `load_config`: one `cli.load_config` of a readout config, schema
-  validator built;
+- `load_config`: one `cli.load_config` of a readout config, the schema
+  loaded;
 - `moment_tables`: the uncached moment tables of the 32- and 37-state
   bases, which every process builds once;
 - in fresh interpreters (wall time and `ru_maxrss`), beside `python -c pass`:
@@ -58,8 +58,10 @@ Times, in this process unless noted:
   above), `cold_demo_swap_sudden`, `cold_evolve_dm` (a 2-site density
   matrix under a constant pulse with the decoherence budget),
   `cold_readout` (4 sites, 4000 shots) and `cold_calibrate_refine`
-  (`calibrate --refine` of `refine_ramped`'s swap); and
-  `cold_sv_triangle_n14`, `sv_triangle_n*`'s evolve at 14 qubits.
+  (`calibrate --refine` of `refine_ramped`'s swap), and `cold_config_error`
+  (`demo-swap` on a config the schema rejects, which exits 2 after
+  jsonschema words the error); and `cold_sv_triangle_n14`,
+  `sv_triangle_n*`'s evolve at 14 qubits.
 
 Every in-process evolve layer also stores one record per piece that takes
 Taylor steps (`pieces`): its steps, their terms and the largest Chebyshev
@@ -125,15 +127,15 @@ print(time.perf_counter() - t0, usage.ru_maxrss, os.waitstatus_to_exitcode(statu
 """
 
 
-def _cold(argv: list[str], src: Path):
-    """A repeat of `argv` in a fresh interpreter: its wall time (s) and peak RSS (MiB)."""
+def _cold(argv: list[str], src: Path, code: int = 0):
+    """A repeat of `argv`, which exits `code`, in a fresh interpreter: its wall time (s) and peak RSS (MiB)."""
     env = dict(os.environ, PYTHONPATH=str(src))
 
     def repeat() -> tuple[float, float]:
         out = subprocess.run([sys.executable, "-c", _LAUNCH, *argv], env=env,
                              capture_output=True, text=True, check=True).stdout.split()
-        if out[2] != "0":
-            raise RuntimeError(f"{argv} exited {out[2]}")
+        if out[2] != str(code):
+            raise RuntimeError(f"{argv} exited {out[2]}, not {code}")
         return float(out[0]), int(out[1]) / 1024.0
     return repeat
 
@@ -493,6 +495,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
                      "spectrum": {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 40}},
         "demo_swap": {"device": device, "swap": {**sudden, "rise_s": ramp, "fall_s": ramp}},
         "demo_swap_sudden": {"device": device, "swap": sudden},
+        "config_error": {"device": device, "swap": {**sudden, "alpha": -1.0}},
         "calibrate_refine": {"device": device, "swap": {
             "pair": [0, 1], "alpha": 0.3 * math.pi, "rise_s": refine_ramp, "fall_s": refine_ramp}},
         "evolve_dm": {"device": device, "schedule": {"duration_s": 4 * dwell},
@@ -510,7 +513,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         cfg[name] = workdir / f"{name}.json"
         cfg[name].write_text(json.dumps({"output_dir": str(workdir / "out"), **config}))
 
-    cli.load_config(str(cfg["readout"]), [])   # builds the schema validator, once per process
+    cli.load_config(str(cfg["readout"]), [])   # loads the schema, once per process
     plan["load_config"] = _timed(lambda _: cli.load_config(str(cfg["readout"]), []))
 
     def helioq(sub: str, name: str) -> list[str]:
@@ -531,6 +534,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         ("cold_sv_triangle_n14", [sys.executable, "-c", _SV_TRIANGLE, "14"]),
     ):
         plan[name] = _cold(argv, src)
+    plan["cold_config_error"] = _cold(helioq("demo-swap", "config_error"), src, code=2)
 
     samples = {name: [] for name in plan}
     for _ in range(repeats):

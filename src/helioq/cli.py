@@ -11,8 +11,10 @@ Subcommands wire the library modules into reproducible experiments:
     readout      tunneling plan + shot sampling -> CSV image + JSON log
     demo-swap    build -> calibrate -> evolve -> report, end to end
 
-Configs are JSON validated against the shipped schema (unknown keys are
-rejected); ``--set dotted.path=value`` overrides are applied first and
+Configs are JSON that helioq checks against the shipped schema itself
+(unknown keys are rejected; an integer-valued float such as 5.0 counts as
+the integer 5); jsonschema loads only to word the error of a config the
+check rejects.  ``--set dotted.path=value`` overrides are applied first and
 echoed into the outputs.  ``calibrate --refine`` is shorthand for
 ``--set swap.refine=true``.  Output files are named from a hash of the
 effective config, embed that hash and the package version, contain no
@@ -31,6 +33,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -181,25 +184,89 @@ def load_config(path: str, overrides: list[str]) -> tuple[dict, list[str]]:
         raise ConfigError(f"config {path} must hold a JSON object at its top level")
     for assignment in overrides:
         apply_override(config, assignment)
+    try:
+        return conform(config, _schema()), list(overrides)
+    except _Rejected as rejected:
+        where = "/".join(map(str, rejected.args[0])) or "(root)"
     from jsonschema.exceptions import best_match
 
     # the error jsonschema.validate would raise
     exc = best_match(_validator().iter_errors(config))
-    if exc is not None:
-        path_str = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(f"config invalid at {path_str}: {exc.message}") from exc
-    return config, list(overrides)
+    if exc is None:
+        raise AssertionError(f"the config check rejects {path} at {where}, which jsonschema accepts")
+    path_str = "/".join(str(p) for p in exc.absolute_path) or "(root)"
+    raise ConfigError(f"config invalid at {path_str}: {exc.message}") from exc
+
+
+_schema = functools.lru_cache(maxsize=1)(load_schema)
 
 
 @functools.lru_cache(maxsize=1)
 def _validator():
-    """Validator for the shipped schema, which is checked once per process."""
-    import jsonschema
+    """jsonschema's validator of the shipped schema, which words a rejected config's error."""
+    from jsonschema import Draft7Validator
 
-    schema = load_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return Draft7Validator(_schema())
+
+
+class _Rejected(Exception):
+    """The instance fails the schema at the key path args[0]."""
+
+
+# the draft-07 type of each value json.loads gives; an integer-valued float is
+# an "integer" too
+_KIND = {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null",
+         int: "integer", float: "number"}
+_KEYWORDS = {"$schema", "title", "type", "properties", "required", "additionalProperties",
+             "items", "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
+             "pattern", "enum"}
+
+
+def conform(x, schema: dict, where: tuple = ()):
+    """`x`, a value json.loads gives, with each integer-valued float that the
+    schema types "integer" made an int.
+
+    Covers the draft-07 keywords the shipped schema uses, with jsonschema's
+    verdicts: a bool is no number, and `enum` tells True from 1.  Raises
+    _Rejected where `x` fails and TypeError on any other keyword, so none is
+    skipped.
+    """
+    if not _KEYWORDS.issuperset(schema):
+        raise TypeError(f"the config check does not implement {sorted(schema.keys() - _KEYWORDS)}")
+    kind = _KIND[type(x)]
+    if "type" in schema:
+        types = (schema["type"],) if isinstance(schema["type"], str) else schema["type"]
+        if kind == "number" and "integer" in types and x.is_integer():
+            x, kind = int(x), "integer"
+        if kind not in types and not (kind == "integer" and "number" in types):
+            raise _Rejected(where)
+    if "enum" in schema and not any(
+            isinstance(x, bool) == isinstance(e, bool) and x == e for e in schema["enum"]):
+        raise _Rejected(where)
+    if kind in ("integer", "number") and not (
+            schema.get("minimum", x) <= x <= schema.get("maximum", x)
+            and x > schema.get("exclusiveMinimum", -math.inf)):
+        raise _Rejected(where)
+    if kind == "string" and "pattern" in schema and not re.search(schema["pattern"], x):
+        raise _Rejected(where)
+    if kind == "array":
+        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
+            raise _Rejected(where)
+        if "items" in schema:
+            if not isinstance(schema["items"], dict):
+                raise TypeError("the config check implements items as one schema only")
+            x = [conform(v, schema["items"], (*where, i)) for i, v in enumerate(x)]
+    if kind == "object":
+        props = schema.get("properties", {})
+        if any(k not in x for k in schema.get("required", ())):
+            raise _Rejected(where)
+        if schema.get("additionalProperties", True) is not True:
+            if schema["additionalProperties"] is not False:
+                raise TypeError("the config check implements additionalProperties false only")
+            if x.keys() - props.keys():
+                raise _Rejected(where)
+        x = {k: conform(v, props[k], (*where, k)) if k in props else v for k, v in x.items()}
+    return x
 
 
 def require_block(config: dict, name: str) -> dict:

@@ -33,7 +33,7 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
         "moment_tables", "cold_python_pass",
         "cold_import_cli", "cold_setup", "cold_spectrum", "cold_demo_swap",
         "cold_demo_swap_sudden", "cold_evolve_dm", "cold_readout", "cold_calibrate_refine",
-        "cold_sv_triangle_n14",
+        "cold_sv_triangle_n14", "cold_config_error",
     }
     for value in layers.values():
         assert value["repeats"] == 1

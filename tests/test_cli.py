@@ -1,4 +1,5 @@
 """Tests for the batch front door: exit codes, outputs, determinism."""
+import copy
 import json
 import math
 
@@ -616,9 +617,29 @@ def test_config_errors_in_one_process(tmp_path, capsys):
 
     from helioq.cli import load_schema
 
+    out = str(tmp_path / "out")
     bad = [
         {"output_dir": str(tmp_path / "out"), "device": dict(BASE_DEVICE, typo_key=1)},
         {"output_dir": str(tmp_path / "out"), "device": dict(BASE_DEVICE, d_um="wide")},
+        # a case per keyword of the schema, named first
+        {"device": dict(BASE_DEVICE)},                                        # required, at the root
+        {"output_dir": out, "devices": {}},                                   # additionalProperties
+        {"output_dir": out, "device": {"d_um": 0.5}},                         # properties, required
+        {"output_dir": out, "device": dict(BASE_DEVICE, d_um=True)},          # type: a bool is no number
+        {"output_dir": out, "spectrum": {"e_perp_min": 0.0, "e_perp_max": 1.0,
+                                         "points": 2.5}},                     # type: 2.5 is no integer
+        {"output_dir": out, "medium": {"k_min": 1.0, "k_max": 2.0, "points": 2,
+                                       "shear_speed": "fast"}},               # type, a list of names
+        {"output_dir": out, "device": dict(BASE_DEVICE, sites=[])},           # minItems
+        {"output_dir": out, "device": dict(BASE_DEVICE, sites=[[0, 0, 0]])},  # items, maxItems
+        {"output_dir": out, "swap": {"pair": [0, -1], "alpha": 1.0}},         # minimum, in items
+        {"output_dir": out, "seed": 2**128},                                  # maximum
+        {"output_dir": out, "device": dict(BASE_DEVICE, d_um=0)},             # exclusiveMinimum
+        {"output_dir": out, "initial": {"bits": "ux"}},                       # pattern
+        {"output_dir": out, "initial": {"bits": "ud", "mode": "mixed"}},      # enum
+        {"output_dir": out, "evolution": {"frame": True}},                    # enum: True is no string
+        {"output_dir": out, "schedule": {"duration_s": 1e-9, "voltage_channels": [
+            {"site": 0.5, "points": []}]}},                                   # items of objects
     ]
     for i, config in enumerate(bad):
         cfg = write_config(tmp_path, config, name=f"bad{i}.json")
@@ -824,6 +845,211 @@ def test_each_artifact_prints_one_wrote_line(tmp_path, capsys, subcommand):
     stdout = capsys.readouterr().out.splitlines()
     assert [line[6:] for line in stdout if line.startswith("wrote ")] == paths
     assert sorted(str(p) for p in out.iterdir()) == sorted(paths)
+
+
+# --- the config check, against jsonschema as the oracle ----------------------
+
+
+def _instances(schema: dict, force=()):
+    """Instances valid under `schema` (the keywords the shipped schema uses), with
+    the keys in `force` present as well as the required ones."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+    return st.one_of([_typed(schema, t, force) for t in types])
+
+
+def _typed(schema: dict, t: str, force):
+    if t == "null":
+        return st.none()
+    if t == "boolean":
+        return st.booleans()
+    if t == "string":
+        return st.from_regex(schema["pattern"], fullmatch=True) if "pattern" in schema else st.text(max_size=4)
+    if t in ("number", "integer"):
+        lo, hi = schema.get("minimum"), schema.get("maximum")
+        if "exclusiveMinimum" in schema:
+            lo = math.floor(schema["exclusiveMinimum"]) + 1
+        ints = st.integers(min_value=lo, max_value=hi)
+        whole = st.integers(min_value=lo, max_value=(lo or 0) + 1000).map(float)  # 3.0 is an integer
+        if t == "integer":
+            return ints | whole
+        return ints | whole | st.floats(min_value=schema.get("minimum", schema.get("exclusiveMinimum")),
+                                        exclude_min="exclusiveMinimum" in schema,
+                                        allow_nan=False, allow_infinity=False)
+    if t == "array":
+        return st.lists(_instances(schema["items"]), min_size=schema.get("minItems", 0),
+                        max_size=schema.get("maxItems", 3))
+    props = schema["properties"]
+    required = set(schema.get("required", ())) | set(force)
+    return st.fixed_dictionaries(
+        {k: _instances(props[k]) for k in props if k in required},
+        optional={k: _instances(props[k]) for k in props if k not in required},
+    )
+
+
+def _keys(schema: dict):
+    yield from schema.get("properties", {})
+    for sub in schema.get("properties", {}).values():
+        yield from _keys(sub)
+    if "items" in schema:
+        yield from _keys(schema["items"])
+
+
+_SCHEMA = cli.load_schema()
+_STRINGS = ["", "ud", "ux", "d0u1", "rwa", "lab", "state-vector", "density-matrix", "x"]
+# JSON values near the schema's bounds, types and names, nested a little
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([0, 1, 2, 3, -1, 2**128, 0.0, 1.0, 2.0, 3.0, 2.5,
+                                                 -0.5, 1e-9, 1e300]) | st.sampled_from(_STRINGS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(sorted(set(_keys(_SCHEMA)))), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nodes(x):
+    if isinstance(x, (dict, list)):
+        yield x
+        for v in x.values() if isinstance(x, dict) else x:
+            yield from _nodes(v)
+
+
+@st.composite
+def _mutated(draw, configs):
+    """A config of `configs` after up to three edits: a value replaced, a key or
+    item deleted, or a key or item added."""
+    config = copy.deepcopy(draw(configs))
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(list(_nodes(config))))
+        slots = list(node) if isinstance(node, dict) else list(range(len(node)))
+        edit = draw(st.sampled_from(["replace", "delete", "add"] if slots else ["add"]))
+        if edit == "add" and isinstance(node, list):
+            node.append(draw(_VALUES | st.sampled_from(node)) if node else draw(_VALUES))
+        elif edit == "add":
+            node[draw(st.sampled_from(sorted(set(_keys(_SCHEMA)))))] = draw(_VALUES)
+        elif edit == "delete":
+            del node[draw(st.sampled_from(slots))]
+        else:
+            node[draw(st.sampled_from(slots))] = draw(_VALUES)
+    return config
+
+
+_FILE_CONFIGS = [
+    {"output_dir": "out", **config}
+    for config in (*(block for block, _ in WRITER_CASES.values()), EVOLVE_CONFIG, SWAP_CONFIG,
+                   {"device": dict(BASE_DEVICE)})
+]
+
+
+@pytest.mark.parametrize("subcommand", list(cli._RUNNERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_check_agrees_with_jsonschema(subcommand, data):
+    import jsonschema
+
+    generated = _instances(_SCHEMA, force=WRITER_CASES[subcommand][0])
+    config = data.draw(_mutated(st.sampled_from(_FILE_CONFIGS) | generated))
+    valid = jsonschema.Draft7Validator(_SCHEMA).is_valid(config)
+    try:
+        conformed = cli.conform(config, _SCHEMA)
+    except cli._Rejected:
+        assert not valid
+    else:
+        assert valid and conformed == config
+
+
+def _integer_keys(schema: dict, path=()):
+    if schema.get("type") == "integer":
+        yield "/".join(path)
+    for k, sub in schema.get("properties", {}).items():
+        yield from _integer_keys(sub, (*path, k))
+    if "items" in schema:
+        yield from _integer_keys(schema["items"], (*path, "items"))
+
+
+_CHANNEL = {"points": [[0.0, 0.0], [5e-10, 5e-5]]}
+# each "integer" key of the schema: a subcommand that reads it, the block it
+# sits in, and that block's value with the key at an integer and at its float
+INTEGER_CASES = {
+    "seed": ("readout", "seed", 7, 7.0),
+    "device/basis_size": ("build", "device", dict(BASE_DEVICE, basis_size=32),
+                          dict(BASE_DEVICE, basis_size=32.0)),
+    "spectrum/points": ("spectrum", "spectrum", {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 3},
+                        {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 3.0}),
+    "spectrum/max_state": ("spectrum", "spectrum",
+                           {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 2, "max_state": 3},
+                           {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 2, "max_state": 3.0}),
+    "medium/points": ("medium", "medium", {"k_min": 1e2, "k_max": 1e3, "points": 5},
+                      {"k_min": 1e2, "k_max": 1e3, "points": 5.0}),
+    "medium/boundary/points": ("medium", "medium",
+                               {"k_min": 1e2, "k_max": 1e3, "points": 2,
+                                "boundary": {"n_min": 1e7, "n_max": 1e9, "points": 4}},
+                               {"k_min": 1e2, "k_max": 1e3, "points": 2,
+                                "boundary": {"n_min": 1e7, "n_max": 1e9, "points": 4.0}}),
+    "swap/pair/items": ("calibrate", "swap", {"pair": [1, 0], "alpha": 1.0},
+                        {"pair": [1.0, 0.0], "alpha": 1.0}),
+    "schedule/voltage_channels/items/site": (
+        "evolve", "schedule", {"duration_s": 1e-9, "voltage_channels": [{"site": 1, **_CHANNEL}]},
+        {"duration_s": 1e-9, "voltage_channels": [{"site": 1.0, **_CHANNEL}]}),
+    "evolution/sample_count": ("evolve", "evolution", {"sample_count": 4}, {"sample_count": 4.0}),
+    "readout/shots": ("readout", "readout", {"wait_s": 1e-6, "selectivity": 1e6, "shots": 50},
+                      {"wait_s": 1e-6, "selectivity": 1e6, "shots": 50.0}),
+}
+
+
+def test_every_integer_key_has_a_case():
+    assert set(_integer_keys(_SCHEMA)) == set(INTEGER_CASES)
+
+
+@pytest.mark.parametrize("key", list(INTEGER_CASES))
+def test_integer_valued_float_runs_as_its_integer(tmp_path, key):
+    # draft-07 counts 3.0 as an integer; the run reads it as 3 and writes the
+    # same bytes under the same name
+    subcommand, block, as_int, as_float = INTEGER_CASES[key]
+    out = tmp_path / "out"
+    written = []
+    for value in (as_int, as_float):
+        config = {"output_dir": str(out), **WRITER_CASES[subcommand][0], block: value}
+        assert main([subcommand, "--config", write_config(tmp_path, config)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        for p in out.iterdir():
+            p.unlink()
+    assert written[0] == written[1]
+    config["output_dir"], config[block] = str(out), as_int
+    assert all(cli.config_hash(config) in name for name in written[0])
+
+
+def test_shipped_schema_is_a_valid_draft_07_schema():
+    import jsonschema
+
+    jsonschema.Draft7Validator.check_schema(_SCHEMA)
+    assert jsonschema.validators.validator_for(_SCHEMA) is jsonschema.Draft7Validator
+
+
+@pytest.mark.parametrize("schema, instance", [
+    ({"type": "object", "oneOf": [{"required": ["a"]}]}, {"a": 1}),
+    ({"properties": {"a": {"not": {"type": "string"}}}}, {"a": 1}),
+    ({"items": [{"type": "number"}]}, [1]),
+    ({"additionalProperties": {"type": "number"}}, {"a": 1}),
+], ids=["oneOf", "nested-not", "items-list", "additionalProperties-schema"])
+def test_config_check_raises_on_a_keyword_it_does_not_implement(schema, instance):
+    with pytest.raises(TypeError, match="config check"):
+        cli.conform(instance, schema)
+
+
+def test_config_check_rejecting_what_jsonschema_accepts_is_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    def rejects(config, schema):
+        raise cli._Rejected(("device", "d_um"))
+
+    monkeypatch.setattr(cli, "conform", rejects)
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "device": dict(BASE_DEVICE)})
+    assert main(["build", "--config", cfg]) == 4
+    assert capsys.readouterr().err == (
+        f"internal error: AssertionError: the config check rejects {cfg} at device/d_um, "
+        "which jsonschema accepts\n"
+    )
 
 
 # --- the recursive serializer that dump_json replaced, kept as the oracle ----

@@ -1,4 +1,4 @@
-"""SciPy loads only where a job uses it.
+"""SciPy loads only where a job uses it, and jsonschema only to word a config error.
 
 Each check starts a fresh interpreter, so no earlier import in the test
 process (or in another test) can supply a SciPy submodule that the code
@@ -91,3 +91,60 @@ def test_import_config_and_spectrum_load_no_scipy(tmp_path):
 ], ids=["evolve-constant-density-matrix", "evolve-enveloped", "readout", "calibrate-refine", "demo-swap-ramped"])
 def test_cold_subcommands_import_what_they_use(tmp_path, subcommand, payload):
     assert _cold(tmp_path, subcommand, payload) == {"code": 0, "before": [], "after": []}
+
+
+# jsonschema and the packages it loads
+_JSONSCHEMA = ("jsonschema", "jsonschema_specifications", "referencing", "rpds", "attrs", "attr")
+
+# one load_config of argv[1], then `python -m helioq <argv[2:]>`; prints the
+# exit code and the loaded jsonschema modules after each, as one JSON line
+_RUN_CHECKED = f"""
+import json, runpy, sys
+import helioq.cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] in {_JSONSCHEMA!r})
+try:
+    helioq.cli.load_config(sys.argv[1], [])
+except helioq.cli.ConfigError:
+    pass
+before = loaded()
+sys.argv = ["helioq", *sys.argv[2:]]
+try:
+    runpy.run_module("helioq", run_name="__main__")
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({{"code": code, "before": before, "after": loaded()}}))
+"""
+
+
+def _checked(tmp_path, config):
+    cfg = tmp_path / "demo-swap.json"
+    cfg.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_CHECKED, str(cfg), "demo-swap", "--config", str(cfg)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(out.stdout.splitlines()[-1]), out.stderr
+
+
+def test_valid_config_and_demo_swap_load_no_jsonschema(tmp_path):
+    run, _ = _checked(tmp_path, {"output_dir": str(tmp_path / "out"), "device": DEVICE,
+                                 "swap": {"pair": [0, 1], "alpha": 3.141592653589793 / 2}})
+    assert run == {"code": 0, "before": [], "after": []}
+
+
+def test_invalid_config_exits_2_with_the_jsonschema_message(tmp_path):
+    import jsonschema
+
+    from helioq.cli import load_schema
+
+    config = {"output_dir": str(tmp_path / "out"), "device": DEVICE,
+              "swap": {"pair": [0, 1], "alpha": -1.0}}
+    run, err = _checked(tmp_path, config)
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(config, load_schema())
+    assert info.value.message == "-1.0 is less than the minimum of 0"
+    assert err == f"config error: config invalid at swap/alpha: {info.value.message}\n"
+    assert run["code"] == 2 and "jsonschema" in run["before"]
+    assert not (tmp_path / "out").exists()
