@@ -621,7 +621,7 @@ def test_config_errors_in_one_process(tmp_path, capsys):
     bad = [
         {"output_dir": str(tmp_path / "out"), "device": dict(BASE_DEVICE, typo_key=1)},
         {"output_dir": str(tmp_path / "out"), "device": dict(BASE_DEVICE, d_um="wide")},
-        # a case per keyword of the schema, named first
+        # one more case per keyword of the schema, the keyword named beside it
         {"device": dict(BASE_DEVICE)},                                        # required, at the root
         {"output_dir": out, "devices": {}},                                   # additionalProperties
         {"output_dir": out, "device": {"d_um": 0.5}},                         # properties, required
@@ -1016,8 +1016,8 @@ def test_integer_valued_float_runs_as_its_integer(tmp_path, key):
         for p in out.iterdir():
             p.unlink()
     assert written[0] == written[1]
-    config["output_dir"], config[block] = str(out), as_int
-    assert all(cli.config_hash(config) in name for name in written[0])
+    as_int_hash = cli.config_hash({"output_dir": str(out), **WRITER_CASES[subcommand][0], block: as_int})
+    assert all(as_int_hash in name for name in written[0])
 
 
 def test_shipped_schema_is_a_valid_draft_07_schema():
