@@ -47,6 +47,11 @@ Times, in this process unless noted:
 - `sample_shots`: 4000 shots of 8 sites, half of them excited;
 - `dump_json_readout`: `cli.dump_json` of the `readout` document of those
   shots, as `run_readout` passes it;
+- `write_states_n7`, `write_shots_200k`: one `cli._Writer.json` to disk of
+  the states of a 7-qubit density matrix at 101 samples (a (101, 16384, 2)
+  float array) and of a log of 200 000 shots of 8 sites, each with the
+  bytes it wrote and its tracemalloc peak over the payload (`traced_peak_mib`,
+  from one further, untimed write);
 - `load_config`: one `cli.load_config` of a readout config, the schema
   loaded;
 - `moment_tables`: the uncached moment tables of the 32- and 37-state
@@ -70,6 +75,8 @@ degree P of its steps' fits (0 where H is linear in t, which fits nothing).
 Each value is the minimum of `--repeats` repeats, stored with the repeat
 count, median and maximum.  The repeats run round-robin, one of each layer
 in turn, so a burst of load from other processes hits every layer alike.
+A fresh interpreter's `peak_rss_mib` also stores its quartiles (`q1`, `q3`),
+since `ru_maxrss` moves with heap layout between runs of the same work.
 The run is stored under `--label` in `--out` (default `BENCH_stark_map.json`
 at the repository root), beside the runs of other labels already there,
 with its run record: commit, `source_sha256` (a digest of the timed
@@ -83,7 +90,9 @@ or later); pair runs only when they come from one host.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -93,6 +102,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,6 +115,22 @@ RHS_EVALS = 500            # density-matrix right-hand sides per repeat
 def _stats(samples: list[float], unit: str, **extra) -> dict:
     return {"value": min(samples), "unit": unit, "repeats": len(samples),
             "median": statistics.median(samples), "max": max(samples), **extra}
+
+
+def _quartiles(samples: list[float]) -> dict:
+    """q1 and q3 of `samples`, interpolated linearly."""
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive") if len(samples) > 1 else samples * 3
+    return {"q1": q1, "q3": q3}
+
+
+def _traced_peak(fn) -> float:
+    """The tracemalloc peak (MiB) of one fn(None), over what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn(None)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _timed(fn, per: int = 1, setup=None):
@@ -482,6 +508,25 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     cli.run_readout(readout_config, capture)
     plan["dump_json_readout"] = _timed(lambda _: cli.dump_json(capture.payload))
 
+    gen = np.random.default_rng(7)
+    shots = np.empty(200_000, [("index", int), ("tunneled", bool, (8,))])
+    shots["index"], shots["tunneled"] = np.arange(len(shots)), gen.random((len(shots), 8)) < 0.3
+    artifacts = {
+        "write_states_n7": {"result": {"mode": "density-matrix", "frame": "rwa",
+                                       "states": gen.normal(size=(101, 16384, 2))}},
+        "write_shots_200k": {"seed": 3, "rng": readout.RNG_ALGORITHM, "shots": shots},
+    }
+    for name, payload in artifacts.items():
+        out = workdir / name
+        writer = cli._Writer({"output_dir": str(out)}, [], name)
+
+        def write(_, writer=writer, payload=payload):
+            with contextlib.redirect_stdout(io.StringIO()):   # its `wrote <path>` line
+                writer.json(payload)
+        plan[name] = _timed(write)
+        extras[name] = {"traced_peak_mib": _traced_peak(write),
+                        "bytes_written": sum(p.stat().st_size for p in out.iterdir())}
+
     plan["moment_tables"] = _timed(
         lambda _: [hydrogenic._moment_matrix.__wrapped__(size, 1, max(96, size + 8))
                    for size in (32, 37)])
@@ -544,7 +589,8 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
     for name, values in samples.items():
         if isinstance(values[0], tuple):   # a fresh interpreter's wall time and peak RSS
             walls, rss = zip(*values)
-            layers[name] = _stats(list(walls), "s", peak_rss_mib=_stats(list(rss), "MiB"))
+            layers[name] = _stats(list(walls), "s",
+                                  peak_rss_mib=_stats(list(rss), "MiB", **_quartiles(list(rss))))
         else:
             layers[name] = _stats(values, "s", **extras.get(name, {}))
 

@@ -19,7 +19,12 @@ echoed into the outputs.  ``calibrate --refine`` is shorthand for
 ``--set swap.refine=true``.  Output files are named from a hash of the
 effective config, embed that hash and the package version, contain no
 timestamps, and serialize every float with 17 significant digits, so a
-rerun with the same config and seed is byte-identical.
+rerun with the same config and seed is byte-identical.  Each artifact is
+streamed, rows in blocks joined into chunks of about 64 KiB, to a temporary
+file beside it that is renamed into place after the last chunk, so memory
+does not grow with artifact size; a run that fails or is interrupted deletes
+that file, and one killed outright can leave only the hidden
+``.<artifact>.<pid>.tmp``, so an artifact's name never holds part of one.
 
 Exit codes: 0 success, 2 config error, 3 numerical or domain failure
 (ValueError, RuntimeError and their subclasses), 4 internal error (any
@@ -31,8 +36,10 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
+import os
 import re
 import sys
 from importlib import resources
@@ -78,20 +85,26 @@ def _format_scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _block(items, pad: str) -> str:
-    body = f",\n{pad}  ".join(items)
-    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
+_ROWS = 4096        # array rows formatted at a time
+_CHUNK = 1 << 16    # characters of rows joined into one chunk, about
+# values whose text dump_json streams; every other value is one scalar
+_NESTED = (dict, list, tuple, np.ndarray)
 
 
-def _rows(a: np.ndarray, indent: int):
-    """The text of each a[i] at `indent`, as dump_json(a[i].tolist(), indent) writes it."""
+def _flat(a: np.ndarray) -> bool:
+    """Whether a's rows are numbers or rows of at most 16, which _row_texts formats in bulk."""
+    return a.dtype.kind in "biuf" and (a.ndim == 1 or a.ndim == 2 and a.shape[1] <= 16)
+
+
+def _row_texts(a: np.ndarray, indent: int) -> list[str]:
+    """The text of each a[i] at `indent`, as dump_json(a[i].tolist(), indent) writes it; a has rows."""
     kinds = {"b": ("false", "true").__getitem__, "i": str, "u": str, "f": _format_float}
     fmt = kinds.get(a.dtype.kind)  # tolist() gives Python bools, ints and floats
-    if fmt and a.ndim == 1:
-        return map(fmt, a.tolist())
-    if not (fmt and a.ndim == 2 and a.shape[1] <= 16):
-        return (dump_json(r, indent) for r in a)
-    if a.dtype.kind == "f" and len(a) and np.isfinite(a).all():
+    if not _flat(a):
+        return [dump_json(r, indent) for r in a]
+    if a.ndim == 1:
+        return list(map(fmt, a.tolist()))
+    if a.dtype.kind == "f" and np.isfinite(a).all():
         # one '%.17g' template over the block, a line per row ('%.17g' % x is
         # format(x, '.17g')); inf and NaN take _format_float below
         block = "\n".join(["[" + ", ".join(["%.17g"] * a.shape[1]) + "]"] * len(a))
@@ -101,35 +114,93 @@ def _rows(a: np.ndarray, indent: int):
         code = a @ (1 << np.arange(a.shape[1]))
         _, first, which = np.unique(code, return_index=True, return_inverse=True)
         text = ["[" + ", ".join(map(fmt, r)) + "]" for r in a[first].tolist()]
-        return map(text.__getitem__, which.tolist())
-    return ("[" + ", ".join(map(fmt, r)) + "]" for r in a.tolist())
+        return list(map(text.__getitem__, which.tolist()))
+    return ["[" + ", ".join(map(fmt, r)) + "]" for r in a.tolist()]
 
 
-def dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
+def _rows(a: np.ndarray, indent: int):
+    """_row_texts of a, _ROWS rows at a time."""
+    for start in range(0, len(a), _ROWS):
+        yield _row_texts(a[start:start + _ROWS], indent)
+
+
+def _blocks(texts):
+    """The strings of `texts`, _ROWS at a time."""
+    texts = iter(texts)
+    while block := list(itertools.islice(texts, _ROWS)):
+        yield block
+
+
+def _joined(blocks, head: str, sep: str, tail: str, empty: str):
+    """The chunks of `head`, the texts of `blocks` (lists of strings) joined by `sep`, and
+    `tail`, or of `empty` when there are no texts; one sep.join makes about _CHUNK characters."""
+    first = True
+    for block in blocks:
+        step = max(1, _CHUNK // (len(block[0]) + len(sep)))
+        for start in range(0, len(block), step):
+            yield head if first else sep
+            yield sep.join(block[start:start + step])
+            first = False
+    yield empty if first else tail
+
+
+def _lines(blocks, pad: str):
+    """The chunks of a JSON array at `pad` whose items are the texts of `blocks`, one a line."""
+    return _joined(blocks, f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]", "[]")
+
+
+def _items(items, pad: str):
+    """The chunks of a JSON array at `pad` whose items are the chunk streams of `items`."""
+    first = True
+    for item in items:
+        yield f"[\n{pad}  " if first else f",\n{pad}  "
+        yield from item
+        first = False
+    yield "[]" if first else f"\n{pad}]"
+
+
+def _chunks(obj, indent: int = 0):
+    """The text dump_json(obj, indent) joins, as chunks; rows of arrays go _ROWS at a
+    time, joined into chunks of about _CHUNK characters."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {dump_json(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if len(seq) <= 16 and all(isinstance(x, (int, float)) or x is None for x in seq):
-            return "[" + ", ".join(map(_format_scalar, seq)) + "]"
-        return _block((dump_json(v, indent + 1) for v in seq), pad)
-    if isinstance(obj, np.ndarray):
+        head = "{\n"
+        for k, v in obj.items():
+            key = f"{head}{pad}  {json.dumps(str(k))}: "
+            if isinstance(v, _NESTED):
+                yield key
+                yield from _chunks(v, indent + 1)
+            else:
+                yield key + _format_scalar(v)
+            head = ",\n"
+        yield f"\n{pad}}}" if obj else "{}"
+    elif isinstance(obj, (list, tuple)):
+        if len(obj) <= 16 and all(isinstance(x, (int, float)) or x is None for x in obj):
+            yield "[" + ", ".join(map(_format_scalar, obj)) + "]"
+        elif any(isinstance(x, _NESTED) for x in obj):
+            yield from _items((_chunks(v, indent + 1) for v in obj), pad)
+        else:
+            yield from _lines(_blocks(map(_format_scalar, obj)), pad)
+    elif isinstance(obj, np.ndarray):
         # row by row, as text equal to tolist()'s; a structured array's rows are records
         if obj.dtype.names:
             keys = (json.dumps(k).replace("%", "%%") for k in obj.dtype.names)
             record = "{\n" + ",\n".join(f"{pad}    {k}: %s" for k in keys) + f"\n{pad}  }}"
             fields = zip(*(_rows(obj[k], indent + 2) for k in obj.dtype.names))
-            return _block(map(record.__mod__, fields), pad)
-        return _block(_rows(obj, indent + 1), pad) if obj.ndim > 1 else dump_json(obj.tolist(), indent)
-    return _format_scalar(obj)
+            yield from _lines((list(map(record.__mod__, zip(*block))) for block in fields), pad)
+        elif obj.ndim == 0 or obj.ndim == 1 and (len(obj) <= 16 or not _flat(obj)):
+            yield from _chunks(obj.tolist(), indent)
+        elif _flat(obj):
+            yield from _lines(_rows(obj, indent + 1), pad)
+        else:
+            yield from _items((_chunks(r, indent + 1) for r in obj), pad)
+    else:
+        yield _format_scalar(obj)
+
+
+def dump_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON with 17-significant-digit floats, the join of `_chunks(obj, indent)`."""
+    return "".join(_chunks(obj, indent))
 
 
 def config_hash(config: dict) -> str:
@@ -348,28 +419,37 @@ class _Writer:
         self.outdir = Path(config["output_dir"])
         self.sub = subcommand
 
-    def _write(self, suffix: str, text: str) -> None:
+    def _write(self, suffix: str, chunks) -> None:
+        """Streams the text `chunks` to a temporary file beside the artifact and renames it
+        into place after the last; on any exception the temporary file is deleted, so the
+        artifact's name never holds a part."""
         self.outdir.mkdir(parents=True, exist_ok=True)
         p = self.outdir / f"{self.sub}_{self.hash}.{suffix}"
-        with open(p, "w") as fh:
-            fh.write(text)
+        tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, p)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         print(f"wrote {p}")
 
     def csv(self, header: list[str], rows, suffix: str = "csv") -> None:
         overrides = f" overrides={';'.join(self.overrides)}" if self.overrides else ""
-        lines = [f"# config_hash={self.hash} artifact_version={__version__}{overrides}",
-                 ",".join(header)]
-        lines += (
+        lines = (
             ",".join(_format_float(float(x)) if isinstance(x, (float, np.floating)) else str(x)
                      for x in row)
             for row in rows
         )
-        self._write(suffix, "\n".join(lines) + "\n")
+
+        head = f"# config_hash={self.hash} artifact_version={__version__}{overrides}\n{','.join(header)}\n"
+        self._write(suffix, _joined(_blocks(lines), head, "\n", "\n", head))
 
     def json(self, payload: dict, suffix: str = "json") -> None:
         meta = {"config_hash": self.hash, "artifact_version": __version__,
                 "overrides": self.overrides}
-        self._write(suffix, dump_json({**meta, **payload}) + "\n")
+        self._write(suffix, itertools.chain(_chunks({**meta, **payload}), ["\n"]))
 
 
 # --- subcommands -------------------------------------------------------------

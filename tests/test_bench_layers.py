@@ -29,7 +29,8 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
         *(f"{kind}_n{n}" for n in range(6, 11)
           for kind in ("sv_triangle", "sv_constant", "constant_eigh", "constant_taylor")),
         *(f"dm_closed_{path}_n{n}" for n in (7, 8) for path in ("eigh", "taylor")),
-        "wkb_exponent", "readout_plan", "sample_shots", "dump_json_readout", "load_config",
+        "wkb_exponent", "readout_plan", "sample_shots", "dump_json_readout",
+        "write_states_n7", "write_shots_200k", "load_config",
         "moment_tables", "cold_python_pass",
         "cold_import_cli", "cold_setup", "cold_spectrum", "cold_demo_swap",
         "cold_demo_swap_sudden", "cold_evolve_dm", "cold_readout", "cold_calibrate_refine",
@@ -61,3 +62,9 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
         assert [p["degree"] > 0 for p in layers[f"dm_swap_evolve_n{n}"]["pieces"]] == [True, False, True]
     fresh = [k for k in layers if k.startswith("cold_")] + ["dm_constant_evolve_n8"]
     assert all(layers[k]["peak_rss_mib"]["value"] > 0 for k in fresh)
+    assert all(layers[k]["peak_rss_mib"]["q1"] == layers[k]["peak_rss_mib"]["q3"]
+               == layers[k]["peak_rss_mib"]["value"] for k in fresh)
+    # written in chunks: a few MiB of memory for 20 MiB of text and more
+    for name, size in (("write_states_n7", 80 * 2**20), ("write_shots_200k", 20 * 2**20)):
+        assert layers[name]["bytes_written"] > size
+        assert 0 < layers[name]["traced_peak_mib"] <= 4

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -1130,10 +1130,56 @@ _documents = st.recursive(
 )
 
 
+
+
+def shot_log(shots: int, sites: int = 8) -> np.ndarray:
+    """A shot log laid out as `run_readout` lays it out, about 30 % of its bits set."""
+    log = np.empty(shots, [("index", int), ("tunneled", bool, (sites,))])
+    log["index"] = np.arange(shots)
+    log["tunneled"] = np.random.default_rng(shots).random((shots, sites)) < 0.3
+    return log
+
+
+def as_records(doc):
+    """`doc` with each structured array a list of its records as dicts, which the CLI writes it as."""
+    if isinstance(doc, dict):
+        return {k: as_records(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(as_records, doc))
+    if isinstance(doc, np.ndarray) and doc.dtype.names:
+        return [dict(zip(doc.dtype.names, r)) for r in doc.tolist()]
+    return doc
+
+
+def _inf_in_last_block() -> np.ndarray:
+    rows = np.random.default_rng(2).normal(size=(3 * cli._ROWS + 5, 2))
+    rows[-1, 1] = np.inf
+    return rows
+
+
+# documents that span many chunks and row blocks
+_LONG_DOCUMENTS = [
+    {"shots": shot_log(20_000)},
+    {"states": np.random.default_rng(1).normal(size=(3, 4096, 2))},
+    {"rows": _inf_in_last_block(), "column": _inf_in_last_block()[:, 1]},
+    {"empty": [np.zeros((0, 2)), np.zeros(0), np.zeros((0, 3, 2)), np.zeros((2, 0)), [], (), {}],
+     "shots": shot_log(0)},
+    {"lists": [list(range(3 * cli._ROWS)), [0.5] * 17, ["x"] * 20, (True, None) * 9,
+               [np.int64(7)] * 17, [1.5] * 16 + [{"a": [2.5] * 17}]]},
+]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(doc=_documents)
+@example(doc=_LONG_DOCUMENTS[0])
+@example(doc=_LONG_DOCUMENTS[1])
+@example(doc=_LONG_DOCUMENTS[2])
+@example(doc=_LONG_DOCUMENTS[3])
+@example(doc=_LONG_DOCUMENTS[4])
 def test_dump_json_matches_the_recursive_serializer(doc):
-    assert cli.dump_json(doc) == dump_json(doc)
+    chunks = list(cli._chunks(doc))
+    assert "".join(chunks) == cli.dump_json(doc) == dump_json(as_records(doc))
+    assert max(map(len, chunks)) <= 2 * cli._CHUNK   # however long the document
 
 
 _EDGE_BLOCKS = {
@@ -1196,6 +1242,63 @@ def test_dump_json_still_rejects_nan():
             dump_json(doc)
         with pytest.raises(ValueError, match="NaN"):
             cli.dump_json(doc)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("failure", ["nan", "interrupt"])
+def test_a_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, capsys, failure, existing):
+    # artifacts stream to a temporary file that is renamed into place after the
+    # last chunk, so a run that fails mid-write leaves the artifact's name as it was
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"output_dir": str(out), "device": BASE_DEVICE})
+    rows = np.linspace(0.0, 1.0, 40_000).reshape(20_000, 2)
+    if existing:
+        monkeypatch.setitem(cli._RUNNERS, "decoherence", lambda config, w: w.json({"rows": rows}))
+        assert main(["decoherence", "--config", cfg]) == 0
+    before = {p.name: p.read_bytes() for p in out.glob("*")}
+    assert len(before) == existing
+    at_interrupt = []   # the other files in the output directory when the interrupt comes
+
+    class Interrupting(float):
+        def __float__(self):
+            at_interrupt.extend((p.name, p.stat().st_size) for p in out.glob("*")
+                                if p.name not in before)
+            raise KeyboardInterrupt
+
+    if failure == "nan":
+        payload = {"rows": rows.copy()}
+        payload["rows"][-1, 1] = np.nan
+    else:
+        payload = {"rows": rows, "last": Interrupting(1.0)}
+    monkeypatch.setitem(cli._RUNNERS, "decoherence", lambda config, w: w.json(payload))
+    capsys.readouterr()
+    if failure == "nan":
+        assert main(["decoherence", "--config", cfg]) == 3
+        assert capsys.readouterr() == ("", "ValueError: NaN is not serializable\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(["decoherence", "--config", cfg])
+        # mid-stream: the rows before the interrupt went to one temporary file
+        (name, size), = at_interrupt
+        assert name.startswith(".decoherence_") and name.endswith(".tmp") and size > 0
+    assert {p.name: p.read_bytes() for p in out.glob("*")} == before   # hidden files too
+
+
+def test_writing_a_large_shot_log_keeps_memory_bounded(tmp_path, capsys):
+    import tracemalloc
+
+    shots = shot_log(200_000)   # 3 MiB of arrays, 20 MiB of text
+    w = cli._Writer({"output_dir": str(tmp_path)}, [], "readout")
+    tracemalloc.start()
+    try:
+        w.json({"shots": shots})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (artifact,) = tmp_path.iterdir()
+    assert capsys.readouterr().out == f"wrote {artifact}\n"
+    assert artifact.stat().st_size > 20 * 2**20
+    assert peak < 4 * 2**20
 
 
 # --- the EvolutionResult serializers that the CLI writer replaced, kept as oracles
