@@ -119,7 +119,9 @@ def _stats(samples: list[float], unit: str, **extra) -> dict:
 
 def _quartiles(samples: list[float]) -> dict:
     """q1 and q3 of `samples`, interpolated linearly."""
-    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive") if len(samples) > 1 else samples * 3
+    if len(samples) == 1:
+        return {"q1": samples[0], "q3": samples[0]}
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"q1": q1, "q3": q3}
 
 

@@ -97,7 +97,8 @@ def _flat(a: np.ndarray) -> bool:
 
 
 def _row_texts(a: np.ndarray, indent: int) -> list[str]:
-    """The text of each a[i] at `indent`, as dump_json(a[i].tolist(), indent) writes it; a has rows."""
+    """The text of each a[i] at `indent`, as dump_json(a[i].tolist(), indent) writes it;
+    a holds at least one row."""
     kinds = {"b": ("false", "true").__getitem__, "i": str, "u": str, "f": _format_float}
     fmt = kinds.get(a.dtype.kind)  # tolist() gives Python bools, ints and floats
     if not _flat(a):
@@ -125,9 +126,15 @@ def _rows(a: np.ndarray, indent: int):
 
 
 def _blocks(texts):
-    """The strings of `texts`, _ROWS at a time."""
-    texts = iter(texts)
-    while block := list(itertools.islice(texts, _ROWS)):
+    """The strings of `texts` in lists of at most _ROWS strings and about _CHUNK characters."""
+    block, size = [], 0
+    for text in texts:
+        block.append(text)
+        size += len(text)
+        if len(block) == _ROWS or size >= _CHUNK:
+            yield block
+            block, size = [], 0
+    if block:
         yield block
 
 
@@ -442,8 +449,8 @@ class _Writer:
                      for x in row)
             for row in rows
         )
-
-        head = f"# config_hash={self.hash} artifact_version={__version__}{overrides}\n{','.join(header)}\n"
+        head = (f"# config_hash={self.hash} artifact_version={__version__}{overrides}\n"
+                f"{','.join(header)}\n")
         self._write(suffix, _joined(_blocks(lines), head, "\n", "\n", head))
 
     def json(self, payload: dict, suffix: str = "json") -> None:
@@ -608,7 +615,7 @@ def run_evolve(config: dict, w: _Writer) -> None:
     result = dynamics.evolve(ham, sched, initial, spec)
     w.csv(
         ["t", *(f"pop_{label}" for label in result.labels), "trace"],
-        np.column_stack((result.times, result.populations, result.trace)).tolist(),
+        (row.tolist() for row in np.column_stack((result.times, result.populations, result.trace))),
     )
     w.json({"result": result.to_json_dict()})
 

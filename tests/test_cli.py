@@ -1141,7 +1141,7 @@ def shot_log(shots: int, sites: int = 8) -> np.ndarray:
 
 
 def as_records(doc):
-    """`doc` with each structured array a list of its records as dicts, which the CLI writes it as."""
+    """`doc` with each structured array a list of its records as dicts, as the CLI writes it."""
     if isinstance(doc, dict):
         return {k: as_records(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -1298,6 +1298,26 @@ def test_writing_a_large_shot_log_keeps_memory_bounded(tmp_path, capsys):
     (artifact,) = tmp_path.iterdir()
     assert capsys.readouterr().out == f"wrote {artifact}\n"
     assert artifact.stat().st_size > 20 * 2**20
+    assert peak < 4 * 2**20
+
+
+def test_writing_a_wide_csv_keeps_memory_bounded(tmp_path, capsys):
+    import tracemalloc
+
+    table = np.random.default_rng(3).normal(size=(300, 1000))   # 6 MiB of text
+    header = [f"c{i}" for i in range(1000)]
+    w = cli._Writer({"output_dir": str(tmp_path)}, ["a=1"], "evolve")
+    tracemalloc.start()
+    try:
+        w.csv(header, (row.tolist() for row in table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (artifact,) = tmp_path.iterdir()
+    lines = [f"# config_hash={w.hash} artifact_version={cli.__version__} overrides=a=1",
+             ",".join(header),
+             *(",".join(format(x, ".17g") for x in row) for row in table.tolist())]
+    assert artifact.read_text() == "\n".join(lines) + "\n"
     assert peak < 4 * 2**20
 
 
