@@ -1282,6 +1282,11 @@ def test_a_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, capsys
         (name, size), = at_interrupt
         assert name.startswith(".decoherence_") and name.endswith(".tmp") and size > 0
     assert {p.name: p.read_bytes() for p in out.glob("*")} == before   # hidden files too
+    # the next good write takes the artifact's name, alone in the directory
+    monkeypatch.setitem(cli._RUNNERS, "decoherence", lambda config, w: w.json({"rows": rows[:2]}))
+    assert main(["decoherence", "--config", cfg]) == 0
+    (artifact,) = out.glob("*")
+    assert json.loads(artifact.read_text())["rows"] == rows[:2].tolist()
 
 
 def test_writing_a_large_shot_log_keeps_memory_bounded(tmp_path, capsys):
