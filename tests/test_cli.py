@@ -1130,8 +1130,6 @@ _documents = st.recursive(
 )
 
 
-
-
 def shot_log(shots: int, sites: int = 8) -> np.ndarray:
     """A shot log laid out as `run_readout` lays it out, about 30 % of its bits set."""
     log = np.empty(shots, [("index", int), ("tunneled", bool, (sites,))])
