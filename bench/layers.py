@@ -21,6 +21,10 @@ Times, in this process unless noted:
   such ramps, which raises that sin^2(alpha) is out of reach, and
   `refine_ramped_n3`, the ramped one on the triangle; each with its
   `dynamics.evolve` calls counted;
+- `refine_ramped_n7` to `refine_ramped_n10`: that ramped refine on the
+  triangle and a row of n - 3 sites detuned 0.1 mV apart, up to the
+  1024-state plateau at `dynamics._REREAD_DIM_MAX`, its evolves counted;
+  and `refine_taylor_n*`, the same refine with its plateau by Taylor steps;
 - `sv_triangle_n6` to `sv_triangle_n10`: one state-vector `evolve` of n
   coupled qubits under a triangle-envelope drive resonant with qubit 0 (two
   pieces linear in t), 5 samples; at n = 8 and 9 also the largest distance
@@ -354,7 +358,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         extras[name] = counted(run)
         plan[name] = _timed(run)
 
-    for n in (7, 8, 9):   # the triangle and a row of sites detuned 0.1 mV apart
+    for n in (7, 8, 9, 10):   # the triangle and a row of sites detuned 0.1 mV apart
         row = qubits.DeviceGeometry(pitch=0.5e-4, sites=(*triangle.sites, *((k, 3) for k in range(n - 3))))
         run = refine(0.3 * math.pi, 1 / 16, ham=qubits.build(
             row, voltages=np.array([0.0, 5e-5, *(2e-4 + 1e-4 * np.arange(n - 2))])))

@@ -33,12 +33,13 @@ read from one propagation per piece.  With no drive on, N = sum_n sz_n/2
 commutes with H and the loss channels, so every path propagates H - w N, w
 the mean qubit frequency, and w N returns as one exact phase per sample.
 A closed constant piece takes the eigendecomposition of H (a state vector
-up to _EXACT_DIM_MAX states); every other piece, truncated Taylor steps
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011) on H(t0 + s dt) =
-sum_j s^j H_j (Jorba & Zou, Exp. Math. 14, 2005): (k + 1) c_{k+1} =
--i dt sum_j H_j c_{k-j}, on a density matrix the commutator, plus the loss
-channels D at j = 0.  The H_j are A + (t0 - tm) B and dt B where H is
-linear in t, else each step's Chebyshev fit of eps and f.
+up to _EXACT_DIM_MAX states), by LAPACK's real symmetric solver unless a
+Y drive is on, since H is real without one; every other piece, truncated
+Taylor steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011) on
+H(t0 + s dt) = sum_j s^j H_j (Jorba & Zou, Exp. Math. 14, 2005):
+(k + 1) c_{k+1} = -i dt sum_j H_j c_{k-j}, on a density matrix the
+commutator, plus the loss channels D at j = 0.  The H_j are A + (t0 - tm) B
+and dt B where H is linear in t, else each step's Chebyshev fit of eps and f.
 
 This module runs on NumPy alone.
 """
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -435,13 +437,17 @@ class _System:
                                          [(*m.rows(lo, lo + step), x) for m, x in ops])
                                for lo in range(0, self.dim, step)]).reshape(-1)
 
+    @cached_property
+    def flat(self) -> list:
+        """Each H_k's nonzeros as (flat indices rows * dim + cols, values), in `_Flips.nonzeros` order."""
+        return [(rows * self.dim + cols, vals) for rows, cols, vals in (m.nonzeros() for m in self.h)]
+
     def dense(self, v) -> np.ndarray:
         """The dense matrix of coefficient vector v."""
         h = np.diag(v[:self.dim].astype(complex))
-        for k, m in enumerate(self.h):
-            if c := v[self.dim + k]:
-                rows, cols, vals = m.nonzeros()
-                h.reshape(-1)[rows * self.dim + cols] += c * vals
+        for c, (at, vals) in zip(v[self.dim:], self.flat):
+            if c:
+                h.reshape(-1)[at] += c * vals
         return h
 
 
@@ -565,12 +571,18 @@ def _propagator(sys, liou, ta, tb, tunneling, reread=False):
 
     A closed constant piece takes eigh on a density matrix (eigh reads a sample by three products,
     Taylor a term by one), or on a state vector up to _EXACT_DIM_MAX, or `reread` _REREAD_DIM_MAX, rows.
+    H is real unless a Y drive f_y H_Y is on, so every voltage-only swap plateau, every piece with
+    the drive off and an rwa drive with sin(phi) = 0 take eigh of h.real, LAPACK's real symmetric
+    solver (1.5-5.5 times faster than the complex one at 16-1024 states), its eigenvectors cast to
+    complex once for the products.
     """
     a, b, w = sys.piece(ta, tb)
     closed = liou is None or (sys.spec.budget is None and not tunneling)
     cap = _REREAD_DIM_MAX if reread else _EXACT_DIM_MAX
     if closed and a is not None and b is None and (liou is not None or sys.dim <= cap):
-        lam, v = np.linalg.eigh(sys.dense(a))
+        h = sys.dense(a)
+        lam, v = np.linalg.eigh(h if h.imag.any() else h.real)
+        v = v.astype(complex, copy=False)
         vh = v.conj().T
 
         def propagate(state, times):

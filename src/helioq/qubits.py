@@ -151,7 +151,7 @@ class QubitArrayHamiltonian:
             if not np.isfinite(x).all():
                 raise ValueError(f"{name} must be finite, got {x}")
         for name, m in (("a_K", a), ("b_K", b)):
-            if not np.allclose(m, m.T, rtol=0, atol=1e-300 + 1e-12 * np.abs(m).max(initial=0)):
+            if not np.abs(m - m.T).max(initial=0) <= 1e-300 + 1e-12 * np.abs(m).max(initial=0):
                 raise ValueError(f"{name} must be symmetric")
             if np.any(np.diag(m) != 0):
                 raise ValueError(f"{name} must have zero diagonal")

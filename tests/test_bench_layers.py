@@ -23,7 +23,7 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert set(layers) == {
         "transition_K", "build_n2", "build_n9", "stark_build", "stark_lookup", "ramped_swap_evolve",
         "ramped_swap_evolve_n3", "refine_sudden", "refine_ramped", "refine_out_of_reach",
-        "refine_ramped_n3", *(f"refine_{path}_n{n}" for n in (7, 8, 9) for path in ("ramped", "taylor")),
+        "refine_ramped_n3", *(f"refine_{path}_n{n}" for n in (7, 8, 9, 10) for path in ("ramped", "taylor")),
         "dm_rhs_n3", "dm_rhs_n4", "dm_rhs_n5", "dm_triangle_evolve_n4", "dm_constant_evolve_n5",
         "dm_swap_evolve_n2", "dm_swap_evolve_n3", "dm_constant_evolve_n8", "dump_json_dm_n5",
         *(f"{kind}_n{n}" for n in range(6, 11)
@@ -44,7 +44,8 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     assert layers["refine_sudden"]["evolves"] == 0 and layers["refine_sudden"]["pieces"] == []
     # each ramp one Taylor piece on its steps' Chebyshev fits; the plateau is eigh
     for name in ("refine_ramped", "refine_out_of_reach", "refine_ramped_n3", "refine_ramped_n7",
-                 "refine_ramped_n8", "refine_ramped_n9", "ramped_swap_evolve", "ramped_swap_evolve_n3"):
+                 "refine_ramped_n8", "refine_ramped_n9", "refine_ramped_n10", "ramped_swap_evolve",
+                 "ramped_swap_evolve_n3"):
         assert 0 < layers[name]["evolves"] == len(layers[name]["pieces"]) / (2 if "swap" in name else 1) <= 3
         assert all(0 < p["degree"] and 0 < p["steps"] < p["terms"] for p in layers[name]["pieces"])
     # the mean qubit frequency split off, the 3-site ramps take few terms

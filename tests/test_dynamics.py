@@ -1311,10 +1311,15 @@ def test_taylor_terms_that_never_fall_off_raise(monkeypatch, envelope, tunneling
     assert len(terms) == dynamics._TAYLOR_TERMS_MAX - 1
 
 
-def test_eigh_keeps_closed_density_matrices_and_the_reread_plateau(monkeypatch):
+def test_eigh_keeps_closed_density_matrices_and_the_reread_plateau(monkeypatch, device_pair):
     # one closed constant piece of 7 qubits, past _EXACT_DIM_MAX: a state vector read once takes
     # Taylor steps, a density matrix and `piece_propagator` (read once per refine trial) take eigh
+    swaps = []  # built before the spies: a device build takes eigh of the hydrogenic basis
+    for ham in (device_pair, triangle_swap()[0]):
+        dwell = pulses.calibrate_swap(ham, (0, 1), math.pi / 2)
+        swaps.append((ham, pulses.swap_schedule(ham, (0, 1), dwell, dwell / 8, dwell / 8)))
     taylor = count_calls(monkeypatch, dynamics, "_taylor")
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
     n = 7
     assert 2**n > dynamics._EXACT_DIM_MAX
     ham, sched = driven_register(n, ())
@@ -1327,6 +1332,38 @@ def test_eigh_keeps_closed_density_matrices_and_the_reread_plateau(monkeypatch):
     psi = by_vector.states
     assert np.abs(by_matrix.states - np.einsum("ti,tj->tij", psi, psi.conj())).max() <= 1e-12
     assert np.abs(np.array(plateau) - psi[1:]).max() <= 1e-12
+    # the drive's sin(phi) != 0 fills H_Y: H is complex Hermitian
+    assert [h.dtype for h, in eigh] == [np.complex128] * 2
+    # a swap plateau is real symmetric, through `evolve` and `piece_propagator`: the real solver
+    for ham, sched in swaps:
+        eigh.clear()
+        _, rise, fall, end = sched.breakpoints()
+        bits = "u" + "d" * (ham.n_qubits - 1)
+        evolve(ham, sched, RegisterState.state_vector(bits), EvolutionSpec(sample_times=[end]))
+        dynamics.piece_propagator(ham, sched, rise, fall)
+        assert [h.dtype for h, in eigh] == [np.float64] * 2
+
+
+def test_real_eigh_plateau_matches_taylor_steps_at_seven_sites(monkeypatch):
+    # bench/layers.py's refine_ramped_n7 device: the triangle and a row of 4 sites 0.1 mV apart
+    sites = ((0, 0), (1, 0), (0.5, math.sqrt(3) / 2), *((k, 3) for k in range(4)))
+    ham = qubits.build(qubits.DeviceGeometry(pitch=0.5e-4, sites=sites),
+                       voltages=np.array([0.0, 5e-5, *(2e-4 + 1e-4 * np.arange(5))]))
+    dwell = pulses.calibrate_swap(ham, (0, 1), 0.3 * math.pi)
+    sched = pulses.swap_schedule(ham, (0, 1), dwell, dwell / 16, dwell / 16)
+    _, rise, fall, _ = sched.breakpoints()
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=2**7) + 1j * rng.normal(size=2**7)
+    psi /= np.linalg.norm(psi)
+    times = rise + np.array([0.25, 0.5, 1.0]) * (fall - rise)
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    exact = dynamics.piece_propagator(ham, sched, rise, fall)(psi, times)
+    assert [h.dtype for h, in eigh] == [np.float64]
+    monkeypatch.setattr(dynamics, "_REREAD_DIM_MAX", 0)
+    taylor = count_calls(monkeypatch, dynamics, "_taylor")
+    stepped = dynamics.piece_propagator(ham, sched, rise, fall)(psi, times)
+    assert len(taylor) == 1 and len(eigh) == 1
+    assert np.abs(np.array(exact) - np.array(stepped)).max() <= 1e-12
 
 
 def test_linear_pieces_build_h_a_fixed_number_of_times(monkeypatch):

@@ -261,3 +261,16 @@ def test_synthetic_register():
         qubits.QubitArrayHamiltonian.from_parameters(
             eps_K=[1.0, 1.0], b_K=np.array([[0.0, 0.1], [0.2, 0.0]])
         )
+
+
+@pytest.mark.parametrize("name", ["a_K", "b_K"])
+@pytest.mark.parametrize("skew,symmetric", [(0.9e-13, True), (1.1e-13, False)], ids=["inside", "outside"])
+def test_symmetry_tolerance_is_1e_12_of_the_largest_entry(name, skew, symmetric):
+    # 1e-12 of the largest |entry|, 0.1 here: an asymmetry of 0.9e-13 passes, one of 1.1e-13 does not
+    m = np.array([[0.0, 0.1], [0.1 + skew, 0.0]])
+    if symmetric:
+        ham = qubits.QubitArrayHamiltonian.from_parameters(eps_K=[1.0, 1.0], **{name: m})
+        assert np.array_equal(getattr(ham, name), m)
+    else:
+        with pytest.raises(ValueError, match=f"^{name} must be symmetric$"):
+            qubits.QubitArrayHamiltonian.from_parameters(eps_K=[1.0, 1.0], **{name: m})
