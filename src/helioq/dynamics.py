@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -437,17 +436,13 @@ class _System:
                                          [(*m.rows(lo, lo + step), x) for m, x in ops])
                                for lo in range(0, self.dim, step)]).reshape(-1)
 
-    @cached_property
-    def flat(self) -> list:
-        """Each H_k's nonzeros as (flat indices rows * dim + cols, values), in `_Flips.nonzeros` order."""
-        return [(rows * self.dim + cols, vals) for rows, cols, vals in (m.nonzeros() for m in self.h)]
-
     def dense(self, v) -> np.ndarray:
         """The dense matrix of coefficient vector v."""
         h = np.diag(v[:self.dim].astype(complex))
-        for c, (at, vals) in zip(v[self.dim:], self.flat):
-            if c:
-                h.reshape(-1)[at] += c * vals
+        for k, m in enumerate(self.h):
+            if c := v[self.dim + k]:
+                rows, cols, vals = m.nonzeros()
+                h.reshape(-1)[rows * self.dim + cols] += c * vals
         return h
 
 

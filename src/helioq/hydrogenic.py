@@ -161,17 +161,6 @@ def _moment_matrix(size: int, power: int, order: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _stark_terms(spec: HydrogenicBasisSpec, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The field-free diagonal diag(-R/m^2) (K) and the z matrix (cm) of the basis, read-only."""
-    rydberg_K, r_b = spec.scales
-    levels0 = np.diag(-rydberg_K / np.arange(1, size + 1) ** 2)
-    z_cm = _moment_matrix(size, 1, max(_QUAD_ORDER, size + 8)) * r_b
-    levels0.setflags(write=False)
-    z_cm.setflags(write=False)
-    return levels0, z_cm
-
-
 def _eigensystem(spec: HydrogenicBasisSpec, e_perp: float, size: int, vectors: bool = False):
     """Energies of the truncated Stark matrix in physical order, with the
     eigenvectors where they are read.
@@ -192,8 +181,10 @@ def _eigensystem(spec: HydrogenicBasisSpec, e_perp: float, size: int, vectors: b
     interest, and the convergence check in `_checked_eigensystem` guards
     states 1 and 2).
     """
-    levels0, z_cm = _stark_terms(spec, size)
-    h = levels0 + EVCM_K * e_perp * z_cm
+    rydberg_K, r_b = spec.scales
+    m_idx = np.arange(1, size + 1)
+    z_cm = _moment_matrix(size, 1, max(_QUAD_ORDER, size + 8)) * r_b
+    h = np.diag(-rydberg_K / m_idx**2) + EVCM_K * e_perp * z_cm
     energies = np.linalg.eigvalsh(h)
     vecs = np.linalg.eigh(h)[1] if vectors or e_perp < 0 else None
     if e_perp < 0:
