@@ -85,7 +85,14 @@ The run is stored under `--label` in `--out` (default `BENCH_stark_map.json`
 at the repository root), beside the runs of other labels already there,
 with its run record: commit, `source_sha256` (a digest of the timed
 `helioq/*.py`, which tells apart trees without git, such as `git archive`
-copies), nproc, BLAS threads and the Python, NumPy and SciPy versions.
+copies), `bytecode`, nproc, BLAS threads and the Python, NumPy and SciPy
+versions.  Before it times anything, the run byte-compiles the timed
+`helioq/` with `compileall`, which writes even under
+PYTHONDONTWRITEBYTECODE=1 and rewrites stale entries, so every fresh
+interpreter of a before and an after run imports cached code alike (a
+missing or stale cache entry is compiled again in each one, which costs
+time and about 2 MiB of peak RSS); `bytecode` records the modules, the
+cache files that compile wrote and the cache tag.
 `--src` times the package of another checkout's `src/`,
 which needs the module-level Taylor stepper and the eigh refine plateau
 (`dynamics._taylor`, `_series`, `_fit`, `_REREAD_DIM_MAX`; commit deb88a4
@@ -94,8 +101,10 @@ or later); pair runs only when they come from one host.
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -186,6 +195,17 @@ def _source_digest(src: Path) -> str:
     return h.hexdigest()[:16]
 
 
+def _byte_compile(src: Path) -> dict:
+    """Byte-compiles `src`'s helioq/ and counts the modules and the cache files it (re)wrote."""
+    caches = [Path(importlib.util.cache_from_source(str(p)))
+              for p in sorted((src / "helioq").glob("*.py"))]
+    before = [c.stat().st_mtime_ns if c.exists() else None for c in caches]
+    if not compileall.compile_dir(src / "helioq", maxlevels=0, quiet=1):
+        raise RuntimeError(f"compileall failed on {src / 'helioq'}")
+    written = sum(c.stat().st_mtime_ns != b for c, b in zip(caches, before))
+    return {"modules": len(caches), "written": written, "cache_tag": sys.implementation.cache_tag}
+
+
 def _commit(src: Path) -> str:
     try:
         return subprocess.run(
@@ -230,6 +250,7 @@ dynamics.evolve(*sv_register(int(sys.argv[1]), triangle_envelope))
 
 
 def measure(src: Path, repeats: int, workdir: Path) -> dict:
+    bytecode = _byte_compile(src)
     sys.path.insert(0, str(src))
     import numpy as np
     import scipy
@@ -604,6 +625,7 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         "record": {
             "commit": _commit(src),
             "source_sha256": _source_digest(src),
+            "bytecode": bytecode,
             "nproc": os.cpu_count(),
             "blas_threads": _blas_threads(),
             "python": platform.python_version(),

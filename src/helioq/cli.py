@@ -193,10 +193,16 @@ def _chunks(obj, indent: int = 0):
     elif isinstance(obj, np.ndarray):
         # row by row, as text equal to tolist()'s; a structured array's rows are records
         if obj.dtype.names:
-            keys = (json.dumps(k).replace("%", "%%") for k in obj.dtype.names)
-            record = "{\n" + ",\n".join(f"{pad}    {k}: %s" for k in keys) + f"\n{pad}  }}"
+            # a record is its fixed pieces (brace, keys, brace) joined with its field texts
+            keys = [json.dumps(k) for k in obj.dtype.names]
+            heads = [f"{{\n{pad}    {keys[0]}: ", *(f",\n{pad}    {k}: " for k in keys[1:])]
+            tail = itertools.repeat(f"\n{pad}  }}")
+
+            def records(block):
+                parts = [p for h, texts in zip(heads, block) for p in (itertools.repeat(h), texts)]
+                return list(map("".join, zip(*parts, tail)))
             fields = zip(*(_rows(obj[k], indent + 2) for k in obj.dtype.names))
-            yield from _lines((list(map(record.__mod__, zip(*block))) for block in fields), pad)
+            yield from _lines(map(records, fields), pad)
         elif obj.ndim == 0 or obj.ndim == 1 and (len(obj) <= 16 or not _flat(obj)):
             yield from _chunks(obj.tolist(), indent)
         elif _flat(obj):

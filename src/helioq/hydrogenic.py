@@ -15,7 +15,10 @@ Gauss-Laguerre quadrature evaluates them exactly (up to rounding) once the
 order exceeds half the polynomial degree.  L^{(1)}_k comes from the
 three-term recurrence of SciPy's `eval_genlaguerre`, written in NumPy in
 the same order of operations, so the tables match SciPy's bit for bit
-without importing it.
+without importing it.  The nodes and weights are NumPy's `laggauss`, the
+Golub-Welsch eigenvalues of the Laguerre companion matrix polished by one
+Newton step, reproduced by `_laggauss` in the same order of operations, so
+a basis build loads none of NumPy's polynomial modules.
 
 `_eigensystem` is the one diagonalization.  `levels` reads its checked
 energies, which the Stark map, the spectrum and the readout use;
@@ -123,6 +126,46 @@ def _laguerre1(deg: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lagval(x: np.ndarray, c: list[float]) -> np.ndarray:
+    """The Laguerre series sum c[k] L_k(x), by the Clenshaw recurrence of NumPy's `lagval`."""
+    if len(c) == 1:
+        c0, c1 = c[0], 0.0
+    elif len(c) == 2:
+        c0, c1 = c
+    else:
+        nd, c0, c1 = len(c), c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            nd -= 1
+            c0, c1 = c[-i] - (c1 * (nd - 1)) / nd, c0 + (c1 * ((2 * nd - 1) - x)) / nd
+    return c0 + c1 * (1 - x)
+
+
+def _laggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes and weights, bit for bit NumPy's `laggauss(order)`.
+
+    The nodes are the eigenvalues of the symmetric companion matrix of
+    L_order (diagonal 2k + 1, off-diagonal -k; Golub & Welsch 1969), after
+    one Newton step on L_order, whose derivative's Laguerre coefficients
+    are all -1.  The weights are 1 / (L_{order-1} L'_order), each factor
+    scaled by its largest magnitude, then normalised to sum to 1.
+    """
+    mat = np.zeros((order, order))
+    flat = mat.reshape(-1)
+    flat[1::order + 1] = flat[order::order + 1] = -np.arange(1, order)
+    flat[0::order + 1] = 2.0 * np.arange(order) + 1.0
+    x = np.linalg.eigvalsh(mat)
+    unit = [0.0] * order + [1.0]
+    dy = _lagval(x, unit)
+    df = _lagval(x, [-1.0] * order)
+    x -= dy / df
+    fm = _lagval(x, unit[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w /= w.sum()
+    return x, w
+
+
 # pairs per block of `_moment_matrix`, which keeps its temporaries near 100 kB each
 _PAIR_BLOCK = 128
 
@@ -135,7 +178,7 @@ def _moment_matrix(size: int, power: int, order: int) -> np.ndarray:
     grid.  Each pair's sum is its own `np.dot`: a matrix-vector product sums
     in another order, which moves the last bits of the tables.
     """
-    t, w = np.polynomial.laguerre.laggauss(order)
+    t, w = _laggauss(order)
     m, n = np.triu_indices(size)
     m, n = m + 1, n + 1
     # u_m u_n x^p carries exp(-a x); the exponential is absorbed into the

@@ -21,7 +21,9 @@ all shots at once: `sample_shots` returns a (shots, sites) bool array and
 the pixel histogram.  Shot k reads doubles k * n_sites to k * n_sites +
 n_sites - 1 of one stream of NumPy's Generator(Philox(key=seed)).random,
 Philox4x64-10 (Salmon et al., SC'11) keyed by the 128-bit seed; site n
-escapes when its double is >= survival[n].
+escapes when its double is >= survival[n].  The stream is reproduced here
+on uint64 arrays (`_philox_doubles`), bit for bit, so a readout loads
+none of NumPy's random-number modules.
 """
 from __future__ import annotations
 
@@ -229,7 +231,80 @@ def plan(
     )
 
 
-_SHOT_CHUNK = 1 << 16          # shots drawn per pass; bounds the temporaries
+# Philox4x64-10 as NumPy's philox.h: the multipliers of counter words 0 and 2,
+# their 32-bit halves, and the Weyl increments of the two key words.  Every
+# word is np.uint64, so no operand is ever promoted to float64.  The halves
+# are written out: computing them at import (a uint64 shift and mask) raised
+# every subcommand's peak RSS by about 0.1 MiB.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_HI = np.array([[0xD2E7470E], [0xCA5A8263]], dtype=np.uint64)
+_PHILOX_M_LO = np.array([[0xE14C6C93], [0x95121157]], dtype=np.uint64)
+_LO32, _S11, _S32 = np.uint64(0xFFFFFFFF), np.uint64(11), np.uint64(32)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+
+def _philox_keys(seed: int) -> list[np.ndarray]:
+    """The (2, 1) key of each round: the seed's low and high 64-bit words, bumped
+    by the Weyl increments once a round (the sums wrap in Python ints)."""
+    key = (seed & 0xFFFFFFFFFFFFFFFF, seed >> 64)
+    return [
+        np.array([[(k + r * w) & 0xFFFFFFFFFFFFFFFF] for k, w in zip(key, _PHILOX_WEYL)],
+                 dtype=np.uint64)
+        for r in range(_PHILOX_ROUNDS)
+    ]
+
+
+def _philox_blocks(first: int, count: int, keys: list[np.ndarray]) -> np.ndarray:
+    """Philox4x64-10 blocks `first` to `first + count - 1` as a (4, count) array of words.
+
+    Block j encrypts the counter j + 1, NumPy's counter after its j + 1
+    increments (the carry into word 1 would take 2**64 blocks).  A round
+    multiplies words w0 and w2 by the multipliers into 128-bit products
+    (hi0, lo0) and (hi2, lo2), the high words built from 32-bit halves
+    (Hacker's Delight 8-2), and gives (hi2 ^ w1 ^ k0, lo2, hi0 ^ w3 ^ k1,
+    lo0), in place on four scratch arrays.
+    """
+    ctr = np.zeros((4, count), np.uint64)
+    ctr[0] = np.arange(first + 1, first + 1 + count, dtype=np.uint64)
+    x, y = ctr[0::2], ctr[1::2]          # the multiplied words and the others
+    a, b, c, d = (np.empty((2, count), np.uint64) for _ in range(4))
+    for key in keys:
+        np.bitwise_and(x, _LO32, out=a)
+        np.right_shift(x, _S32, out=b)
+        np.multiply(_PHILOX_M_LO, a, out=c)
+        c >>= _S32
+        a *= _PHILOX_M_HI
+        a += c                            # m_hi x_lo + carry of m_lo x_lo
+        np.multiply(_PHILOX_M_LO, b, out=c)
+        np.bitwise_and(a, _LO32, out=d)
+        c += d                            # m_lo x_hi + low half of the above
+        c >>= _S32
+        a >>= _S32
+        b *= _PHILOX_M_HI
+        b += a
+        b += c                            # the high words
+        np.multiply(_PHILOX_M, x, out=a)  # the low words, wrapped
+        np.bitwise_xor(b[::-1], y, out=x)
+        x ^= key
+        np.copyto(y, a[::-1])
+    return ctr
+
+
+def _philox_doubles(keys: list[np.ndarray], start: int, count: int) -> np.ndarray:
+    """Doubles `start` to `start + count - 1` of Generator(Philox(key=seed)).random's
+    stream: word i is word i % 4 of block i // 4, and its double (u >> 11) * 2**-53."""
+    first, stop = start // 4, -(-(start + count) // 4)
+    skip = start - 4 * first
+    words = _philox_blocks(first, stop - first, keys).T.reshape(-1)[skip:skip + count]
+    words >>= _S11
+    return words * 2.0**-53
+
+
+# shots drawn per pass, which bounds the temporaries: at 8 sites a smaller chunk
+# no longer lowers the peak RSS of a readout batch, and a larger one is faster
+# but not smaller (see README)
+_SHOT_CHUNK = 1 << 11
 
 
 def sample_shots(
@@ -255,11 +330,12 @@ def sample_shots(
         raise ValueError(
             f"plan maps {len(pixels)} sites, got {n_sites} survival probabilities"
         )
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    keys = _philox_keys(int(seed))
     escaped = np.empty((shots, n_sites), dtype=bool)
     for first in range(0, shots, _SHOT_CHUNK):   # each draw continues the stream
         stop = min(first + _SHOT_CHUNK, shots)
-        escaped[first:stop] = gen.random((stop - first, n_sites)) >= p_survive
+        draws = _philox_doubles(keys, first * n_sites, (stop - first) * n_sites)
+        escaped[first:stop] = draws.reshape(stop - first, n_sites) >= p_survive
     image: dict = {}
     for px, count in zip(pixels, escaped.sum(axis=0).tolist()):
         if count:

@@ -18,8 +18,13 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     runs = json.loads(out.read_text())["runs"]
     assert set(runs) == {"earlier", "smoke"}
     record, layers = runs["smoke"]["record"], runs["smoke"]["layers"]
-    assert set(record) == {"commit", "source_sha256", "nproc", "blas_threads", "python", "numpy", "scipy"}
+    assert set(record) == {"commit", "source_sha256", "bytecode", "nproc", "blas_threads",
+                           "python", "numpy", "scipy"}
     assert len(record["source_sha256"]) == 16
+    # the timed package is byte-compiled before any timing
+    assert record["bytecode"]["modules"] == len(list((ROOT / "src" / "helioq").glob("*.py")))
+    assert 0 <= record["bytecode"]["written"] <= record["bytecode"]["modules"]
+    assert record["bytecode"]["cache_tag"] == sys.implementation.cache_tag
     assert set(layers) == {
         "transition_K", "build_n2", "build_n9", "stark_build", "stark_lookup", "ramped_swap_evolve",
         "ramped_swap_evolve_n3", "refine_sudden", "refine_ramped", "refine_out_of_reach",

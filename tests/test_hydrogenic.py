@@ -341,6 +341,16 @@ def test_moment_table_is_scipys_bit_for_bit(size):
     assert np.array_equal(built, _scipy_moment_matrix(size, 1, order))
 
 
+def test_laggauss_is_numpys_bit_for_bit():
+    # every order up to 130, which covers _QUAD_ORDER and size + 8 of every basis tested
+    assert max(hydrogenic._QUAD_ORDER, 37 + 8) <= 130
+    for order in range(1, 131):
+        nodes, weights = hydrogenic._laggauss(order)
+        ref_nodes, ref_weights = np.polynomial.laguerre.laggauss(order)
+        assert np.array_equal(nodes, ref_nodes), order
+        assert np.array_equal(weights, ref_weights), order
+
+
 @pytest.mark.parametrize("size", [5, 32, 37])
 def test_laguerre_recurrence_is_scipys_bit_for_bit(size):
     from scipy.special import eval_genlaguerre

@@ -1,8 +1,13 @@
-"""SciPy loads only where a job uses it, and jsonschema only to word a config error.
+"""SciPy loads only where a job uses it, jsonschema only to word a config error,
+and no subcommand loads `numpy.random` or `numpy.polynomial`.
 
 Each check starts a fresh interpreter, so no earlier import in the test
 process (or in another test) can supply a SciPy submodule that the code
-under test forgot to import itself.
+under test forgot to import itself.  The cold subcommands below, from the
+spectrum to the ramped demo-swap, each assert that neither NumPy
+subpackage is loaded beyond what `import numpy` loads itself: the readout's
+shot stream and the basis tables' quadrature nodes are the package's own
+ports of NumPy's Philox and `laggauss`.
 """
 import json
 import os
@@ -18,9 +23,12 @@ DEVICE = {"d_um": 0.5, "sites": [[0, 0], [1, 0]], "B_T": 1.5, "T_K": 0.01,
           "voltages_mV": [0.0, 0.05]}
 
 # runs `python -m helioq <argv>` in this interpreter, then prints the exit
-# code and the loaded scipy modules as one JSON line
+# code, the loaded scipy modules, and the numpy.random and numpy.polynomial
+# modules that `import numpy` did not load, as one JSON line
 _RUN = """
 import json, runpy, sys
+import numpy
+bare = set(sys.modules)
 import helioq.cli
 helioq.cli.load_config(sys.argv[1], [])
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -31,8 +39,13 @@ try:
 except SystemExit as exc:
     code = exc.code
 after = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"code": code, "before": before, "after": after}))
+numpy_subpackages = sorted(m for m in set(sys.modules) - bare
+                           if m.split(".")[:2] in (["numpy", "random"], ["numpy", "polynomial"]))
+print(json.dumps({"code": code, "before": before, "after": after, "numpy": numpy_subpackages}))
 """
+
+# a cold run that loads no SciPy module and no NumPy random or polynomial module
+_BARE = {"code": 0, "before": [], "after": [], "numpy": []}
 
 
 def _cold(tmp_path, command, payload):
@@ -52,7 +65,7 @@ def test_import_config_and_spectrum_load_no_scipy(tmp_path):
         "device": DEVICE,
         "spectrum": {"e_perp_min": 0.0, "e_perp_max": 50.0, "points": 5},
     })
-    assert run == {"code": 0, "before": [], "after": []}
+    assert run == _BARE
 
 
 @pytest.mark.parametrize("subcommand, payload", [
@@ -90,7 +103,7 @@ def test_import_config_and_spectrum_load_no_scipy(tmp_path):
     }),
 ], ids=["evolve-constant-density-matrix", "evolve-enveloped", "readout", "calibrate-refine", "demo-swap-ramped"])
 def test_cold_subcommands_import_what_they_use(tmp_path, subcommand, payload):
-    assert _cold(tmp_path, subcommand, payload) == {"code": 0, "before": [], "after": []}
+    assert _cold(tmp_path, subcommand, payload) == _BARE
 
 
 # jsonschema and the packages it loads

@@ -345,3 +345,30 @@ def test_seed_outside_the_key_range_raises(energies):
             readout.sample_shots([0.5], plan, 10, seed)
     escaped, _ = readout.sample_shots([0.5], plan, 10, 2**128 - 1)
     assert np.array_equal(escaped, philox_oracle(2**128 - 1, 10, 1) >= 0.5)
+
+
+# the key's word boundaries: 0, 1, the largest low word, the first high word and the largest key
+SEEDS = (0, 1, 2**64 - 1, 2**64, 2**64 + 3, 2**128 - 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_philox_port_is_numpys_stream(seed):
+    # draws that start inside a block, cross blocks and end anywhere, each
+    # against the unchunked stream of NumPy's own Generator
+    keys = readout._philox_keys(seed)
+    stream = philox_oracle(seed, 1, 64)[0]
+    for start in (0, 1, 2, 3, 5, 6, 7, 9, 13, 30, 53):
+        for count in (0, 1, 2, 3, 4, 5, 11, 64 - start):
+            got = readout._philox_doubles(keys, start, count)
+            assert np.array_equal(got, stream[start:start + count]), (start, count)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n_sites", range(1, 10))
+def test_shots_are_numpys_stream_at_every_site_count(energies, seed, n_sites):
+    plan = readout.plan(LAM, energies, 1e-6, 1e6)
+    chunk = readout._SHOT_CHUNK
+    survival = np.linspace(0.05, 0.95, n_sites)
+    for shots in (1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        escaped, _ = readout.sample_shots(survival, plan, shots, seed)
+        assert np.array_equal(escaped, philox_oracle(seed, shots, n_sites) >= survival), shots
