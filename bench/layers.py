@@ -42,8 +42,13 @@ Times, in this process unless noted:
 - `dm_constant_evolve_n5`: the same pulse with a constant envelope at n = 5,
   and `dm_constant_evolve_n8`, that pulse's `python -m helioq
   evolve` at n = 8 in a fresh interpreter, with its `ru_maxrss`;
-- `dump_json_dm_n5`: `cli.dump_json` of that evolve's result document at
-  n = 5 (4 samples of a 32 x 32 density matrix);
+- `dump_json_dm_n5`: `cli.dump_json` of the triangle pulse's `evolve` result
+  document at n = 5 (4 samples of a 32 x 32 density matrix);
+- `dm_swap_evolve_n2`, `dm_swap_evolve_n3`, `dm_swap_evolve_n6`: a density
+  matrix under the dwell/8 ramped swap of pair (0, 1), with the decoherence
+  budget on, 5 samples: on the 2-site pair, on the triangle, and on the
+  triangle and a row of three sites at 0.2-0.5 mV; fitted ramps around a
+  plateau that, with loss on, is linear in t;
 - `wkb_exponent`: one barrier exponent, states 1 and 2 at weak to strong
   reverse fields;
 - `readout_plan`: one `readout.plan` of the zero-field levels (wait
@@ -437,7 +442,11 @@ def measure(src: Path, repeats: int, workdir: Path) -> dict:
         extras[name] = counted(lambda _, args=args: dynamics.evolve(*args))
         plan[name] = _timed(lambda _, args=args: dynamics.evolve(*args))
     budget = dm_evolve(3)[3].budget
-    for n, h, swap, bits in ((2, ham, sched, "ud"), (3, ham3, sched3, "udd")):
+    row6 = qubits.DeviceGeometry(pitch=0.5e-4, sites=(*triangle.sites, (0, 3), (1, 3), (2, 3)))
+    ham6 = qubits.build(row6, voltages=np.array([0.0, 5e-5, 2e-4, 3e-4, 4e-4, 5e-4]))
+    dwell6 = pulses.calibrate_swap(ham6, (0, 1), math.pi / 2)
+    sched6 = pulses.swap_schedule(ham6, (0, 1), dwell6, dwell6 / 8, dwell6 / 8)
+    for n, h, swap, bits in ((2, ham, sched, "ud"), (3, ham3, sched3, "udd"), (6, ham6, sched6, "uddddd")):
         args = (h, swap, dynamics.RegisterState.density_matrix(bits),
                 dynamics.EvolutionSpec(sample_times=np.linspace(0.0, swap.duration, 5), budget=budget))
         extras[f"dm_swap_evolve_n{n}"] = counted(lambda _, args=args: dynamics.evolve(*args))

@@ -16,8 +16,9 @@ Each evolve call writes H(t) = diag(z(t)) + H_0 + f_x(t) H_X + f_y(t) H_Y
 once, each H_k the nonzeros of its flip terms, entries vals[i] at (i, i ^ m)
 for a bit mask m (`_Flips`): H_0 the sz-sz diagonal and every exchange pair,
 H_X = sum_n X_n and H_Y = sum_n Y_n.  The loss channels below are flip terms
-too.  Products add each row's entries in the order of its terms, by NumPy
-gathers and one sum per row, or by `np.add.at`.
+too.  A state vector's products add each row's entries in the order of its
+terms, by NumPy gathers and one sum per row, and the loss channels' by
+`np.add.at`; a density matrix sees H only as dense matrices (`_System.dense`).
 
 Optional loss channels:
 - per-qubit relaxation at rate 1/T1 (lowering operator) and pure dephasing
@@ -39,7 +40,8 @@ Taylor steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011) on
 H(t0 + s dt) = sum_j s^j H_j (Jorba & Zou, Exp. Math. 14, 2005):
 (k + 1) c_{k+1} = -i dt sum_j H_j c_{k-j}, on a density matrix the
 commutator, plus the loss channels D at j = 0.  The H_j are A + (t0 - tm) B
-and dt B where H is linear in t, else each step's Chebyshev fit of eps and f.
+and dt B where H is linear in t, else each step's Chebyshev fit of eps and f;
+a density matrix takes every H_j dense.
 
 This module runs on NumPy alone.
 """
@@ -67,7 +69,7 @@ _STATE_VECTOR_MAX = 16
 _DENSITY_MATRIX_MAX = 8
 # largest state vector a closed constant piece takes eigh for: read once, Taylor overtakes it at 128
 _EXACT_DIM_MAX = 64
-# rows of a `_Flips` block, and elements of each term an `apply` block holds: a 14-qubit triangle-envelope
+# rows of a `_Flips` block, and of each term an `apply` block holds: a 14-qubit triangle-envelope
 # evolve peaks at 107 MiB here and at 113 MiB with 1 << 12, as fast (bench/layers.py cold_sv_triangle_n14)
 _ROW_BLOCK = 1 << 10
 _REREAD_DIM_MAX = 1024  # read many times, as `piece_propagator` is: 6-21x at 7-9 qubits (bench/layers.py)
@@ -288,18 +290,18 @@ def _combine(f, c):
 
 def _rows_sum(d, c, ops):
     """Row by row, one sum from +0 of the products d_j c_j, then of each (cols, vals, x) in turn:
-    its levels, vals times the rows of x at cols.
+    its levels, vals times the entries of vector x at cols.
 
     Each row adds its terms in that order, the sum a CSR product in term order takes after the
     diagonal products; a sum from +0 never reads -0, so a pad's product, +-0, leaves it as it is.
     """
-    terms = np.empty((len(c) + sum(len(cols) for cols, _, _ in ops), *c.shape[1:]), complex)
+    terms = np.empty((len(c) + sum(len(cols) for cols, _, _ in ops), c.shape[1]), complex)
     np.multiply(d, c, out=terms[:len(c)])
     at = len(c)
     for cols, vals, x in ops:
         part = terms[at:at + len(cols)]
         x.take(cols, 0, part, "wrap")
-        np.multiply(part, vals if x.ndim == 1 else vals[..., None], out=part)
+        np.multiply(part, vals, out=part)
         at += len(cols)
     return np.add.reduce(terms, 0, None, None, False, 0j)  # from +0, in order down axis 0
 
@@ -417,24 +419,19 @@ class _System:
         return np.concatenate((0.5 * ((self.eps_rad(t) - w) @ self.zpat), (1.0, *self.drive_xy(t))))
 
     def apply(self, hs, cs) -> np.ndarray:
-        """sum_j H_j c_j for coefficient vectors H_j and flat c_j (vectors or row-major matrices).
+        """sum_j H_j c_j for coefficient vectors H_j and state vectors c_j.
 
         `_rows_sum` of the diagonals and of each H_k on sum_j f_kj c_j, H_k left out where f_k
-        vanishes, over blocks of _ROW_BLOCK elements of each term (of 2 rows at least: a
-        reduction over one element sums pairwise, not in order).
+        vanishes, over blocks of _ROW_BLOCK rows.
         """
         v, c = np.asarray(hs)[:len(cs)], np.array(cs)
         ops = [(m, x) for k, m in enumerate(self.h) if (x := _combine(v[:, self.dim + k], c)) is not None]
-        d, width = v[:, :self.dim].astype(complex), c.shape[1] // self.dim
-        if width == 1 and self.dim <= _ROW_BLOCK:  # a vector in one block
+        d = v[:, :self.dim].astype(complex)
+        if self.dim <= _ROW_BLOCK:  # one block
             return _rows_sum(d, c, [(m.cols[0], m.vals[0], x) for m, x in ops])
-        if width > 1:  # a matrix: its rows are the entries gathered
-            c, d = c.reshape(len(c), self.dim, width), d[..., None]
-            ops = [(m, x.reshape(self.dim, width)) for m, x in ops]
-        step = max(2, _ROW_BLOCK // width)
-        return np.concatenate([_rows_sum(d[:, lo:lo + step], c[:, lo:lo + step],
-                                         [(*m.rows(lo, lo + step), x) for m, x in ops])
-                               for lo in range(0, self.dim, step)]).reshape(-1)
+        return np.concatenate([_rows_sum(d[:, lo:lo + _ROW_BLOCK], c[:, lo:lo + _ROW_BLOCK],
+                                         [(*m.rows(lo, lo + _ROW_BLOCK), x) for m, x in ops])
+                               for lo in range(0, self.dim, _ROW_BLOCK)])
 
     def dense(self, v) -> np.ndarray:
         """The dense matrix of coefficient vector v."""
@@ -586,7 +583,7 @@ def _propagator(sys, liou, ta, tb, tunneling, reread=False):
             if state.ndim == 1:
                 c = vh @ state
                 return [v @ (p * c) for p in phases]
-            return [u @ state @ u.conj().T for u in (v @ np.diag(p) @ vh for p in phases)]
+            return [u @ state @ u.conj().T for u in ((v * p) @ vh for p in phases)]
     else:
         propagate = _taylor(sys, liou, ta, tb, tunneling, w, a, b)
     if not w:
@@ -632,10 +629,12 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
     """Propagation (state at ta, sorted times in (ta, tb]) -> states by truncated Taylor steps.
 
     On each equal step t0 + s dt, H(t) - w N = sum_j s^j H_j: A + (t0 - tm) B and dt B where H
-    is linear in t, else the step's `_fit`.  Steps keep ||dt L||_1 <= theta, ||L||_1 = ||H||_1 on
-    a state vector and 2 ||H||_1 + ||D||_1 on a density matrix, ||H||_1 at the ends of a linear
-    piece (convex in t), or summed over a fit's terms, a bound on the disk |s| <= 1 the Taylor
-    terms read.  Samples read their step's polynomial (its sum at the end) and do not move the steps.
+    is linear in t, else the step's `_fit`.  A state vector takes the H_j as coefficient vectors
+    (`_System.apply`), a density matrix as dense matrices, one product per H_j.  Steps keep
+    ||dt L||_1 <= theta, ||L||_1 = ||H||_1 on a state vector and 2 ||H||_1 + ||D||_1 on a density
+    matrix: ||H||_1 at the ends of a linear piece (convex in t), exact on a density matrix, or
+    summed over a fit's terms, a bound on the disk |s| <= 1 the Taylor terms read.  Samples read
+    their step's polynomial (its sum at the end) and do not move the steps.
     """
     dm = liou is not None
     dnorm = liou.norms[tunneling] if dm else 0.0
@@ -646,16 +645,16 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
     def poly(m):  # the coefficient vectors H(m_j) of a fit's rows, H_0 in row 0 only
         return np.hstack((0.5 * (m[:, :sys.n] @ sys.zpat), np.eye(len(m), 1), m[:, sys.n:]))
 
-    product, size = sys.apply, norm
-    if dm and a is not None:  # dense A and B: one product per H_j, not per H_k, and ||H||_1 exactly
-        a, b = sys.dense(a), None if b is None else sys.dense(b)
-        size = lambda h: np.abs(h).sum(axis=0).max()
+    size, terms, apply = norm, poly, sys.apply
+    if dm:  # every H_j dense, and ||H||_1 of a linear piece exactly
+        a, b = (None if h is None else sys.dense(h) for h in (a, b))
+        size, terms = (lambda h: np.abs(h).sum(axis=0).max()), (lambda m: [sys.dense(v) for v in poly(m)])
 
-        def product(hs, cs):  # H_0 c_0, plus H_1 c_1 on a slope
+        def apply(hs, cs):  # H_0 c_0, plus H_j c_j for each further j
             x = hs[0] @ cs[0].reshape(hs[0].shape)
-            if len(cs) > 1:
-                x += hs[1] @ cs[1].reshape(hs[1].shape)
-            return x
+            for h, c in zip(hs[1:], cs[1:]):
+                x += h @ c.reshape(h.shape)
+            return liou.apply(x, cs[0], tunneling)
     if a is not None:
         ends = [a] if b is None else [a + f * (tb - ta) * b for f in (-0.5, 0.5)]
         steps = max(1, math.ceil(((1 + dm) * max(map(size, ends)) + dnorm) * (tb - ta) / _TAYLOR_THETA))
@@ -668,15 +667,14 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
     dt, tm = (tb - ta) / steps, 0.5 * (ta + tb)
     where = (f"on [{ta}, {tb}] in {'density-matrix' if dm else 'state-vector'} mode "
              f"with tunneling {'on' if tunneling else 'off'}")
-    apply, scale = (product, -1j * dt) if not dm else (
-        (lambda hs, cs: liou.apply(product(hs, cs), cs[0], tunneling)), dt)
+    scale = dt if dm else -1j * dt
 
     def propagate(state, times):
         y, out, times = state.reshape(-1), [], np.asarray(times)
         for j in range(steps):
             t0, t1 = ta + j * dt, tb if j == steps - 1 else ta + (j + 1) * dt
             now = times[(t0 < times) & (times <= t1)]
-            hs = poly(fits[j]) if a is None else [a] if b is None else [a + (t0 - tm) * b, dt * b]
+            hs = terms(fits[j]) if a is None else [a] if b is None else [a + (t0 - tm) * b, dt * b]
             inner, y = _series(apply, hs, y, scale, (now[now < t1] - t0) / dt, where)
             out += [s.reshape(state.shape) for s in [*inner, y][:len(now)]]
         return out

@@ -30,7 +30,8 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
         "ramped_swap_evolve_n3", "refine_sudden", "refine_ramped", "refine_out_of_reach",
         "refine_ramped_n3", *(f"refine_{path}_n{n}" for n in (7, 8, 9, 10) for path in ("ramped", "taylor")),
         "dm_rhs_n3", "dm_rhs_n4", "dm_rhs_n5", "dm_triangle_evolve_n4", "dm_constant_evolve_n5",
-        "dm_swap_evolve_n2", "dm_swap_evolve_n3", "dm_constant_evolve_n8", "dump_json_dm_n5",
+        "dm_swap_evolve_n2", "dm_swap_evolve_n3", "dm_swap_evolve_n6", "dm_constant_evolve_n8",
+        "dump_json_dm_n5",
         *(f"{kind}_n{n}" for n in range(6, 11)
           for kind in ("sv_triangle", "sv_constant", "constant_eigh", "constant_taylor")),
         *(f"dm_closed_{path}_n{n}" for n in (7, 8) for path in ("eigh", "taylor")),
@@ -64,7 +65,7 @@ def test_layer_harness_adds_one_labelled_run(tmp_path):
     for n in (8, 9):
         assert layers[f"sv_triangle_n{n}"]["dop853_deviation"] <= 1e-12
     # a density matrix under the swap: fitted ramps around a plateau that, with loss on, is linear in t
-    for n in (2, 3):
+    for n in (2, 3, 6):
         assert [p["degree"] > 0 for p in layers[f"dm_swap_evolve_n{n}"]["pieces"]] == [True, False, True]
     fresh = [k for k in layers if k.startswith("cold_")] + ["dm_constant_evolve_n8"]
     assert all(layers[k]["peak_rss_mib"]["value"] > 0 for k in fresh)

@@ -743,12 +743,13 @@ def test_apply_h_matches_dense_h_at_nine_qubits():
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     expect = dense_h(sys, t) @ psi
     assert np.abs(sys.apply([sys.coefficients(t)], [psi]) - expect).max() <= 1e-13 * np.abs(expect).max()
-    # a density matrix's step: sum_j H_j c_j over row-major matrices c_j, H_j three coefficient vectors
+    # a density matrix's step, sum_j H_j c_j with three dense H_j, against the vector product
+    # applied to each column of the matrices c_j
     hs = [sys.coefficients(t), sys.coefficients(0.8 * T_SEG), sys.coefficients(0.1 * T_SEG) - 1e9]
     cs = [rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n)) for _ in hs]
-    expect = sum(sys.dense(h) @ c for h, c in zip(hs, cs))
-    applied = sys.apply(hs, [c.reshape(-1) for c in cs]).reshape(2**n, 2**n)
-    assert np.abs(applied - expect).max() <= 1e-13 * np.abs(expect).max()
+    expect = np.stack([sys.apply(hs, [c[:, col] for c in cs]) for col in range(2**n)], axis=1)
+    dense = sum(sys.dense(h) @ c for h, c in zip(hs, cs))
+    assert np.abs(dense - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_unitary_eigh_matches_ivp_on_constant_segment():
@@ -1198,6 +1199,43 @@ def test_moving_voltages_and_lab_drives_read_dense_h(device_pair):
         assert (w != 0.0) == (not sched.microwave)
 
 
+def test_density_matrices_never_take_the_level_store(monkeypatch):
+    # every density-matrix product multiplies dense matrices: fitted pieces, linear pieces and eigh
+    ham, swap, times = triangle_swap()
+    driven = coupled_register(3, seed=3)
+    psi = RegisterState.state_vector("udd").data
+    closed_sv = evolve(driven, pulses.PulseSchedule(duration=T_SEG), RegisterState("state-vector", 3, psi),
+                       EvolutionSpec(sample_times=np.linspace(0.0, T_SEG, 5)))
+
+    def level_store(*args):
+        raise AssertionError("a density matrix took `_System.apply`")
+
+    monkeypatch.setattr(dynamics._System, "apply", level_store)
+    fits = count_calls(monkeypatch, dynamics, "_fit")
+    taylor = count_calls(monkeypatch, dynamics, "_taylor")
+    initial = RegisterState.density_matrix("udd")
+    # a ramped swap with loss on: the ramps' fitted steps around a plateau linear in t
+    res = evolve(ham, swap, initial, EvolutionSpec(
+        sample_times=times, budget=loss_budget(30 * swap.duration, 20 * swap.duration)))
+    assert len(taylor) == 3 and len(fits) > 0
+    assert res.population("dud")[-1] > 0.5 and np.abs(res.trace - 1.0).max() <= 1e-12
+    # a triangle-envelope pulse with tunneling from its apex: two pieces linear in t
+    fits.clear()
+    taylor.clear()
+    res = evolve(driven, ramped_drive(driven, 0.4), initial, EvolutionSpec(
+        sample_times=np.linspace(0.0, T_SEG, 5), budget=loss_budget(3 * T_SEG, 2 * T_SEG),
+        tunneling=TunnelingSpec(0.5 * T_SEG, 2 * T_SEG)))
+    assert len(taylor) == 2 and fits == []
+    assert np.abs(res.trace[:3] - 1.0).max() <= 1e-12 and res.trace[-1] < 0.9  # drained after t_f
+    # a closed constant piece: eigh, the state vector's outer product
+    taylor.clear()
+    res = evolve(driven, pulses.PulseSchedule(duration=T_SEG), initial,
+                 EvolutionSpec(sample_times=np.linspace(0.0, T_SEG, 5)))
+    assert taylor == []
+    for psi_t, rho_t in zip(closed_sv.states, res.states):
+        assert np.abs(rho_t - np.outer(psi_t, psi_t.conj())).max() <= 1e-12
+
+
 @pytest.mark.parametrize("n,tunneling", [(3, False), (4, True)])
 def test_ramped_density_matrix_matches_the_per_evaluation_path(monkeypatch, n, tunneling):
     ham = coupled_register(n, seed=2)
@@ -1438,9 +1476,9 @@ ROW_BLOCKS = pytest.mark.parametrize("row_block", [dynamics._ROW_BLOCK, 8], ids=
 @pytest.mark.parametrize("drive", [True, False], ids=["drive-on", "drive-off"])
 @pytest.mark.parametrize("n", range(1, 10))
 def test_flip_products_equal_csr_kernels(monkeypatch, n, drive, row_block):
-    # SciPy's csr_matvec and csr_matvecs add each row's entries in order, after the diagonal
-    # products einsum sums from +0: the products must be the same bits, signed zeros included
-    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+    # SciPy's csr_matvec adds each row's entries in order, after the diagonal products einsum
+    # sums from +0: the products must be the same bits, signed zeros included
+    from scipy.sparse._sparsetools import csr_matvec
 
     monkeypatch.setattr(dynamics, "_ROW_BLOCK", row_block)
     dim = 2**n
@@ -1457,17 +1495,14 @@ def test_flip_products_equal_csr_kernels(monkeypatch, n, drive, row_block):
     coeffs[0][dim + 2:] = 0.0
     coeffs[-1][dim + 1:] = 0.0
     slope = [coeffs[1], coeffs[2] - coeffs[1]]
-    for cols in (1, dim):
-        for hs in ([coeffs[0]], coeffs[:2], coeffs, [coeffs[-1]], slope):
-            cs = [with_zeros(rng.normal(size=dim * cols) + 1j * rng.normal(size=dim * cols), rng)
-                  for _ in hs]
-            v, c = np.asarray(hs), np.array(cs)
-            expect = np.einsum("jd,jde->de", v[:, :dim], c.reshape(len(c), dim, -1))
-            kernel, shape = (csr_matvec, ()) if cols == 1 else (csr_matvecs, (cols,))
-            for k, m in enumerate(csrs):
-                if (f := v[:, dim + k]).any():
-                    kernel(dim, dim, *shape, m.indptr, m.indices, m.data, f @ c, expect)
-            assert same_bits(sys.apply(hs, cs), expect.reshape(-1))
+    for hs in ([coeffs[0]], coeffs[:2], coeffs, [coeffs[-1]], slope):
+        cs = [with_zeros(rng.normal(size=dim) + 1j * rng.normal(size=dim), rng) for _ in hs]
+        v, c = np.asarray(hs), np.array(cs)
+        expect = np.einsum("jd,jde->de", v[:, :dim], c.reshape(len(c), dim, -1))
+        for k, m in enumerate(csrs):
+            if (f := v[:, dim + k]).any():
+                csr_matvec(dim, dim, m.indptr, m.indices, m.data, f @ c, expect)
+        assert same_bits(sys.apply(hs, cs), expect.reshape(-1))
 
 
 @ROW_BLOCKS
