@@ -73,8 +73,8 @@ Times, in this process unless noted:
   matrix under a constant pulse with the decoherence budget),
   `cold_readout` (4 sites, 4000 shots) and `cold_calibrate_refine`
   (`calibrate --refine` of `refine_ramped`'s swap), and `cold_config_error`
-  (`demo-swap` on a config the schema rejects, which exits 2 after
-  jsonschema words the error); and `cold_sv_triangle_n14`,
+  (`demo-swap` on a config the schema rejects, which exits 2 with
+  helioq's own message and loads no jsonschema); and `cold_sv_triangle_n14`,
   `sv_triangle_n*`'s evolve at 14 qubits.
 
 Every in-process evolve layer also stores one record per piece that takes

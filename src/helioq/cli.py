@@ -11,15 +11,16 @@ Subcommands wire the library modules into reproducible experiments:
     readout      tunneling plan + shot sampling -> CSV image + JSON log
     demo-swap    build -> calibrate -> evolve -> report, end to end
 
-Configs are JSON that helioq checks against the shipped schema itself
-(unknown keys are rejected; an integer-valued float such as 5.0 counts as
-the integer 5); jsonschema loads only to word the error of a config the
-check rejects.  ``--set dotted.path=value`` overrides are applied first and
-echoed into the outputs.  ``calibrate --refine`` is shorthand for
-``--set swap.refine=true``.  Output files are named from a hash of the
-effective config, embed that hash and the package version, contain no
-timestamps, and serialize every float with 17 significant digits, so a
-rerun with the same config and seed is byte-identical.  Each artifact is
+Configs are JSON that helioq checks against the shipped draft-07 schema
+itself (unknown keys are rejected; an integer-valued float such as 5.0
+counts as the integer 5) and whose errors it words itself: a rejected config
+names one failure, the one nearest the root.  ``--set dotted.path=value``
+overrides are applied first and echoed into the outputs.  ``calibrate
+--refine`` is shorthand for ``--set swap.refine=true``.  Output files are
+named from a hash of the effective config less its output_dir, embed that
+hash and the package version, contain no timestamps, and serialize every
+float with 17 significant digits, so a rerun with the same config and seed
+is byte-identical, in any output directory.  Each artifact is
 streamed, rows in blocks joined into chunks of about 64 KiB, to a temporary
 file beside it that is renamed into place after the last chunk (an earlier
 artifact of that name is removed just before), so memory does not grow with
@@ -41,6 +42,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -219,7 +221,10 @@ def dump_json(obj, indent: int = 0) -> str:
 
 
 def config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    """The hash of `config` less its output_dir, so the computation, not where it is
+    written, names an artifact."""
+    body = {k: v for k, v in config.items() if k != "output_dir"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -270,89 +275,80 @@ def load_config(path: str, overrides: list[str]) -> tuple[dict, list[str]]:
         raise ConfigError(f"config {path} must hold a JSON object at its top level")
     for assignment in overrides:
         apply_override(config, assignment)
-    try:
-        return conform(config, _schema()), list(overrides)
-    except _Rejected as rejected:
-        where = "/".join(map(str, rejected.args[0])) or "(root)"
-    from jsonschema.exceptions import best_match
-
-    # the error jsonschema.validate would raise
-    exc = best_match(_validator().iter_errors(config))
-    if exc is None:
-        raise AssertionError(f"the config check rejects {path} at {where}, which jsonschema accepts")
-    path_str = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-    raise ConfigError(f"config invalid at {path_str}: {exc.message}") from exc
+    errors = []
+    config = conform(config, _schema(), errors)
+    if errors:  # the shortest path, then the greatest, then the first error found at it
+        where, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        raise ConfigError(f"config invalid at {'/'.join(map(str, where)) or '(root)'}: {message}")
+    return config, list(overrides)
 
 
 _schema = functools.lru_cache(maxsize=1)(load_schema)
 
-
-@functools.lru_cache(maxsize=1)
-def _validator():
-    """jsonschema's validator of the shipped schema, which words a rejected config's error."""
-    from jsonschema import Draft7Validator
-
-    return Draft7Validator(_schema())
-
-
-class _Rejected(Exception):
-    """The instance fails the schema at the key path args[0]."""
-
-
-# the draft-07 type of each value json.loads gives; an integer-valued float is
-# an "integer" too
+# the draft-07 type of each value json.loads gives; an integer-valued float is an "integer" too
 _KIND = {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null",
          int: "integer", float: "number"}
 _KEYWORDS = {"$schema", "title", "type", "properties", "required", "additionalProperties",
              "items", "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
              "pattern", "enum"}
+# each bound on a number: the comparison that passes it, and the message of a number that fails
+_BOUNDS = {"minimum": (operator.ge, "{!r} is less than the minimum of {!r}"),
+           "maximum": (operator.le, "{!r} is greater than the maximum of {!r}"),
+           "exclusiveMinimum": (operator.gt, "{!r} is less than or equal to the minimum of {!r}")}
 
 
-def conform(x, schema: dict, where: tuple = ()):
-    """`x`, a value json.loads gives, with each integer-valued float that the
-    schema types "integer" made an int.
+def conform(x, schema: dict, errors: list, where: tuple = ()):
+    """`x`, a value json.loads gives, with each integer-valued float that the schema types
+    "integer" made an int; appends (key path, message) to `errors` for each keyword `x` fails.
 
-    Covers the draft-07 keywords the shipped schema uses, with jsonschema's
-    verdicts: a bool is no number, and `enum` tells True from 1.  Raises
-    _Rejected where `x` fails and TypeError on any other keyword, so none is
-    skipped.
+    Covers the draft-07 keywords the shipped schema uses, with the draft's verdicts (a bool is
+    no number, `enum` tells True from 1) and the Python reference validator's messages, each
+    built only on a failure and kept in the schema's order at its node.  Raises TypeError on
+    any other keyword, so none is skipped.
     """
     if not _KEYWORDS.issuperset(schema):
         raise TypeError(f"the config check does not implement {sorted(schema.keys() - _KEYWORDS)}")
-    kind = _KIND[type(x)]
-    if "type" in schema:
-        types = (schema["type"],) if isinstance(schema["type"], str) else schema["type"]
-        if kind == "number" and "integer" in types and x.is_integer():
-            x, kind = int(x), "integer"
-        if kind not in types and not (kind == "integer" and "number" in types):
-            raise _Rejected(where)
-    if "enum" in schema and not any(
-            isinstance(x, bool) == isinstance(e, bool) and x == e for e in schema["enum"]):
-        raise _Rejected(where)
-    if kind in ("integer", "number") and not (
-            schema.get("minimum", x) <= x <= schema.get("maximum", x)
-            and x > schema.get("exclusiveMinimum", -math.inf)):
-        raise _Rejected(where)
-    if kind == "string" and "pattern" in schema and not re.search(schema["pattern"], x):
-        raise _Rejected(where)
-    if kind == "array":
-        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
-            raise _Rejected(where)
-        if "items" in schema:
-            if not isinstance(schema["items"], dict):
+    value, kind = x, _KIND[type(x)]
+    for key, v in schema.items():
+        if key == "type":
+            types = (v,) if isinstance(v, str) else v
+            if kind == "number" and "integer" in types and x.is_integer():
+                value = int(x)
+            elif kind not in types and not (kind == "integer" and "number" in types):
+                errors.append((where, f"{x!r} is not of type {', '.join(map(repr, types))}"))
+        elif key == "items":
+            if not isinstance(v, dict):
                 raise TypeError("the config check implements items as one schema only")
-            x = [conform(v, schema["items"], (*where, i)) for i, v in enumerate(x)]
-    if kind == "object":
-        props = schema.get("properties", {})
-        if any(k not in x for k in schema.get("required", ())):
-            raise _Rejected(where)
-        if schema.get("additionalProperties", True) is not True:
-            if schema["additionalProperties"] is not False:
+            if kind == "array":
+                value = [conform(y, v, errors, (*where, i)) for i, y in enumerate(x)]
+        elif key in _BOUNDS:
+            if kind in ("integer", "number") and not _BOUNDS[key][0](x, v):
+                errors.append((where, _BOUNDS[key][1].format(x, v)))
+        elif key == "minItems":
+            if kind == "array" and len(x) < v:
+                errors.append((where, f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}"))
+        elif key == "maxItems":
+            if kind == "array" and len(x) > v:
+                errors.append((where, f"{x!r} {'is expected to be empty' if v == 0 else 'is too long'}"))
+        elif key == "additionalProperties":
+            if not isinstance(v, bool):
                 raise TypeError("the config check implements additionalProperties false only")
-            if x.keys() - props.keys():
-                raise _Rejected(where)
-        x = {k: conform(v, props[k], (*where, k)) if k in props else v for k, v in x.items()}
-    return x
+            extra = kind == "object" and not v and x.keys() - schema.get("properties", ())
+            if extra:
+                names = ", ".join(map(repr, sorted(extra)))
+                errors.append((where, f"Additional properties are not allowed ({names} "
+                                      f"{'was' if len(extra) == 1 else 'were'} unexpected)"))
+        elif key == "properties":
+            if kind == "object":
+                value = {k: conform(y, v[k], errors, (*where, k)) if k in v else y for k, y in x.items()}
+        elif key == "required":
+            if kind == "object" and not all(map(x.__contains__, v)):
+                errors.extend((where, f"{k!r} is a required property") for k in v if k not in x)
+        elif key == "pattern" and kind == "string" and not re.search(v, x):
+            errors.append((where, f"{x!r} does not match {v!r}"))
+        elif key == "enum" and not any(isinstance(x, bool) == isinstance(e, bool) and x == e for e in v):
+            errors.append((where, f"{x!r} is not one of {v!r}"))
+    return value
 
 
 def require_block(config: dict, name: str) -> dict:

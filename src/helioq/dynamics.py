@@ -630,11 +630,12 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
 
     On each equal step t0 + s dt, H(t) - w N = sum_j s^j H_j: A + (t0 - tm) B and dt B where H
     is linear in t, else the step's `_fit`.  A state vector takes the H_j as coefficient vectors
-    (`_System.apply`), a density matrix as dense matrices, one product per H_j.  Steps keep
-    ||dt L||_1 <= theta, ||L||_1 = ||H||_1 on a state vector and 2 ||H||_1 + ||D||_1 on a density
-    matrix: ||H||_1 at the ends of a linear piece (convex in t), exact on a density matrix, or
-    summed over a fit's terms, a bound on the disk |s| <= 1 the Taylor terms read.  Samples read
-    their step's polynomial (its sum at the end) and do not move the steps.
+    (`_System.apply`), a density matrix as dense matrices, one product per H_j, or a row scaling
+    where a fit's H_j is diagonal.  Steps keep ||dt L||_1 <= theta, ||L||_1 = ||H||_1 on a state
+    vector and 2 ||H||_1 + ||D||_1 on a density matrix: ||H||_1 at the ends of a linear piece
+    (convex in t), exact on a density matrix, or summed over a fit's terms, a bound on the disk
+    |s| <= 1 the Taylor terms read.  Samples read their step's polynomial (its sum at the end)
+    and do not move the steps.
     """
     dm = liou is not None
     dnorm = liou.norms[tunneling] if dm else 0.0
@@ -646,14 +647,16 @@ def _taylor(sys, liou, ta, tb, tunneling, w, a, b):
         return np.hstack((0.5 * (m[:, :sys.n] @ sys.zpat), np.eye(len(m), 1), m[:, sys.n:]))
 
     size, terms, apply = norm, poly, sys.apply
-    if dm:  # every H_j dense, and ||H||_1 of a linear piece exactly
+    if dm:  # every H_j dense but a fit's diagonal ones, and ||H||_1 of a linear piece exactly
         a, b = (None if h is None else sys.dense(h) for h in (a, b))
-        size, terms = (lambda h: np.abs(h).sum(axis=0).max()), (lambda m: [sys.dense(v) for v in poly(m)])
+        # a fit row that moves only the qubit frequencies (not row 0, which holds H_0) is its diagonal
+        size, terms = (lambda h: np.abs(h).sum(axis=0).max()), (
+            lambda m: [sys.dense(v) if v[sys.dim:].any() else v[:sys.dim, None] for v in poly(m)])
 
         def apply(hs, cs):  # H_0 c_0, plus H_j c_j for each further j
             x = hs[0] @ cs[0].reshape(hs[0].shape)
             for h, c in zip(hs[1:], cs[1:]):
-                x += h @ c.reshape(h.shape)
+                x += h * c.reshape(x.shape) if h.shape[1] == 1 else h @ c.reshape(x.shape)
             return liou.apply(x, cs[0], tunneling)
     if a is not None:
         ends = [a] if b is None else [a + f * (tb - ta) * b for f in (-0.5, 0.5)]

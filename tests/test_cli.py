@@ -640,6 +640,13 @@ def test_config_errors_in_one_process(tmp_path, capsys):
         {"output_dir": out, "evolution": {"frame": True}},                    # enum: True is no string
         {"output_dir": out, "schedule": {"duration_s": 1e-9, "voltage_channels": [
             {"site": 0.5, "points": []}]}},                                   # items of objects
+        # the cases that decide which of several errors is reported
+        {"output_dir": out, "devices": {}, "device": dict(BASE_DEVICE, d_um=0)},  # root beside nested
+        {"output_dir": out, "device": dict(BASE_DEVICE, B_T=-1, d_um=0)},         # sibling keys
+        {"output_dir": out, "device": dict(BASE_DEVICE, sites=[[0], [0, 0, 0]])},  # sibling items
+        {"output_dir": out, "device": {"d_um": 0.5, "typo_key": 1}},  # extra and missing key, one object
+        {"output_dir": out, "device": dict(BASE_DEVICE, zeta=1, alpha=2)},        # two extra keys
+        {"output_dir": out, "device": dict(BASE_DEVICE, basis_size=2.0)},         # 2.0 below minimum 3
     ]
     for i, config in enumerate(bad):
         cfg = write_config(tmp_path, config, name=f"bad{i}.json")
@@ -847,6 +854,19 @@ def test_each_artifact_prints_one_wrote_line(tmp_path, capsys, subcommand):
     assert sorted(str(p) for p in out.iterdir()) == sorted(paths)
 
 
+@pytest.mark.parametrize("subcommand", list(cli._RUNNERS))
+def test_one_config_in_two_directories_writes_the_same_names_and_bytes(tmp_path, subcommand):
+    # output_dir says where a computation is written, not what it is, so the hash leaves it out
+    block, suffixes = WRITER_CASES[subcommand]
+    written = []
+    for out in (tmp_path / "a", tmp_path / "b" / "c"):
+        config = {"output_dir": str(out), **block}
+        assert main([subcommand, "--config", write_config(tmp_path, config)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1] and len(written[0]) == len(suffixes)
+    assert cli.config_hash(config) == cli.config_hash(block)
+
+
 # --- the config check, against jsonschema as the oracle ----------------------
 
 
@@ -945,18 +965,32 @@ _FILE_CONFIGS = [
 @pytest.mark.parametrize("subcommand", list(cli._RUNNERS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_config_check_agrees_with_jsonschema(subcommand, data):
+def test_config_check_agrees_with_jsonschema(tmp_path_factory, subcommand, data):
     import jsonschema
 
     generated = _instances(_SCHEMA, force=WRITER_CASES[subcommand][0])
     config = data.draw(_mutated(st.sampled_from(_FILE_CONFIGS) | generated))
-    valid = jsonschema.Draft7Validator(_SCHEMA).is_valid(config)
-    try:
-        conformed = cli.conform(config, _SCHEMA)
-    except cli._Rejected:
-        assert not valid
+    validator = jsonschema.Draft7Validator(_SCHEMA)
+    # every error at every key path, in jsonschema's order at each path
+    expected, found = {}, {}
+    for error in validator.iter_errors(config):
+        expected.setdefault(tuple(error.absolute_path), []).append(error.message)
+    errors = []
+    conformed = cli.conform(config, _SCHEMA, errors)
+    for where, message in errors:
+        found.setdefault(where, []).append(message)
+    assert found == expected
+    # and the one error load_config reports is the one jsonschema.validate raises
+    cfg = tmp_path_factory.getbasetemp() / f"checked-{subcommand}.json"
+    cfg.write_text(json.dumps(config))
+    best = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if best is None:
+        assert conformed == config and cli.load_config(str(cfg), []) == (config, [])
     else:
-        assert valid and conformed == config
+        with pytest.raises(cli.ConfigError) as info:
+            cli.load_config(str(cfg), [])
+        where = "/".join(str(p) for p in best.absolute_path) or "(root)"
+        assert str(info.value) == f"config invalid at {where}: {best.message}"
 
 
 def _integer_keys(schema: dict, path=()):
@@ -1035,21 +1069,7 @@ def test_shipped_schema_is_a_valid_draft_07_schema():
 ], ids=["oneOf", "nested-not", "items-list", "additionalProperties-schema"])
 def test_config_check_raises_on_a_keyword_it_does_not_implement(schema, instance):
     with pytest.raises(TypeError, match="config check"):
-        cli.conform(instance, schema)
-
-
-def test_config_check_rejecting_what_jsonschema_accepts_is_an_internal_error(
-        tmp_path, capsys, monkeypatch):
-    def rejects(config, schema):
-        raise cli._Rejected(("device", "d_um"))
-
-    monkeypatch.setattr(cli, "conform", rejects)
-    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "device": dict(BASE_DEVICE)})
-    assert main(["build", "--config", cfg]) == 4
-    assert capsys.readouterr().err == (
-        f"internal error: AssertionError: the config check rejects {cfg} at device/d_um, "
-        "which jsonschema accepts\n"
-    )
+        cli.conform(instance, schema, [])
 
 
 # --- the recursive serializer that dump_json replaced, kept as the oracle ----
